@@ -9,7 +9,8 @@ it is the field inside the antenna.
 
 import numpy as np
 
-from emwavelets import CauchySignal, FlatDisk, ScalarWavelet, SourceConfig, interior_psi, psi, wave_residual
+from emwavelets import CauchySignal, FlatDisk, ScalarWavelet, SourceConfig, interior_psi, psi
+from emwavelets.harness.fd import wave_residual
 
 cfg = SourceConfig(a=[0, 0, 1.0], b=1.5)
 w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))

@@ -17,12 +17,12 @@ from emwavelets import (
     SourceConfig,
     far_field,
     field,
-    field_curl_oracle,
     helicity_residual,
     interior_field,
     joint_field,
     poynting_energy_far,
 )
+from emwavelets.harness.fd import field_curl_oracle
 
 cfg = SourceConfig(a=[0, 0, 1.0], b=1.5)
 w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))

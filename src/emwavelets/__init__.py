@@ -56,20 +56,18 @@ from .signals import (
     spectral_profile,
     spectrum_cauchy,
 )
-from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_sigma_derivs, wave_residual
+from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_sigma_derivs
 from .em_fields import (
     EMFieldSample,
     LMNTriplet,
     PolarizationVector,
     far_field,
     field,
-    field_curl_oracle,
     four_potential,
     helicity_residual,
     interior_field,
     joint_field,
     lmn,
-    lorenz_residual,
     poynting_energy_far,
 )
 from .surface_sources import (
@@ -90,5 +88,6 @@ from .surface_sources import (
     surface_sources_exact,
     tilde_lmn,
 )
+from .harness.fd import field_curl_oracle, lorenz_residual, wave_residual
 
 __version__ = "0.1.0"

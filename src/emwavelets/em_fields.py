@@ -10,8 +10,8 @@ coefficients,
 
 with L, M, N rational combinations of the retarded pulse and its first
 two time derivatives over powers of sigma.  Everything here is closed
-form except the explicitly named oracles, which re-derive F and the
-potentials by differencing psi.
+form; the difference oracles that re-derive F and the potentials from psi
+live in harness.fd.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OnBranchCircleError, OnCutError, TooCloseToCutError
-from .geometry import SourceConfig, cut_clearance, cut_sign, frame
-from .harness import fd
-from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet, psi, psi_sigma_derivs
+from .errors import OnBranchCircleError, OnCutError
+from .geometry import complex_distance_principal, cut_sign, frame
+from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
+from .signals import CauchySignal
 
 __all__ = [
     "PolarizationVector",
@@ -33,9 +33,7 @@ __all__ = [
     "LMNTriplet",
     "lmn",
     "field",
-    "field_curl_oracle",
     "four_potential",
-    "lorenz_residual",
     "interior_field",
     "joint_field",
     "far_field",
@@ -130,50 +128,40 @@ def lmn(sig, sigma, tau) -> LMNTriplet:
     return LMNTriplet(L, M, N)
 
 
-def _field_core(sig, sigma, u, pol, tau):
-    """F = L*lam*u - M*pol - i*N*(u x pol) for a given branch (sigma, u)."""
-    L, M, N = lmn(sig, sigma, tau)
+def _assemble(L, M, N, u, pol):
+    """L*lam*u - M*pol - i*N*(u x pol), lam = u.pol.
+
+    The field for the L/M/N coefficients, its jump across a surface for
+    the tilde coefficients.
+    """
     lam = np.sum(u * pol, axis=-1)
     ucp = np.cross(u, np.broadcast_to(pol, u.shape))
     return L[..., None] * lam[..., None] * u - M[..., None] * pol - 1j * N[..., None] * ucp
 
 
-def _branch_data(w: ScalarWavelet, r):
+def _field_core(sig, sigma, u, pol, tau):
+    """F for a given branch (sigma, u); broadcasts the branch against tau."""
+    return _assemble(*lmn(sig, sigma, tau), u, pol)
+
+
+def _branch_data(w: ScalarWavelet, r, tol_cut: float | None = None):
+    """(cut sign, sigma, u) of the wavelet's branch at r.
+
+    Refuses points within tol_cut of the cut, then points on the branch
+    circle.
+    """
+    s = cut_sign(w.cut, r, w.cfg, tol_cut=tol_cut)
     fr = frame(r, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
-    s = cut_sign(w.cut, r, w.cfg)
-    sigma = s * fr.sigma
-    u = np.asarray(s)[..., None] * fr.u
-    return sigma, u
+    return s, s * fr.sigma, np.asarray(s)[..., None] * fr.u
 
 
 def field(w: ScalarWavelet, pol, r, t) -> EMFieldSample:
     """Exact field of the wavelet's branch at (r, t)."""
     pol = _as_pol(pol)
     r = np.asarray(r, dtype=float)
-    sigma, u = _branch_data(w, r)
+    _, sigma, u = _branch_data(w, r)
     F = _field_core(w.sig, sigma, u, pol, w.tau(t))
     return EMFieldSample(F=F, position=r, time=np.asarray(t, dtype=float))
-
-
-def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):
-    """F recomputed as curl curl Z + i d/dt curl Z, Z = psi*pol, by differencing psi.
-
-    Uses curl curl Z = grad(div Z) - lap(Z) and curl Z = grad(psi) x pol,
-    so only the scalar psi is ever sampled.  Independent of the L/M/N
-    algebra.
-    """
-    pol = _as_pol(pol)
-    if h is None:
-        h = 1e-4 * w.cfg.a_mag
-    r = np.asarray(r, dtype=float)
-    if np.any(cut_clearance(w.cut, r, w.cfg) <= 4.0 * h):
-        raise TooCloseToCutError("oracle stencil would straddle the branch cut")
-    f = lambda rr, tt: psi(w, rr, tt)
-    hess_pol = fd.hessian_apply(f, r, t, h, pol)
-    lap = fd.laplacian(f, r, t, h, order=2)
-    dgrad_dt = fd.time_derivative(lambda rr, tt: fd.grad(f, rr, tt, h, order=2), r, t, h, order=2)
-    curl_z_dot = np.cross(dgrad_dt, np.broadcast_to(pol, dgrad_dt.shape))
-    return hess_pol - lap[..., None] * pol + 1j * curl_z_dot
 
 
 def four_potential(w: ScalarWavelet, pol, r, t):
@@ -184,7 +172,7 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     """
     pol = _as_pol(pol)
     r = np.asarray(r, dtype=float)
-    sigma, u = _branch_data(w, r)
+    _, sigma, u = _branch_data(w, r)
     tau = w.tau(t)
     g = w.sig.eval(tau - sigma)
     g1 = w.sig.eval(tau - sigma, 1)
@@ -194,16 +182,6 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     A0 = -np.real(np.sum(grad_psi * pol, axis=-1))
     A = np.real(psi_dot[..., None] * pol) + np.imag(np.cross(grad_psi, np.broadcast_to(pol, grad_psi.shape)))
     return A0, A
-
-
-def lorenz_residual(w: ScalarWavelet, pol, r, t, h: float | None = None):
-    """|dA0/dt + div A| by outer central differences on the exact potentials."""
-    if h is None:
-        h = 1e-3 * w.cfg.a_mag
-    r = np.asarray(r, dtype=float)
-    dA0 = fd.time_derivative(lambda rr, tt: four_potential(w, pol, rr, tt)[0], r, t, h)
-    divA = fd.divergence(lambda rr, tt: four_potential(w, pol, rr, tt)[1], r, t, h)
-    return np.abs(dA0 + divA)
 
 
 def interior_field(w: ScalarWavelet, pol, r, t):
@@ -248,16 +226,10 @@ def far_field(w: ScalarWavelet, pol, r, t):
     r = np.asarray(r, dtype=float)
     rmag = np.linalg.norm(r, axis=-1)
     e_r = r / rmag[..., None]
-    sigma, _, _ = _sigma_principal(w, r)
+    sigma, _, _ = complex_distance_principal(r, w.cfg)
     g2 = w.sig.eval(w.tau(t) - sigma, 2)
     perp = pol - np.sum(e_r * pol, axis=-1)[..., None] * e_r
     return -(g2 / rmag)[..., None] * (perp + 1j * np.cross(e_r, perp))
-
-
-def _sigma_principal(w: ScalarWavelet, r):
-    from .geometry import complex_distance_principal
-
-    return complex_distance_principal(r, w.cfg)
 
 
 def far_point_series(w: ScalarWavelet, pol, r):
@@ -268,13 +240,11 @@ def far_point_series(w: ScalarWavelet, pol, r):
     z_c = i*b + sigma; returns (z_c, {n+m: coefficient vector}).  Feeds the
     spectral one-sidedness checks without sampling anything.
     """
-    from .signals import CauchySignal
-
     if not isinstance(w.sig, CauchySignal):
         raise TypeError("series decomposition applies to Cauchy-kernel drives")
     pol = _as_pol(pol)
     r = np.asarray(r, dtype=float)
-    sigma, u = _branch_data(w, r)
+    _, sigma, u = _branch_data(w, r)
     lam = np.sum(u * pol, axis=-1)
     ucp = np.cross(u, np.broadcast_to(pol, u.shape))
     lu = lam[..., None] * u

@@ -37,12 +37,10 @@ __all__ = [
     "complex_distance_principal",
     "complex_distance",
     "cut_sign",
-    "cut_clearance",
     "continued_sign",
     "to_oblate",
     "from_oblate",
     "spheroid_point",
-    "spheroid_area_element",
     "smooth_cut_function",
     "frame",
     "on_reference_cut",
@@ -58,6 +56,24 @@ def _dot(u, v):
 
 def _norm(v):
     return np.sqrt(np.sum(np.real(v) ** 2 + np.imag(v) ** 2, axis=-1))
+
+
+def _axial(r, cfg):
+    """(z, rho): height along a_hat and distance from the source axis."""
+    z = _dot(r, cfg.a_hat)
+    return z, _norm(r - z[..., None] * cfg.a_hat)
+
+
+def _cylindrical_basis(phi, cfg):
+    """(e_rho, e_phi): the horizontal unit vectors at azimuth phi about a_hat."""
+    c = np.cos(phi)[..., None]
+    s = np.sin(phi)[..., None]
+    return c * cfg.e1 + s * cfg.e2, -s * cfg.e1 + c * cfg.e2
+
+
+def _spheroid_rho(alpha, q, a):
+    """Distance from the axis of the point q on the spheroid p = alpha."""
+    return np.sqrt((alpha**2 + a**2) * (a**2 - q**2)) / a
 
 
 @dataclass(frozen=True)
@@ -136,7 +152,7 @@ def complex_distance_principal(r, cfg: SourceConfig):
     # a.r -> 0+ face so that sigma = -i*sqrt(a^2 - rho^2).
     on_disk = (sigma2.imag == 0.0) & (sigma2.real < 0.0)
     if np.any(on_disk):
-        fixed = -1j * np.sqrt(-np.real(sigma2))
+        fixed = -1j * np.sqrt(np.where(on_disk, -np.real(sigma2), 0.0))
         sigma = np.where(on_disk, fixed, sigma)
     return sigma, np.real(sigma), -np.imag(sigma)
 
@@ -146,16 +162,13 @@ def on_reference_cut(r, cfg: SourceConfig, tol: float | None = None):
     r = np.asarray(r, dtype=float)
     if tol is None:
         tol = 1e-9 * cfg.a_mag
-    z = _dot(r, cfg.a_hat)
-    rho = _norm(r - z[..., None] * cfg.a_hat)
+    z, rho = _axial(r, cfg)
     return (np.abs(z) <= tol) & (rho <= cfg.a_mag)
 
 
 def branch_circle_distance(r, cfg: SourceConfig):
     """Euclidean distance from r to the branch circle."""
-    r = np.asarray(r, dtype=float)
-    z = _dot(r, cfg.a_hat)
-    rho = _norm(r - z[..., None] * cfg.a_hat)
+    z, rho = _axial(np.asarray(r, dtype=float), cfg)
     return np.hypot(rho - cfg.a_mag, z)
 
 
@@ -175,20 +188,10 @@ def from_oblate(p, q, phi, cfg: SourceConfig, side: str = "upper"):
     The pair (p, q) determines the point only up to the twofold cover;
     side = "upper" places it on the a.r >= 0 sheet, "lower" on the other.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    a = cfg.a_mag
-    if np.any(np.abs(q) > a * (1.0 + 1e-12)):
-        raise ValueError("|q| must not exceed |a|")
-    q = np.clip(q, -a, a)
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    zmag = p * np.abs(q) / a
-    z = zmag if side == "upper" else -zmag
-    rho = np.sqrt((p**2 + a**2) * (a**2 - q**2)) / a
-    e_rho = np.cos(phi)[..., None] * cfg.e1 + np.sin(phi)[..., None] * cfg.e2
-    return rho[..., None] * e_rho + z[..., None] * cfg.a_hat
+    q = np.abs(np.asarray(q, dtype=float))
+    return spheroid_point(p, q if side == "upper" else -q, phi, cfg)
 
 
 def spheroid_point(alpha, q, phi, cfg: SourceConfig):
@@ -204,21 +207,8 @@ def spheroid_point(alpha, q, phi, cfg: SourceConfig):
         raise ValueError("|q| must not exceed |a|")
     q = np.clip(q, -a, a)
     z = alpha * q / a
-    rho = np.sqrt((alpha**2 + a**2) * (a**2 - q**2)) / a
-    e_rho = np.cos(phi)[..., None] * cfg.e1 + np.sin(phi)[..., None] * cfg.e2
-    return rho[..., None] * e_rho + z[..., None] * cfg.a_hat
-
-
-def spheroid_area_element(alpha, q, cfg: SourceConfig):
-    """Area element dA/(dq dphi) of the spheroid p = alpha at coordinate q."""
-    alpha = float(alpha)
-    q = np.asarray(q, dtype=float)
-    a = cfg.a_mag
-    rho = np.sqrt((alpha**2 + a**2) * (a**2 - q**2)) / a
-    drho_dq = -q * (alpha**2 + a**2) / (a**2 * np.maximum(rho, 1e-300))
-    dz_dq = alpha / a
-    h_q = np.hypot(drho_dq, dz_dq)
-    return h_q * rho
+    e_rho, _ = _cylindrical_basis(phi, cfg)
+    return _spheroid_rho(alpha, q, a)[..., None] * e_rho + z[..., None] * cfg.a_hat
 
 
 def smooth_cut_function(q, alpha, eps):
@@ -275,9 +265,7 @@ class FlatDisk(BranchCut):
         return np.zeros_like(np.asarray(q, dtype=float))
 
     def clearance(self, r, cfg):
-        r = np.asarray(r, dtype=float)
-        z = _dot(r, cfg.a_hat)
-        rho = _norm(r - z[..., None] * cfg.a_hat)
+        z, rho = _axial(np.asarray(r, dtype=float), cfg)
         inside = rho <= cfg.a_mag
         return np.where(inside, np.abs(z), np.hypot(rho - cfg.a_mag, z))
 
@@ -292,10 +280,8 @@ def _spheroid_sign(r, cfg, alpha, upper: bool):
 
 def _apron_distance(r, cfg, alpha):
     """Distance to the flat annulus bridging the circle and the half spheroid."""
-    r = np.asarray(r, dtype=float)
     a = cfg.a_mag
-    z = _dot(r, cfg.a_hat)
-    rho = _norm(r - z[..., None] * cfg.a_hat)
+    z, rho = _axial(np.asarray(r, dtype=float), cfg)
     lo, hi = a, math.hypot(a, alpha)
     dr = np.maximum(np.maximum(lo - rho, rho - hi), 0.0)
     return np.hypot(dr, z)
@@ -303,15 +289,13 @@ def _apron_distance(r, cfg, alpha):
 
 def _half_spheroid_clearance(r, cfg, alpha, upper: bool, with_apron: bool):
     """Distance to the half spheroid p = alpha (a.r >= 0 part) plus apron."""
-    r = np.asarray(r, dtype=float)
     a = cfg.a_mag
-    z = _dot(r, cfg.a_hat)
+    z, rho = _axial(np.asarray(r, dtype=float), cfg)
     if not upper:
         z = -z
-    rho = _norm(r - _dot(r, cfg.a_hat)[..., None] * cfg.a_hat)
     # polyline over the meridian curve of the half spheroid
     qs = a * np.sin(np.linspace(0.0, np.pi / 2, 257))
-    rc = np.sqrt((alpha**2 + a**2) * (a**2 - qs**2)) / a
+    rc = _spheroid_rho(alpha, qs, a)
     zc = alpha * qs / a
     if with_apron:
         rc = np.concatenate([np.linspace(a, math.hypot(a, alpha), 17), rc])
@@ -466,11 +450,6 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig, anchor=None, n_steps: i
         crossings = np.sum(np.signbit(f[1:]) != np.signbit(f[:-1]), axis=0)
         out[lo : lo + 256] = np.where(crossings % 2 == 0, 1, -1) * branch[-1].astype(int)
     return out
-
-
-def cut_clearance(cut: BranchCut, r, cfg: SourceConfig):
-    """Estimated Euclidean distance from r to the cut surface (conservative)."""
-    return cut.clearance(r, cfg)
 
 
 def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):

@@ -38,7 +38,6 @@ Example::
     quantity = F               ; psi | F
 
     [tolerances]
-    h = 1e-3
     tol_cut = 1e-9
     q_min = auto               ; auto = effective-aperture band, or a number
 """
@@ -92,7 +91,6 @@ class RunConfig:
     surface_t: float = 1.2
     out_dir: str = "out"
     quantity: str = "F"
-    h: float = 1e-3
     tol_cut: float = 1e-9
     q_min: str = "auto"
     threads: int = 1
@@ -213,7 +211,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError("output quantity must be psi or F")
     if "tolerances" in cp:
         sec = cp["tolerances"]
-        rc.h = sec.getfloat("h", rc.h)
         rc.tol_cut = sec.getfloat("tol_cut", rc.tol_cut)
         rc.q_min = sec.get("q_min", rc.q_min).strip()
         if rc.q_min != "auto":
@@ -221,8 +218,8 @@ def load_config(path) -> RunConfig:
                 float(rc.q_min)
             except ValueError as exc:
                 raise ConfigError("q_min must be 'auto' or a number") from exc
-        if rc.h <= 0 or rc.tol_cut <= 0:
-            raise ConfigError("tolerances must be positive")
+        if rc.tol_cut <= 0:
+            raise ConfigError("tol_cut must be positive")
     try:
         rc.cut()
         rc.signal() if rc.signal_kind != "sampled" or rc.signal_csv else None

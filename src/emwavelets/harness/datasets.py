@@ -14,28 +14,34 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["format_float", "write_csv_atomic", "write_json_sidecar"]
+__all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
 
-def format_float(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def write_csv_atomic(path, header, rows):
-    """Write rows (iterable of numeric sequences) under a header line."""
+def _write_atomic(path, write):
+    """Run write(fh) on a temp file next to path, then rename it into place."""
     path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    folder = os.path.dirname(path) or "."
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(fh, header, rows):
+    """Header line, then one line of 17-significant-digit values per row."""
+    fh.write(",".join(header) + "\n")
+    np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+
+
+def write_csv_atomic(path, header, rows):
+    """Write rows (iterable of numeric sequences) under a header line."""
+    _write_atomic(path, lambda fh: write_csv(fh, header, rows))
 
 
 def _jsonable(v):
@@ -49,15 +55,8 @@ def _jsonable(v):
 
 
 def write_json_sidecar(path, metadata: dict):
-    path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            json.dump({k: _jsonable(v) for k, v in metadata.items()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def write(fh):
+        json.dump({k: _jsonable(v) for k, v in metadata.items()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_atomic(path, write)

@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["grid_points", "chunked_parallel_map"]
 
+CHUNK = 2048
+
 
 def grid_points(grid: dict):
     """(points (N,3) row-major over x,y,z; times array) from AxisSpec dict."""
@@ -26,7 +28,7 @@ def grid_points(grid: dict):
     return pts, ts
 
 
-def chunked_parallel_map(func, points, threads: int = 1, chunk: int = 2048):
+def chunked_parallel_map(func, points, threads: int = 1, chunk: int = CHUNK):
     """Apply func to row chunks of points, preserving order.
 
     func takes an (m, 3) array and returns an (m, k) array; the results

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..em_fields import field, helicity_residual
-from ..geometry import SourceConfig, complex_distance_principal, cut_sign
-from ..scalar_wavelet import ScalarWavelet, psi
+from ..em_fields import _branch_data, _field_core, helicity_residual
+from ..scalar_wavelet import _branch_sigma, _psi_of
 from ..signals import CauchySignal, diffraction_angle, spectral_profile
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
 from .config import RunConfig
-from .grids import chunked_parallel_map, grid_points
+from .grids import CHUNK, chunked_parallel_map, grid_points
 
 __all__ = [
     "field_rows",
@@ -35,33 +34,40 @@ SOURCE_HEADER = [
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
-    """Row-major field sweep: one record per (point, time), time fastest."""
+    """Row-major field sweep: one record per (point, time), time fastest.
+
+    Each chunk's branch (cut sign, sigma, u) is resolved once, refusing
+    points within the configured tol_cut of the cut, and every time slice
+    is evaluated in one broadcast call of the closed forms psi() and
+    field() use.
+    """
     w = rc.wavelet()
     pol = rc.polarization()
     pts, ts = grid_points(rc.grid)
+    tau = w.tau(ts)
+    tol_cut = rc.tol_cut * w.cfg.a_mag
 
     def eval_chunk(chunk):
-        sigma0, _, _ = complex_distance_principal(chunk, w.cfg)
-        sgn = cut_sign(w.cut, chunk, w.cfg, tol_cut=rc.tol_cut * w.cfg.a_mag)
-        sigma = sgn * sigma0
-        blocks = []
-        for tt in ts:
-            base = np.column_stack(
-                [chunk, np.full(len(chunk), tt), sigma.real, sigma.imag, np.asarray(sgn, dtype=float)]
-            )
-            if rc.quantity == "psi":
-                v = psi(w, chunk, tt)
-                data = np.column_stack([v.real, v.imag])
-            else:
-                F = field(w, pol, chunk, tt).F
-                data = np.column_stack(
-                    [F[:, 0].real, F[:, 0].imag, F[:, 1].real, F[:, 1].imag, F[:, 2].real, F[:, 2].imag]
-                )
-            blocks.append(np.column_stack([base, data]))
-        stacked = np.stack(blocks, axis=1)  # (m, T, k)
-        return stacked.reshape(len(chunk) * len(ts), -1)
+        if rc.quantity == "psi":
+            sgn, sigma = _branch_sigma(w, chunk, tol_cut)
+            values = _psi_of(w.sig, sigma[:, None], tau)[..., None]
+        else:
+            sgn, sigma, u = _branch_data(w, chunk, tol_cut)
+            values = _field_core(w.sig, sigma[:, None], u[:, None, :], pol, tau)
+        rows = np.empty(values.shape[:2] + (7 + 2 * values.shape[2],))  # (m, T, k)
+        rows[..., 0:3] = chunk[:, None, :]
+        rows[..., 3] = ts
+        rows[..., 4] = sigma.real[:, None]
+        rows[..., 5] = sigma.imag[:, None]
+        rows[..., 6] = sgn[:, None]
+        rows[..., 7::2] = values.real
+        rows[..., 8::2] = values.imag
+        return rows.reshape(-1, rows.shape[2])
 
-    return chunked_parallel_map(eval_chunk, pts, threads=threads)
+    # CHUNK records, not CHUNK points, per chunk: the broadcast temporaries
+    # (a sampled drive's kernel holds records x samples values) must not
+    # grow with the number of time slices
+    return chunked_parallel_map(eval_chunk, pts, threads=threads, chunk=max(1, CHUNK // len(ts)))
 
 
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):

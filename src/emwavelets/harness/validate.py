@@ -8,18 +8,13 @@ orders, which are absolute.
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..em_fields import (
-    field,
-    field_curl_oracle,
-    helicity_residual,
-    joint_field,
-    lorenz_residual,
-)
+from ..em_fields import field, helicity_residual, joint_field, lmn
 from ..geometry import (
     CustomCut,
     FlatDisk,
@@ -27,6 +22,8 @@ from ..geometry import (
     SmoothSpheroid,
     SourceConfig,
     UpperSpheroid,
+    _cylindrical_basis,
+    _spheroid_rho,
     complex_distance,
     complex_distance_principal,
     frame,
@@ -34,7 +31,7 @@ from ..geometry import (
     smooth_cut_function,
     spheroid_point,
 )
-from ..scalar_wavelet import ScalarWavelet, interior_psi, wave_residual
+from ..scalar_wavelet import ScalarWavelet, interior_psi
 from ..signals import CauchySignal, diffraction_angle, spectral_profile, spectrum_cauchy
 from ..surface_sources import (
     coulomb_disk_sources,
@@ -46,7 +43,10 @@ from ..surface_sources import (
 )
 from . import fd
 from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
-from .config import RunConfig, default_config
+from .config import AxisSpec, RunConfig, default_config
+from .datasets import write_csv
+from .fd import field_curl_oracle, lorenz_residual, wave_residual
+from .runs import FIELD_HEADER_F, field_rows
 from .spectral import cauchy_series_transform, energy_split, quadpack_fourier
 
 __all__ = ["SuiteResult", "run_all", "ALL_SUITES"]
@@ -91,9 +91,7 @@ def _off_cut_points(rng, cfg, cut, n, clearance, box=3.0):
     pts = np.empty((0, 3))
     while len(pts) < n:
         cand = rng.uniform(-box, box, (4 * n, 3)) * cfg.a_mag
-        from ..geometry import cut_clearance
-
-        ok = cut_clearance(cut, cand, cfg) > clearance
+        ok = cut.clearance(cand, cfg) > clearance
         _, p, q = complex_distance_principal(cand, cfg)
         ok &= p**2 + q**2 > (0.05 * cfg.a_mag) ** 2
         pts = np.vstack([pts, cand[ok]])
@@ -131,7 +129,7 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
     phis = rng.uniform(0.0, 2 * np.pi, n)
     if isinstance(cut, FlatDisk):
         rho = np.sqrt(a**2 - qs**2)
-        base = rho[:, None] * (np.cos(phis)[:, None] * cfg.e1 + np.sin(phis)[:, None] * cfg.e2)
+        base = rho[:, None] * _cylindrical_basis(phis, cfg)[0]
         nhat = np.broadcast_to(cfg.a_hat, base.shape)
         return base + delta * nhat, base - delta * nhat
     if isinstance(cut, (UpperSpheroid, LowerSpheroid)):
@@ -347,7 +345,7 @@ def suite_interior_continuity(rc: RunConfig, rng, tol_scale=1.0, n_pairs=1000):
     qs = rng.uniform(0.2 * a, 0.95 * a, n_pairs)
     phis = rng.uniform(0, 2 * np.pi, n_pairs)
     rho = np.sqrt(a**2 - qs**2)
-    base = rho[:, None] * (np.cos(phis)[:, None] * cfg.e1 + np.sin(phis)[:, None] * cfg.e2)
+    base = rho[:, None] * _cylindrical_basis(phis, cfg)[0]
     up = base + delta * cfg.a_hat
     dn = base - delta * cfg.a_hat
     t = 1.3 * a / cfg.c
@@ -442,8 +440,6 @@ def suite_analyticity(rc: RunConfig, rng, tol_scale=1.0, n_points=200):
     # L, M, N in both complex variables
     s = rng.uniform(0.5, 2.0, n_points) * np.exp(1j * rng.uniform(-1.2, 1.2, n_points))
     tau = 2.5 - 1.5j + 0.3 * rng.standard_normal(n_points)
-    from ..em_fields import lmn
-
     for var in ("sigma", "tau"):
         h = 1e-5
         if var == "sigma":
@@ -468,24 +464,18 @@ def _surface_divergence(w, pol, alpha, qs, phis, t, h):
     def j0_of(q, phi, tt):
         return surface_sources_exact(w, pol, q, phi, alpha, tt, q_min=0.0).j0
 
+    rho_of = lambda q: _spheroid_rho(alpha, q, a)
+    drho_of = lambda q: -q * (alpha**2 + a**2) / (a**2 * rho_of(q))
+    h_q_of = lambda q: np.hypot(drho_of(q), alpha / a)
+
     def jcomp(q, phi, which):
-        s = surface_sources_exact(w, pol, q, phi, alpha, t, q_min=0.0)
-        rho = np.sqrt((alpha**2 + a**2) * (a**2 - np.asarray(q) ** 2)) / a
-        drho = -np.asarray(q) * (alpha**2 + a**2) / (a**2 * rho)
-        e_rho = np.cos(phi)[..., None] * cfg.e1 + np.sin(phi)[..., None] * cfg.e2
-        e_phi = -np.sin(phi)[..., None] * cfg.e1 + np.cos(phi)[..., None] * cfg.e2
-        tvec = drho[..., None] * e_rho + (alpha / a) * cfg.a_hat
-        h_q = np.linalg.norm(tvec, axis=-1)
-        if which == "q":
-            return np.sum(s.j * (tvec / h_q[..., None]), axis=-1)
-        return np.sum(s.j * e_phi, axis=-1)
+        j = surface_sources_exact(w, pol, q, phi, alpha, t, q_min=0.0).j
+        e_rho, e_phi = _cylindrical_basis(phi, cfg)
+        if which == "phi":
+            return np.sum(j * e_phi, axis=-1)
+        tvec = drho_of(q)[..., None] * e_rho + (alpha / a) * cfg.a_hat
+        return np.sum(j * (tvec / np.linalg.norm(tvec, axis=-1)[..., None]), axis=-1)
 
-    def h_q_of(q):
-        rho = np.sqrt((alpha**2 + a**2) * (a**2 - q**2)) / a
-        drho = -q * (alpha**2 + a**2) / (a**2 * rho)
-        return np.hypot(drho, alpha / a)
-
-    rho_of = lambda q: np.sqrt((alpha**2 + a**2) * (a**2 - q**2)) / a
     dj0_dt = (j0_of(qs, phis, t + h) - j0_of(qs, phis, t - h)) / (2 * h)
     term_q = (
         rho_of(qs + h) * jcomp(qs + h, phis, "q") - rho_of(qs - h) * jcomp(qs - h, phis, "q")
@@ -521,12 +511,6 @@ def suite_surface_continuity(rc: RunConfig, rng, tol_scale=1.0):
 @_timed
 def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
     """Serial and parallel grid sweeps produce byte-identical CSV."""
-    import io
-
-    from .config import AxisSpec
-    from .datasets import format_float
-    from .runs import field_rows as _field_rows
-
     rc2 = default_config()
     rc2.grid = {
         "x": AxisSpec(-1.5, 1.5, 7),
@@ -536,14 +520,12 @@ def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
     }
     outs = []
     for threads in (1, 4):
-        rows = _field_rows(rc2, threads=threads)
         buf = io.StringIO()
-        for row in rows:
-            buf.write(",".join(format_float(v) for v in row) + "\n")
+        write_csv(buf, FIELD_HEADER_F, field_rows(rc2, threads=threads))
         outs.append(buf.getvalue())
     same = outs[0] == outs[1]
     return SuiteResult("determinism", same, 0.0 if same else 1.0, 0.0,
-                       detail=f"{len(outs[0].splitlines())} records, threads 1 vs 4")
+                       detail=f"{len(outs[0].splitlines()) - 1} records, threads 1 vs 4")
 
 
 ALL_SUITES = [

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnBranchCircleError, TooCloseToCutError
-from .geometry import BranchCut, SourceConfig, complex_distance, cut_clearance
+from .errors import OnBranchCircleError
+from .geometry import BranchCut, SourceConfig, complex_distance, complex_distance_principal, cut_sign
 from .signals import DrivingSignal
 
-__all__ = ["ScalarWavelet", "psi", "psi_sigma_derivs", "interior_psi", "wave_residual"]
+__all__ = ["ScalarWavelet", "psi", "psi_sigma_derivs", "interior_psi"]
 
 SIGMA_GUARD = 1e-8
 
@@ -38,16 +38,25 @@ class ScalarWavelet:
         return complex_distance(self.cut, r, self.cfg)
 
 
-def _guard_sigma(sigma, cfg):
-    if np.any(np.abs(sigma) < SIGMA_GUARD * cfg.a_mag):
+def _branch_sigma(w: ScalarWavelet, r, tol_cut: float | None = None):
+    """(cut sign, branch sigma) at r; refuses points on the cut or the branch circle."""
+    sigma0, _, _ = complex_distance_principal(r, w.cfg)
+    s = cut_sign(w.cut, r, w.cfg, tol_cut=tol_cut)
+    sigma = s * sigma0
+    if np.any(np.abs(sigma) < SIGMA_GUARD * w.cfg.a_mag):
         raise OnBranchCircleError("sigma too close to zero (branch circle)")
+    return s, sigma
+
+
+def _psi_of(sig, sigma, tau):
+    """g(tau - sigma)/sigma on a resolved branch; broadcasts sigma against tau."""
+    return sig.eval(tau - sigma) / sigma
 
 
 def psi(w: ScalarWavelet, r, t):
     """Retarded wavelet g(tau - sigma)/sigma at field point r, time t."""
-    sigma = w.sigma(r)
-    _guard_sigma(sigma, w.cfg)
-    return w.sig.eval(w.tau(t) - sigma) / sigma
+    _, sigma = _branch_sigma(w, r)
+    return _psi_of(w.sig, sigma, w.tau(t))
 
 
 def psi_sigma_derivs(w: ScalarWavelet, r, t):
@@ -57,8 +66,7 @@ def psi_sigma_derivs(w: ScalarWavelet, r, t):
     + 2g/sigma^3, with g, g., g.. the retarded signal and its time
     derivatives.
     """
-    sigma = w.sigma(r)
-    _guard_sigma(sigma, w.cfg)
+    _, sigma = _branch_sigma(w, r)
     tau = w.tau(t)
     g = w.sig.eval(tau - sigma)
     g1 = w.sig.eval(tau - sigma, 1)
@@ -75,25 +83,6 @@ def interior_psi(w: ScalarWavelet, r, t):
     Even under sigma -> -sigma, hence single-valued across any cut; tends
     to -2*g.(tau) on the branch circle.
     """
-    sigma = w.sigma(r)
-    _guard_sigma(sigma, w.cfg)
+    _, sigma = _branch_sigma(w, r)
     tau = w.tau(t)
     return (w.sig.eval(tau - sigma) - w.sig.eval(tau + sigma)) / sigma
-
-
-def wave_residual(w: ScalarWavelet, r, t, h: float | None = None, order: int = 4, interior: bool = False):
-    """Central-difference wave-operator residual of psi (or the interior combination).
-
-    Off the cut the residual vanishes as O(h^order); near the cut the
-    stencil is refused.
-    """
-    from .harness.fd import dalembertian
-
-    if h is None:
-        h = 1e-3 * w.cfg.a_mag
-    r = np.asarray(r, dtype=float)
-    margin = (2 if order == 2 else 4) * h
-    if not interior and np.any(cut_clearance(w.cut, r, w.cfg) <= margin):
-        raise TooCloseToCutError("stencil would straddle the branch cut")
-    f = (lambda rr, tt: interior_psi(w, rr, tt)) if interior else (lambda rr, tt: psi(w, rr, tt))
-    return dalembertian(f, r, t, h, order=order)

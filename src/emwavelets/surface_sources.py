@@ -28,9 +28,14 @@ from .errors import (
     RimSingularityError,
     SubRadiatingError,
 )
-from .em_fields import _as_pol, _field_core
-from .geometry import SourceConfig, frame, spheroid_point
-from .harness import fd
+from .em_fields import _as_pol, _assemble, _field_core
+from .geometry import (
+    SourceConfig,
+    _cylindrical_basis,
+    complex_distance_principal,
+    frame,
+    spheroid_point,
+)
 from .scalar_wavelet import ScalarWavelet
 from .signals import CauchySignal, mixed_signals
 
@@ -95,6 +100,8 @@ class SurfaceSourceSample:
 
 
 def _check_rim(q, cfg, q_min):
+    if q_min is None:
+        q_min = DEFAULT_Q_MIN_FRAC * cfg.a_mag
     if q_min > 0.0 and np.any(np.abs(np.asarray(q, dtype=float)) < q_min):
         raise NearRimError(
             f"|q| < {q_min:g}: inside the rim exclusion band, where the flat-spheroid "
@@ -147,12 +154,16 @@ def impulse_tilde_lmn(sigma, tau) -> TildeTriplet:
     return TildeTriplet(Lt, Mt, Nt)
 
 
-def _surface_geometry(w: ScalarWavelet, q, phi, alpha):
-    q = np.asarray(q, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    pos = spheroid_point(alpha, q, phi, w.cfg)
-    fr = frame(pos, w.cfg)
-    return pos, fr
+def _surface_geometry(q, phi, alpha, cfg):
+    pos = spheroid_point(alpha, q, phi, cfg)
+    return pos, frame(pos, cfg)
+
+
+def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
+    """j0 = e_p . dF and j = -i e_p x dF: the sources that carry the jump dF."""
+    return SurfaceSourceSample(position=pos, q=np.asarray(q, dtype=float),
+                               phi=np.asarray(phi, dtype=float),
+                               j0=np.sum(e_p * dF, axis=-1), j=-1j * np.cross(e_p, dF))
 
 
 def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: float = 1.0,
@@ -163,16 +174,11 @@ def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: flo
     Defaults mu = nu = 1 give the branch-cut combination.
     """
     pol = _as_pol(pol)
-    if q_min is None:
-        q_min = DEFAULT_Q_MIN_FRAC * w.cfg.a_mag
     _check_rim(q, w.cfg, q_min)
-    pos, fr = _surface_geometry(w, q, phi, alpha)
+    pos, fr = _surface_geometry(q, phi, alpha, w.cfg)
     tau = w.tau(t)
-    Lt, Mt, Nt = tilde_lmn(w.sig, fr.sigma, tau)
     if mu == 1.0 and nu == 1.0:
-        lam = np.sum(fr.u * pol, axis=-1)
-        ucp = np.cross(fr.u, np.broadcast_to(pol, fr.u.shape))
-        dF = Lt[..., None] * lam[..., None] * fr.u - Mt[..., None] * pol - 1j * Nt[..., None] * ucp
+        dF = _assemble(*tilde_lmn(w.sig, fr.sigma, tau), fr.u, pol)
     else:
         if abs(mu + nu - 2.0) > 1e-12:
             raise ValueError("need mu + nu = 2")
@@ -186,10 +192,7 @@ def surface_sources_exact(w: ScalarWavelet, pol, q, phi, alpha, t,
                           q_min: float | None = None) -> SurfaceSourceSample:
     """j0 = e_p . dF and j = -i e_p x dF with the exact outgoing normal e_p."""
     dF, pos, fr = field_jump(w, pol, q, phi, alpha, t, q_min=q_min)
-    j0 = np.sum(fr.e_p * dF, axis=-1)
-    j = -1j * np.cross(fr.e_p, dF)
-    return SurfaceSourceSample(position=pos, q=np.asarray(q, dtype=float),
-                               phi=np.asarray(phi, dtype=float), j0=j0, j=j)
+    return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 
 def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
@@ -208,8 +211,6 @@ def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
     """
     pol = _as_pol(pol)
     cfg = w.cfg
-    if q_min is None:
-        q_min = DEFAULT_Q_MIN_FRAC * cfg.a_mag
     _check_rim(q, cfg, q_min)
     q = np.asarray(q, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -217,8 +218,7 @@ def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
     pos = spheroid_point(alpha, q, phi, cfg)
     sigma = alpha - 1j * q
     rho = np.sqrt(np.maximum(a**2 - q**2, 0.0))
-    e_rho = np.cos(phi)[..., None] * cfg.e1 + np.sin(phi)[..., None] * cfg.e2
-    e_phi = -np.sin(phi)[..., None] * cfg.e1 + np.cos(phi)[..., None] * cfg.e2
+    e_rho, e_phi = _cylindrical_basis(phi, cfg)
     p_rho = np.sum(e_rho * pol, axis=-1)
     p_phi = np.sum(e_phi * pol, axis=-1)
     tau = w.tau(t)
@@ -239,21 +239,11 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     j0 = e_p . dF, j = -i e_p x dF.
     """
     pol = _as_pol(pol)
-    if q_min is None:
-        q_min = DEFAULT_Q_MIN_FRAC * cfg.a_mag
     _check_rim(q, cfg, q_min)
-    q = np.asarray(q, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    pos = spheroid_point(alpha, q, phi, cfg)
-    fr = frame(pos, cfg)
+    pos, fr = _surface_geometry(q, phi, alpha, cfg)
     tau = np.asarray(t, dtype=float) - 1j * cfg.b
-    Lt, Mt, Nt = impulse_tilde_lmn(fr.sigma, tau)
-    lam = np.sum(fr.u * pol, axis=-1)
-    ucp = np.cross(fr.u, np.broadcast_to(pol, fr.u.shape))
-    dF = Lt[..., None] * lam[..., None] * fr.u - Mt[..., None] * pol - 1j * Nt[..., None] * ucp
-    j0 = np.sum(fr.e_p * dF, axis=-1)
-    j = -1j * np.cross(fr.e_p, dF)
-    return SurfaceSourceSample(position=pos, q=q, phi=phi, j0=j0, j=j)
+    dF = _assemble(*impulse_tilde_lmn(fr.sigma, tau), fr.u, pol)
+    return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 
 def phase_sweep_magnetic_fraction(w: ScalarWavelet, pol, q, phi, alpha, t, phases,
@@ -275,38 +265,16 @@ def phase_sweep_magnetic_fraction(w: ScalarWavelet, pol, q, phi, alpha, t, phase
 
 
 def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
-                      via_impulse: bool = False, db_step: float | None = None,
                       q_min: float | None = None) -> SurfaceSourceSample:
-    """Surface sources for the band-pass drive C_n.
+    """Surface sources for the band-pass drive C_n: the wavelet re-driven with C_n.
 
-    Directly (default) the wavelet is re-driven with C_n; with
-    via_impulse=True the same sources are produced as (-d/db)^(n-1) of
-    the impulse response, using C_n = (-d/db)^(n-1) C_1.
+    harness.fd.bandpass_via_impulse derives the same sources as
+    (-d/db)^(n-1) of the impulse response.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not via_impulse:
-        wn = ScalarWavelet(cut=w.cut, cfg=w.cfg, sig=CauchySignal(n))
-        return surface_sources_exact(wn, pol, q, phi, alpha, t, q_min=q_min)
-    cfg = w.cfg
-    if db_step is None:
-        db_step = 1e-4 * abs(cfg.b)
-
-    def impulse_at(b):
-        cfg_b = SourceConfig(a=cfg.a, b=b, c=cfg.c)
-        w1 = ScalarWavelet(cut=w.cut, cfg=cfg_b, sig=CauchySignal(1))
-        s = surface_sources_exact(w1, pol, q, phi, alpha, t, q_min=q_min)
-        return np.concatenate([np.atleast_1d(s.j0)[..., None], np.atleast_2d(s.j)], axis=-1)
-
-    if n == 1:
-        packed = impulse_at(cfg.b)
-    else:
-        packed = (-1.0) ** (n - 1) * fd.nth_derivative_param(impulse_at, cfg.b, n - 1, db_step)
-    j0 = packed[..., 0]
-    j = packed[..., 1:4]
-    pos = spheroid_point(alpha, q, phi, cfg)
-    return SurfaceSourceSample(position=pos, q=np.asarray(q, dtype=float),
-                               phi=np.asarray(phi, dtype=float), j0=j0, j=j)
+    wn = ScalarWavelet(cut=w.cut, cfg=w.cfg, sig=CauchySignal(n))
+    return surface_sources_exact(wn, pol, q, phi, alpha, t, q_min=q_min)
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +286,6 @@ def coulomb_field(r, a_vec, cfg: SourceConfig | None = None):
     a_vec = np.asarray(a_vec, dtype=float)
     if cfg is None:
         cfg = SourceConfig(a=a_vec, b=2.0 * np.linalg.norm(a_vec))
-    from .geometry import complex_distance_principal
-
     r = np.asarray(r, dtype=float)
     sigma, _, _ = complex_distance_principal(r, cfg)
     if np.any(np.abs(sigma) < 1e-12 * cfg.a_mag):
@@ -369,16 +335,9 @@ def coulomb_spheroid_sources(alpha, q, phi, cfg: SourceConfig):
     and bounded for alpha > 0; the magnetic (imaginary) parts die as
     alpha -> 0 on the disk interior.
     """
-    q = np.asarray(q, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    pos = spheroid_point(alpha, q, phi, cfg)
-    fr = frame(pos, cfg)
-    C = pos - 1j * cfg.a
-    C = C / (4.0 * np.pi * fr.sigma**3)[..., None]
-    dC = 2.0 * C
-    j0 = np.sum(fr.e_p * dC, axis=-1)
-    j = -1j * np.cross(fr.e_p, dC)
-    return SurfaceSourceSample(position=pos, q=q, phi=phi, j0=j0, j=j)
+    pos, fr = _surface_geometry(q, phi, alpha, cfg)
+    C = (pos - 1j * cfg.a) / (4.0 * np.pi * fr.sigma**3)[..., None]
+    return _sources_from_jump(2.0 * C, pos, fr.e_p, q, phi)
 
 
 def effective_aperture(omega, a, c: float = 1.0):

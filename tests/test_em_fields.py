@@ -23,7 +23,6 @@ from emwavelets import (
     psi,
 )
 from emwavelets.em_fields import far_point_series
-from emwavelets.geometry import cut_clearance
 from emwavelets.harness import fd
 from emwavelets.harness.spectral import cauchy_series_transform, energy_split
 from tests.test_signals import fd_derivative
@@ -38,7 +37,7 @@ def wavelet(cfg):
 
 def off_cut_points(rng, cfg, n, clearance=0.3, box=2.5):
     pts = rng.uniform(-box, box, (4 * n, 3))
-    pts = pts[cut_clearance(FlatDisk(), pts, cfg) > clearance]
+    pts = pts[FlatDisk().clearance(pts, cfg) > clearance]
     return pts[:n]
 
 

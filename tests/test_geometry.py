@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from emwavelets import (
     spheroid_point,
     to_oblate,
 )
-from emwavelets.geometry import branch_circle_distance, continued_sign, cut_clearance, on_reference_cut
+from emwavelets.geometry import branch_circle_distance, continued_sign, on_reference_cut
 
 
 class TestSourceConfig:
@@ -81,6 +83,14 @@ class TestComplexDistance:
         sigma, _, _ = complex_distance_principal(pts, cfg)
         gap = np.abs(sigma - (R - 1j * np.cos(thetas)))
         assert np.all(gap <= 1.0 / R)
+
+    def test_disk_point_raises_no_warning(self, cfg):
+        pts = np.array([[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma, _, _ = complex_distance_principal(pts, cfg)
+        assert sigma[0] == pytest.approx(-1j * np.sqrt(0.75))
+        assert sigma[1] == pytest.approx(np.sqrt(3.0))
 
     def test_on_reference_cut_flag(self, cfg):
         assert on_reference_cut(np.array([0.5, 0.0, 0.0]), cfg)
@@ -282,12 +292,12 @@ class TestSpheroidPoint:
 
 class TestClearance:
     def test_disk(self, cfg):
-        d = cut_clearance(FlatDisk(), np.array([0.5, 0.0, 0.3]), cfg)
+        d = FlatDisk().clearance(np.array([0.5, 0.0, 0.3]), cfg)
         assert d == pytest.approx(0.3)
-        d = cut_clearance(FlatDisk(), np.array([2.0, 0.0, 0.0]), cfg)
+        d = FlatDisk().clearance(np.array([2.0, 0.0, 0.0]), cfg)
         assert d == pytest.approx(1.0)
 
     def test_spheroid_near_surface(self, cfg):
         pt = spheroid_point(0.1, 0.6, 0.0, cfg) + 0.05 * frame(spheroid_point(0.1, 0.6, 0.0, cfg), cfg).e_p
-        d = cut_clearance(UpperSpheroid(0.1), pt, cfg)
+        d = UpperSpheroid(0.1).clearance(pt, cfg)
         assert 0.01 < d < 0.1

@@ -1,15 +1,18 @@
+import ast
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from emwavelets import CauchySignal, SourceConfig
-from emwavelets.errors import ConfigError
+import emwavelets
+from emwavelets import CauchySignal, SourceConfig, complex_distance_principal, cut_sign, field, psi
+from emwavelets.errors import ConfigError, OnCutError
 from emwavelets.harness import fd
 from emwavelets.harness.beam import far_point, measure_pulse
-from emwavelets.harness.config import AxisSpec, default_config, load_config
-from emwavelets.harness.datasets import format_float, write_csv_atomic, write_json_sidecar
+from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
+from emwavelets.harness.datasets import write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_points
 from emwavelets.harness.runs import field_rows, source_sweep_rows
 from emwavelets.harness.spectral import cauchy_series_transform, quadpack_fourier
@@ -171,11 +174,85 @@ class TestGrids:
         assert np.array_equal(serial, pts * 2.0)
 
 
+def per_slice_rows(rc):
+    """Reference sweep: the branch resolved per point, psi() or field() called per time slice."""
+    w = rc.wavelet()
+    pts, ts = grid_points(rc.grid)
+    sgn = cut_sign(w.cut, pts, w.cfg, tol_cut=rc.tol_cut * w.cfg.a_mag)
+    sigma = sgn * complex_distance_principal(pts, w.cfg)[0]
+    blocks = []
+    for tt in ts:
+        if rc.quantity == "psi":
+            v = psi(w, pts, tt)[:, None]
+        else:
+            v = field(w, rc.polarization(), pts, tt).F
+        vals = np.stack([v.real, v.imag], axis=-1).reshape(len(pts), -1)
+        base = [pts, np.full(len(pts), tt), sigma.real, sigma.imag, sgn.astype(float)]
+        blocks.append(np.column_stack(base + [vals]))
+    return np.stack(blocks, axis=1).reshape(len(pts) * len(ts), -1)
+
+
+def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
+    return RunConfig(
+        source=SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5),
+        cut_kind="upper_spheroid", cut_alpha=0.1, signal_n=2,
+        pol_re=np.array([1.0, 0.0, 0.0]), pol_im=np.array([0.0, 0.5, 0.0]),
+        quantity=quantity, tol_cut=tol_cut, grid=grid,
+    )
+
+
+class TestFieldRows:
+    GRID = {
+        "x": AxisSpec(-1.45, 1.55, 7),
+        "y": AxisSpec(0.03, 0.03, 1),
+        "z": AxisSpec(-0.47, 0.61, 10),
+        "t": AxisSpec(0.5, 2.5, 40),  # 51 points per chunk: the grid spans two chunks
+    }
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_matches_per_slice_evaluation(self, quantity):
+        rc = upper_spheroid_config(quantity, self.GRID)
+        rows = field_rows(rc)
+        assert set(np.unique(rows[:, 6])) == {-1.0, 1.0}  # straddles the membrane
+        assert np.array_equal(rows, per_slice_rows(rc))
+        assert np.array_equal(field_rows(rc, threads=2), rows)
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_configured_tol_cut_governs(self, quantity):
+        # 5e-10 above the apron of the upper spheroid
+        grid = {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", 5e-10), ("t", 1.0))}
+        rows = field_rows(upper_spheroid_config(quantity, grid, tol_cut=1e-10))
+        assert rows.shape == (1, 9 if quantity == "psi" else 13)
+        assert np.isfinite(rows).all()
+        with pytest.raises(OnCutError):
+            field_rows(upper_spheroid_config(quantity, grid))
+
+
+class TestLayering:
+    CORE = ("errors", "geometry", "signals", "scalar_wavelet", "em_fields", "surface_sources")
+
+    def test_core_modules_do_not_import_harness(self):
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        for name in self.CORE:
+            tree = ast.parse((pkg / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    imported = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
+
+
 class TestDatasets:
-    def test_format_round_trip(self):
+    def test_format_round_trip(self, tmp_path):
         vals = [1 / 3, np.pi, 1e-17, -2.5e300]
-        for v in vals:
-            assert float(format_float(v)) == v
+        path = tmp_path / "vals.csv"
+        write_csv_atomic(path, ["v"], [(v,) for v in vals])
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        for v, read in zip(vals, back):
+            assert float(read) == v
 
     def test_atomic_csv(self, tmp_path):
         path = tmp_path / "sub" / "data.csv"

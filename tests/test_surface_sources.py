@@ -27,6 +27,7 @@ from emwavelets import (
 )
 from emwavelets.em_fields import _field_core, lmn
 from emwavelets.geometry import frame, spheroid_point
+from emwavelets.harness.fd import bandpass_via_impulse
 
 POL_X = np.array([1.0, 0.0, 0.0], dtype=complex)
 TWO_PI = 2 * np.pi
@@ -191,17 +192,15 @@ class TestBandpass:
         qs = rng.uniform(0.3, 0.9, 10)
         phis = rng.uniform(0, TWO_PI, 10)
         direct = bandpass_response(1, wavelet, POL_X, qs, phis, 0.03, 1.5)
-        via = bandpass_response(1, wavelet, POL_X, qs, phis, 0.03, 1.5, via_impulse=True)
+        via = bandpass_via_impulse(1, wavelet, POL_X, qs, phis, 0.03, 1.5)
         assert np.abs(direct.j0 - via.j0).max() < 1e-12 * np.abs(direct.j0).max()
 
     def test_n2_parameter_derivative(self, wavelet, cfg, rng):
         qs = rng.uniform(0.3, 0.9, 10)
         phis = rng.uniform(0, TWO_PI, 10)
         direct = bandpass_response(2, wavelet, POL_X, qs, phis, 0.03, 1.5)
-        coarse = bandpass_response(2, wavelet, POL_X, qs, phis, 0.03, 1.5,
-                                   via_impulse=True, db_step=2e-4)
-        fine = bandpass_response(2, wavelet, POL_X, qs, phis, 0.03, 1.5,
-                                 via_impulse=True, db_step=1e-4)
+        coarse = bandpass_via_impulse(2, wavelet, POL_X, qs, phis, 0.03, 1.5, db_step=2e-4)
+        fine = bandpass_via_impulse(2, wavelet, POL_X, qs, phis, 0.03, 1.5, db_step=1e-4)
         e1 = np.abs(coarse.j0 - direct.j0).max()
         e2 = np.abs(fine.j0 - direct.j0).max()
         assert e2 < 1e-7 * np.abs(direct.j0).max()
