@@ -43,7 +43,7 @@ print(f"u.u          = {np.sum(fr.u * fr.u):+.15f}   (complex unit vector)")
 print(f"|grad p|^2 - |grad q|^2 = {np.sum(fr.grad_p**2) - np.sum(fr.grad_q**2):+.15f}")
 print(f"grad p . grad q         = {np.sum(fr.grad_p * fr.grad_q):+.3e}\n")
 
-print("=== branch cuts and their sign rules ===")
+print("=== branch cuts and their one sign rule: flip where p < chi(q, phi) ===")
 pts = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.05], [0.0, 0.0, -0.05], [0.5, 0.0, 0.02]])
 cuts = [("flat disk", FlatDisk()), ("upper spheroid a=0.1", UpperSpheroid(0.1)),
         ("smoothed (eps=0.005)", SmoothSpheroid(0.1, 0.005))]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OnBranchCircleError, OnCutError
-from .geometry import complex_distance_principal, cut_sign, frame
+from .geometry import SourceConfig, complex_distance_principal, cut_sign, frame
 from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
 from .signals import CauchySignal
 

@@ -6,8 +6,8 @@ spheroids confocal with the circle C = {|r| = a, a.r = 0} where sigma
 vanishes; level sets of q are the orthogonal hyperboloids.  sigma is
 double-valued on R^3 - C and a branch cut (a membrane spanning C) must be
 chosen to make it single-valued.  This module provides the principal
-branch (flat-disk cut, p >= 0), the standard cut families with their sign
-rules, the coordinate transforms, and the gradient/unit-vector frame.
+branch (flat-disk cut, p >= 0), the standard cut families with their shared
+sign rule, the coordinate transforms, and the gradient/unit-vector frame.
 
 Conventions: vectors are ndarrays with shape (..., 3); scalar results
 broadcast over the leading axes.  On the disk itself the principal branch
@@ -228,10 +228,18 @@ def smooth_cut_function(q, alpha, eps):
 
 @dataclass(frozen=True)
 class BranchCut:
-    """Base class; concrete cuts implement the induced sign rule."""
+    """A membrane p = chi(q, phi) spanning the branch circle.
+
+    Deforming the reference disk p = 0 into the membrane flips the branch
+    exactly in the region swept between them, 0 <= p < chi(q, phi), so
+    every cut shares one sign rule; concrete cuts give only chi and, where
+    they can do better than the generic estimate, the clearance.
+    """
 
     def sign(self, r, cfg: SourceConfig):
-        raise NotImplementedError
+        """sigma_cut/sigma_principal: -1 between the disk and the membrane, else +1."""
+        p, q, phi = to_oblate(r, cfg)
+        return np.where(p < self.cut_function(q, phi), -1, 1)
 
     def cut_function(self, q, phi):
         """Cut membrane as p = chi(q, phi) on the double cover (odd in q)."""
@@ -241,8 +249,7 @@ class BranchCut:
         """Lower estimate of the Euclidean distance from r to the cut."""
         r = np.asarray(r, dtype=float)
         d_circle = branch_circle_distance(r, cfg)
-        _, p, q = complex_distance_principal(r, cfg)
-        phi = to_oblate(r, cfg).phi
+        p, q, phi = to_oblate(r, cfg)
         chi = np.asarray(self.cut_function(np.abs(q), phi), dtype=float)
         # metric distance ~ coordinate residual / |grad p|
         scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
@@ -257,10 +264,6 @@ class BranchCut:
 class FlatDisk(BranchCut):
     """Degenerate spheroid S_0: the reference cut of the principal branch."""
 
-    def sign(self, r, cfg):
-        r = np.asarray(r, dtype=float)
-        return np.ones(r.shape[:-1], dtype=int)
-
     def cut_function(self, q, phi):
         return np.zeros_like(np.asarray(q, dtype=float))
 
@@ -268,14 +271,6 @@ class FlatDisk(BranchCut):
         z, rho = _axial(np.asarray(r, dtype=float), cfg)
         inside = rho <= cfg.a_mag
         return np.where(inside, np.abs(z), np.hypot(rho - cfg.a_mag, z))
-
-
-def _spheroid_sign(r, cfg, alpha, upper: bool):
-    r = np.asarray(r, dtype=float)
-    _, p, _ = complex_distance_principal(r, cfg)
-    zside = _dot(r, cfg.a_hat)
-    inside = (p < alpha) & ((zside > 0.0) if upper else (zside < 0.0))
-    return np.where(inside, -1, 1)
 
 
 def _apron_distance(r, cfg, alpha):
@@ -314,9 +309,6 @@ class UpperSpheroid(BranchCut):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def sign(self, r, cfg):
-        return _spheroid_sign(r, cfg, self.alpha, upper=True)
-
     def cut_function(self, q, phi):
         return self.alpha * np.sign(np.asarray(q, dtype=float))
 
@@ -338,9 +330,6 @@ class LowerSpheroid(BranchCut):
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-
-    def sign(self, r, cfg):
-        return _spheroid_sign(r, cfg, self.alpha, upper=False)
 
     def cut_function(self, q, phi):
         return -self.alpha * np.sign(np.asarray(q, dtype=float))
@@ -364,12 +353,6 @@ class SmoothSpheroid(BranchCut):
         if not (self.alpha > 0.0 and self.eps > 0.0):
             raise ValueError("alpha and eps must be positive")
 
-    def sign(self, r, cfg):
-        r = np.asarray(r, dtype=float)
-        _, p, q = complex_distance_principal(r, cfg)
-        inside = (q > 0.0) & (p < smooth_cut_function(q, self.alpha, self.eps))
-        return np.where(inside, -1, 1)
-
     def cut_function(self, q, phi):
         return smooth_cut_function(np.asarray(q, dtype=float), self.alpha, self.eps)
 
@@ -380,13 +363,11 @@ class CustomCut(BranchCut):
 
     chi must be odd in q and 2*pi-periodic in phi (spot-checked at
     construction); the membrane is assumed to lie on the q >= 0 sheet
-    (chi >= 0 there).  The sign rule is evaluated by analytic continuation
-    along a straight path from a far-zone anchor, counting membrane
-    crossings.
+    (chi >= 0 there).  The sign follows the shared closed-form rule;
+    continued_sign offers an independent cross-check for any chi.
     """
 
     chi: Callable
-    n_steps: int = 4096
 
     def __post_init__(self):
         qs = np.array([0.13, 0.47, 0.81])
@@ -401,28 +382,18 @@ class CustomCut(BranchCut):
     def cut_function(self, q, phi):
         return self.chi(q, phi)
 
-    def sign(self, r, cfg):
-        r = np.asarray(r, dtype=float)
-        single = r.ndim == 1
-        pts = r[None, :] if single else r.reshape(-1, 3)
-        out = continued_sign(self, pts, cfg, n_steps=self.n_steps)
-        if single:
-            return out[0]
-        return out.reshape(r.shape[:-1])
 
-
-def continued_sign(cut: BranchCut, r, cfg: SourceConfig, anchor=None, n_steps: int = 4096):
+def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
     """Sign of sigma_cut/sigma_principal by continuation from a far anchor.
 
-    Tracks sigma continuously along the straight segment anchor -> r and
-    counts crossings of the membrane p = chi(q, phi) in the continued
-    coordinates.  Works for any cut; used directly by CustomCut and as a
-    cross-check for the closed-form sign rules.
+    Tracks sigma continuously along the straight segment from the on-axis
+    anchor 1e3*a to r in 4096 steps and counts crossings of the membrane
+    p = chi(q, phi) in the continued coordinates.  Slow (~2 ms per point);
+    the reference cross-check for the closed-form BranchCut.sign.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    if anchor is None:
-        anchor = 1e3 * cfg.a_mag * cfg.a_hat
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = 1e3 * cfg.a_mag * cfg.a_hat
+    n_steps = 4096
     # steps clustered toward the target end, where the cut geometry lives
     u = np.linspace(0.0, 1.0, n_steps)
     s = (1.0 - (1.0 - u) ** 4)[:, None, None]

@@ -14,6 +14,7 @@ from .grids import CHUNK, chunked_parallel_map, grid_points
 
 __all__ = [
     "field_rows",
+    "points_per_chunk",
     "FIELD_HEADER_PSI",
     "FIELD_HEADER_F",
     "source_sweep_rows",
@@ -64,10 +65,17 @@ def field_rows(rc: RunConfig, threads: int = 1):
         rows[..., 8::2] = values.imag
         return rows.reshape(-1, rows.shape[2])
 
-    # CHUNK records, not CHUNK points, per chunk: the broadcast temporaries
-    # (a sampled drive's kernel holds records x samples values) must not
-    # grow with the number of time slices
-    return chunked_parallel_map(eval_chunk, pts, threads=threads, chunk=max(1, CHUNK // len(ts)))
+    return chunked_parallel_map(eval_chunk, pts, threads=threads, chunk=points_per_chunk(len(ts)))
+
+
+def points_per_chunk(n_times: int) -> int:
+    """Grid points per field_rows chunk.
+
+    CHUNK records, not CHUNK points, per chunk: the broadcast temporaries
+    (a sampled drive's kernel holds records x samples values) must not
+    grow with the number of time slices.
+    """
+    return max(1, CHUNK // n_times)
 
 
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):

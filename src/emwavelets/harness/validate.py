@@ -26,6 +26,7 @@ from ..geometry import (
     _spheroid_rho,
     complex_distance,
     complex_distance_principal,
+    continued_sign,
     frame,
     from_oblate,
     smooth_cut_function,
@@ -46,7 +47,8 @@ from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral
 from .config import AxisSpec, RunConfig, default_config
 from .datasets import write_csv
 from .fd import field_curl_oracle, lorenz_residual, wave_residual
-from .runs import FIELD_HEADER_F, field_rows
+from .grids import grid_points
+from .runs import FIELD_HEADER_F, field_rows, points_per_chunk
 from .spectral import cauchy_series_transform, energy_split, quadpack_fourier
 
 __all__ = ["SuiteResult", "run_all", "ALL_SUITES"]
@@ -169,16 +171,21 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000, n
         CustomCut(chi=lambda q, phi, a=a: smooth_cut_function(q, 0.12 * a, 0.01 * a)),
     ]
     worst_flip = 0.0
+    mismatches = 0
     for cut in cuts:
         plus, minus = _straddle_pairs_for_cut(cut, cfg, rng, n_straddle)
         sp = complex_distance(cut, plus, cfg)
         sm = complex_distance(cut, minus, cfg)
         flip = np.abs(sp + sm) / np.maximum(np.abs(sp), 1e-30)
         worst_flip = max(worst_flip, float(flip.max()))
+        # the closed-form sign rule against independent path continuation
+        both = np.vstack([plus[:32], minus[:32]])
+        mismatches += int(np.sum(cut.sign(both, cfg) != continued_sign(cut, both, cfg)))
     thr = 1e-12 * tol_scale
-    passed = worst <= thr and worst_flip <= 1e-3
+    passed = worst <= thr and worst_flip <= 1e-3 and mismatches == 0
     return SuiteResult("sigma-algebra", passed, worst, thr,
-                       detail=f"straddle flip residual {worst_flip:.1e} (<=1e-3), 5 cut kinds")
+                       detail=f"straddle flip residual {worst_flip:.1e} (<=1e-3), 5 cut kinds, "
+                              f"{mismatches} continuation mismatches (=0)")
 
 
 @_timed
@@ -513,19 +520,22 @@ def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
     """Serial and parallel grid sweeps produce byte-identical CSV."""
     rc2 = default_config()
     rc2.grid = {
-        "x": AxisSpec(-1.5, 1.5, 7),
+        "x": AxisSpec(-1.5, 1.5, 29),
         "y": AxisSpec(0.0, 0.0, 1),
-        "z": AxisSpec(0.5, 2.0, 7),
+        "z": AxisSpec(0.5, 2.0, 29),
         "t": AxisSpec(1.0, 2.0, 3),
     }
+    # a single chunk would run serially whatever the thread count
+    pts, ts = grid_points(rc2.grid)
+    n_chunks = -(-len(pts) // points_per_chunk(len(ts)))
     outs = []
     for threads in (1, 4):
         buf = io.StringIO()
         write_csv(buf, FIELD_HEADER_F, field_rows(rc2, threads=threads))
         outs.append(buf.getvalue())
     same = outs[0] == outs[1]
-    return SuiteResult("determinism", same, 0.0 if same else 1.0, 0.0,
-                       detail=f"{len(outs[0].splitlines()) - 1} records, threads 1 vs 4")
+    return SuiteResult("determinism", same and n_chunks >= 2, 0.0 if same else 1.0, 0.0,
+                       detail=f"{len(outs[0].splitlines()) - 1} records in {n_chunks} chunks, threads 1 vs 4")
 
 
 ALL_SUITES = [

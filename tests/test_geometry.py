@@ -24,6 +24,11 @@ from emwavelets import (
 from emwavelets.geometry import branch_circle_distance, continued_sign, on_reference_cut
 
 
+def wobbly_chi(q, phi):
+    """A membrane whose height varies with azimuth: (0.1 + 0.03 cos 2phi) tanh(q/0.02)."""
+    return (0.1 + 0.03 * np.cos(2 * phi)) * np.tanh(np.asarray(q) / 0.02)
+
+
 class TestSourceConfig:
     def test_rejects_zero_displacement(self):
         with pytest.raises(ValueError):
@@ -186,6 +191,38 @@ class TestCutSign:
         continued = continued_sign(cut, pts, cfg)
         assert np.all(analytic == continued)
         assert np.any(analytic == -1)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi)],
+        ids=["upper", "lower", "smooth", "custom"],
+    )
+    def test_disk_plane_matches_limits(self, cut, cfg, rng):
+        # inside the circle the disk is no part of these cuts: sigma is
+        # continuous across it, so a point on it takes the common limit
+        rho = rng.uniform(0.05, 0.95, 40)
+        phi = rng.uniform(0.0, 2 * np.pi, 40)
+        disk = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.zeros(40)])
+        on = complex_distance(cut, disk, cfg)
+        for dz in (1e-12, -1e-12):
+            near = complex_distance(cut, disk + [0.0, 0.0, dz], cfg)
+            assert np.all(np.abs(on - near) <= 1e-9 * np.abs(on))
+
+    def test_phi_dependent_custom_cut_matches_continuation(self, cfg, rng):
+        cut = CustomCut(chi=wobbly_chi)
+        qs = rng.uniform(0.05, 0.95, 40)
+        phis = rng.uniform(0.0, 2 * np.pi, 40)
+        chi = wobbly_chi(qs, phis)
+        pts = np.vstack(
+            [
+                rng.uniform(-2, 2, (40, 3)),
+                from_oblate(chi * (1 + 1e-3), qs, phis, cfg),
+                from_oblate(chi * (1 - 1e-3), qs, phis, cfg),
+            ]
+        )
+        analytic = cut.sign(pts, cfg)
+        assert np.all(analytic == continued_sign(cut, pts, cfg))
+        assert set(np.unique(analytic[40:])) == {-1, 1}
 
     def test_custom_cut_matches_smooth(self, cfg, rng):
         chi = lambda q, phi: smooth_cut_function(q, 0.1, 0.005)

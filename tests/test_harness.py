@@ -1,7 +1,11 @@
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
+import typing
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from emwavelets.harness.beam import far_point, measure_pulse
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
 from emwavelets.harness.datasets import write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_points
-from emwavelets.harness.runs import field_rows, source_sweep_rows
+from emwavelets.harness.runs import field_rows, points_per_chunk, source_sweep_rows
 from emwavelets.harness.spectral import cauchy_series_transform, quadpack_fourier
 from emwavelets.harness.validate import (
     suite_interior_continuity,
@@ -244,6 +248,22 @@ class TestLayering:
                     continue
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
 
+    def test_annotations_resolve(self):
+        # every name an annotation uses is in scope in its module
+        for info in pkgutil.walk_packages(emwavelets.__path__, "emwavelets."):
+            mod = importlib.import_module(info.name)
+            for obj in vars(mod).values():
+                if getattr(obj, "__module__", None) != mod.__name__:
+                    continue
+                if inspect.isclass(obj):
+                    members = [obj, *(m for m in vars(obj).values() if inspect.isfunction(m))]
+                elif inspect.isfunction(obj):
+                    members = [obj]
+                else:
+                    continue
+                for member in members:
+                    typing.get_type_hints(member)
+
 
 class TestDatasets:
     def test_format_round_trip(self, tmp_path):
@@ -375,13 +395,20 @@ class TestCli:
         assert set(np.unique(rows[:, -1])) <= {0.0, 1.0}
         assert (np.abs(rows[:, 0]) < rc.q_min_value()).sum() == rows[:, -1].sum()
 
-    def test_byte_identical_across_threads(self, config_file, tmp_path):
+    def test_byte_identical_across_threads(self, tmp_path):
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(
+            CONFIG_TEXT.replace("x = -1,1,5", "x = -1,1,41").replace("z = 0.5,1.5,4", "z = 0.5,1.5,26")
+        )
+        # a single chunk would run serially whatever the thread count
+        pts, ts = grid_points(load_config(str(config_file)).grid)
+        assert len(pts) > points_per_chunk(len(ts))
         outs = []
         for threads in ("1", "3"):
             out = str(tmp_path / f"t{threads}")
             assert (
                 cli.main(
-                    ["sample-field", "--config", config_file, "--out", out, "--threads", threads]
+                    ["sample-field", "--config", str(config_file), "--out", out, "--threads", threads]
                 )
                 == 0
             )
