@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way points are refused."""
+
+import numpy as np
 
 
 class EmwaveletsError(Exception):
@@ -47,3 +49,12 @@ class RimSingularityError(EmwaveletsError):
 
 class ConfigError(EmwaveletsError):
     """Invalid run configuration."""
+
+
+def _refuse(error, reason, bad, r):
+    """Raise error(reason) if any point of r is bad, naming how many and the first of them."""
+    if np.any(bad):
+        first = np.reshape(r, (-1, 3))[np.flatnonzero(bad)[0]]
+        where = ", ".join(f"{v:g}" for v in first)
+        count = f"{np.count_nonzero(bad)} of {np.size(bad)} points refused"
+        raise error(f"{reason}: {count}, first at ({where})")

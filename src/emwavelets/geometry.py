@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import OnBranchCircleError, OnCutError
+from .errors import OnBranchCircleError, OnCutError, _refuse
 
 __all__ = [
     "SourceConfig",
@@ -232,8 +232,8 @@ class BranchCut:
 
     Deforming the reference disk p = 0 into the membrane flips the branch
     exactly in the region swept between them, 0 <= p < chi(q, phi), so
-    every cut shares one sign rule; concrete cuts give only chi and, where
-    they can do better than the generic estimate, the clearance.
+    every cut shares one sign rule; concrete cuts give chi and, where they
+    can, an exact or conservative clearance in place of the generic estimate.
     """
 
     def sign(self, r, cfg: SourceConfig):
@@ -246,7 +246,11 @@ class BranchCut:
         raise NotImplementedError
 
     def clearance(self, r, cfg: SourceConfig):
-        """Lower estimate of the Euclidean distance from r to the cut."""
+        """First-order estimate of the distance to the cut near the membrane, not a bound.
+
+        |p - chi|/|grad p| drops the chi'(q)|grad q| term, and off the q >= 0
+        sheet a membrane over the disk may be nearer than the branch circle.
+        """
         r = np.asarray(r, dtype=float)
         d_circle = branch_circle_distance(r, cfg)
         p, q, phi = to_oblate(r, cfg)
@@ -254,8 +258,7 @@ class BranchCut:
         # metric distance ~ coordinate residual / |grad p|
         scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
         d_surface = np.abs(p - chi) * scale
-        # the membrane lives on the q > 0 sheet; from the other sheet the
-        # nearest part of the cut is its boundary circle
+        # the membrane lives on the q > 0 sheet; off it only the circle is counted
         d_surface = np.where(q >= 0.0, d_surface, np.inf)
         return np.minimum(d_surface, d_circle)
 
@@ -273,30 +276,35 @@ class FlatDisk(BranchCut):
         return np.where(inside, np.abs(z), np.hypot(rho - cfg.a_mag, z))
 
 
-def _apron_distance(r, cfg, alpha):
-    """Distance to the flat annulus bridging the circle and the half spheroid."""
-    a = cfg.a_mag
-    z, rho = _axial(np.asarray(r, dtype=float), cfg)
-    lo, hi = a, math.hypot(a, alpha)
-    dr = np.maximum(np.maximum(lo - rho, rho - hi), 0.0)
-    return np.hypot(dr, z)
+def _spheroid_clearance(r, cfg, alpha, side):
+    """Distance from r to the half spheroid p = alpha on the side a.r*side > 0, with its apron.
 
-
-def _half_spheroid_clearance(r, cfg, alpha, upper: bool, with_apron: bool):
-    """Distance to the half spheroid p = alpha (a.r >= 0 part) plus apron."""
-    a = cfg.a_mag
+    In the meridian plane (rho, z = side*a_hat.r) the cut is the quarter ellipse of
+    semi-axes A = sqrt(a^2 + alpha^2) and alpha, confocal with the branch circle, and
+    the apron a <= rho <= A.  The ellipse distance is D. Eberly's bisection ("Distance
+    from a Point to an Ellipse, ...", Geometric Tools, 2013) in t = s + 1, read at the
+    bracket end nearest t = 1: only rounding can overestimate.  For z < 0 it returns
+    hypot(d(rho, 0), z), a lower bound as |P - X|^2 >= |P' - X|^2 + z^2 for every cut
+    point X (P' the projection of P on the plane), exact where the nearest cut point
+    is on the apron or the rim.
+    """
+    a, big = cfg.a_mag, math.hypot(cfg.a_mag, alpha)
     z, rho = _axial(np.asarray(r, dtype=float), cfg)
-    if not upper:
-        z = -z
-    # polyline over the meridian curve of the half spheroid
-    qs = a * np.sin(np.linspace(0.0, np.pi / 2, 257))
-    rc = _spheroid_rho(alpha, qs, a)
-    zc = alpha * qs / a
-    if with_apron:
-        rc = np.concatenate([np.linspace(a, math.hypot(a, alpha), 17), rc])
-        zc = np.concatenate([np.zeros(17), zc])
-    d = np.min(np.hypot(rho[..., None] - rc, z[..., None] - zc), axis=-1)
-    return d
+    y1 = np.maximum(side * z, 0.0)
+    flat = y1 == 0.0
+    n0, m = big * rho / alpha**2, (a / alpha) ** 2
+    z1 = np.where(flat, 1.0, y1 / alpha)  # a stand-in keeps t > 0; z = 0 is replaced below
+    lo, hi = z1, np.hypot(n0, z1)
+    for _ in range(64):
+        t = np.sqrt(lo) * np.sqrt(hi)  # geometric: t may be far below the bracket width
+        outside = (n0 / (t + m)) ** 2 + (z1 / t) ** 2 > 1.0
+        lo, hi = np.where(outside, t, lo), np.where(outside, hi, t)
+    t = np.clip(1.0, lo, hi)
+    d_ellipse = np.abs(1.0 - t) * np.hypot(rho / (t + m), y1 / t)
+    u = np.minimum(big * rho / a**2, 1.0)
+    d_ellipse = np.where(flat, np.hypot(big * u - rho, alpha * np.sqrt(1.0 - u**2)), d_ellipse)
+    d_apron = np.hypot(np.maximum(np.maximum(a - rho, rho - big), 0.0), y1)
+    return np.hypot(np.minimum(d_ellipse, d_apron), np.minimum(side * z, 0.0))
 
 
 @dataclass(frozen=True)
@@ -313,12 +321,8 @@ class UpperSpheroid(BranchCut):
         return self.alpha * np.sign(np.asarray(q, dtype=float))
 
     def clearance(self, r, cfg):
-        # polyline catches the global geometry; the coordinate residual and
-        # the analytic apron distance resolve exactly-on-cut points the
-        # polyline sampling cannot
-        poly = _half_spheroid_clearance(r, cfg, self.alpha, upper=True, with_apron=True)
-        d = np.minimum(poly, BranchCut.clearance(self, r, cfg))
-        return np.minimum(d, _apron_distance(r, cfg, self.alpha))
+        """Exact distance to the cut on its a.r >= 0 side; a lower bound beyond the disk plane."""
+        return _spheroid_clearance(r, cfg, self.alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -335,11 +339,8 @@ class LowerSpheroid(BranchCut):
         return -self.alpha * np.sign(np.asarray(q, dtype=float))
 
     def clearance(self, r, cfg):
-        # mirror through the disk plane and reuse the upper-cut estimate
-        r = np.asarray(r, dtype=float)
-        z = _dot(r, cfg.a_hat)
-        mirrored = r - 2.0 * z[..., None] * cfg.a_hat
-        return UpperSpheroid(self.alpha).clearance(mirrored, cfg)
+        """Exact distance to the cut on its a.r <= 0 side; a lower bound beyond the disk plane."""
+        return _spheroid_clearance(r, cfg, self.alpha, -1.0)
 
 
 @dataclass(frozen=True)
@@ -432,9 +433,8 @@ def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None)
     if tol_cut is None:
         tol_cut = 1e-9 * cfg.a_mag
     if not isinstance(cut, FlatDisk):
-        clear = cut.clearance(r, cfg)
-        if np.any(clear < tol_cut):
-            raise OnCutError("point lies on the branch cut (within tolerance)")
+        on_cut = cut.clearance(r, cfg) < tol_cut
+        _refuse(OnCutError, "point lies on the branch cut (within tolerance)", on_cut, r)
     return cut.sign(r, cfg)
 
 
@@ -457,8 +457,7 @@ def frame(r, cfg: SourceConfig, guard: float | None = None) -> ComplexDistanceSa
         guard = 1e-8 * cfg.a_mag
     sigma, p, q = complex_distance_principal(r, cfg)
     pq2 = p**2 + q**2
-    if np.any(pq2 <= guard**2):
-        raise OnBranchCircleError("field point on the branch circle (p = q = 0)")
+    _refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", pq2 <= guard**2, r)
     a = cfg.a
     a_mag = cfg.a_mag
     num_p = p[..., None] * r + q[..., None] * a

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnBranchCircleError
+from .errors import OnBranchCircleError, _refuse
 from .geometry import BranchCut, SourceConfig, complex_distance, complex_distance_principal, cut_sign
 from .signals import DrivingSignal
 
@@ -43,8 +43,8 @@ def _branch_sigma(w: ScalarWavelet, r, tol_cut: float | None = None):
     sigma0, _, _ = complex_distance_principal(r, w.cfg)
     s = cut_sign(w.cut, r, w.cfg, tol_cut=tol_cut)
     sigma = s * sigma0
-    if np.any(np.abs(sigma) < SIGMA_GUARD * w.cfg.a_mag):
-        raise OnBranchCircleError("sigma too close to zero (branch circle)")
+    near = np.abs(sigma) < SIGMA_GUARD * w.cfg.a_mag
+    _refuse(OnBranchCircleError, "sigma too close to zero (branch circle)", near, r)
     return s, sigma
 
 

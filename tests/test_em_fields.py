@@ -6,10 +6,14 @@ import pytest
 from emwavelets import (
     CauchySignal,
     FlatDisk,
+    LowerSpheroid,
     OnCutError,
     PolarizationVector,
     ScalarWavelet,
+    SmoothSpheroid,
     SourceConfig,
+    UpperSpheroid,
+    cut_sign,
     far_field,
     field,
     field_curl_oracle,
@@ -332,3 +336,31 @@ class TestPolarizationVector:
         pv = PolarizationVector(POL_X, cfg=cfg)
         out = field(wavelet, pv, np.array([1.5, 0.0, 0.8]), 1.5)
         assert np.isfinite(out.F).all()
+
+
+class TestRotationCovariance:
+    @pytest.mark.parametrize(
+        "cut",
+        [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005)],
+        ids=["flat", "upper", "lower", "smooth"],
+    )
+    def test_arbitrary_axis(self, cut, cfg, rng):
+        # rotating the source axis with the field point leaves every scalar
+        # unchanged and rotates F, with the polarization rotated too
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        R *= np.sign(np.linalg.det(R))
+        cfg_r = SourceConfig(a=R @ cfg.a, b=cfg.b)
+        pts = rng.uniform(-2, 2, (3000, 3))
+        pts = pts[cut.clearance(pts, cfg) >= 1e-3 * cfg.a_mag]
+        rot = pts @ R.T
+        pol = np.array([1.0, 0.5j, 0.2 - 0.3j])
+        w = ScalarWavelet(cut=cut, cfg=cfg, sig=CauchySignal(2))
+        w_r = ScalarWavelet(cut=cut, cfg=cfg_r, sig=CauchySignal(2))
+        c, c_r = cut.clearance(pts, cfg), cut.clearance(rot, cfg_r)
+        assert np.all(np.abs(c_r - c) <= 1e-12 * c)
+        assert np.array_equal(cut_sign(cut, rot, cfg_r), cut_sign(cut, pts, cfg))
+        v, v_r = psi(w, pts, 1.7), psi(w_r, rot, 1.7)
+        assert np.all(np.abs(v_r - v) <= 1e-12 * np.abs(v))
+        F = field(w, pol, pts, 1.7).F @ R.T
+        F_r = field(w_r, R @ pol, rot, 1.7).F
+        assert np.all(np.linalg.norm(F_r - F, axis=-1) <= 1e-12 * np.linalg.norm(F, axis=-1))

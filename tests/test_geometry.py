@@ -24,6 +24,31 @@ from emwavelets import (
 from emwavelets.geometry import branch_circle_distance, continued_sign, on_reference_cut
 
 
+def meridian_distance(cut, cfg, rho, z, n=200_001, stride=100):
+    """Distance from (rho, z) to the nearest of n vertices sampled along the cut's meridian.
+
+    Never below the true distance.  A coarse pass over every stride-th
+    vertex picks the window that the full-resolution pass searches.
+    """
+    a = cfg.a_mag
+    if isinstance(cut, FlatDisk):
+        verts = np.column_stack([np.linspace(0.0, a, n), np.zeros(n)])
+    else:
+        big = np.hypot(a, cut.alpha)
+        side = 1.0 if isinstance(cut, UpperSpheroid) else -1.0
+        theta = np.linspace(0.0, np.pi / 2, n)
+        k = n // 100
+        verts = np.vstack(
+            [
+                np.column_stack([np.linspace(a, big, k), np.zeros(k)]),
+                np.column_stack([big * np.cos(theta), side * cut.alpha * np.sin(theta)]),
+            ]
+        )
+    coarse = np.argmin(np.hypot(rho[:, None] - verts[::stride, 0], z[:, None] - verts[::stride, 1]), axis=1)
+    window = np.clip(coarse[:, None] * stride + np.arange(-2 * stride, 2 * stride + 1), 0, len(verts) - 1)
+    return np.min(np.hypot(rho[:, None] - verts[window, 0], z[:, None] - verts[window, 1]), axis=1)
+
+
 def wobbly_chi(q, phi):
     """A membrane whose height varies with azimuth: (0.1 + 0.03 cos 2phi) tanh(q/0.02)."""
     return (0.1 + 0.03 * np.cos(2 * phi)) * np.tanh(np.asarray(q) / 0.02)
@@ -333,6 +358,37 @@ class TestClearance:
         assert d == pytest.approx(0.3)
         d = FlatDisk().clearance(np.array([2.0, 0.0, 0.0]), cfg)
         assert d == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "cut", [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1)], ids=["flat", "upper", "lower"]
+    )
+    def test_lower_bound(self, cut, cfg, rng):
+        alpha = getattr(cut, "alpha", 0.0)
+        side = -1.0 if isinstance(cut, LowerSpheroid) else 1.0
+        q = side * rng.uniform(0.0, 1.0, 2000)
+        phi = rng.uniform(0.0, 2 * np.pi, 2000)
+        base = spheroid_point(alpha, q, phi, cfg)
+        offset = rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-6, -1, 2000)
+        rim = np.column_stack(
+            [rng.uniform(0.9, 1.1, 1000), np.zeros(1000), rng.uniform(-0.05, 0.05, 1000)]
+        )
+        pts = np.vstack(
+            [rng.uniform(-2, 2, (2000, 3)), base + offset[:, None] * frame(base, cfg).e_p, rim]
+        )
+        reference = meridian_distance(cut, cfg, np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+        assert np.all(cut.clearance(pts, cfg) <= reference + 1e-12 * cfg.a_mag)
+
+    @pytest.mark.parametrize(
+        "cut", [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1)], ids=["flat", "upper", "lower"]
+    )
+    def test_exact_at_membrane(self, cut, cfg, rng):
+        side = -1.0 if isinstance(cut, LowerSpheroid) else 1.0
+        q = side * rng.uniform(0.05, 0.95, 400)
+        phi = rng.uniform(0.0, 2 * np.pi, 400)
+        base = spheroid_point(getattr(cut, "alpha", 0.0), q, phi, cfg)
+        delta = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-9, -6, 400)
+        d = cut.clearance(base + delta[:, None] * frame(base, cfg).e_p, cfg)
+        assert np.all(np.abs(d - np.abs(delta)) <= 1e-6 * np.abs(delta))
 
     def test_spheroid_near_surface(self, cfg):
         pt = spheroid_point(0.1, 0.6, 0.0, cfg) + 0.05 * frame(spheroid_point(0.1, 0.6, 0.0, cfg), cfg).e_p

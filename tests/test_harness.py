@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import typing
 
 import numpy as np
@@ -366,6 +367,22 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert json.loads(err.strip())["error"] == "config"
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_refusal_names_the_point(self, tmp_path, capsys, quantity):
+        # the grid passes through the branch circle at (-1, 0, 0) and (1, 0, 0)
+        text = (
+            CONFIG_TEXT.replace("kind = smooth_spheroid", "kind = flat_disk")
+            .replace("x = -1,1,5", "x = -2,2,41")
+            .replace("z = 0.5,1.5,4", "z = -2,2,41")
+        )
+        path = tmp_path / "circle.ini"
+        path.write_text(text + f"\n[output]\nquantity = {quantity}\n")
+        out = tmp_path / "out"
+        assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 1
+        assert not (out / "field.csv").exists()
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert re.search(r": 1 of \d+ points refused, first at \(-1, 0, 0\)$", message)
 
     def test_beam_direction_follows_source_axis(self, config_file, tmp_path):
         # |F| on a transverse-plane sweep peaks on the +a axis for b > a
