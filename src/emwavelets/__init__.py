@@ -50,6 +50,7 @@ from .signals import (
     boundary_recovery,
     complex_time,
     diffraction_angle,
+    eval_derivs,
     mixed_signals,
     peak_strength,
     pulse_duration,

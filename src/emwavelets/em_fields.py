@@ -25,7 +25,7 @@ import numpy as np
 from .errors import OnBranchCircleError, OnCutError
 from .geometry import SourceConfig, complex_distance_principal, cut_sign, frame
 from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
-from .signals import CauchySignal
+from .signals import CauchySignal, eval_derivs
 
 __all__ = [
     "PolarizationVector",
@@ -118,9 +118,7 @@ def lmn(sig, sigma, tau) -> LMNTriplet:
     if np.any(sigma == 0):
         raise OnBranchCircleError("sigma = 0 in lmn")
     tau = np.asarray(tau, dtype=complex)
-    g = sig.eval(tau - sigma)
-    g1 = sig.eval(tau - sigma, 1)
-    g2 = sig.eval(tau - sigma, 2)
+    g, g1, g2 = eval_derivs(sig, tau - sigma, 2)
     s1, s2, s3 = sigma, sigma**2, sigma**3
     L = g2 / s1 + 3.0 * g1 / s2 + 3.0 * g / s3
     M = g2 / s1 + g1 / s2 + g / s3
@@ -174,8 +172,7 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     r = np.asarray(r, dtype=float)
     _, sigma, u = _branch_data(w, r)
     tau = w.tau(t)
-    g = w.sig.eval(tau - sigma)
-    g1 = w.sig.eval(tau - sigma, 1)
+    g, g1 = eval_derivs(w.sig, tau - sigma, 1)
     psi_dot = g1 / sigma
     psi_prime = -g1 / sigma - g / sigma**2
     grad_psi = psi_prime[..., None] * u

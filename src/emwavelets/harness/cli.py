@@ -23,6 +23,7 @@ from .runs import (
     FIELD_HEADER_PSI,
     SOURCE_HEADER,
     beam_profile_data,
+    drive_meta,
     field_rows,
     source_sweep_rows,
 )
@@ -76,7 +77,7 @@ def cmd_sample_field(args) -> int:
             "c": rc.source.c,
             "cut": rc.cut_kind,
             "signal": rc.signal_kind,
-            "n": rc.signal_n,
+            **drive_meta(rc.signal()),
             "quantity": rc.quantity,
             "records": len(rows),
             "columns": header,

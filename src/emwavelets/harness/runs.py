@@ -6,7 +6,7 @@ import numpy as np
 
 from ..em_fields import _branch_data, _field_core, helicity_residual
 from ..scalar_wavelet import _branch_sigma, _psi_of
-from ..signals import CauchySignal, diffraction_angle, spectral_profile
+from ..signals import CauchySignal, SampledSignal, diffraction_angle, spectral_profile
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
 from .config import RunConfig
@@ -19,6 +19,7 @@ __all__ = [
     "FIELD_HEADER_F",
     "source_sweep_rows",
     "SOURCE_HEADER",
+    "drive_meta",
     "beam_profile_data",
 ]
 
@@ -72,10 +73,21 @@ def points_per_chunk(n_times: int) -> int:
     """Grid points per field_rows chunk.
 
     CHUNK records, not CHUNK points, per chunk: the broadcast temporaries
-    (a sampled drive's kernel holds records x samples values) must not
-    grow with the number of time slices.
+    (several complex values per record) must not grow with the number of
+    time slices.
     """
     return max(1, CHUNK // n_times)
+
+
+def drive_meta(sig) -> dict:
+    """The drive's sidecar entries, the same in every sidecar.
+
+    "n" is the Cauchy order, or "sampled" for a sampled drive, which also
+    records its sample count and spacing.
+    """
+    if isinstance(sig, SampledSignal):
+        return {"n": "sampled", "samples": sig.t.size, "dt": sig.dt}
+    return {"n": sig.n}
 
 
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):
@@ -100,9 +112,11 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     t = rc.surface_t
     if impulse:
         s = impulse_surface_sources(pol, qf, pf, alpha, t, cfg, q_min=0.0)
+        drive = {"n": "impulse"}
     else:
         w = rc.wavelet()
         s = surface_sources_exact(w, pol, qf, pf, alpha, t, q_min=0.0)
+        drive = drive_meta(w.sig)
     in_rim = (np.abs(qf) < q_min).astype(float)
     rows = np.column_stack(
         [
@@ -119,7 +133,7 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         "b": cfg.b,
         "c": cfg.c,
         "alpha": alpha,
-        "n": "impulse" if impulse else (rc.signal_n if rc.signal_kind == "cauchy" else "sampled"),
+        **drive,
         "pol_re": np.real(pol),
         "pol_im": np.imag(pol),
         "t": t,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OnBranchCircleError, _refuse
 from .geometry import BranchCut, SourceConfig, complex_distance, complex_distance_principal, cut_sign
-from .signals import DrivingSignal
+from .signals import DrivingSignal, _pair, eval_derivs
 
 __all__ = ["ScalarWavelet", "psi", "psi_sigma_derivs", "interior_psi"]
 
@@ -68,9 +68,7 @@ def psi_sigma_derivs(w: ScalarWavelet, r, t):
     """
     _, sigma = _branch_sigma(w, r)
     tau = w.tau(t)
-    g = w.sig.eval(tau - sigma)
-    g1 = w.sig.eval(tau - sigma, 1)
-    g2 = w.sig.eval(tau - sigma, 2)
+    g, g1, g2 = eval_derivs(w.sig, tau - sigma, 2)
     value = g / sigma
     d1 = -g1 / sigma - g / sigma**2
     d2 = g2 / sigma + 2.0 * g1 / sigma**2 + 2.0 * g / sigma**3
@@ -85,4 +83,5 @@ def interior_psi(w: ScalarWavelet, r, t):
     """
     _, sigma = _branch_sigma(w, r)
     tau = w.tau(t)
-    return (w.sig.eval(tau - sigma) - w.sig.eval(tau + sigma)) / sigma
+    gm, gp = eval_derivs(w.sig, _pair(tau - sigma, tau + sigma), 0)[0]
+    return (gm - gp) / sigma

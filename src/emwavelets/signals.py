@@ -26,6 +26,7 @@ __all__ = [
     "CauchySignal",
     "SampledSignal",
     "SignalSum",
+    "eval_derivs",
     "SpectralProfile",
     "complex_time",
     "spectrum_cauchy",
@@ -36,6 +37,11 @@ __all__ = [
     "mixed_signals",
     "boundary_recovery",
 ]
+
+
+# bound on the complex entries of one block of a sampled drive's kernel
+# (2^19 entries, 8 MB)
+KERNEL_CHUNK = 1 << 19
 
 
 def complex_time(t, b):
@@ -81,12 +87,19 @@ class SampledSignal(DrivingSignal):
     the sample grid; derivatives differentiate the kernel, not the data.
     Valid for |Im tau| >= 4*dt (the kernel smooths at that scale, finer
     offsets are under-resolved) unless Re tau falls outside the grid.
+
+    Cost and memory: N arguments against M samples take one complex
+    reciprocal and, per derivative order, one complex product and one
+    matrix-vector product over the N x M kernel, which is built in row
+    chunks of at most KERNEL_CHUNK entries; so memory stays bounded
+    whatever N and M are (see eval_derivs).
     """
 
     t: np.ndarray
     g0: np.ndarray
     decay_tol: float = 1e-3
     dt: float = field(init=False, default=0.0)
+    weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -107,6 +120,11 @@ class SampledSignal(DrivingSignal):
             raise QuadratureDivergenceError(
                 "sampled signal does not decay at the grid ends; quadrature tails untrusted"
             )
+        # the trapezoid rule on the sample grid, with g0 folded in
+        trap = np.zeros_like(t)
+        trap[:-1] += dt / 2.0
+        trap[1:] += dt / 2.0
+        object.__setattr__(self, "weights", g0 * trap)
 
     @classmethod
     def from_csv(cls, path, **kwargs):
@@ -117,19 +135,39 @@ class SampledSignal(DrivingSignal):
         return cls(t=data[:, 0], g0=data[:, 1], **kwargs)
 
     def eval(self, tau, order: int = 0):
+        """d^order/dt^order of the transform at tau."""
+        return self._derivs(tau, order)[order]
+
+    def _derivs(self, tau, kmax: int):
+        """[g, g', ..., g^(kmax)] at tau in one pass over row chunks of tau.
+
+        Per chunk, R = 1/(tau - t) is built once, R^(k+1) by repeated
+        multiplication, and each power is contracted with the weights;
+        g^(k) = (-1)^k k!/(2*pi*i) * R^(k+1) @ weights.
+        """
         tau = np.asarray(tau, dtype=complex)
-        if np.any(np.abs(tau.imag) < 4.0 * self.dt):
-            inside = (tau.real >= self.t[0]) & (tau.real <= self.t[-1])
-            if np.any(inside & (np.abs(tau.imag) < 4.0 * self.dt)):
-                raise ValueError(
-                    "|Im tau| below 4*dt: the sample grid cannot resolve the kernel"
-                )
-        k = order
-        shape = tau.shape
+        low = np.abs(tau.imag) < 4.0 * self.dt
+        if np.any(low & (tau.real >= self.t[0]) & (tau.real <= self.t[-1])):
+            raise ValueError("|Im tau| below 4*dt: the sample grid cannot resolve the kernel")
         flat = tau.reshape(-1)
-        kern = (-1) ** k * math.factorial(k) / (2j * np.pi) / (flat[:, None] - self.t[None, :]) ** (k + 1)
-        vals = np.trapezoid(kern * self.g0[None, :], self.t, axis=1)
-        return vals.reshape(shape)
+        out = np.empty((kmax + 1, flat.size), dtype=complex)
+        rows = max(1, KERNEL_CHUNK // self.t.size)
+        # two kernel blocks, R and its running power, allocated once for all chunks
+        R_buf = np.empty((min(rows, flat.size), self.t.size), dtype=complex)
+        P_buf = np.empty_like(R_buf) if kmax else None
+        for i in range(0, flat.size, rows):
+            chunk = flat[i:i + rows]
+            R = np.subtract.outer(chunk, self.t, out=R_buf[:chunk.size])
+            np.reciprocal(R, out=R)
+            P = R
+            for k in range(kmax + 1):
+                if k:
+                    P = np.multiply(P, R, out=P_buf[:chunk.size])
+                out[k, i:i + rows] = P @ self.weights
+        return [
+            ((-1) ** k * math.factorial(k) / (2j * np.pi)) * out[k].reshape(tau.shape)
+            for k in range(kmax + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -146,6 +184,23 @@ class SignalSum(DrivingSignal):
 
     def eval(self, tau, order: int = 0):
         return sum(c * s.eval(tau, order) for c, s in self.terms)
+
+
+def eval_derivs(sig, tau, kmax: int):
+    """[g, g', ..., g^(kmax)] of the drive sig at tau: the one derivative entry point.
+
+    A sampled drive computes every order from one chunked kernel; any other
+    drive, including one that only provides eval(tau, order), is evaluated
+    order by order.
+    """
+    if isinstance(sig, SampledSignal):
+        return sig._derivs(tau, kmax)
+    return [sig.eval(tau, k) for k in range(kmax + 1)]
+
+
+def _pair(x, y):
+    """x and y broadcast and stacked along a new leading axis: one evaluation for both."""
+    return np.stack(np.broadcast_arrays(x, y))
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +274,7 @@ def mixed_signals(sig: DrivingSignal, sigma, tau):
     sigma = np.asarray(sigma, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     out = []
-    for k in (0, 1, 2):
-        em = sig.eval(tau - sigma, k)
-        ep = sig.eval(tau + sigma, k)
+    for em, ep in eval_derivs(sig, _pair(tau - sigma, tau + sigma), 2):
         out.append(em + ep)
         out.append(em - ep)
     return tuple(out)
@@ -230,4 +283,5 @@ def mixed_signals(sig: DrivingSignal, sigma, tau):
 def boundary_recovery(sig: DrivingSignal, t, b):
     """g(t - i*b) - g(t + i*b); converges to the original g0(t) as b -> 0+."""
     t = np.asarray(t, dtype=float)
-    return sig.eval(t - 1j * b) - sig.eval(t + 1j * b)
+    gm, gp = eval_derivs(sig, _pair(t - 1j * b, t + 1j * b), 0)[0]
+    return gm - gp

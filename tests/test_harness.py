@@ -348,6 +348,28 @@ class TestCli:
         assert len(lines) == 1 + 5 * 4 * 2  # header + x*z*t records
         meta = json.loads((tmp_path / "out" / "field.json").read_text())
         assert meta["records"] == 40
+        assert meta["n"] == 2 and "samples" not in meta
+
+    def test_sampled_drive_sidecars(self, tmp_path):
+        t = np.linspace(-20.0, 20.0, 801)
+        pulse = tmp_path / "pulse.csv"
+        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        path = tmp_path / "sampled.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
+        out = tmp_path / "out"
+        for command in ("sample-field", "sample-sources"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (40, 13)
+        rc = load_config(str(path))
+        F = field(rc.wavelet(), rc.polarization(), rows[:, 0:3], rows[:, 3]).F
+        assert np.allclose(rows[:, 7::2] + 1j * rows[:, 8::2], F, rtol=1e-12, atol=0.0)
+        # one drive label in both sidecars, with the sample grid it came from
+        for name in ("field.json", "sources.json"):
+            meta = json.loads((out / name).read_text())
+            assert meta["n"] == "sampled"
+            assert meta["samples"] == 801
+            assert meta["dt"] == pytest.approx(0.05)
 
     def test_single_point_grid(self, tmp_path):
         text = CONFIG_TEXT.replace("x = -1,1,5", "x = 0.3,0.3,1").replace(

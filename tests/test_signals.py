@@ -1,26 +1,45 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from emwavelets import (
     CauchySignal,
+    FlatDisk,
     NoSolutionError,
     PoleOnPathError,
     QuadratureDivergenceError,
     SampledSignal,
+    ScalarWavelet,
     SignalSum,
     boundary_recovery,
     complex_time,
     diffraction_angle,
+    eval_derivs,
+    interior_psi,
+    lmn,
     mixed_signals,
     peak_strength,
     pulse_duration,
+    psi_sigma_derivs,
     spectral_profile,
     spectrum_cauchy,
+    tilde_lmn,
 )
 from emwavelets.harness.fd import richardson
+from emwavelets.scalar_wavelet import _branch_sigma
+from emwavelets.signals import KERNEL_CHUNK
 from emwavelets.harness.spectral import cauchy_series_transform, quadpack_fourier
 
 TWO_PI = 2 * np.pi
+
+
+def trapezoid_reference(sig, tau, k):
+    """d^k/dtau^k of (1/2*pi*i) int g0(t)/(tau - t) dt by np.trapezoid over a dense kernel."""
+    tau = np.asarray(tau, dtype=complex)
+    kern = (-1) ** k * math.factorial(k) / (2j * np.pi) / (tau[..., None] - sig.t) ** (k + 1)
+    return np.trapezoid(kern * sig.g0, sig.t, axis=-1)
 
 
 def fd_derivative(f, x, h):
@@ -108,6 +127,91 @@ class TestSampledSignal:
         sig = SampledSignal.from_csv(path)
         assert sig.dt == pytest.approx(0.05)
         assert abs(sig.eval(0.0 - 1.0j)) > 0
+
+
+class TestEvalDerivs:
+    @pytest.fixture
+    def sig(self):
+        t = np.linspace(-15.0, 15.0, 401)
+        return SampledSignal(t=t, g0=(1.0 - t) * np.exp(-((t - 0.3) ** 2)))
+
+    @pytest.mark.parametrize("shape", [(), (7, 5), (3 * KERNEL_CHUNK // 401 + 11,)])
+    def test_matches_trapezoid_reference(self, sig, rng, shape):
+        # the last shape spans four kernel chunks, the last one partial
+        tau = rng.uniform(-3, 3, shape) - 1j * rng.uniform(0.4, 2.5, shape)
+        derivs = eval_derivs(sig, tau, 2)
+        assert len(derivs) == 3
+        for k, got in enumerate(derivs):
+            ref = trapezoid_reference(sig, tau, k)
+            assert np.shape(got) == shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(sig.eval(tau, k), got)
+
+    def test_lower_half_plane_and_outside_grid(self, sig):
+        # Im tau > 0, and a small offset where Re tau lies beyond the samples
+        tau = np.array([0.5 + 1.0j, -2.0 + 0.7j, 40.0 - 0.01j])
+        for k, got in enumerate(eval_derivs(sig, tau, 2)):
+            ref = trapezoid_reference(sig, tau, k)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_peak_memory_bounded(self):
+        # one dense 4000 x 2001 complex kernel alone is 128 MB
+        t = np.linspace(-20.0, 20.0, 2001)
+        sig = SampledSignal(t=t, g0=-t * np.exp(-(t**2) / 2))
+        tau = np.linspace(-2.0, 2.0, 4000) - 1.0j
+        tracemalloc.start()
+        try:
+            sig.eval(tau, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "sig",
+        [CauchySignal(3), SignalSum(terms=((2.0, CauchySignal(1)), (-1j, CauchySignal(4))))],
+        ids=["cauchy", "sum"],
+    )
+    def test_closed_form_drives_unchanged(self, sig, rng, cfg):
+        s = rng.uniform(0.3, 2, 40) * np.exp(1j * rng.uniform(0, TWO_PI, 40))
+        tau = rng.uniform(-2, 2, 40) - 1j * rng.uniform(0.5, 2, 40)
+        assert all(np.array_equal(g, sig.eval(tau, k)) for k, g in enumerate(eval_derivs(sig, tau, 2)))
+        expect = []
+        for k in (0, 1, 2):
+            em, ep = sig.eval(tau - s, k), sig.eval(tau + s, k)
+            expect += [em + ep, em - ep]
+        assert all(np.array_equal(a, b) for a, b in zip(mixed_signals(sig, s, tau), expect))
+        g, g1, g2 = (sig.eval(tau - s, k) for k in (0, 1, 2))
+        s1, s2, s3 = s, s**2, s**3
+        L, M, N = lmn(sig, s, tau)
+        assert np.array_equal(L, g2 / s1 + 3.0 * g1 / s2 + 3.0 * g / s3)
+        assert np.array_equal(M, g2 / s1 + g1 / s2 + g / s3)
+        assert np.array_equal(N, g2 / s1 + g1 / s2)
+        w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=sig)
+        r = rng.uniform(-2, 2, (40, 3))
+        t = rng.uniform(0, 3, 40)
+        _, sigma = _branch_sigma(w, r)
+        g, g1, g2 = (sig.eval(w.tau(t) - sigma, k) for k in (0, 1, 2))
+        value, d1, d2 = psi_sigma_derivs(w, r, t)
+        assert np.array_equal(value, g / sigma)
+        assert np.array_equal(d1, -g1 / sigma - g / sigma**2)
+        assert np.array_equal(d2, g2 / sigma + 2.0 * g1 / sigma**2 + 2.0 * g / sigma**3)
+        interior = (sig.eval(w.tau(t) - sigma, 0) - sig.eval(w.tau(t) + sigma, 0)) / sigma
+        assert np.array_equal(interior_psi(w, r, t), interior)
+        assert np.array_equal(boundary_recovery(sig, t, 0.7),
+                              sig.eval(t - 0.7j, 0) - sig.eval(t + 0.7j, 0))
+
+    def test_eval_only_signal(self, rng):
+        # a drive that provides nothing but eval(tau, order)
+        class EvalOnly:
+            def eval(self, tau, order=0):
+                return CauchySignal(2).eval(tau, order)
+
+        s = rng.uniform(0.3, 2, 30) * np.exp(1j * rng.uniform(0, TWO_PI, 30))
+        tau = rng.uniform(-2, 2, 30) - 1j * rng.uniform(0.5, 2, 30)
+        for got, expect in ((tilde_lmn(EvalOnly(), s, tau), tilde_lmn(CauchySignal(2), s, tau)),
+                            (lmn(EvalOnly(), s, tau), lmn(CauchySignal(2), s, tau))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
 
 class TestSpectrum:
