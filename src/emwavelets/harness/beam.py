@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..geometry import SourceConfig, complex_distance_principal
 from ..signals import CauchySignal, peak_strength, pulse_duration
@@ -23,6 +22,7 @@ __all__ = [
     "far_point",
     "measure_pulse",
     "measure_diffraction_angle",
+    "spectral_window",
     "measure_spectral_profile",
     "beam_profile_rows",
 ]
@@ -71,6 +71,8 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float,
 def measure_diffraction_angle(sig: CauchySignal, cfg: SourceConfig, beta: float,
                               R: float):
     """Angle where the measured peak drops to e^-beta of its on-axis value."""
+    from scipy.optimize import brentq
+
     _, M0 = measure_pulse(sig, cfg, 0.0, R)
     target = math.exp(-beta) * M0
 
@@ -83,11 +85,16 @@ def measure_diffraction_angle(sig: CauchySignal, cfg: SourceConfig, beta: float,
     return brentq(gap, 0.0, np.pi, xtol=1e-6)
 
 
-def measure_spectral_profile(n: int, b: float, n_omega: int = 800):
-    """Center/width moments of the numeric amplitude spectrum of C_n(t - i b)."""
+def spectral_window(n: int, b: float, n_omega: int = 800):
+    """Evenly spaced frequencies spanning the C_n(t - i b) spectrum: 8 widths below center, 12 above."""
     w0 = n / b
     dw = math.sqrt(n) / abs(b)
-    omegas = np.linspace(max(1e-4 / abs(b), w0 - 8 * dw), w0 + 12 * dw, n_omega)
+    return np.linspace(max(1e-4 / abs(b), w0 - 8 * dw), w0 + 12 * dw, n_omega)
+
+
+def measure_spectral_profile(n: int, b: float, n_omega: int = 800):
+    """Center/width moments of the numeric amplitude spectrum of C_n(t - i b)."""
+    omegas = spectral_window(n, b, n_omega)
     amp = np.abs(cauchy_series_transform({n: 1.0}, 1j * b, omegas))
     return spectral_moments(omegas, amp)
 

@@ -96,6 +96,7 @@ class RunConfig:
     threads: int = 1
     seed: int = 0
     tol_scale: float = 1.0
+    _drive: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def cut(self):
         kind = self.cut_kind
@@ -110,6 +111,13 @@ class RunConfig:
         raise ConfigError(f"unknown cut kind {kind!r}")
 
     def signal(self):
+        """The drive, built once per (kind, n, csv): a pulse CSV is parsed once a run."""
+        key = (self.signal_kind, self.signal_n, self.signal_csv)
+        if not self._drive or self._drive[0] != key:
+            self._drive = (key, self._build_signal())
+        return self._drive[1]
+
+    def _build_signal(self):
         if self.signal_kind == "cauchy":
             return CauchySignal(self.signal_n)
         if self.signal_kind == "sampled":

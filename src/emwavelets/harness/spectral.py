@@ -3,13 +3,22 @@
 Two independent routes:
 
 * quadpack_fourier: QUADPACK oscillatory-weight quadrature of an arbitrary
-  callable, slow but pointwise-accurate (used for identity-grade checks).
+  callable, slow but pointwise-accurate (used for identity-grade checks):
+  up to eight adaptive quadratures, each of many scalar calls of f, per
+  frequency.
 * cauchy_series_transform: for time series that are exact combinations of
   shifted Cauchy kernels sum_k c_k C_{n_k}(t - shift) (every far-point
-  field component is), a Simpson core plus analytic tails seeded by the
-  complex exponential integral; fast enough for moment and energy scans.
+  field component is), a Simpson core over a window around the pole plus
+  the two tails beyond it in closed form; fast enough for moment and
+  energy scans.  The core is one chirp-z transform (Bluestein's FFT
+  convolution), O((N + M) log(N + M)) for N frequencies and M window
+  samples, so the frequency grid must be evenly spaced.  The tails are
+  scaled exponential integrals e^x E_n(x), evaluated without cancellation
+  for every order n, so the result agrees with the closed-form spectrum to
+  ~1e-13 of its peak (n = 1..16 on the beam-diagnostics windows).
 
-Both return values of int e^{i omega t} f(t) dt.
+Both return values of int e^{i omega t} f(t) dt.  SciPy is imported by the
+functions that need it, when they run.
 """
 
 from __future__ import annotations
@@ -18,8 +27,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1
 
 __all__ = [
     "quadpack_fourier",
@@ -35,6 +42,8 @@ def quadpack_fourier(f, omegas, limit: int = 400):
     Pairs t and -t so that slowly decaying odd tails cancel; each
     frequency costs up to eight QUADPACK calls with cos/sin weights.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     even = lambda t: f(t) + f(-t)
     odd = lambda t: f(t) - f(-t)
@@ -59,34 +68,134 @@ def quadpack_fourier(f, omegas, limit: int = 400):
     return out
 
 
-def _ray_integral(n, omega, z0):
-    """int_{z0}^{z0+inf} e^{i omega s} s^{-n} ds along the real direction.
+def _scaled_expint(n, x):
+    """e^x E_n(x) for complex x, E_n(x) = int_1^inf e^{-x s} s^{-n} ds continued.
 
-    Seeded by E1 for n = 1 and raised by the integration-by-parts
-    recursion; omega = 0 handled in closed form (n >= 2).
+    |x| >= 1: modified Lentz evaluation of the continued fraction
+    (Numerical Recipes, 3rd ed., section 6.3), which converges for
+    |arg x| < pi; |x| < 1: upward recursion e^x E_{m+1} = (1 - x e^x E_m)/m
+    from e^x E_1, which only damps errors there; x = 0: 1/(n - 1).  Neither
+    e^{-x} nor a power of x is formed, so nothing overflows or cancels.
     """
-    z0 = complex(z0)
-    if omega == 0.0:
-        if n < 2:
-            raise ValueError("n = 1 tail diverges at omega = 0; pair the two tails instead")
-        return z0 ** (1 - n) / (n - 1)
-    val = exp1(-1j * omega * z0)
-    for m in range(2, n + 1):
-        val = np.exp(1j * omega * z0) * z0 ** (1 - m) / (m - 1) + (1j * omega / (m - 1)) * val
-    return val
+    x = np.asarray(x, dtype=complex)
+    out = np.empty_like(x)
+    big = np.abs(x) >= 1.0
+    if big.any():
+        out[big] = _expint_fraction(n, x[big])
+    small = ~big & (x != 0.0)
+    if small.any():
+        from scipy.special import exp1
+
+        xs = x[small]
+        val = np.exp(xs) * exp1(xs)
+        for m in range(1, n):
+            val = (1.0 - xs * val) / m
+        out[small] = val
+    zero = x == 0.0
+    if zero.any():
+        out[zero] = 1.0 / (n - 1)
+    return out
+
+
+def _expint_fraction(n, x, tol=4e-16, max_terms=2000):
+    """e^x E_n(x) by the modified Lentz continued fraction, vectorized over x."""
+    b = x + n
+    c = np.full_like(b, 1e300)
+    d = 1.0 / b
+    h = d.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    for i in range(1, max_terms + 1):
+        an = -i * (n - 1 + i)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) <= tol
+        if done.all():
+            return h
+    raise RuntimeError(f"E_{n} continued fraction did not converge in {max_terms} terms")
 
 
 def _kernel_const(n):
     return math.factorial(n - 1) / (2.0 * np.pi * 1j**n)
 
 
+def _exact_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's two-product)."""
+    p = a * b
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _veltkamp_split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _turns(rate, m):
+    """Fractional part of rate * m for integer-valued m, to full precision.
+
+    A chirp's phase alpha m^2 / 2 makes up to millions of radians; rounding
+    the product would lose ~1e-10 of a turn, so the whole turns are
+    removed from the exact product first.
+    """
+    p, e = _exact_product(rate, m)
+    return (p - np.round(p)) + e
+
+
+def _chirp_z(fw, t0, dt, omegas):
+    """sum_j fw[j] e^{i omega_k (t0 + j dt)} at every omega_k of an evenly spaced grid.
+
+    With omega_k = omega_0 + k domega, the identity
+    kj = (k^2 + j^2 - (k - j)^2)/2 makes the sum one linear convolution of
+    chirp-weighted sequences (Bluestein's algorithm), evaluated by FFT at a
+    power-of-two length >= N + M - 1: O((N + M) log(N + M)) for N
+    frequencies and M samples.  The grid may run either way and have any
+    length >= 1; any other grid raises ValueError.
+    """
+    fw = np.asarray(fw, dtype=complex)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    n_om, m = omegas.size, fw.size
+    if n_om == 0 or omegas.ndim != 1:
+        raise ValueError("the frequency grid must be a non-empty 1-D array")
+    k = np.arange(n_om, dtype=float)
+    dw = (omegas[-1] - omegas[0]) / (n_om - 1) if n_om > 1 else 0.0
+    # a linspace grid deviates from the line by a few ulps of max|omega|
+    if np.abs(omegas - (omegas[0] + k * dw)).max() > 1e-13 * np.abs(omegas).max():
+        raise ValueError("the frequency grid must be evenly spaced")
+    half_turn = dw * dt / (4.0 * np.pi)  # alpha/2 in turns, alpha = domega dt
+    j = np.arange(m, dtype=float)
+    k_chirp = _turns(half_turn, k**2)
+    size = 1 << (n_om + m - 2).bit_length()
+    y = np.zeros(size, dtype=complex)
+    y[:m] = fw * np.exp(2j * np.pi * (_turns(omegas[0] * dt / (2.0 * np.pi), j) + _turns(half_turn, j**2)))
+    chirp = np.zeros(size, dtype=complex)
+    chirp[:n_om] = np.exp(-2j * np.pi * k_chirp)
+    back = np.arange(m - 1, 0, -1, dtype=float)
+    chirp[size - m + 1 :] = np.exp(-2j * np.pi * _turns(half_turn, back**2))
+    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(chirp))[:n_om]
+    outer, outer_err = _exact_product(omegas, t0)
+    return np.exp(1j * outer) * np.exp(1j * outer_err + 2j * np.pi * k_chirp) * conv
+
+
 def cauchy_series_transform(coeffs, shift, omegas, half_width: float = 48.0,
                             points_per_scale: int = 64, max_phase_step: float = 0.25):
-    """FT of f(t) = sum_n coeffs[n] * C_n(t - shift) by Simpson core + exact tails.
+    """FT of f(t) = sum_n coeffs[n] * C_n(t - shift) by a Simpson core plus exact tails.
 
-    shift is the complex pole location (Im shift != 0); the core window is
-    half_width times the pole offset on each side of Re shift, the rest is
-    integrated analytically.
+    shift is the complex pole location (Im shift != 0).  The core window
+    spans half_width times the pole offset on each side of Re shift,
+    sampled at points_per_scale per offset and at most max_phase_step
+    radians per step at the largest |omega|; its Simpson sum is one
+    chirp-z transform, so omegas must be evenly spaced (ValueError
+    otherwise).  Each tail beyond the window is
+    e^{i omega t_edge} z0^{1-n} e^x E_n(x) with x = -+i omega z0 and z0 the
+    edge's offset from the pole; the scaled E_n is evaluated without
+    cancellation, so the tails hold the core's accuracy (~1e-13 of the
+    peak against spectrum_cauchy, n = 1..16).  At omega = 0 the n = 1
+    tails diverge and their finite sum is added in closed form.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     shift = complex(shift)
@@ -109,32 +218,23 @@ def cauchy_series_transform(coeffs, shift, omegas, half_width: float = 48.0,
     f = np.zeros(ts.size, dtype=complex)
     for n, c in coeffs.items():
         f += c * _kernel_const(n) * (ts - shift) ** (-n)
-    fw = f * wts
-
-    out = np.empty(omegas.shape, dtype=complex)
-    for lo in range(0, omegas.size, 64):
-        om = omegas[lo : lo + 64]
-        phases = np.exp(1j * om[:, None] * ts[None, :])
-        out[lo : lo + 64] = phases @ fw
+    out = _chirp_z(f * wts, ts[0], dt, omegas)
 
     # analytic tails
-    t_r = ts[-1]
-    t_l = ts[0]
-    z_r = t_r - shift
-    z_l = -t_l + shift
-    for i, w in enumerate(omegas):
-        tail = 0.0 + 0.0j
-        for n, c in coeffs.items():
-            cn = c * _kernel_const(n)
-            if w == 0.0 and n == 1:
-                # symmetric window: paired tails in closed form
-                nu = shift.imag
-                tail += cn * 2j * np.sign(nu) * (np.pi / 2 - np.arctan(abs(W / nu)))
-                continue
-            right = np.exp(1j * w * shift) * _ray_integral(n, w, z_r)
-            left = (-1.0) ** n * np.exp(1j * w * shift) * _ray_integral(n, -w, z_l)
-            tail += cn * (right + left)
-        out[i] += tail
+    t_r, t_l = ts[-1], ts[0]
+    z_r, z_l = t_r - shift, shift - t_l
+    zero = omegas == 0.0
+    for n, c in coeffs.items():
+        cn = c * _kernel_const(n)
+        live = ~zero if n == 1 else slice(None)
+        w = omegas[live]
+        right = np.exp(1j * w * t_r) * z_r ** (1 - n) * _scaled_expint(n, -1j * w * z_r)
+        left = (-1.0) ** n * np.exp(1j * w * t_l) * z_l ** (1 - n) * _scaled_expint(n, 1j * w * z_l)
+        out[live] += cn * (right + left)
+        if n == 1 and zero.any():
+            # symmetric window: paired tails in closed form
+            nu = shift.imag
+            out[zero] += cn * 2j * np.sign(nu) * (np.pi / 2 - np.arctan(abs(z_r.real / nu)))
     return out
 
 

@@ -6,6 +6,9 @@ import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
+import tracemalloc
 import typing
 
 import numpy as np
@@ -14,16 +17,19 @@ import pytest
 import emwavelets
 from emwavelets import CauchySignal, SourceConfig, complex_distance_principal, cut_sign, field, psi
 from emwavelets.errors import ConfigError, OnCutError
+from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.harness import fd
-from emwavelets.harness.beam import far_point, measure_pulse
+from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
 from emwavelets.harness.datasets import write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_points
 from emwavelets.harness.runs import field_rows, points_per_chunk, source_sweep_rows
-from emwavelets.harness.spectral import cauchy_series_transform, quadpack_fourier
+from emwavelets.harness.spectral import _chirp_z, cauchy_series_transform, quadpack_fourier
 from emwavelets.harness.validate import (
+    suite_appendix_identities,
     suite_interior_continuity,
     suite_oracle_equivalence,
+    suite_sigma_algebra,
     suite_wave_maxwell,
 )
 from emwavelets.harness import cli
@@ -249,6 +255,13 @@ class TestLayering:
                     continue
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
 
+    def test_cli_import_loads_no_scipy(self):
+        # the data commands start without SciPy; the oracles import it when they run
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(emwavelets.__file__).parents[1]))
+        code = "import sys, emwavelets.harness.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_annotations_resolve(self):
         # every name an annotation uses is in scope in its module
         for info in pkgutil.walk_packages(emwavelets.__path__, "emwavelets."):
@@ -303,6 +316,38 @@ class TestSpectralOracles:
         val = cauchy_series_transform({1: 1.0}, 1.0j, np.array([0.0]))
         assert val[0] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "omegas, m",
+        [
+            (np.linspace(0.3, 8.0, 50), 301),  # ascending
+            (np.linspace(8.0, 0.3, 50), 301),  # descending
+            (np.array([2.5]), 55),  # a single frequency
+            (np.linspace(-2.0, 2.0, 41), 77),  # through omega = 0
+            (np.linspace(-9.0, -1.0, 20), 11),  # all negative
+            (np.linspace(1.0, 60.0, 7), 5001),  # M > N, phases of ~1e6 rad in the chirps
+            (np.linspace(0.0, 5.0, 300), 31),  # M < N
+        ],
+    )
+    def test_chirp_z_matches_dense_sum(self, rng, omegas, m):
+        fw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        t0, dt = -3.7, 0.013
+        ts = t0 + dt * np.arange(m)
+        dense = np.exp(1j * omegas[:, None] * ts) @ fw
+        assert np.abs(_chirp_z(fw, t0, dt, omegas) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_uneven_grid_refused(self):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            cauchy_series_transform({2: 1.0}, 1.0j, np.geomspace(0.1, 10.0, 30))
+
+    def test_high_order_tails_do_not_cancel(self):
+        # n = 16 on the beam-diagnostics window: the exact tails keep the
+        # Simpson core's accuracy up to omega ~ 60, where the spectrum is ~1e-10 of its peak
+        n, b = 16, 1.01
+        om = spectral_window(n, b)
+        exact = spectrum_cauchy(n, om, b)
+        got = cauchy_series_transform({n: 1.0}, 1j * b, om)
+        assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
 
 class TestBeamMeasurement:
     def test_measured_duration_matches_local_scale(self, cfg):
@@ -338,6 +383,17 @@ class TestValidationSuites:
         res = suite_oracle_equivalence(rc, np.random.default_rng(7), n_points=20)
         assert res.passed
 
+    @pytest.mark.parametrize("suite, limit_mb", [(suite_appendix_identities, 100), (suite_sigma_algebra, 64)])
+    def test_million_point_suites_bounded_memory(self, suite, limit_mb):
+        tracemalloc.start()
+        try:
+            res = suite(default_config(), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+        assert peak < limit_mb * 2**20
+
 
 class TestCli:
     def test_sample_field_writes_dataset(self, config_file, tmp_path):
@@ -370,6 +426,35 @@ class TestCli:
             assert meta["n"] == "sampled"
             assert meta["samples"] == 801
             assert meta["dt"] == pytest.approx(0.05)
+
+    def test_sampled_drive_built_once_per_run(self, tmp_path, monkeypatch):
+        t = np.linspace(-20.0, 20.0, 801)
+        pulse = tmp_path / "pulse.csv"
+        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        path = tmp_path / "sampled.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
+        calls = []
+        from_csv = SampledSignal.from_csv.__func__
+
+        def counted(cls, csv, **kwargs):
+            calls.append(csv)
+            return from_csv(cls, csv, **kwargs)
+
+        monkeypatch.setattr(SampledSignal, "from_csv", classmethod(counted))
+
+        def run(command, out):
+            calls.clear()
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+            return len(calls), sorted((p.name, p.read_bytes()) for p in out.iterdir())
+
+        for command in ("sample-field", "sample-sources"):
+            parses, files = run(command, tmp_path / command / "once")
+            # a drive rebuilt on every request writes the same bytes
+            with monkeypatch.context() as m:
+                m.setattr(RunConfig, "signal", RunConfig._build_signal)
+                reparses, refiles = run(command, tmp_path / command / "rebuilt")
+            assert parses == 1 and reparses > 1
+            assert files == refiles
 
     def test_single_point_grid(self, tmp_path):
         text = CONFIG_TEXT.replace("x = -1,1,5", "x = 0.3,0.3,1").replace(
