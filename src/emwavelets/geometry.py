@@ -365,7 +365,7 @@ class CustomCut(BranchCut):
     chi must be odd in q and 2*pi-periodic in phi (spot-checked at
     construction); the membrane is assumed to lie on the q >= 0 sheet
     (chi >= 0 there).  The sign follows the shared closed-form rule;
-    continued_sign offers an independent cross-check for any chi.
+    continued_sign offers a path-continuation cross-check for any chi.
     """
 
     chi: Callable
@@ -389,39 +389,41 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
 
     Tracks sigma continuously along the straight segment from the on-axis
     anchor 1e3*a to r in 4096 steps and counts crossings of the membrane
-    p = chi(q, phi) in the continued coordinates.  Slow (~2 ms per point);
-    the reference cross-check for the closed-form BranchCut.sign.
+    p = chi(q, phi) in the continued coordinates.  The path lies in the
+    meridian half-plane of r, so phi is that of r all along it.  A
+    cross-check of the closed-form BranchCut.sign, but not an independent
+    one: the parity of sign changes along the path is set by its end
+    values, so for a chi odd in q the result is the endpoint test
+    p < chi(q, phi) whatever the path does; the path adds its refusals.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    anchor = 1e3 * cfg.a_mag * cfg.a_hat
-    n_steps = 4096
-    # steps clustered toward the target end, where the cut geometry lives
-    u = np.linspace(0.0, 1.0, n_steps)
-    s = (1.0 - (1.0 - u) ** 4)[:, None, None]
     out = np.empty(r.shape[0], dtype=int)
     for lo in range(0, r.shape[0], 256):
-        chunk = r[lo : lo + 256]
-        pts = anchor + s * (chunk[None, :, :] - anchor)  # (S, N, 3)
-        sigma0, p0, q0 = complex_distance_principal(pts, cfg)
-        if np.min(np.abs(sigma0)) < 1e-6 * cfg.a_mag:
-            raise OnBranchCircleError("continuation path passes too close to the branch circle")
-        phi = to_oblate(pts.reshape(-1, 3), cfg).phi.reshape(pts.shape[:2])
-        # continuation: branch[k] = +-1 so that branch*sigma0 is continuous
-        branch = np.ones(pts.shape[:2])
-        prev = sigma0[0]
-        for k in range(1, n_steps):
-            plus = np.abs(sigma0[k] - prev) <= np.abs(sigma0[k] + prev)
-            branch[k] = np.where(plus, 1.0, -1.0)
-            prev = branch[k] * sigma0[k]
-        p_c = branch * p0
-        q_c = branch * q0
-        chi = np.asarray(cut.cut_function(q_c, phi), dtype=float)
-        f = p_c - chi
-        if np.any(np.abs(f[-1]) < 1e-12 * cfg.a_mag):
-            raise OnCutError("endpoint lies on the cut surface")
-        crossings = np.sum(np.signbit(f[1:]) != np.signbit(f[:-1]), axis=0)
-        out[lo : lo + 256] = np.where(crossings % 2 == 0, 1, -1) * branch[-1].astype(int)
+        out[lo : lo + 256] = _continued_chunk(cut, r[lo : lo + 256], cfg)
     return out
+
+
+def _continued_chunk(cut, r, cfg):
+    """continued_sign of at most 256 points, whose temporaries end with the call."""
+    phi = to_oblate(r, cfg).phi
+    anchor = 1e3 * cfg.a_mag * cfg.a_hat
+    # steps clustered toward the target end, where the cut geometry lives
+    u = np.linspace(0.0, 1.0, 4096)
+    s = (1.0 - (1.0 - u) ** 4)[:, None, None]
+    sigma0, p0, q0 = complex_distance_principal(anchor + s * (r - anchor), cfg)  # (S, N)
+    if np.min(np.abs(sigma0)) < 1e-6 * cfg.a_mag:
+        raise OnBranchCircleError("continuation path passes too close to the branch circle")
+    # continuation: branch[k] = +-1 so that branch*sigma0 is continuous, i.e.
+    # branch[k] = branch[k-1] * (+1 where sigma0[k] is nearer sigma0[k-1] than -sigma0[k-1])
+    branch = np.ones(sigma0.shape)
+    branch[1:][np.abs(sigma0[1:] - sigma0[:-1]) > np.abs(sigma0[1:] + sigma0[:-1])] = -1.0
+    branch = np.cumprod(branch, axis=0)
+    chi = np.asarray(cut.cut_function(branch * q0, np.broadcast_to(phi, q0.shape)), dtype=float)
+    f = branch * p0 - chi
+    if np.any(np.abs(f[-1]) < 1e-12 * cfg.a_mag):
+        raise OnCutError("endpoint lies on the cut surface")
+    crossings = np.sum(np.signbit(f[1:]) != np.signbit(f[:-1]), axis=0)
+    return np.where(crossings % 2 == 0, 1, -1) * branch[-1].astype(int)
 
 
 def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):

@@ -3,9 +3,9 @@
 Two independent routes:
 
 * quadpack_fourier: QUADPACK oscillatory-weight quadrature of an arbitrary
-  callable, slow but pointwise-accurate (used for identity-grade checks):
-  up to eight adaptive quadratures, each of many scalar calls of f, per
-  frequency.
+  callable f of a 1-D array of times, slow but pointwise-accurate (used
+  for identity-grade checks): up to four adaptive quadratures per
+  frequency, which share one call f([t, -t]) per node.
 * cauchy_series_transform: for time series that are exact combinations of
   shifted Cauchy kernels sum_k c_k C_{n_k}(t - shift) (every far-point
   field component is), a Simpson core over a window around the pole plus
@@ -39,30 +39,41 @@ __all__ = [
 def quadpack_fourier(f, omegas, limit: int = 400):
     """Fourier transform of callable f(t) (complex-valued) at given frequencies.
 
-    Pairs t and -t so that slowly decaying odd tails cancel; each
-    frequency costs up to eight QUADPACK calls with cos/sin weights.
+    f takes a 1-D array of times.  Pairs t and -t so that slowly decaying
+    odd tails cancel; each frequency costs up to four QUADPACK calls with
+    cos/sin weights, and all of them read one memo of
+    (f(t) + f(-t), f(t) - f(-t)) per node, filled by one call
+    f(np.array([t, -t])) the first time a node is visited.
     """
     from scipy.integrate import IntegrationWarning, quad
 
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    even = lambda t: f(t) + f(-t)
-    odd = lambda t: f(t) - f(-t)
     out = np.empty(omegas.shape, dtype=complex)
     with warnings.catch_warnings():
         # QAWF reports roundoff while still delivering ~1e-10; keep it quiet
         warnings.simplefilter("ignore", IntegrationWarning)
         for i, w in enumerate(omegas):
+            memo = {}
+
+            def parts(t):
+                if t not in memo:
+                    ft, fm = f(np.array([t, -t]))
+                    memo[t] = (ft + fm, ft - fm)
+                return memo[t]
+
+            even_re = lambda t: parts(t)[0].real
+            even_im = lambda t: parts(t)[0].imag
             aw = abs(w)
             if aw == 0.0:
-                re, _ = quad(lambda t: even(t).real, 0.0, np.inf, limit=limit)
-                im, _ = quad(lambda t: even(t).imag, 0.0, np.inf, limit=limit)
+                re, _ = quad(even_re, 0.0, np.inf, limit=limit)
+                im, _ = quad(even_im, 0.0, np.inf, limit=limit)
                 out[i] = re + 1j * im
                 continue
             # int_0^inf cos(wt)*even(t) dt + i*sgn(w)*int_0^inf sin(wt)*odd(t) dt
-            cos_re, _ = quad(lambda t: even(t).real, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
-            cos_im, _ = quad(lambda t: even(t).imag, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
-            sin_re, _ = quad(lambda t: odd(t).real, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
-            sin_im, _ = quad(lambda t: odd(t).imag, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
+            cos_re, _ = quad(even_re, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
+            cos_im, _ = quad(even_im, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
+            sin_re, _ = quad(lambda t: parts(t)[1].real, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
+            sin_im, _ = quad(lambda t: parts(t)[1].imag, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
             s = 1.0 if w > 0 else -1.0
             out[i] = (cos_re + 1j * cos_im) + 1j * s * (sin_re + 1j * sin_im)
     return out

@@ -8,6 +8,7 @@ orders, which are absolute.
 
 from __future__ import annotations
 
+import functools
 import io
 import time
 from dataclasses import dataclass
@@ -75,6 +76,7 @@ class SuiteResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         res = fn(*args, **kwargs)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,40 @@ class TestCutSign:
         steps = np.abs(np.diff(vals))
         arc = 2.0 * (angles[1] - angles[0])
         assert steps.max() < 5 * arc
+
+
+class TestContinuedSign:
+    @pytest.mark.parametrize(
+        "cut",
+        [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi)],
+        ids=["flat", "upper", "lower", "smooth", "custom"],
+    )
+    def test_matches_closed_form_sign(self, cut, cfg, rng):
+        # 1000 random points and 500 pairs straddling the membrane
+        qs = rng.uniform(0.05, 0.95, 500)
+        phis = rng.uniform(0.0, 2 * np.pi, 500)
+        if isinstance(cut, FlatDisk):
+            straddle = [spheroid_point(1e-7, qs, phis, cfg), spheroid_point(1e-7, -qs, phis, cfg)]
+        else:
+            chi = cut.cut_function(qs, phis)
+            side = np.sign(chi) * qs
+            straddle = [spheroid_point(np.abs(chi) * (1 + d), side, phis, cfg) for d in (1e-4, -1e-4)]
+        pts = np.vstack([rng.uniform(-2, 2, (1000, 3)), *straddle])
+        closed = cut.sign(pts, cfg)
+        assert np.array_equal(continued_sign(cut, pts, cfg), closed)
+        assert set(np.unique(closed[1000:])) == ({1} if isinstance(cut, FlatDisk) else {-1, 1})
+
+    def test_memory_bounded_by_one_chunk(self, cfg, rng):
+        peaks = []
+        for n in (256, 2048):
+            pts = rng.uniform(-2, 2, (n, 3))
+            tracemalloc.start()
+            try:
+                continued_sign(UpperSpheroid(0.1), pts, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestSmoothCutFunction:

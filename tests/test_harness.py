@@ -26,10 +26,12 @@ from emwavelets.harness.grids import chunked_parallel_map, grid_points
 from emwavelets.harness.runs import field_rows, points_per_chunk, source_sweep_rows
 from emwavelets.harness.spectral import _chirp_z, cauchy_series_transform, quadpack_fourier
 from emwavelets.harness.validate import (
+    ALL_SUITES,
     suite_appendix_identities,
     suite_interior_continuity,
     suite_oracle_equivalence,
     suite_sigma_algebra,
+    suite_spectra,
     suite_wave_maxwell,
 )
 from emwavelets.harness import cli
@@ -312,6 +314,27 @@ class TestSpectralOracles:
         fast = cauchy_series_transform({3: 1.0}, 1.2j, om)
         assert np.abs(slow - fast).max() < 1e-8 * np.abs(slow).max()
 
+    def test_quadpack_evaluates_each_node_once(self):
+        # the spectra suite's grid for n = 1: every call is one pair [t, -t],
+        # and no node of a frequency is evaluated twice
+        b = 1.5
+        sig = CauchySignal(1)
+        om = np.linspace(0.0, 10.0 / b, 21)
+        got = []
+        for w in om:
+            calls = []
+
+            def f(t):
+                calls.append(np.array(t))
+                return sig.eval(np.asarray(t) - 1j * b)
+
+            got.append(quadpack_fourier(f, w)[0])
+            assert all(c.shape == (2,) and c[1] == -c[0] for c in calls)
+            nodes = [c[0] for c in calls]
+            assert len(set(nodes)) == len(nodes)
+        exact = spectrum_cauchy(1, om, b)
+        assert np.abs(np.array(got) - exact).max() <= 1e-6 * np.abs(exact).max()
+
     def test_zero_frequency_convention(self):
         val = cauchy_series_transform({1: 1.0}, 1.0j, np.array([0.0]))
         assert val[0] == pytest.approx(0.5, abs=1e-9)
@@ -383,7 +406,26 @@ class TestValidationSuites:
         res = suite_oracle_equivalence(rc, np.random.default_rng(7), n_points=20)
         assert res.passed
 
-    @pytest.mark.parametrize("suite, limit_mb", [(suite_appendix_identities, 100), (suite_sigma_algebra, 64)])
+    def test_suites_keep_names_and_docstrings(self):
+        for suite in ALL_SUITES:
+            assert suite.__name__.startswith("suite_")
+            assert suite.__doc__
+
+    def test_oracle_suites_golden_at_seed_1(self):
+        # the values validate --seed 1 prints for the two suites built on
+        # quadpack_fourier and continued_sign, pinned exactly
+        spectra = suite_spectra(default_config(), np.random.default_rng(1))
+        assert spectra.measured == 3.8368407399298336e-10
+        assert spectra.detail == "negative-frequency energy ratio 7.7e-18"
+        sigma = suite_sigma_algebra(default_config(), np.random.default_rng(1))
+        assert sigma.measured == 4.434433238322705e-16
+        assert sigma.detail == ("straddle flip residual 7.8e-05 (<=1e-3), 5 cut kinds, "
+                                "0 continuation mismatches (=0)")
+
+    @pytest.mark.parametrize(
+        "suite, limit_mb",
+        [(suite_appendix_identities, 100), (suite_sigma_algebra, 64), (suite_spectra, 16)],
+    )
     def test_million_point_suites_bounded_memory(self, suite, limit_mb):
         tracemalloc.start()
         try:
