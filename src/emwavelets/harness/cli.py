@@ -66,6 +66,7 @@ def cmd_sample_field(args) -> int:
     if not rc.grid:
         raise ConfigError("sample-field needs a [grid] section")
     rows = field_rows(rc, threads=rc.threads)
+    records = rows.shape[0] * rows.shape[1]
     header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
     csv_path = os.path.join(rc.out_dir, "field.csv")
     write_csv_atomic(csv_path, header, rows)
@@ -79,11 +80,11 @@ def cmd_sample_field(args) -> int:
             "signal": rc.signal_kind,
             **drive_meta(rc.signal()),
             "quantity": rc.quantity,
-            "records": len(rows),
+            "records": records,
             "columns": header,
         },
     )
-    print(f"wrote {len(rows)} records to {csv_path}")
+    print(f"wrote {records} records to {csv_path}")
     return 0
 
 

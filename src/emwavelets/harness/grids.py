@@ -31,8 +31,9 @@ def grid_points(grid: dict):
 def chunked_parallel_map(func, points, threads: int = 1, chunk: int = CHUNK):
     """Apply func to row chunks of points, preserving order.
 
-    func takes an (m, 3) array and returns an (m, k) array; the results
-    are concatenated in index order regardless of thread count.
+    func takes an (m, 3) array and returns an array of m rows along its
+    first axis; the results are concatenated along that axis in index
+    order regardless of thread count.
     """
     points = np.asarray(points)
     chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]

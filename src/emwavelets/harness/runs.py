@@ -36,12 +36,13 @@ SOURCE_HEADER = [
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
-    """Row-major field sweep: one record per (point, time), time fastest.
+    """Field sweep as a (points, times, columns) block.
 
-    Each chunk's branch (cut sign, sigma, u) is resolved once, refusing
-    points within the configured tol_cut of the cut, and every time slice
-    is evaluated in one broadcast call of the closed forms psi() and
-    field() use.
+    Points run row-major over (x, y, z); reshape(-1, columns) gives the
+    records in output order, time fastest.  Each chunk's branch (cut sign,
+    sigma, u) is resolved once, refusing points within the configured
+    tol_cut of the cut, and every time slice is evaluated in one broadcast
+    call of the closed forms psi() and field() use.
     """
     w = rc.wavelet()
     pol = rc.polarization()
@@ -64,7 +65,7 @@ def field_rows(rc: RunConfig, threads: int = 1):
         rows[..., 6] = sgn[:, None]
         rows[..., 7::2] = values.real
         rows[..., 8::2] = values.imag
-        return rows.reshape(-1, rows.shape[2])
+        return rows
 
     return chunked_parallel_map(eval_chunk, pts, threads=threads, chunk=points_per_chunk(len(ts)))
 

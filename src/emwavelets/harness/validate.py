@@ -156,8 +156,9 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
         base = spheroid_point(alpha, sgn * qs, phis, cfg)
         fr = frame(base, cfg)
         return base + delta * fr.e_p, base - delta * fr.e_p
-    # smooth or custom: surface p = chi(q), normal along grad(p - chi)
-    chi = lambda q: np.asarray(cut.cut_function(q, 0.0), dtype=float)
+    # smooth or custom: surface p = chi(q, phi); offset along the meridian-plane part of
+    # grad(p - chi), which crosses the surface at every phi
+    chi = lambda q: np.asarray(cut.cut_function(q, phis), dtype=float)
     ps = chi(qs)
     qs = np.where(ps > 1e-4 * a, qs, qs + 0.2 * a)  # stay off the infinitely thin tail
     ps = chi(qs)

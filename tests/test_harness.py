@@ -1,11 +1,13 @@
 import ast
 import importlib
 import inspect
+import io
 import json
 import os
 import pathlib
 import pkgutil
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -15,18 +17,23 @@ import numpy as np
 import pytest
 
 import emwavelets
-from emwavelets import CauchySignal, SourceConfig, complex_distance_principal, cut_sign, field, psi
+from emwavelets import (
+    CauchySignal, CustomCut, SourceConfig, complex_distance_principal, cut_sign, field, psi,
+)
 from emwavelets.errors import ConfigError, OnCutError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.harness import fd
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
-from emwavelets.harness.datasets import write_csv_atomic, write_json_sidecar
+from emwavelets.harness.datasets import CHUNK, write_csv, write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_points
-from emwavelets.harness.runs import field_rows, points_per_chunk, source_sweep_rows
+from emwavelets.harness.runs import (
+    FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, points_per_chunk, source_sweep_rows,
+)
 from emwavelets.harness.spectral import _chirp_z, cauchy_series_transform, quadpack_fourier
 from emwavelets.harness.validate import (
     ALL_SUITES,
+    _straddle_pairs_for_cut,
     suite_appendix_identities,
     suite_interior_continuity,
     suite_oracle_equivalence,
@@ -35,6 +42,7 @@ from emwavelets.harness.validate import (
     suite_wave_maxwell,
 )
 from emwavelets.harness import cli
+from tests.test_geometry import wobbly_chi
 
 CONFIG_TEXT = """
 [source]
@@ -202,7 +210,7 @@ def per_slice_rows(rc):
         vals = np.stack([v.real, v.imag], axis=-1).reshape(len(pts), -1)
         base = [pts, np.full(len(pts), tt), sigma.real, sigma.imag, sgn.astype(float)]
         blocks.append(np.column_stack(base + [vals]))
-    return np.stack(blocks, axis=1).reshape(len(pts) * len(ts), -1)
+    return np.stack(blocks, axis=1)
 
 
 def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
@@ -226,7 +234,7 @@ class TestFieldRows:
     def test_matches_per_slice_evaluation(self, quantity):
         rc = upper_spheroid_config(quantity, self.GRID)
         rows = field_rows(rc)
-        assert set(np.unique(rows[:, 6])) == {-1.0, 1.0}  # straddles the membrane
+        assert set(np.unique(rows[..., 6])) == {-1.0, 1.0}  # straddles the membrane
         assert np.array_equal(rows, per_slice_rows(rc))
         assert np.array_equal(field_rows(rc, threads=2), rows)
 
@@ -235,7 +243,7 @@ class TestFieldRows:
         # 5e-10 above the apron of the upper spheroid
         grid = {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", 5e-10), ("t", 1.0))}
         rows = field_rows(upper_spheroid_config(quantity, grid, tol_cut=1e-10))
-        assert rows.shape == (1, 9 if quantity == "psi" else 13)
+        assert rows.shape == (1, 1, 9 if quantity == "psi" else 13)
         assert np.isfinite(rows).all()
         with pytest.raises(OnCutError):
             field_rows(upper_spheroid_config(quantity, grid))
@@ -304,6 +312,131 @@ class TestDatasets:
         data = json.loads(path.read_text())
         assert data["a"] == [0.0, 0.0, 1.0]
         assert data["n"] == 4
+
+    def test_files_get_the_umask_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_csv_atomic(tmp_path / "data.csv", ["a"], [(1.0,)])
+            write_json_sidecar(tmp_path / "meta.json", {"n": 1})
+        finally:
+            os.umask(old)
+        for name in ("data.csv", "meta.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-17, -2.5e300, 1 / 3]
+
+
+def savetxt_csv(header, table):
+    """The reference bytes: the header line, then np.savetxt at 17 significant digits."""
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def written_csv(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
+
+
+def sweep_like_block(rng, n_outer, n_inner):
+    """Columns repeating as a sweep's do, drawn from SPECIAL and random values.
+
+    per outer item, per inner item, constant everywhere, per record, and
+    per outer item except for one record whose 0.0 turns into -0.0.
+    """
+    pool = np.concatenate([SPECIAL, rng.normal(size=6)])
+    shape = (n_outer, n_inner)
+    per_outer = rng.choice(pool, (n_outer, 1, 2))
+    per_inner = rng.choice(pool, (1, n_inner, 1))
+    flipped = np.zeros(shape)
+    if flipped.size:
+        flipped[-1, -1] = -0.0
+    cols = [
+        np.broadcast_to(per_outer[..., 0], shape),
+        np.broadcast_to(per_inner[..., 0], shape),
+        np.full(shape, -0.0),
+        rng.choice(pool, shape),
+        np.broadcast_to(per_outer[..., 1], shape),
+        flipped,
+        rng.choice(pool, shape),
+    ]
+    return np.stack(cols, axis=-1)
+
+
+class TestCsvParity:
+    HEADER = [f"c{i}" for i in range(7)]
+
+    def test_special_values(self):
+        table = np.array(SPECIAL)[:, None]
+        assert written_csv(["v"], table) == savetxt_csv(["v"], table)
+        square = np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T
+        assert written_csv(["a", "b"], square) == savetxt_csv(["a", "b"], square)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 9), (9, 1), (0, 9), (2 * CHUNK // 7 + 5, 7), (3, CHUNK + 77), (1, 2 * CHUNK + 1)],
+    )
+    def test_blocks(self, shape):
+        block = sweep_like_block(np.random.default_rng(sum(shape)), *shape)
+        expected = savetxt_csv(self.HEADER, block.reshape(-1, block.shape[-1]))
+        assert written_csv(self.HEADER, block) == expected
+        assert written_csv(self.HEADER, block.reshape(-1, block.shape[-1])) == expected
+
+    def test_list_of_tuples(self):
+        rows = [(1.0, -0.0, 2), (1.0, 0.0, 3), (np.nan, 1 / 3, -2.5e300)]
+        assert written_csv(["a", "b", "c"], rows) == savetxt_csv(["a", "b", "c"], rows)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            write_csv(io.StringIO(), ["v"], np.zeros((2, 2, 2, 2)))
+
+    def test_writer_memory_bounded(self):
+        class Sink:
+            def write(self, text):
+                pass
+
+        def peak(n_points, n_times=10):
+            rng = np.random.default_rng(0)
+            per_record = rng.normal(size=(n_points, n_times, 6))  # 7 + 6 columns: the F width
+            block = np.concatenate([sweep_like_block(rng, n_points, n_times), per_record], axis=-1)
+            tracemalloc.start()
+            try:
+                write_csv(Sink(), FIELD_HEADER_F, block)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1_000), peak(10_000)
+        assert large <= 1.1 * small
+        assert large < 2 * 2**20
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_sample_field_matches_reference(self, tmp_path, quantity):
+        # the TestFieldRows grid: several writer chunks, records straddling the membrane
+        path = tmp_path / "field.ini"
+        path.write_text(
+            "[source]\na = 0,0,1\nb = 1.5\n"
+            "[cut]\nkind = upper_spheroid\nalpha = 0.1\n"
+            "[signal]\nkind = cauchy\nn = 2\n"
+            "[polarization]\nre = 1,0,0\nim = 0,0.5,0\n"
+            "[grid]\nx = -1.45,1.55,7\ny = 0.03,0.03,1\nz = -0.47,0.61,10\nt = 0.5,2.5,40\n"
+            f"[output]\nquantity = {quantity}\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 0
+        rows = field_rows(load_config(str(path)))
+        header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
+        assert (out / "field.csv").read_text() == savetxt_csv(header, rows.reshape(-1, rows.shape[-1]))
+        assert json.loads((out / "field.json").read_text())["records"] == 70 * 40
+
+    def test_sample_sources_matches_reference(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["sample-sources", "--config", config_file, "--out", str(out)]) == 0
+        rows, _ = source_sweep_rows(load_config(config_file))
+        assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, rows)
 
 
 class TestSpectralOracles:
@@ -421,6 +554,13 @@ class TestValidationSuites:
         assert sigma.measured == 4.434433238322705e-16
         assert sigma.detail == ("straddle flip residual 7.8e-05 (<=1e-3), 5 cut kinds, "
                                 "0 continuation mismatches (=0)")
+
+    def test_straddle_pairs_follow_azimuth(self):
+        # the membrane height depends on phi, so each pair must sit across it at its own phi
+        cfg = SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5)
+        cut = CustomCut(chi=wobbly_chi)
+        plus, minus = _straddle_pairs_for_cut(cut, cfg, np.random.default_rng(0), 500)
+        assert np.all(cut.sign(plus, cfg) != cut.sign(minus, cfg))
 
     @pytest.mark.parametrize(
         "suite, limit_mb",
@@ -544,7 +684,7 @@ class TestCli:
         }
         rc.cut_kind = "flat_disk"
         rows = field_rows(rc)
-        mag = np.linalg.norm(rows[:, 7::2] + 1j * rows[:, 8::2], axis=1)
+        mag = np.linalg.norm(rows[:, 0, 7::2] + 1j * rows[:, 0, 8::2], axis=1)
         assert np.argmax(mag) == 4  # the x = 0 record
 
     def test_sources_alpha_zero_redirects(self, config_file, tmp_path, capsys):
