@@ -232,8 +232,11 @@ class BranchCut:
 
     Deforming the reference disk p = 0 into the membrane flips the branch
     exactly in the region swept between them, 0 <= p < chi(q, phi), so
-    every cut shares one sign rule; concrete cuts give chi and, where they
-    can, an exact or conservative clearance in place of the generic estimate.
+    every cut shares one sign rule; concrete cuts give chi and may replace
+    the generic clearance estimate.  A point is refused where
+    clearance(r) < tol (near_cut): the spheroid cuts screen that rule with
+    a closed-form lower bound and run their exact clearance only inside the
+    band, and clearance itself stays what each cut defines.
     """
 
     def sign(self, r, cfg: SourceConfig):
@@ -262,6 +265,10 @@ class BranchCut:
         d_surface = np.where(q >= 0.0, d_surface, np.inf)
         return np.minimum(d_surface, d_circle)
 
+    def near_cut(self, r, cfg: SourceConfig, tol: float):
+        """Mask of the points that cut_sign refuses: clearance(r) < tol, shaped like r[..., 0]."""
+        return np.asarray(self.clearance(r, cfg) < tol)
+
 
 @dataclass(frozen=True)
 class FlatDisk(BranchCut):
@@ -275,22 +282,23 @@ class FlatDisk(BranchCut):
         inside = rho <= cfg.a_mag
         return np.where(inside, np.abs(z), np.hypot(rho - cfg.a_mag, z))
 
+    def near_cut(self, r, cfg, tol):
+        """Nothing: on the reference cut the principal branch takes the a.r > 0 face."""
+        return np.zeros(np.shape(r)[:-1], dtype=bool)
 
-def _spheroid_clearance(r, cfg, alpha, side):
-    """Distance from r to the half spheroid p = alpha on the side a.r*side > 0, with its apron.
 
-    In the meridian plane (rho, z = side*a_hat.r) the cut is the quarter ellipse of
-    semi-axes A = sqrt(a^2 + alpha^2) and alpha, confocal with the branch circle, and
-    the apron a <= rho <= A.  The ellipse distance is D. Eberly's bisection ("Distance
-    from a Point to an Ellipse, ...", Geometric Tools, 2013) in t = s + 1, read at the
-    bracket end nearest t = 1: only rounding can overestimate.  For z < 0 it returns
-    hypot(d(rho, 0), z), a lower bound as |P - X|^2 >= |P' - X|^2 + z^2 for every cut
-    point X (P' the projection of P on the plane), exact where the nearest cut point
-    is on the apron or the rim.
+# Fraction of (tol + A) by which the spheroid screen widens tol: the closed-form
+# bound and the bisection each round at ~1e-16 (tol + A), far inside this margin.
+_SCREEN_MARGIN = 1e-9
+
+
+def _ellipse_bisection(rho, y1, a, alpha, big):
+    """Exact distance from (rho, y1 >= 0) to the ellipse rho^2/A^2 + y^2/alpha^2 = 1.
+
+    D. Eberly's bisection ("Distance from a Point to an Ellipse, ...", Geometric
+    Tools, 2013) in t = s + 1, read at the bracket end nearest t = 1: only rounding
+    can overestimate.
     """
-    a, big = cfg.a_mag, math.hypot(cfg.a_mag, alpha)
-    z, rho = _axial(np.asarray(r, dtype=float), cfg)
-    y1 = np.maximum(side * z, 0.0)
     flat = y1 == 0.0
     n0, m = big * rho / alpha**2, (a / alpha) ** 2
     z1 = np.where(flat, 1.0, y1 / alpha)  # a stand-in keeps t > 0; z = 0 is replaced below
@@ -302,9 +310,55 @@ def _spheroid_clearance(r, cfg, alpha, side):
     t = np.clip(1.0, lo, hi)
     d_ellipse = np.abs(1.0 - t) * np.hypot(rho / (t + m), y1 / t)
     u = np.minimum(big * rho / a**2, 1.0)
-    d_ellipse = np.where(flat, np.hypot(big * u - rho, alpha * np.sqrt(1.0 - u**2)), d_ellipse)
+    return np.where(flat, np.hypot(big * u - rho, alpha * np.sqrt(1.0 - u**2)), d_ellipse)
+
+
+def _ellipse_bound(rho, y1, a, alpha, big):
+    """Closed-form lower bound on the distance from (rho, y1) to the same ellipse.
+
+    F = rho^2/A^2 + y^2/alpha^2 - 1 is quadratic with Hessian at most 2/alpha^2, so
+    F(X) = 0 at the nearest ellipse point X gives |F| <= g d + d^2/alpha^2 with
+    g = |grad F| at the point, that is d >= 2|F| / (g + sqrt(g^2 + 4|F|/alpha^2)).
+    """
+    f = np.abs((rho / big) ** 2 + (y1 / alpha) ** 2 - 1.0)
+    g = 2.0 * np.hypot(rho / big**2, y1 / alpha**2)
+    return 2.0 * f / (g + np.sqrt(g * g + 4.0 * f / alpha**2))
+
+
+def _spheroid_clearance(r, cfg, alpha, side, ellipse=_ellipse_bisection):
+    """Distance from r to the half spheroid p = alpha on the side a.r*side > 0, with its apron.
+
+    In the meridian plane (rho, y = side*a_hat.r) the cut is the quarter ellipse of
+    semi-axes A = sqrt(a^2 + alpha^2) and alpha, confocal with the branch circle, and
+    the apron a <= rho <= A.  The apron distance is exact; the ellipse distance is
+    exact by default (_ellipse_bisection, the spheroids' clearance, which the
+    difference oracles use as a stencil margin) or the closed-form lower bound
+    _ellipse_bound, with which cut_sign screens its refusal rule clearance < tol_cut.
+    For y < 0 it returns hypot(d(rho, 0), y), a lower bound as
+    |P - X|^2 >= |P' - X|^2 + y^2 for every cut point X (P' the projection of P on
+    the plane), exact where the nearest cut point is on the apron or the rim.
+    """
+    a, big = cfg.a_mag, math.hypot(cfg.a_mag, alpha)
+    z, rho = _axial(np.asarray(r, dtype=float), cfg)
+    y1 = np.maximum(side * z, 0.0)
+    d_ellipse = ellipse(rho, y1, a, alpha, big)
     d_apron = np.hypot(np.maximum(np.maximum(a - rho, rho - big), 0.0), y1)
     return np.hypot(np.minimum(d_ellipse, d_apron), np.minimum(side * z, 0.0))
+
+
+def _spheroid_near(cut, r, cfg, tol):
+    """clearance(r) < tol, with the bisection run only where the closed-form bound is in the band.
+
+    The bound never exceeds the exact distance but by rounding, so a point outside
+    tol widened by _SCREEN_MARGIN cannot have clearance < tol; the points inside it
+    are confirmed by cut.clearance.
+    """
+    r = np.asarray(r, dtype=float)
+    widened = tol + _SCREEN_MARGIN * (tol + math.hypot(cfg.a_mag, cut.alpha))
+    near = np.asarray(cut.clearance_bound(r, cfg) < widened)
+    if np.any(near):
+        near[near] = cut.clearance(r[near], cfg) < tol
+    return near
 
 
 @dataclass(frozen=True)
@@ -324,6 +378,14 @@ class UpperSpheroid(BranchCut):
         """Exact distance to the cut on its a.r >= 0 side; a lower bound beyond the disk plane."""
         return _spheroid_clearance(r, cfg, self.alpha, 1.0)
 
+    def clearance_bound(self, r, cfg):
+        """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
+        return _spheroid_clearance(r, cfg, self.alpha, 1.0, _ellipse_bound)
+
+    def near_cut(self, r, cfg, tol):
+        """clearance(r) < tol, screened by clearance_bound (_spheroid_near)."""
+        return _spheroid_near(self, r, cfg, tol)
+
 
 @dataclass(frozen=True)
 class LowerSpheroid(BranchCut):
@@ -341,6 +403,14 @@ class LowerSpheroid(BranchCut):
     def clearance(self, r, cfg):
         """Exact distance to the cut on its a.r <= 0 side; a lower bound beyond the disk plane."""
         return _spheroid_clearance(r, cfg, self.alpha, -1.0)
+
+    def clearance_bound(self, r, cfg):
+        """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
+        return _spheroid_clearance(r, cfg, self.alpha, -1.0, _ellipse_bound)
+
+    def near_cut(self, r, cfg, tol):
+        """clearance(r) < tol, screened by clearance_bound (_spheroid_near)."""
+        return _spheroid_near(self, r, cfg, tol)
 
 
 @dataclass(frozen=True)
@@ -429,14 +499,15 @@ def _continued_chunk(cut, r, cfg):
 def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):
     """Sign of sigma_cut relative to the principal branch: +1 outside, -1 inside.
 
-    Raises OnCutError when r lies within tol_cut of the cut surface (the
-    flat disk is the reference cut and never raises).
+    Raises OnCutError when any point has cut.clearance(r) < tol_cut, naming
+    how many and the first of them (cut.near_cut; the flat disk is the
+    reference cut and never raises).  The spheroid cuts screen that rule with
+    a closed-form lower bound and compute their exact clearance only inside
+    the band; clearance itself stays exact.
     """
     if tol_cut is None:
         tol_cut = 1e-9 * cfg.a_mag
-    if not isinstance(cut, FlatDisk):
-        on_cut = cut.clearance(r, cfg) < tol_cut
-        _refuse(OnCutError, "point lies on the branch cut (within tolerance)", on_cut, r)
+    _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
     return cut.sign(r, cfg)
 
 

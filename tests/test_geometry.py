@@ -22,7 +22,7 @@ from emwavelets import (
     spheroid_point,
     to_oblate,
 )
-from emwavelets.geometry import branch_circle_distance, continued_sign, on_reference_cut
+from emwavelets.geometry import _SCREEN_MARGIN, branch_circle_distance, continued_sign, on_reference_cut
 
 
 def meridian_distance(cut, cfg, rho, z, n=200_001, stride=100):
@@ -48,6 +48,60 @@ def meridian_distance(cut, cfg, rho, z, n=200_001, stride=100):
     coarse = np.argmin(np.hypot(rho[:, None] - verts[::stride, 0], z[:, None] - verts[::stride, 1]), axis=1)
     window = np.clip(coarse[:, None] * stride + np.arange(-2 * stride, 2 * stride + 1), 0, len(verts) - 1)
     return np.min(np.hypot(rho[:, None] - verts[window, 0], z[:, None] - verts[window, 1]), axis=1)
+
+
+AXES = {"axis_z": (0.0, 0.0, 1.0), "tilted": (0.3, -0.4, 0.866)}
+SPHEROIDS = [cls(alpha) for cls in (UpperSpheroid, LowerSpheroid) for alpha in (0.01, 0.1, 1.0)]
+CUTS = [FlatDisk(), *SPHEROIDS]
+
+
+def cut_cases(cuts):
+    """(cut, axis) parameters on both axes; alpha = 0.1 on the z axis keeps the short id (upper, lower)."""
+    names = {FlatDisk: "flat", UpperSpheroid: "upper", LowerSpheroid: "lower"}
+    cases = []
+    for cut in cuts:
+        for axis_name, axis in AXES.items():
+            ident = names[type(cut)]
+            if getattr(cut, "alpha", 0.1) != 0.1:
+                ident += f"-{cut.alpha}"
+            if axis_name != "axis_z":
+                ident += f"-{axis_name}"
+            cases.append(pytest.param(cut, axis, id=ident))
+    return cases
+
+
+def cut_side(cut):
+    return -1.0 if isinstance(cut, LowerSpheroid) else 1.0
+
+
+def meridian_points(cfg, rho, z, phi):
+    """Points at distance rho from the source axis, at height z along it, at azimuth phi."""
+    return (
+        (rho * np.cos(phi))[:, None] * cfg.e1 + (rho * np.sin(phi))[:, None] * cfg.e2 + z[:, None] * cfg.a_hat
+    )
+
+
+def meridian_coords(pts, cfg):
+    """(rho, z) of points about the source axis."""
+    z = pts @ cfg.a_hat
+    return np.linalg.norm(pts - z[:, None] * cfg.a_hat, axis=1), z
+
+
+def probe_points(cut, cfg, rng, n=2000):
+    """Uniform points, points 1e-12..1e-1 a from the membrane along e_p, the rim band, beyond the disk plane."""
+    a, alpha, side = cfg.a_mag, getattr(cut, "alpha", 0.0), cut_side(cut)
+    base = spheroid_point(alpha, side * rng.uniform(0.0, 1.0, n) * a, rng.uniform(0.0, 2 * np.pi, n), cfg)
+    offset = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-12, -1, n) * a
+    big = np.hypot(a, alpha)
+    rim = meridian_points(
+        cfg, rng.uniform(0.9 * a, 1.1 * big, n // 2), rng.uniform(-0.05, 0.05, n // 2) * a,
+        rng.uniform(0.0, 2 * np.pi, n // 2),
+    )
+    beyond = meridian_points(
+        cfg, rng.uniform(0.0, 1.5 * big, n // 2), -side * 10 ** rng.uniform(-12, 0, n // 2) * a,
+        rng.uniform(0.0, 2 * np.pi, n // 2),
+    )
+    return np.vstack([rng.uniform(-2, 2, (n, 3)) * a, base + offset[:, None] * frame(base, cfg).e_p, rim, beyond])
 
 
 def wobbly_chi(q, phi):
@@ -181,6 +235,37 @@ class TestCutSign:
             cut_sign(UpperSpheroid(0.1), apron_pt, cfg)
         with pytest.raises(OnCutError):
             cut_sign(LowerSpheroid(0.1), apron_pt, cfg)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-4])
+    @pytest.mark.parametrize("cut, axis", cut_cases(SPHEROIDS))
+    def test_refuses_where_clearance_below_tol(self, cut, axis, tol, rng):
+        """The screened refusal set, count and first point are those of clearance < tol_cut."""
+        cfg = SourceConfig(a=np.array(axis), b=1.5)
+        a, n = cfg.a_mag, 64
+        tol_cut = tol * a
+        dist = tol_cut * rng.choice([1 - 1e-6, 1 + 1e-6], 2 * n) * rng.choice([-1.0, 1.0], 2 * n)
+        phi = rng.uniform(0.0, 2 * np.pi, 2 * n)
+        base = spheroid_point(cut.alpha, cut_side(cut) * rng.uniform(0.05, 0.95, n) * a, phi[:n], cfg)
+        membrane = base + dist[:n, None] * frame(base, cfg).e_p
+        apron = meridian_points(cfg, a + rng.uniform(0.1, 0.9, n) * (np.hypot(a, cut.alpha) - a), dist[n:], phi[n:])
+        pts = rng.permutation(np.vstack([membrane, apron]))
+        expected = cut.clearance(pts, cfg) < tol_cut
+        assert expected.any() and not expected.all()
+        for shape in [(2 * n, 3), (n // 4, 8, 3)]:
+            r = pts.reshape(shape)
+            assert np.array_equal(cut.near_cut(r, cfg, tol_cut), expected.reshape(shape[:-1]))
+            with pytest.raises(OnCutError) as err:
+                cut_sign(cut, r, cfg, tol_cut=tol_cut)
+            first = ", ".join(f"{v:g}" for v in pts[np.flatnonzero(expected)[0]])
+            assert str(err.value).endswith(
+                f"{np.count_nonzero(expected)} of {2 * n} points refused, first at ({first})"
+            )
+        for pt, refused in zip(pts[:16], expected[:16]):
+            if refused:
+                with pytest.raises(OnCutError, match=r"1 of 1 points refused"):
+                    cut_sign(cut, pt, cfg, tol_cut=tol_cut)
+            else:
+                assert cut_sign(cut, pt, cfg, tol_cut=tol_cut) in (-1, 1)
 
     def test_custom_cut_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -394,36 +479,33 @@ class TestClearance:
         d = FlatDisk().clearance(np.array([2.0, 0.0, 0.0]), cfg)
         assert d == pytest.approx(1.0)
 
-    @pytest.mark.parametrize(
-        "cut", [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1)], ids=["flat", "upper", "lower"]
-    )
-    def test_lower_bound(self, cut, cfg, rng):
-        alpha = getattr(cut, "alpha", 0.0)
-        side = -1.0 if isinstance(cut, LowerSpheroid) else 1.0
-        q = side * rng.uniform(0.0, 1.0, 2000)
-        phi = rng.uniform(0.0, 2 * np.pi, 2000)
-        base = spheroid_point(alpha, q, phi, cfg)
-        offset = rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-6, -1, 2000)
-        rim = np.column_stack(
-            [rng.uniform(0.9, 1.1, 1000), np.zeros(1000), rng.uniform(-0.05, 0.05, 1000)]
-        )
-        pts = np.vstack(
-            [rng.uniform(-2, 2, (2000, 3)), base + offset[:, None] * frame(base, cfg).e_p, rim]
-        )
-        reference = meridian_distance(cut, cfg, np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+    @pytest.mark.parametrize("cut, axis", cut_cases(CUTS))
+    def test_lower_bound(self, cut, axis, rng):
+        cfg = SourceConfig(a=np.array(axis), b=1.5)
+        pts = probe_points(cut, cfg, rng)
+        reference = meridian_distance(cut, cfg, *meridian_coords(pts, cfg))
         assert np.all(cut.clearance(pts, cfg) <= reference + 1e-12 * cfg.a_mag)
 
-    @pytest.mark.parametrize(
-        "cut", [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1)], ids=["flat", "upper", "lower"]
-    )
-    def test_exact_at_membrane(self, cut, cfg, rng):
-        side = -1.0 if isinstance(cut, LowerSpheroid) else 1.0
-        q = side * rng.uniform(0.05, 0.95, 400)
+    @pytest.mark.parametrize("cut, axis", cut_cases(CUTS))
+    def test_exact_at_membrane(self, cut, axis, rng):
+        cfg = SourceConfig(a=np.array(axis), b=1.5)
+        q = cut_side(cut) * rng.uniform(0.05, 0.95, 400) * cfg.a_mag
         phi = rng.uniform(0.0, 2 * np.pi, 400)
         base = spheroid_point(getattr(cut, "alpha", 0.0), q, phi, cfg)
         delta = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-9, -6, 400)
         d = cut.clearance(base + delta[:, None] * frame(base, cfg).e_p, cfg)
         assert np.all(np.abs(d - np.abs(delta)) <= 1e-6 * np.abs(delta))
+
+    @pytest.mark.parametrize("cut, axis", cut_cases(SPHEROIDS))
+    def test_bound_is_sound(self, cut, axis, rng):
+        """The screen's closed-form bound never exceeds the distance, nor the exact clearance but by the margin."""
+        cfg = SourceConfig(a=np.array(axis), b=1.5)
+        pts = probe_points(cut, cfg, rng)
+        bound = cut.clearance_bound(pts, cfg)
+        reference = meridian_distance(cut, cfg, *meridian_coords(pts, cfg))
+        assert np.all(bound <= reference + 1e-12 * cfg.a_mag)
+        margin = _SCREEN_MARGIN * np.hypot(cfg.a_mag, cut.alpha)
+        assert np.all(bound <= cut.clearance(pts, cfg) + margin)
 
     def test_spheroid_near_surface(self, cfg):
         pt = spheroid_point(0.1, 0.6, 0.0, cfg) + 0.05 * frame(spheroid_point(0.1, 0.6, 0.0, cfg), cfg).e_p
