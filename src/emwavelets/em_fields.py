@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OnBranchCircleError, OnCutError
-from .geometry import SourceConfig, complex_distance_principal, cut_sign, frame
+from .geometry import SourceConfig, _cut_sign, _frame, complex_distance_principal, frame
 from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
 from .signals import CauchySignal, eval_derivs
 
@@ -148,8 +148,10 @@ def _branch_data(w: ScalarWavelet, r, tol_cut: float | None = None):
     Refuses points within tol_cut of the cut, then points on the branch
     circle.
     """
-    s = cut_sign(w.cut, r, w.cfg, tol_cut=tol_cut)
-    fr = frame(r, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
+    r = np.asarray(r, dtype=float)
+    sigma, p, q = complex_distance_principal(r, w.cfg)
+    s = _cut_sign(w.cut, r, p, q, w.cfg, tol_cut)
+    fr = _frame(r, sigma, p, q, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
     return s, s * fr.sigma, np.asarray(s)[..., None] * fr.u
 
 

@@ -176,10 +176,14 @@ def to_oblate(r, cfg: SourceConfig) -> OblateCoords:
     """Oblate spheroidal coordinates (p, q, phi) of the principal branch."""
     r = np.asarray(r, dtype=float)
     _, p, q = complex_distance_principal(r, cfg)
+    return OblateCoords(p, q, _azimuth(r, cfg))
+
+
+def _azimuth(r, cfg):
+    """Azimuth phi in [0, 2 pi) of r about a_hat, measured from e1 towards e2."""
     z = _dot(r, cfg.a_hat)
     rho_vec = r - z[..., None] * cfg.a_hat
-    phi = np.mod(np.arctan2(_dot(rho_vec, cfg.e2), _dot(rho_vec, cfg.e1)), 2.0 * np.pi)
-    return OblateCoords(p, q, phi)
+    return np.mod(np.arctan2(_dot(rho_vec, cfg.e2), _dot(rho_vec, cfg.e1)), 2.0 * np.pi)
 
 
 def from_oblate(p, q, phi, cfg: SourceConfig, side: str = "upper"):
@@ -239,10 +243,21 @@ class BranchCut:
     band, and clearance itself stays what each cut defines.
     """
 
+    # False for a chi that ignores phi: it is given phi = None, and no azimuth is computed
+    _reads_phi = True
+
     def sign(self, r, cfg: SourceConfig):
         """sigma_cut/sigma_principal: -1 between the disk and the membrane, else +1."""
-        p, q, phi = to_oblate(r, cfg)
-        return np.where(p < self.cut_function(q, phi), -1, 1)
+        r = np.asarray(r, dtype=float)
+        _, p, q = complex_distance_principal(r, cfg)
+        return self._sign(r, p, q, cfg)
+
+    def _sign(self, r, p, q, cfg):
+        """sign(r, cfg) from the principal p and q at r."""
+        return np.where(p < self.cut_function(q, self._phi(r, cfg)), -1, 1)
+
+    def _phi(self, r, cfg):
+        return _azimuth(r, cfg) if self._reads_phi else None
 
     def cut_function(self, q, phi):
         """Cut membrane as p = chi(q, phi) on the double cover (odd in q)."""
@@ -256,8 +271,8 @@ class BranchCut:
         """
         r = np.asarray(r, dtype=float)
         d_circle = branch_circle_distance(r, cfg)
-        p, q, phi = to_oblate(r, cfg)
-        chi = np.asarray(self.cut_function(np.abs(q), phi), dtype=float)
+        _, p, q = complex_distance_principal(r, cfg)
+        chi = np.asarray(self.cut_function(np.abs(q), self._phi(r, cfg)), dtype=float)
         # metric distance ~ coordinate residual / |grad p|
         scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
         d_surface = np.abs(p - chi) * scale
@@ -273,6 +288,8 @@ class BranchCut:
 @dataclass(frozen=True)
 class FlatDisk(BranchCut):
     """Degenerate spheroid S_0: the reference cut of the principal branch."""
+
+    _reads_phi = False
 
     def cut_function(self, q, phi):
         return np.zeros_like(np.asarray(q, dtype=float))
@@ -366,6 +383,7 @@ class UpperSpheroid(BranchCut):
     """Half spheroid p = alpha on the a.r > 0 side, closed by the flat apron."""
 
     alpha: float
+    _reads_phi = False
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -392,6 +410,7 @@ class LowerSpheroid(BranchCut):
     """Mirror image of UpperSpheroid on the a.r < 0 side."""
 
     alpha: float
+    _reads_phi = False
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -419,6 +438,7 @@ class SmoothSpheroid(BranchCut):
 
     alpha: float
     eps: float
+    _reads_phi = False
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.eps > 0.0):
@@ -475,7 +495,7 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
 
 def _continued_chunk(cut, r, cfg):
     """continued_sign of at most 256 points, whose temporaries end with the call."""
-    phi = to_oblate(r, cfg).phi
+    phi = _azimuth(r, cfg)
     anchor = 1e3 * cfg.a_mag * cfg.a_hat
     # steps clustered toward the target end, where the cut geometry lives
     u = np.linspace(0.0, 1.0, 4096)
@@ -505,16 +525,24 @@ def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None)
     a closed-form lower bound and compute their exact clearance only inside
     the band; clearance itself stays exact.
     """
+    r = np.asarray(r, dtype=float)
+    _, p, q = complex_distance_principal(r, cfg)
+    return _cut_sign(cut, r, p, q, cfg, tol_cut)
+
+
+def _cut_sign(cut, r, p, q, cfg, tol_cut):
+    """cut_sign(cut, r, cfg, tol_cut) from the principal p and q at r, which the caller holds."""
     if tol_cut is None:
         tol_cut = 1e-9 * cfg.a_mag
     _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
-    return cut.sign(r, cfg)
+    return cut._sign(r, p, q, cfg)
 
 
 def complex_distance(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):
     """sigma with the given branch cut: cut sign times the principal value."""
-    sigma0, _, _ = complex_distance_principal(r, cfg)
-    return cut_sign(cut, r, cfg, tol_cut=tol_cut) * sigma0
+    r = np.asarray(r, dtype=float)
+    sigma0, p, q = complex_distance_principal(r, cfg)
+    return _cut_sign(cut, r, p, q, cfg, tol_cut) * sigma0
 
 
 def frame(r, cfg: SourceConfig, guard: float | None = None) -> ComplexDistanceSample:
@@ -526,9 +554,13 @@ def frame(r, cfg: SourceConfig, guard: float | None = None) -> ComplexDistanceSa
     the zero vector.
     """
     r = np.asarray(r, dtype=float)
+    return _frame(r, *complex_distance_principal(r, cfg), cfg, guard)
+
+
+def _frame(r, sigma, p, q, cfg, guard=None):
+    """frame(r, cfg, guard) from the principal sigma, p and q at r, which the caller holds."""
     if guard is None:
         guard = 1e-8 * cfg.a_mag
-    sigma, p, q = complex_distance_principal(r, cfg)
     pq2 = p**2 + q**2
     _refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", pq2 <= guard**2, r)
     a = cfg.a

@@ -6,7 +6,9 @@ are written atomically (temp then rename) so interrupted runs leave no
 partial output.  The CSV body comes from a 2-D table or from a 3-D block
 (outer, inner, columns) written in reshape(-1, columns) order; a value
 that repeats along either axis of a block, as a sweep's point and time
-columns do, is formatted once and its text reused.
+columns do, is formatted once and its text reused.  Values are formatted
+a chunk at a time by whole-array numpy kernels (harness._format), and
+the bytes are still those of np.savetxt(fmt="%.17g", delimiter=",").
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import os
 
 import numpy as np
 
+from ._format import WIDTH, format17
+
 __all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
 CHUNK = 512  # records formatted per write: bounds the writer's memory
-
-_PER_OUTER, _PER_INNER, _PER_RECORD = 0, 1, 2
 
 
 def _write_atomic(path, write):
@@ -44,40 +46,36 @@ def _write_atomic(path, write):
         raise
 
 
-def _runs(classes):
-    """(class, start, stop) of each run of equal consecutive column classes."""
-    runs = []
-    start = 0
-    for stop in range(1, len(classes) + 1):
-        if stop == len(classes) or classes[stop] != classes[start]:
-            runs.append((classes[start], start, stop))
-            start = stop
-    return runs
-
-
-def _write_chunk(fh, sub):
+def _write_chunk(fh, sub, buf):
     """Write an (m, k, C) sub-block, formatting each repeated value once.
 
     A column bitwise constant along the inner axis is formatted once per
     outer item, one constant along the outer axis once per inner item, and
-    any other once per record.  The same double always gives the same
-    %.17g text, so the bytes are those of formatting every value.
+    any other once per record.  Each record's text goes into the next C
+    fields of buf, a bytearray of NUL-padded fields whose last bytes hold
+    the separators; the text is buf without its NULs.  The same double
+    always gives the same %.17g text, so the bytes are those of formatting
+    every value.
     """
-    m, k, _ = sub.shape
+    m, k, n_cols = sub.shape
     bits = sub.view(np.int64)  # -0.0 vs +0.0 and NaN payloads stay distinct
     per_outer = (bits == bits[:, :1]).all(axis=(0, 1))
-    per_inner = (bits == bits[:1]).all(axis=(0, 1))
-    classes = np.where(per_outer, _PER_OUTER, np.where(per_inner, _PER_INNER, _PER_RECORD))
-    runs = _runs(classes.tolist())
-    pieces = np.empty((m, k, len(runs)), dtype=object)
-    for r, (cls, start, stop) in enumerate(runs):
-        part = sub[:, :1] if cls == _PER_OUTER else sub[:1] if cls == _PER_INNER else sub
-        part = part[..., start:stop]
-        fmt = ",".join(["%.17g"] * (stop - start))
-        text = [fmt % values for values in map(tuple, part.reshape(-1, stop - start).tolist())]
-        pieces[:, :, r] = np.array(text, dtype=object).reshape(part.shape[:2])
-    row = ",".join(["%s"] * len(runs)) + "\n"
-    fh.write((row * (m * k)) % tuple(pieces.ravel().tolist()))
+    per_inner = (bits == bits[:1]).all(axis=(0, 1)) & ~per_outer
+    per_record = ~(per_outer | per_inner)
+    parts = [
+        (sub[:, :1][..., per_outer], per_outer),
+        (sub[:1][..., per_inner], per_inner),
+        (sub[..., per_record], per_record),
+    ]
+    text = format17(np.concatenate([values.ravel() for values, _ in parts]))
+    size = m * k * n_cols * (WIDTH + 1)
+    out = np.frombuffer(buf, dtype=np.uint8, count=size).reshape(m, k, n_cols, WIDTH + 1)
+    start = 0
+    for values, cols in parts:
+        out[:, :, cols, :WIDTH] = text[start : start + values.size].reshape(values.shape + (WIDTH,))
+        start += values.size
+    used = buf if size == len(buf) else buf[:size]
+    fh.write(used.translate(None, b"\0").decode("ascii"))
 
 
 def write_csv(fh, header, rows):
@@ -85,9 +83,10 @@ def write_csv(fh, header, rows):
 
     rows is a 2-D table (records, columns) or a 3-D block (outer, inner,
     columns) whose records are written in reshape(-1, columns) order.  The
-    bytes are those of formatting every value with "%.17g", comma-joined;
-    values that repeat along an axis are formatted once per chunk of at
-    most CHUNK records.
+    bytes are those of np.savetxt(fmt="%.17g", delimiter=","): every value
+    formatted with "%.17g" (harness._format), comma-joined.  At most CHUNK
+    records are formatted at a time, and values that repeat along an axis
+    are formatted once per chunk.
     """
     fh.write(",".join(header) + "\n")
     block = np.asarray(rows, dtype=np.float64)
@@ -95,14 +94,18 @@ def write_csv(fh, header, rows):
         block = block[None]  # one outer item whose inner axis is the records
     if block.ndim != 3:
         raise ValueError(f"expected a 2-D table or a 3-D block, got {block.ndim} dimensions")
-    n_outer, n_inner, _ = block.shape
+    n_outer, n_inner, n_cols = block.shape
     if n_outer * n_inner == 0:
         return
     per = max(1, CHUNK // n_inner)
     step = min(n_inner, CHUNK)
+    buf = bytearray(min(per, n_outer) * step * n_cols * (WIDTH + 1))
+    seps = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n_cols, WIDTH + 1)[..., WIDTH]
+    seps[:] = ord(",")
+    seps[:, -1] = ord("\n")
     for o in range(0, n_outer, per):
         for i in range(0, n_inner, step):
-            _write_chunk(fh, block[o : o + per, i : i + step])
+            _write_chunk(fh, block[o : o + per, i : i + step], buf)
 
 
 def write_csv_atomic(path, header, rows):

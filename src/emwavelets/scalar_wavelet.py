@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OnBranchCircleError, _refuse
-from .geometry import BranchCut, SourceConfig, complex_distance, complex_distance_principal, cut_sign
+from .geometry import BranchCut, SourceConfig, _cut_sign, complex_distance, complex_distance_principal
 from .signals import DrivingSignal, _pair, eval_derivs
 
 __all__ = ["ScalarWavelet", "psi", "psi_sigma_derivs", "interior_psi"]
@@ -40,8 +40,9 @@ class ScalarWavelet:
 
 def _branch_sigma(w: ScalarWavelet, r, tol_cut: float | None = None):
     """(cut sign, branch sigma) at r; refuses points on the cut or the branch circle."""
-    sigma0, _, _ = complex_distance_principal(r, w.cfg)
-    s = cut_sign(w.cut, r, w.cfg, tol_cut=tol_cut)
+    r = np.asarray(r, dtype=float)
+    sigma0, p, q = complex_distance_principal(r, w.cfg)
+    s = _cut_sign(w.cut, r, p, q, w.cfg, tol_cut)
     sigma = s * sigma0
     near = np.abs(sigma) < SIGMA_GUARD * w.cfg.a_mag
     _refuse(OnBranchCircleError, "sigma too close to zero (branch circle)", near, r)

@@ -3,6 +3,15 @@ import pytest
 
 from emwavelets import SourceConfig
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # the same examples on every run: no random seed, no replay of a local example database
+    settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+    settings.load_profile("reproducible")
+
 
 @pytest.fixture
 def cfg():

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 import emwavelets
+from emwavelets import em_fields, geometry, scalar_wavelet
 from emwavelets import (
     CauchySignal, CustomCut, SourceConfig, complex_distance_principal, cut_sign, field, psi,
 )
 from emwavelets.errors import ConfigError, OnCutError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
-from emwavelets.harness import fd
+from emwavelets.harness import _format, fd
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
 from emwavelets.harness.datasets import CHUNK, write_csv, write_csv_atomic, write_json_sidecar
@@ -239,6 +240,21 @@ class TestFieldRows:
         assert np.array_equal(field_rows(rc, threads=2), rows)
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_principal_sigma_once_per_point(self, quantity, monkeypatch):
+        # the cut sign reuses the sweep's p and q, and no cut of a config reads the azimuth
+        points, azimuths = [], []
+        principal, azimuth = geometry.complex_distance_principal, geometry._azimuth
+        monkeypatch.setattr(geometry, "_azimuth", lambda r, cfg: azimuths.append(r) or azimuth(r, cfg))
+        for mod in (geometry, scalar_wavelet, em_fields):
+            monkeypatch.setattr(
+                mod, "complex_distance_principal",
+                lambda r, cfg: points.append(np.size(r) // 3) or principal(r, cfg),
+            )
+        field_rows(upper_spheroid_config(quantity, self.GRID))
+        assert sum(points) == 7 * 10
+        assert azimuths == []
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_configured_tol_cut_governs(self, quantity):
         # 5e-10 above the apron of the upper spheroid
         grid = {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", 5e-10), ("t", 1.0))}
@@ -437,6 +453,76 @@ class TestCsvParity:
         assert cli.main(["sample-sources", "--config", config_file, "--out", str(out)]) == 0
         rows, _ = source_sweep_rows(load_config(config_file))
         assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, rows)
+
+
+def format17_text(values):
+    """The text format17 gives each value, its rows without their NULs."""
+    rows = _format.format17(np.asarray(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+def percent_text(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def exact_ties():
+    """m 2^-n whose exact decimal has 18 significant digits, the last a 5: 17-digit ties."""
+    ties = []
+    for n in range(1, 60):
+        lo, hi = -(-10**17 // 5**n), min((10**18 - 1) // 5**n, 2**53 - 1)
+        for m in (lo, (lo + hi) // 2, hi):
+            m -= 1 - m % 2  # odd, so m 5^n ends in 5
+            if m >= lo and len(str(m * 5**n)) == 18:
+                ties.append(m * 2.0**-n)
+    return ties
+
+
+def near_ties():
+    """n 2^s with y = n 2^s / 10^K at 2^(K-1) from a half: doubles next to 17-digit ties."""
+    out = []
+    for K in range(12, 41):
+        s = int((K + 16.5) * np.log2(10)) - 52
+        for t in (10**K // 2 - 2 ** (K - 1), 10**K // 2 + 2 ** (K - 1)):
+            n = (t >> K) * pow(2 ** (s - K), -1, 5**K) % 5**K  # n 2^s = t mod 10^K
+            n += max(0, -(-(2**52 - n) // 5**K)) * 5**K
+            if n < 2**53 and len(str(n << s)) == K + 17:
+                out.append(float(n << s))
+    return out
+
+
+class TestFormat17:
+    def test_edge_values(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        ties = exact_ties() + near_ties()
+        assert len(ties) > 60
+        nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+        edges = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            ties,
+            np.nextafter([1e-4, 1e16, 1e17], 0.0),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            nan_bits.view(np.float64),
+        ])
+        values = np.concatenate([edges, -edges])
+        assert format17_text(values) == percent_text(values)
+
+    def test_fast_path_formats_every_finite_normal_value(self, monkeypatch):
+        # the per-value fallback runs for NaN, infinities and out-of-range magnitudes only
+        seen = []
+
+        def counted(v):
+            seen.append(v)
+            return "%.17g" % v
+
+        monkeypatch.setattr(_format, "_fallback", counted)
+        block = sweep_like_block(np.random.default_rng(3), 40, 13)
+        header = TestCsvParity.HEADER
+        assert written_csv(header, block) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
+        flat = block.ravel()
+        special = ~((flat == 0.0) | ((np.abs(flat) >= 1e-280) & (np.abs(flat) <= 1e280)))
+        bits = lambda values: set(np.asarray(values, dtype=np.float64).view(np.int64).tolist())
+        assert seen and bits(seen) == bits(flat[special])
+        assert bits(seen).isdisjoint(bits(flat[~special]))
 
 
 class TestSpectralOracles:

@@ -35,7 +35,7 @@ def drive_and_taus(draw):
     return sig, np.array(re) + 1j * sig.dt * np.array(im) * np.array(side)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(drive_and_taus())
 def test_eval_derivs_is_the_trapezoid_rule(case):
     sig, tau = case
