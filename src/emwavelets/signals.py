@@ -88,11 +88,13 @@ class SampledSignal(DrivingSignal):
     Valid for |Im tau| >= 4*dt (the kernel smooths at that scale, finer
     offsets are under-resolved) unless Re tau falls outside the grid.
 
-    Cost and memory: N arguments against M samples take one complex
+    Cost and memory: N arguments against M samples, of which D are
+    distinct, take one sort of the N arguments, then one complex
     reciprocal and, per derivative order, one complex product and one
-    matrix-vector product over the N x M kernel, which is built in row
+    matrix-vector product over the D x M kernel, which is built in row
     chunks of at most KERNEL_CHUNK entries; so memory stays bounded
-    whatever N and M are (see eval_derivs).
+    whatever N and M are (see eval_derivs).  A surface sweep repeats each
+    tau -+ sigma along its ring, so D there is twice the ring count.
     """
 
     t: np.ndarray
@@ -139,17 +141,20 @@ class SampledSignal(DrivingSignal):
         return self._derivs(tau, order)[order]
 
     def _derivs(self, tau, kmax: int):
-        """[g, g', ..., g^(kmax)] at tau in one pass over row chunks of tau.
+        """[g, g', ..., g^(kmax)] at tau in one pass over row chunks of the distinct tau.
 
-        Per chunk, R = 1/(tau - t) is built once, R^(k+1) by repeated
-        multiplication, and each power is contracted with the weights;
-        g^(k) = (-1)^k k!/(2*pi*i) * R^(k+1) @ weights.
+        Repeated arguments (the tau -+ sigma of every point of a surface
+        ring) share one kernel row: the values are deduplicated by bit
+        pattern, so -0.0 and +0.0 stay distinct.  Per chunk, R = 1/(tau - t)
+        is built once, R^(k+1) by repeated multiplication, and each power is
+        contracted with the weights; g^(k) = (-1)^k k!/(2*pi*i) * R^(k+1) @ weights.
         """
         tau = np.asarray(tau, dtype=complex)
         low = np.abs(tau.imag) < 4.0 * self.dt
         if np.any(low & (tau.real >= self.t[0]) & (tau.real <= self.t[-1])):
             raise ValueError("|Im tau| below 4*dt: the sample grid cannot resolve the kernel")
-        flat = tau.reshape(-1)
+        keys, inverse = np.unique(tau.reshape(-1).view("V16"), return_inverse=True)
+        flat = keys.view(complex)
         out = np.empty((kmax + 1, flat.size), dtype=complex)
         rows = max(1, KERNEL_CHUNK // self.t.size)
         # two kernel blocks, R and its running power, allocated once for all chunks
@@ -163,9 +168,10 @@ class SampledSignal(DrivingSignal):
             for k in range(kmax + 1):
                 if k:
                     P = np.multiply(P, R, out=P_buf[:chunk.size])
-                out[k, i:i + rows] = P @ self.weights
+                # one dot product per row: a row's bits never depend on the other rows
+                out[k, i:i + rows] = np.vecdot(self.weights, P)
         return [
-            ((-1) ** k * math.factorial(k) / (2j * np.pi)) * out[k].reshape(tau.shape)
+            (((-1) ** k * math.factorial(k) / (2j * np.pi)) * out[k])[inverse].reshape(tau.shape)
             for k in range(kmax + 1)
         ]
 
@@ -189,9 +195,10 @@ class SignalSum(DrivingSignal):
 def eval_derivs(sig, tau, kmax: int):
     """[g, g', ..., g^(kmax)] of the drive sig at tau: the one derivative entry point.
 
-    A sampled drive computes every order from one chunked kernel; any other
-    drive, including one that only provides eval(tau, order), is evaluated
-    order by order.
+    A sampled drive computes every order from one chunked kernel, built once
+    per distinct tau, so its cost scales with the distinct arguments, not
+    with the entries of tau; any other drive, including one that only
+    provides eval(tau, order), is evaluated order by order.
     """
     if isinstance(sig, SampledSignal):
         return sig._derivs(tau, kmax)

@@ -32,8 +32,8 @@ from .em_fields import _as_pol, _assemble, _field_core
 from .geometry import (
     SourceConfig,
     _cylindrical_basis,
+    _frame,
     complex_distance_principal,
-    frame,
     spheroid_point,
 )
 from .scalar_wavelet import ScalarWavelet
@@ -155,8 +155,17 @@ def impulse_tilde_lmn(sigma, tau) -> TildeTriplet:
 
 
 def _surface_geometry(q, phi, alpha, cfg):
+    """Point and frame of the spheroid p = alpha at (q, phi), from the surface coordinates.
+
+    sigma = alpha - i*q is exact for the requested (q, phi) and bitwise equal
+    along each ring, so a drive evaluated at tau -+ sigma repeats its
+    arguments there; alpha is a scalar or broadcasts with q and phi.
+    """
+    if np.any(np.asarray(alpha) < 0.0):
+        raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
     pos = spheroid_point(alpha, q, phi, cfg)
-    return pos, frame(pos, cfg)
+    p, q = (np.broadcast_to(np.asarray(x, dtype=float), pos.shape[:-1]) for x in (alpha, q))
+    return pos, _frame(pos, p - 1j * q, p, q, cfg)
 
 
 def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
@@ -170,7 +179,9 @@ def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: flo
                q_min: float | None = None):
     """Jump dF = mu*F(sigma) - nu*F(-sigma) across the spheroid p = alpha.
 
-    sigma is the disk-reference branch, continuous across the spheroid.
+    sigma is the disk-reference branch, continuous across the spheroid; it is
+    taken from the surface coordinates as alpha - i*q, not recomputed from
+    the Cartesian point, so it is exact and constant along each ring.
     Defaults mu = nu = 1 give the branch-cut combination.
     """
     pol = _as_pol(pol)
@@ -215,8 +226,8 @@ def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
     q = np.asarray(q, dtype=float)
     phi = np.asarray(phi, dtype=float)
     a = cfg.a_mag
-    pos = spheroid_point(alpha, q, phi, cfg)
-    sigma = alpha - 1j * q
+    pos, fr = _surface_geometry(q, phi, alpha, cfg)
+    sigma = fr.sigma
     rho = np.sqrt(np.maximum(a**2 - q**2, 0.0))
     e_rho, e_phi = _cylindrical_basis(phi, cfg)
     p_rho = np.sum(e_rho * pol, axis=-1)

@@ -653,6 +653,9 @@ class TestValidationSuites:
         [(suite_appendix_identities, 100), (suite_sigma_algebra, 64), (suite_spectra, 16)],
     )
     def test_million_point_suites_bounded_memory(self, suite, limit_mb):
+        # the spectral oracles import SciPy lazily; trace the suite, not that import
+        importlib.import_module("scipy.integrate")
+        importlib.import_module("scipy.special")
         tracemalloc.start()
         try:
             res = suite(default_config(), np.random.default_rng(0))

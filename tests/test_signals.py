@@ -167,6 +167,38 @@ class TestEvalDerivs:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_repeated_arguments_take_the_bits_of_their_value(self, sig, rng):
+        # a ring repeats each tau -+ sigma; a +-0.0 imaginary pair beyond the grid is among the values
+        values = rng.uniform(-3, 3, 30) - 1j * rng.uniform(0.4, 2.5, 30)
+        values = np.append(values, [complex(40.0, 0.0), complex(40.0, -0.0)])
+        idx = rng.integers(0, values.size, (25, 40))
+        tau = values[idx]
+        derivs = eval_derivs(sig, tau, 2)
+        for i, v in enumerate(values):
+            alone = eval_derivs(sig, np.array([v]), 2)
+            for got, ref in zip(derivs, alone):
+                assert got.shape == tau.shape
+                assert (got[idx == i].view(np.int64).reshape(-1, 2) == ref.view(np.int64)).all()
+
+    def test_kernel_built_once_per_distinct_value(self):
+        # 4000 entries, two values: a kernel per entry would trace two 262 x 2001 blocks (16 MB)
+        t = np.linspace(-20.0, 20.0, 2001)
+        sig = SampledSignal(t=t, g0=-t * np.exp(-(t**2) / 2))
+        tau = np.resize(np.array([0.3 - 1.0j, -0.7 - 1.2j]), (40, 100))
+        tracemalloc.start()
+        try:
+            sig._derivs(tau, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_refusal_sees_repeated_offenders(self, sig):
+        # dt = 0.075: Im tau = -0.1 is under-resolved, and it only ever appears repeated
+        tau = np.array([[0.5 - 1.0j, 0.2 - 0.1j], [0.2 - 0.1j, 0.5 - 1.0j]])
+        with pytest.raises(ValueError, match="4\\*dt"):
+            eval_derivs(sig, tau, 2)
+
     @pytest.mark.parametrize(
         "sig",
         [CauchySignal(3), SignalSum(terms=((2.0, CauchySignal(1)), (-1j, CauchySignal(4))))],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,11 @@ from emwavelets import (
     surface_sources_exact,
     tilde_lmn,
 )
-from emwavelets.em_fields import _field_core, lmn
+from emwavelets.em_fields import _assemble, _field_core, lmn
 from emwavelets.geometry import frame, spheroid_point
 from emwavelets.harness.fd import bandpass_via_impulse
+from emwavelets.signals import DrivingSignal, SampledSignal
+from emwavelets.surface_sources import _surface_geometry
 
 POL_X = np.array([1.0, 0.0, 0.0], dtype=complex)
 TWO_PI = 2 * np.pi
@@ -36,6 +40,24 @@ TWO_PI = 2 * np.pi
 @pytest.fixture
 def wavelet(cfg):
     return ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))
+
+
+class DenseSampled(DrivingSignal):
+    """A sampled drive's trapezoid sum, evaluated entry by entry over a dense kernel."""
+
+    def __init__(self, sig):
+        self.sig = sig
+
+    def eval(self, tau, order=0):
+        kern = 1.0 / (np.asarray(tau, dtype=complex)[..., None] - self.sig.t) ** (order + 1)
+        coef = (-1) ** order * math.factorial(order) / (2j * np.pi)
+        return coef * np.sum(kern * self.sig.weights, axis=-1)
+
+
+def bits(x):
+    """The (real, imaginary) bit patterns of a complex array, along a trailing axis."""
+    x = np.asarray(x, dtype=complex)
+    return x.view(np.int64).reshape(x.shape + (2,))
 
 
 def random_sigma_tau(rng, n, lightcone_frac=0.2):
@@ -120,6 +142,58 @@ class TestFieldJump:
     def test_near_rim_refused(self, wavelet):
         with pytest.raises(NearRimError):
             field_jump(wavelet, POL_X, 0.01, 0.0, 0.05, 1.5)
+
+
+class TestSurfaceFrame:
+    @pytest.mark.parametrize("per_ring_alpha", [False, True], ids=["scalar", "array"])
+    def test_sigma_is_alpha_minus_iq_along_each_ring(self, cfg, per_ring_alpha):
+        qs = np.linspace(-0.95, 0.95, 9)
+        Q, P = np.meshgrid(qs, np.linspace(0.0, TWO_PI, 7, endpoint=False), indexing="ij")
+        alpha = np.linspace(0.03, 0.07, 9)[:, None] if per_ring_alpha else 0.05
+        _, fr = _surface_geometry(Q, P, alpha, cfg)
+        assert fr.sigma.shape == Q.shape
+        assert (bits(fr.sigma) == bits(alpha - 1j * Q)).all()
+        assert (bits(fr.sigma) == bits(fr.sigma)[:, :1]).all()
+
+    def test_negative_alpha_refused(self, wavelet):
+        with pytest.raises(ValueError, match="non-negative"):
+            surface_sources_exact(wavelet, POL_X, 0.5, 0.0, -0.05, 1.4)
+
+    @pytest.mark.parametrize("a_vec", [(0.0, 0.0, 1.0), (0.4, -0.65, 1.05)], ids=["axis-z", "oblique"])
+    def test_frame_matches_cartesian_frame(self, a_vec, rng):
+        cfg = SourceConfig(a=np.array(a_vec), b=2.0)
+        a = cfg.a_mag
+        # both hemispheres, the rim band |q| < 0.1a included
+        mags = np.concatenate([rng.uniform(0.02, 0.1, 40), rng.uniform(0.1, 0.98, 40)]) * a
+        qs = mags * rng.choice([-1.0, 1.0], mags.size)
+        phis = rng.uniform(0, TWO_PI, mags.size)
+        alpha = 0.05 * a
+        pos, fr = _surface_geometry(qs, phis, alpha, cfg)
+        ref = frame(spheroid_point(alpha, qs, phis, cfg), cfg)
+        assert np.array_equal(pos, spheroid_point(alpha, qs, phis, cfg))
+        assert (np.abs(fr.sigma - ref.sigma) / np.abs(ref.sigma)).max() <= 1e-12
+        for got, want in ((fr.u, ref.u), (fr.e_p, ref.e_p)):
+            dev = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+            assert dev.max() <= 1e-12
+
+    def test_sampled_sources_match_per_point_reference(self, cfg):
+        # the Cartesian frame and a kernel row per entry: no shared sigma, no deduplication
+        t = np.linspace(-20.0, 20.0, 801)
+        sig = SampledSignal(t=t, g0=-t * np.exp(-(t**2) / 2))
+        w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=sig)
+        Q, P = np.meshgrid(np.linspace(-0.98, 0.98, 12), np.linspace(0.0, TWO_PI, 8, endpoint=False),
+                           indexing="ij")
+        qs, phis, alpha, t_obs = Q.ravel(), P.ravel(), 0.04, 1.2
+        s = surface_sources_exact(w, POL_X, qs, phis, alpha, t_obs, q_min=0.0)
+        pos = spheroid_point(alpha, qs, phis, cfg)
+        fr = frame(pos, cfg)
+        dF = _assemble(*tilde_lmn(DenseSampled(sig), fr.sigma, w.tau(t_obs)), fr.u, POL_X)
+        j0 = np.sum(fr.e_p * dF, axis=-1)
+        j = -1j * np.cross(fr.e_p, dF)
+        got = np.column_stack([s.j0, s.j])
+        want = np.column_stack([j0, j])
+        dev = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert dev.max() <= 1e-12
 
 
 class TestExactSources:
