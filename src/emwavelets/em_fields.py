@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OnBranchCircleError, OnCutError
-from .geometry import SourceConfig, _cut_sign, _frame, complex_distance_principal, frame
+from .geometry import SourceConfig, _cross, _cut_sign, _dot, _frame, _sum3, complex_distance_principal, frame
 from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
 from .signals import CauchySignal, eval_derivs
 
@@ -132,8 +132,8 @@ def _assemble(L, M, N, u, pol):
     The field for the L/M/N coefficients, its jump across a surface for
     the tilde coefficients.
     """
-    lam = np.sum(u * pol, axis=-1)
-    ucp = np.cross(u, np.broadcast_to(pol, u.shape))
+    lam = _dot(u, pol)
+    ucp = _cross(u, pol)
     return L[..., None] * lam[..., None] * u - M[..., None] * pol - 1j * N[..., None] * ucp
 
 
@@ -178,8 +178,8 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     psi_dot = g1 / sigma
     psi_prime = -g1 / sigma - g / sigma**2
     grad_psi = psi_prime[..., None] * u
-    A0 = -np.real(np.sum(grad_psi * pol, axis=-1))
-    A = np.real(psi_dot[..., None] * pol) + np.imag(np.cross(grad_psi, np.broadcast_to(pol, grad_psi.shape)))
+    A0 = -np.real(_dot(grad_psi, pol))
+    A = np.real(psi_dot[..., None] * pol) + np.imag(_cross(grad_psi, pol))
     return A0, A
 
 
@@ -227,8 +227,8 @@ def far_field(w: ScalarWavelet, pol, r, t):
     e_r = r / rmag[..., None]
     sigma, _, _ = complex_distance_principal(r, w.cfg)
     g2 = w.sig.eval(w.tau(t) - sigma, 2)
-    perp = pol - np.sum(e_r * pol, axis=-1)[..., None] * e_r
-    return -(g2 / rmag)[..., None] * (perp + 1j * np.cross(e_r, perp))
+    perp = pol - _dot(e_r, pol)[..., None] * e_r
+    return -(g2 / rmag)[..., None] * (perp + 1j * _cross(e_r, perp))
 
 
 def far_point_series(w: ScalarWavelet, pol, r):
@@ -244,8 +244,8 @@ def far_point_series(w: ScalarWavelet, pol, r):
     pol = _as_pol(pol)
     r = np.asarray(r, dtype=float)
     _, sigma, u = _branch_data(w, r)
-    lam = np.sum(u * pol, axis=-1)
-    ucp = np.cross(u, np.broadcast_to(pol, u.shape))
+    lam = _dot(u, pol)
+    ucp = _cross(u, pol)
     lu = lam[..., None] * u
     V = [
         (3.0 * lu - pol) / sigma[..., None] ** 3,
@@ -262,7 +262,7 @@ def helicity_residual(w: ScalarWavelet, pol, r, t):
     r = np.asarray(r, dtype=float)
     e_r = r / np.linalg.norm(r, axis=-1)[..., None]
     F = field(w, pol, r, t).F
-    num = np.linalg.norm(1j * np.cross(e_r, F) - F, axis=-1)
+    num = np.linalg.norm(1j * _cross(e_r, F) - F, axis=-1)
     den = np.linalg.norm(F, axis=-1)
     return num / den
 
@@ -276,8 +276,8 @@ def poynting_energy_far(F, e_r):
     """
     F = np.asarray(F, dtype=complex)
     e_r = np.asarray(e_r, dtype=float)
-    E = 0.5 * np.sum(np.abs(F) ** 2, axis=-1)
+    E = 0.5 * _sum3(np.abs(F) ** 2)
     S = E[..., None] * e_r
-    S_exact = np.real(np.cross(np.conj(F), F) / 2j)
+    S_exact = np.real(_cross(np.conj(F), F) / 2j)
     mismatch = np.linalg.norm(S_exact - S, axis=-1) / np.where(E == 0.0, 1.0, E)
     return S, E, mismatch

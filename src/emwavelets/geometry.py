@@ -50,12 +50,49 @@ __all__ = [
 _AXIS_TOL = 0.9
 
 
+def _sum3(w):
+    """Sum over a length-3 last axis, from the components.
+
+    Bitwise equal to np.sum(w, axis=-1), which adds a length-3 axis in order
+    starting from +0.0, in any memory layout.  (w0 + w1) + w2 differs from
+    that only for a row of three -0.0, which np.sum gives as +0.0; the final
+    += 0.0 turns -0.0 into +0.0 and leaves every other value alone.  The sign
+    of a zero matters: the sign of sigma^2's imaginary zero picks the branch
+    of np.sqrt.
+    """
+    out = w[..., 0] + w[..., 1]
+    out += w[..., 2]
+    out += 0.0
+    return out
+
+
 def _dot(u, v):
-    return np.sum(u * v, axis=-1)
+    """u . v over the last axis, from the components.
+
+    Bitwise equal to np.sum(u * v, axis=-1): the products are summed in order
+    starting from +0.0, which is what _sum3's final += 0.0 is for.
+    """
+    return _sum3(u * v)
 
 
 def _norm(v):
-    return np.sqrt(np.sum(np.real(v) ** 2 + np.imag(v) ** 2, axis=-1))
+    """|v| over the last axis for real or complex v."""
+    return np.sqrt(_sum3(np.real(v) ** 2 + np.imag(v) ** 2))
+
+
+def _cross(u, v):
+    """u x v over the last axis, from the components; broadcasts u against v.
+
+    The same products and differences as np.cross, so bitwise equal to it
+    for real and complex inputs, without its axis moves or a broadcast copy.
+    """
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
+    np.subtract(u1 * v2, u2 * v1, out=out[..., 0])
+    np.subtract(u2 * v0, u0 * v2, out=out[..., 1])
+    np.subtract(u0 * v1, u1 * v0, out=out[..., 2])
+    return out
 
 
 def _axial(r, cfg):
@@ -151,7 +188,7 @@ def complex_distance_principal(r, cfg: SourceConfig):
     # Exactly-real negative sigma^2 (a.r == 0 inside the circle): take the
     # a.r -> 0+ face so that sigma = -i*sqrt(a^2 - rho^2).
     on_disk = (sigma2.imag == 0.0) & (sigma2.real < 0.0)
-    if np.any(on_disk):
+    if on_disk.any():
         fixed = -1j * np.sqrt(np.where(on_disk, -np.real(sigma2), 0.0))
         sigma = np.where(on_disk, fixed, sigma)
     return sigma, np.real(sigma), -np.imag(sigma)

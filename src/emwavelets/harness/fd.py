@@ -15,7 +15,7 @@ import numpy as np
 
 from ..em_fields import _as_pol, four_potential
 from ..errors import TooCloseToCutError
-from ..geometry import SourceConfig, spheroid_point
+from ..geometry import SourceConfig, _cross, spheroid_point
 from ..scalar_wavelet import ScalarWavelet, interior_psi, psi
 from ..signals import CauchySignal
 from ..surface_sources import SurfaceSourceSample, surface_sources_exact
@@ -172,7 +172,7 @@ def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):
     hess_pol = hessian_apply(f, r, t, h, pol)
     lap = laplacian(f, r, t, h, order=2)
     dgrad_dt = time_derivative(lambda rr, tt: grad(f, rr, tt, h, order=2), r, t, h, order=2)
-    curl_z_dot = np.cross(dgrad_dt, np.broadcast_to(pol, dgrad_dt.shape))
+    curl_z_dot = _cross(dgrad_dt, pol)
     return hess_pol - lap[..., None] * pol + 1j * curl_z_dot
 
 

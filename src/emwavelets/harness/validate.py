@@ -24,7 +24,10 @@ from ..geometry import (
     SourceConfig,
     UpperSpheroid,
     _cylindrical_basis,
+    _dot,
+    _frame,
     _spheroid_rho,
+    _sum3,
     complex_distance,
     complex_distance_principal,
     continued_sign,
@@ -121,14 +124,14 @@ def suite_appendix_identities(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_
     a = cfg.a_mag
     worst, kept = 0.0, 0
     for pts in _uniform_batches(rng, n_points, 3 * a):
-        _, p, q = complex_distance_principal(pts, cfg)
+        sigma, p, q = complex_distance_principal(pts, cfg)
         keep = p**2 + q**2 > (1e-3 * a) ** 2
-        fr = frame(pts[keep], cfg)
-        uu = np.abs(np.sum(fr.u * fr.u, axis=-1) - 1.0)
-        gp2 = np.sum(fr.grad_p**2, axis=-1)
-        gq2 = np.sum(fr.grad_q**2, axis=-1)
+        fr = _frame(pts[keep], sigma[keep], p[keep], q[keep], cfg)
+        uu = np.abs(_dot(fr.u, fr.u) - 1.0)
+        gp2 = _dot(fr.grad_p, fr.grad_p)
+        gq2 = _dot(fr.grad_q, fr.grad_q)
         e1 = np.abs(gp2 - gq2 - 1.0)
-        e2 = np.abs(np.sum(fr.grad_p * fr.grad_q, axis=-1))
+        e2 = np.abs(_dot(fr.grad_p, fr.grad_q))
         pq2 = fr.p**2 + fr.q**2
         e3 = np.abs(gp2 - (fr.p**2 + a**2) / pq2)
         e4 = np.abs(gq2 - (a**2 - fr.q**2) / pq2)
@@ -178,7 +181,7 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000, n
     worst = 0.0
     for pts in _uniform_batches(rng, n_points, 3 * a):
         sigma, _, _ = complex_distance_principal(pts, cfg)
-        target = np.sum(pts * pts, axis=-1) - a**2 - 2j * np.sum(pts * cfg.a, axis=-1)
+        target = _dot(pts, pts) - a**2 - 2j * _dot(pts, cfg.a)
         rel = np.abs(sigma**2 - target) / np.maximum(np.abs(target), 1e-30)
         worst = max(worst, float(rel.max()))
     cuts = [
@@ -237,7 +240,7 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100, break_cu
             dtF = fd.time_derivative(F_of, pts, t, h)
             curlF = fd.curl(F_of, pts, t, h)
             res_div.append(float(np.sqrt(np.mean(np.abs(divF) ** 2))))
-            res_cc.append(float(np.sqrt(np.mean(np.sum(np.abs(dtF + 1j * curlF) ** 2, axis=-1)))))
+            res_cc.append(float(np.sqrt(np.mean(_sum3(np.abs(dtF + 1j * curlF) ** 2)))))
         slopes = (_slope(hs, res_wave), _slope(hs, res_div), _slope(hs, res_cc))
         worst_slope = min(worst_slope, *slopes)
         detail.append(f"n={n}: orders {slopes[0]:.2f}/{slopes[1]:.2f}/{slopes[2]:.2f}")
@@ -497,9 +500,9 @@ def _surface_divergence(w, pol, alpha, qs, phis, t, h):
         j = surface_sources_exact(w, pol, q, phi, alpha, t, q_min=0.0).j
         e_rho, e_phi = _cylindrical_basis(phi, cfg)
         if which == "phi":
-            return np.sum(j * e_phi, axis=-1)
+            return _dot(j, e_phi)
         tvec = drho_of(q)[..., None] * e_rho + (alpha / a) * cfg.a_hat
-        return np.sum(j * (tvec / np.linalg.norm(tvec, axis=-1)[..., None]), axis=-1)
+        return _dot(j, tvec / np.linalg.norm(tvec, axis=-1)[..., None])
 
     dj0_dt = (j0_of(qs, phis, t + h) - j0_of(qs, phis, t - h)) / (2 * h)
     term_q = (

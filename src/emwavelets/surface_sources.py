@@ -31,7 +31,9 @@ from .errors import (
 from .em_fields import _as_pol, _assemble, _field_core
 from .geometry import (
     SourceConfig,
+    _cross,
     _cylindrical_basis,
+    _dot,
     _frame,
     complex_distance_principal,
     spheroid_point,
@@ -172,7 +174,7 @@ def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
     """j0 = e_p . dF and j = -i e_p x dF: the sources that carry the jump dF."""
     return SurfaceSourceSample(position=pos, q=np.asarray(q, dtype=float),
                                phi=np.asarray(phi, dtype=float),
-                               j0=np.sum(e_p * dF, axis=-1), j=-1j * np.cross(e_p, dF))
+                               j0=_dot(e_p, dF), j=-1j * _cross(e_p, dF))
 
 
 def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: float = 1.0,
@@ -230,8 +232,8 @@ def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
     sigma = fr.sigma
     rho = np.sqrt(np.maximum(a**2 - q**2, 0.0))
     e_rho, e_phi = _cylindrical_basis(phi, cfg)
-    p_rho = np.sum(e_rho * pol, axis=-1)
-    p_phi = np.sum(e_phi * pol, axis=-1)
+    p_rho = _dot(e_rho, pol)
+    p_phi = _dot(e_phi, pol)
     tau = w.tau(t)
     Lt, Mt, Nt = tilde_lmn(w.sig, sigma, tau)
     denom = sigma * np.abs(sigma)

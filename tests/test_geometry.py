@@ -22,7 +22,14 @@ from emwavelets import (
     spheroid_point,
     to_oblate,
 )
-from emwavelets.geometry import _SCREEN_MARGIN, branch_circle_distance, continued_sign, on_reference_cut
+from emwavelets.geometry import (
+    _SCREEN_MARGIN,
+    ComplexDistanceSample,
+    _frame,
+    branch_circle_distance,
+    continued_sign,
+    on_reference_cut,
+)
 
 
 def meridian_distance(cut, cfg, rho, z, n=200_001, stride=100):
@@ -448,6 +455,24 @@ class TestFrame:
     def test_branch_circle_guard(self, cfg):
         with pytest.raises(OnBranchCircleError):
             frame(np.array([1.0, 0.0, 0.0]), cfg)
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (0.3, -0.5, 0.8)])
+    def test_frame_of_kept_points_from_the_principal_sigma(self, axis, rng):
+        """_frame on the masked (sigma, p, q) a caller already holds is frame on the masked points."""
+        cfg = SourceConfig(a=np.array(axis), b=3.0)
+        pts = rng.uniform(-3, 3, (4000, 3)) * cfg.a_mag
+        axis_aligned = np.count_nonzero(cfg.a) == 1
+        if axis_aligned:  # a.r == 0 inside the circle, where the on-disk branch applies
+            pts[:200] *= 0.2
+            pts[:200, np.flatnonzero(cfg.a)] = 0.0
+        sigma, p, q = complex_distance_principal(pts, cfg)
+        keep = (p**2 + q**2 > (1e-3 * cfg.a_mag) ** 2) & (rng.uniform(size=len(pts)) < 0.7)
+        assert not axis_aligned or (keep & (p == 0.0)).sum() > 100
+        got = _frame(pts[keep], sigma[keep], p[keep], q[keep], cfg)
+        want = frame(pts[keep], cfg)
+        for name in ComplexDistanceSample.__dataclass_fields__:
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 class TestSpheroidPoint:

@@ -265,6 +265,43 @@ class TestFieldRows:
             field_rows(upper_spheroid_config(quantity, grid))
 
 
+def _calls_in_scopes(tree):
+    """(qualified name of the enclosing def or class, call node) for every call in tree."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            out.append((scope, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def _slow_vector_product(call):
+    """True for np.cross(...) and for a sum over axis -1 of a product or power."""
+    f = call.func
+    if not isinstance(f, ast.Attribute):
+        return False
+    if f.attr == "cross" and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"):
+        return True
+    if f.attr != "sum":
+        return False
+    if isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"):
+        summand, axis = (call.args or [None])[0], call.args[1:2]
+    else:  # the method form (u * v).sum(axis=-1)
+        summand, axis = f.value, call.args[:1]
+    axis = axis + [k.value for k in call.keywords if k.arg == "axis"]
+    if not axis or ast.unparse(axis[0]) != "-1":
+        return False
+    return summand is not None and any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Pow)) for n in ast.walk(summand)
+    )
+
+
 class TestLayering:
     CORE = ("errors", "geometry", "signals", "scalar_wavelet", "em_fields", "surface_sources")
 
@@ -280,6 +317,23 @@ class TestLayering:
                 else:
                     continue
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
+
+    def test_three_vector_products_use_the_geometry_kernels(self):
+        # np.sum over a (..., 3) axis and np.cross are several times slower than the
+        # component kernels in geometry, which return the same bits
+        allowed = {("geometry.py", "SourceConfig.__post_init__")}  # the one-time transverse basis
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            for scope, node in _calls_in_scopes(ast.parse(path.read_text())):
+                if (rel, scope) not in allowed and _slow_vector_product(node):
+                    found.append(f"{rel}:{node.lineno} in {scope or '<module>'}: {ast.unparse(node)}")
+        assert not found, (
+            "use geometry._dot(u, v) for np.sum(u * v, axis=-1), geometry._sum3(w) for "
+            "np.sum(w, axis=-1) of a product or power, and geometry._cross(u, v) for "
+            "np.cross(u, v):\n" + "\n".join(found)
+        )
 
     def test_cli_import_loads_no_scipy(self):
         # the data commands start without SciPy; the oracles import it when they run
