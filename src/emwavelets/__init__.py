@@ -33,6 +33,7 @@ from .geometry import (
     SmoothSpheroid,
     SourceConfig,
     UpperSpheroid,
+    branch,
     complex_distance,
     complex_distance_principal,
     cut_sign,
@@ -57,7 +58,7 @@ from .signals import (
     spectral_profile,
     spectrum_cauchy,
 )
-from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_sigma_derivs
+from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_of_sigma, psi_sigma_derivs
 from .em_fields import (
     EMFieldSample,
     LMNTriplet,

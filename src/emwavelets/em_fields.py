@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OnBranchCircleError, OnCutError
-from .geometry import SourceConfig, _cross, _cut_sign, _dot, _frame, _sum3, complex_distance_principal, frame
-from .scalar_wavelet import SIGMA_GUARD, ScalarWavelet
+from .geometry import SourceConfig, _cross, _dot, _sum3, branch, complex_distance_principal, frame
+from .scalar_wavelet import ScalarWavelet
 from .signals import CauchySignal, eval_derivs
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "EMFieldSample",
     "LMNTriplet",
     "lmn",
+    "assemble",
     "field",
     "four_potential",
     "interior_field",
@@ -126,7 +127,7 @@ def lmn(sig, sigma, tau) -> LMNTriplet:
     return LMNTriplet(L, M, N)
 
 
-def _assemble(L, M, N, u, pol):
+def assemble(L, M, N, u, pol):
     """L*lam*u - M*pol - i*N*(u x pol), lam = u.pol.
 
     The field for the L/M/N coefficients, its jump across a surface for
@@ -137,30 +138,12 @@ def _assemble(L, M, N, u, pol):
     return L[..., None] * lam[..., None] * u - M[..., None] * pol - 1j * N[..., None] * ucp
 
 
-def _field_core(sig, sigma, u, pol, tau):
-    """F for a given branch (sigma, u); broadcasts the branch against tau."""
-    return _assemble(*lmn(sig, sigma, tau), u, pol)
-
-
-def _branch_data(w: ScalarWavelet, r, tol_cut: float | None = None):
-    """(cut sign, sigma, u) of the wavelet's branch at r.
-
-    Refuses points within tol_cut of the cut, then points on the branch
-    circle.
-    """
-    r = np.asarray(r, dtype=float)
-    sigma, p, q = complex_distance_principal(r, w.cfg)
-    s = _cut_sign(w.cut, r, p, q, w.cfg, tol_cut)
-    fr = _frame(r, sigma, p, q, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
-    return s, s * fr.sigma, np.asarray(s)[..., None] * fr.u
-
-
 def field(w: ScalarWavelet, pol, r, t) -> EMFieldSample:
     """Exact field of the wavelet's branch at (r, t)."""
     pol = _as_pol(pol)
     r = np.asarray(r, dtype=float)
-    _, sigma, u = _branch_data(w, r)
-    F = _field_core(w.sig, sigma, u, pol, w.tau(t))
+    b = branch(w.cut, r, w.cfg)
+    F = assemble(*lmn(w.sig, b.sigma, w.tau(t)), b.u, pol)
     return EMFieldSample(F=F, position=r, time=np.asarray(t, dtype=float))
 
 
@@ -171,13 +154,12 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     A = dZ_e/dt + curl Z_m, evaluated in closed form through the frame.
     """
     pol = _as_pol(pol)
-    r = np.asarray(r, dtype=float)
-    _, sigma, u = _branch_data(w, r)
+    b = branch(w.cut, r, w.cfg)
     tau = w.tau(t)
-    g, g1 = eval_derivs(w.sig, tau - sigma, 1)
-    psi_dot = g1 / sigma
-    psi_prime = -g1 / sigma - g / sigma**2
-    grad_psi = psi_prime[..., None] * u
+    g, g1 = eval_derivs(w.sig, tau - b.sigma, 1)
+    psi_dot = g1 / b.sigma
+    psi_prime = -g1 / b.sigma - g / b.sigma**2
+    grad_psi = psi_prime[..., None] * b.u
     A0 = -np.real(_dot(grad_psi, pol))
     A = np.real(psi_dot[..., None] * pol) + np.imag(_cross(grad_psi, pol))
     return A0, A
@@ -186,12 +168,9 @@ def four_potential(w: ScalarWavelet, pol, r, t):
 def interior_field(w: ScalarWavelet, pol, r, t):
     """Sourceless interior field F(sigma) + F(-sigma); even in sigma."""
     pol = _as_pol(pol)
-    r = np.asarray(r, dtype=float)
-    fr = frame(r, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
+    fr = frame(r, w.cfg)
     tau = w.tau(t)
-    return _field_core(w.sig, fr.sigma, fr.u, pol, tau) + _field_core(
-        w.sig, -fr.sigma, -fr.u, pol, tau
-    )
+    return assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) + assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
 
 
 def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, mu: float = 1.0, nu: float = 1.0):
@@ -206,16 +185,15 @@ def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, mu: float = 1.0, nu: 
     if abs(mu + nu - 2.0) > 1e-12:
         raise ValueError("need mu + nu = 2")
     pol = _as_pol(pol)
-    r = np.asarray(r, dtype=float)
-    fr = frame(r, w.cfg, guard=SIGMA_GUARD * w.cfg.a_mag)
+    fr = frame(r, w.cfg)
     if np.any(np.abs(fr.p - alpha) < 1e-9 * w.cfg.a_mag):
         raise OnCutError("point on the radiating spheroid p = alpha")
     tau = w.tau(t)
-    Fp = _field_core(w.sig, fr.sigma, fr.u, pol, tau)
+    Fp = assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol)
     inside = fr.p < alpha
     if not np.any(inside):
         return 2.0 * Fp
-    Fm = _field_core(w.sig, -fr.sigma, -fr.u, pol, tau)
+    Fm = assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
     return np.where(np.asarray(inside)[..., None], nu * (Fp + Fm), 2.0 * Fp)
 
 
@@ -242,8 +220,8 @@ def far_point_series(w: ScalarWavelet, pol, r):
     if not isinstance(w.sig, CauchySignal):
         raise TypeError("series decomposition applies to Cauchy-kernel drives")
     pol = _as_pol(pol)
-    r = np.asarray(r, dtype=float)
-    _, sigma, u = _branch_data(w, r)
+    b = branch(w.cut, r, w.cfg)
+    sigma, u = b.sigma, b.u
     lam = _dot(u, pol)
     ucp = _cross(u, pol)
     lu = lam[..., None] * u

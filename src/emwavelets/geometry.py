@@ -7,7 +7,8 @@ vanishes; level sets of q are the orthogonal hyperboloids.  sigma is
 double-valued on R^3 - C and a branch cut (a membrane spanning C) must be
 chosen to make it single-valued.  This module provides the principal
 branch (flat-disk cut, p >= 0), the standard cut families with their shared
-sign rule, the coordinate transforms, and the gradient/unit-vector frame.
+sign rule, the coordinate transforms, and branch: sigma on the branch a cut
+selects, with its gradient/unit-vector frame built when it is read.
 
 Conventions: vectors are ndarrays with shape (..., 3); scalar results
 broadcast over the leading axes.  On the disk itself the principal branch
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "complex_distance_principal",
     "complex_distance",
     "cut_sign",
+    "branch",
     "continued_sign",
     "to_oblate",
     "from_oblate",
@@ -163,16 +166,60 @@ class OblateCoords(NamedTuple):
 
 @dataclass(frozen=True)
 class ComplexDistanceSample:
-    """Principal-branch sigma with its gradient frame at a field point."""
+    """sigma = sign*(p - i q) at the points r, with its gradient frame built on read.
 
+    p and q are the principal coordinates.  sign is the cut sign for a
+    sample of branch, and None on the principal branch (frame).  The frame
+    is computed the first time it is read: grad p = (p r + q a)/(p^2+q^2),
+    grad q = (p a - q r)/(p^2+q^2), u = sign*(grad p - i grad q), and the
+    unit vectors e_p, e_q along increasing p and q (e_q = 0 on the symmetry
+    axis).  Construction refuses the points on the branch circle,
+    p^2 + q^2 <= (1e-8 |a|)^2.
+    """
+
+    r: np.ndarray = field(repr=False)
+    cfg: SourceConfig = field(repr=False)
     sigma: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    grad_p: np.ndarray
-    grad_q: np.ndarray
-    u: np.ndarray
-    e_p: np.ndarray
-    e_q: np.ndarray
+    sign: np.ndarray | None = None
+
+    def __post_init__(self):
+        near = self._pq2 <= (1e-8 * self.cfg.a_mag) ** 2
+        _refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", near, self.r)
+
+    @cached_property
+    def _pq2(self):
+        return self.p**2 + self.q**2
+
+    @cached_property
+    def _num(self):
+        p, q = self.p[..., None], self.q[..., None]
+        return p * self.r + q * self.cfg.a, p * self.cfg.a - q * self.r
+
+    @cached_property
+    def grad_p(self):
+        return self._num[0] / self._pq2[..., None]
+
+    @cached_property
+    def grad_q(self):
+        return self._num[1] / self._pq2[..., None]
+
+    @cached_property
+    def u(self):
+        u = self.grad_p - 1j * self.grad_q
+        # the sign goes last, as s*u: for an int s, s*u and -u differ in the sign of a zero
+        return u if self.sign is None else np.asarray(self.sign)[..., None] * u
+
+    @cached_property
+    def e_p(self):
+        return self._num[0] / (np.sqrt(self._pq2) * np.sqrt(self.p**2 + self.cfg.a_mag**2))[..., None]
+
+    @cached_property
+    def e_q(self):
+        nq = np.sqrt(self._pq2) * np.sqrt(np.maximum(self.cfg.a_mag**2 - self.q**2, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(nq[..., None] > 0.0, self._num[1] / np.where(nq == 0.0, 1.0, nq)[..., None], 0.0)
 
 
 def complex_distance_principal(r, cfg: SourceConfig):
@@ -491,8 +538,8 @@ class CustomCut(BranchCut):
 
     chi must be odd in q and 2*pi-periodic in phi (spot-checked at
     construction); the membrane is assumed to lie on the q >= 0 sheet
-    (chi >= 0 there).  The sign follows the shared closed-form rule;
-    continued_sign offers a path-continuation cross-check for any chi.
+    (chi >= 0 there).  The sign follows the shared closed-form rule, to
+    which continued_sign reduces for any chi odd in q: no independent check.
     """
 
     chi: Callable
@@ -582,33 +629,19 @@ def complex_distance(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None
     return _cut_sign(cut, r, p, q, cfg, tol_cut) * sigma0
 
 
-def frame(r, cfg: SourceConfig, guard: float | None = None) -> ComplexDistanceSample:
-    """Principal sigma together with grad p, grad q, u and the unit vectors.
+def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -> ComplexDistanceSample:
+    """sigma on the branch that cut selects at r, from one principal sigma per point.
 
-    grad p = (p r + q a)/(p^2+q^2), grad q = (p a - q r)/(p^2+q^2),
-    u = grad p - i grad q, e_p and e_q the unit vectors along increasing
-    p and q.  On the symmetry axis grad q vanishes and e_q is returned as
-    the zero vector.
+    Refuses points within tol_cut of the cut (cut_sign), then points on the
+    branch circle.
     """
     r = np.asarray(r, dtype=float)
-    return _frame(r, *complex_distance_principal(r, cfg), cfg, guard)
+    sigma0, p, q = complex_distance_principal(r, cfg)
+    s = _cut_sign(cut, r, p, q, cfg, tol_cut)
+    return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)
 
 
-def _frame(r, sigma, p, q, cfg, guard=None):
-    """frame(r, cfg, guard) from the principal sigma, p and q at r, which the caller holds."""
-    if guard is None:
-        guard = 1e-8 * cfg.a_mag
-    pq2 = p**2 + q**2
-    _refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", pq2 <= guard**2, r)
-    a = cfg.a
-    a_mag = cfg.a_mag
-    num_p = p[..., None] * r + q[..., None] * a
-    num_q = p[..., None] * a - q[..., None] * r
-    grad_p = num_p / pq2[..., None]
-    grad_q = num_q / pq2[..., None]
-    u = grad_p - 1j * grad_q
-    e_p = num_p / (np.sqrt(pq2) * np.sqrt(p**2 + a_mag**2))[..., None]
-    nq = np.sqrt(pq2) * np.sqrt(np.maximum(a_mag**2 - q**2, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e_q = np.where(nq[..., None] > 0.0, num_q / np.where(nq == 0.0, 1.0, nq)[..., None], 0.0)
-    return ComplexDistanceSample(sigma=sigma, p=p, q=q, grad_p=grad_p, grad_q=grad_q, u=u, e_p=e_p, e_q=e_q)
+def frame(r, cfg: SourceConfig) -> ComplexDistanceSample:
+    """The principal branch at r, with its frame built on read; refuses the branch circle."""
+    r = np.asarray(r, dtype=float)
+    return ComplexDistanceSample(r, cfg, *complex_distance_principal(r, cfg))

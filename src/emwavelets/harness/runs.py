@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..em_fields import _branch_data, _field_core, helicity_residual
-from ..scalar_wavelet import _branch_sigma, _psi_of
+from ..em_fields import assemble, helicity_residual, lmn
+from ..geometry import branch
+from ..scalar_wavelet import psi_of_sigma
 from ..signals import CauchySignal, SampledSignal, diffraction_angle, spectral_profile
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
@@ -39,10 +40,10 @@ def field_rows(rc: RunConfig, threads: int = 1):
     """Field sweep as a (points, times, columns) block.
 
     Points run row-major over (x, y, z); reshape(-1, columns) gives the
-    records in output order, time fastest.  Each chunk's branch (cut sign,
-    sigma, u) is resolved once, refusing points within the configured
-    tol_cut of the cut, and every time slice is evaluated in one broadcast
-    call of the closed forms psi() and field() use.
+    records in output order, time fastest.  Each chunk's branch is resolved
+    once (geometry.branch), refusing points within the configured tol_cut of
+    the cut, and every time slice is evaluated in one broadcast call of the
+    closed forms psi() and field() use.
     """
     w = rc.wavelet()
     pol = rc.polarization()
@@ -51,18 +52,17 @@ def field_rows(rc: RunConfig, threads: int = 1):
     tol_cut = rc.tol_cut * w.cfg.a_mag
 
     def eval_chunk(chunk):
+        b = branch(w.cut, chunk, w.cfg, tol_cut)
         if rc.quantity == "psi":
-            sgn, sigma = _branch_sigma(w, chunk, tol_cut)
-            values = _psi_of(w.sig, sigma[:, None], tau)[..., None]
+            values = psi_of_sigma(w.sig, b.sigma[:, None], tau)[..., None]
         else:
-            sgn, sigma, u = _branch_data(w, chunk, tol_cut)
-            values = _field_core(w.sig, sigma[:, None], u[:, None, :], pol, tau)
+            values = assemble(*lmn(w.sig, b.sigma[:, None], tau), b.u[:, None, :], pol)
         rows = np.empty(values.shape[:2] + (7 + 2 * values.shape[2],))  # (m, T, k)
         rows[..., 0:3] = chunk[:, None, :]
         rows[..., 3] = ts
-        rows[..., 4] = sigma.real[:, None]
-        rows[..., 5] = sigma.imag[:, None]
-        rows[..., 6] = sgn[:, None]
+        rows[..., 4] = b.sigma.real[:, None]
+        rows[..., 5] = b.sigma.imag[:, None]
+        rows[..., 6] = b.sign[:, None]
         rows[..., 7::2] = values.real
         rows[..., 8::2] = values.imag
         return rows

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..em_fields import field, helicity_residual, joint_field, lmn
 from ..geometry import (
+    ComplexDistanceSample,
     CustomCut,
     FlatDisk,
     LowerSpheroid,
@@ -25,7 +26,6 @@ from ..geometry import (
     UpperSpheroid,
     _cylindrical_basis,
     _dot,
-    _frame,
     _spheroid_rho,
     _sum3,
     complex_distance,
@@ -126,7 +126,7 @@ def suite_appendix_identities(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_
     for pts in _uniform_batches(rng, n_points, 3 * a):
         sigma, p, q = complex_distance_principal(pts, cfg)
         keep = p**2 + q**2 > (1e-3 * a) ** 2
-        fr = _frame(pts[keep], sigma[keep], p[keep], q[keep], cfg)
+        fr = ComplexDistanceSample(pts[keep], cfg, sigma[keep], p[keep], q[keep])
         uu = np.abs(_dot(fr.u, fr.u) - 1.0)
         gp2 = _dot(fr.grad_p, fr.grad_p)
         gq2 = _dot(fr.grad_q, fr.grad_q)

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnBranchCircleError, _refuse
-from .geometry import BranchCut, SourceConfig, _cut_sign, complex_distance, complex_distance_principal
+from .geometry import BranchCut, SourceConfig, branch, complex_distance, frame
 from .signals import DrivingSignal, _pair, eval_derivs
 
-__all__ = ["ScalarWavelet", "psi", "psi_sigma_derivs", "interior_psi"]
-
-SIGMA_GUARD = 1e-8
+__all__ = ["ScalarWavelet", "psi", "psi_of_sigma", "psi_sigma_derivs", "interior_psi"]
 
 
 @dataclass(frozen=True)
@@ -38,26 +35,14 @@ class ScalarWavelet:
         return complex_distance(self.cut, r, self.cfg)
 
 
-def _branch_sigma(w: ScalarWavelet, r, tol_cut: float | None = None):
-    """(cut sign, branch sigma) at r; refuses points on the cut or the branch circle."""
-    r = np.asarray(r, dtype=float)
-    sigma0, p, q = complex_distance_principal(r, w.cfg)
-    s = _cut_sign(w.cut, r, p, q, w.cfg, tol_cut)
-    sigma = s * sigma0
-    near = np.abs(sigma) < SIGMA_GUARD * w.cfg.a_mag
-    _refuse(OnBranchCircleError, "sigma too close to zero (branch circle)", near, r)
-    return s, sigma
-
-
-def _psi_of(sig, sigma, tau):
+def psi_of_sigma(sig, sigma, tau):
     """g(tau - sigma)/sigma on a resolved branch; broadcasts sigma against tau."""
     return sig.eval(tau - sigma) / sigma
 
 
 def psi(w: ScalarWavelet, r, t):
     """Retarded wavelet g(tau - sigma)/sigma at field point r, time t."""
-    _, sigma = _branch_sigma(w, r)
-    return _psi_of(w.sig, sigma, w.tau(t))
+    return psi_of_sigma(w.sig, branch(w.cut, r, w.cfg).sigma, w.tau(t))
 
 
 def psi_sigma_derivs(w: ScalarWavelet, r, t):
@@ -67,7 +52,7 @@ def psi_sigma_derivs(w: ScalarWavelet, r, t):
     + 2g/sigma^3, with g, g., g.. the retarded signal and its time
     derivatives.
     """
-    _, sigma = _branch_sigma(w, r)
+    sigma = branch(w.cut, r, w.cfg).sigma
     tau = w.tau(t)
     g, g1, g2 = eval_derivs(w.sig, tau - sigma, 2)
     value = g / sigma
@@ -79,10 +64,10 @@ def psi_sigma_derivs(w: ScalarWavelet, r, t):
 def interior_psi(w: ScalarWavelet, r, t):
     """Sourceless interior combination [g(tau-sigma) - g(tau+sigma)]/sigma.
 
-    Even under sigma -> -sigma, hence single-valued across any cut; tends
-    to -2*g.(tau) on the branch circle.
+    Even in sigma, hence the same on every cut and taken on the principal
+    branch; tends to -2*g.(tau) on the branch circle.
     """
-    _, sigma = _branch_sigma(w, r)
+    sigma = frame(r, w.cfg).sigma
     tau = w.tau(t)
     gm, gp = eval_derivs(w.sig, _pair(tau - sigma, tau + sigma), 0)[0]
     return (gm - gp) / sigma

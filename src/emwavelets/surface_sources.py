@@ -28,13 +28,13 @@ from .errors import (
     RimSingularityError,
     SubRadiatingError,
 )
-from .em_fields import _as_pol, _assemble, _field_core
+from .em_fields import _as_pol, assemble, lmn
 from .geometry import (
+    ComplexDistanceSample,
     SourceConfig,
     _cross,
     _cylindrical_basis,
     _dot,
-    _frame,
     complex_distance_principal,
     spheroid_point,
 )
@@ -167,7 +167,7 @@ def _surface_geometry(q, phi, alpha, cfg):
         raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
     pos = spheroid_point(alpha, q, phi, cfg)
     p, q = (np.broadcast_to(np.asarray(x, dtype=float), pos.shape[:-1]) for x in (alpha, q))
-    return pos, _frame(pos, p - 1j * q, p, q, cfg)
+    return pos, ComplexDistanceSample(pos, cfg, p - 1j * q, p, q)
 
 
 def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
@@ -191,12 +191,12 @@ def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: flo
     pos, fr = _surface_geometry(q, phi, alpha, w.cfg)
     tau = w.tau(t)
     if mu == 1.0 and nu == 1.0:
-        dF = _assemble(*tilde_lmn(w.sig, fr.sigma, tau), fr.u, pol)
+        dF = assemble(*tilde_lmn(w.sig, fr.sigma, tau), fr.u, pol)
     else:
         if abs(mu + nu - 2.0) > 1e-12:
             raise ValueError("need mu + nu = 2")
-        dF = mu * _field_core(w.sig, fr.sigma, fr.u, pol, tau) - nu * _field_core(
-            w.sig, -fr.sigma, -fr.u, pol, tau
+        dF = mu * assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) - nu * assemble(
+            *lmn(w.sig, -fr.sigma, tau), -fr.u, pol
         )
     return dF, pos, fr
 
@@ -255,7 +255,7 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     _check_rim(q, cfg, q_min)
     pos, fr = _surface_geometry(q, phi, alpha, cfg)
     tau = np.asarray(t, dtype=float) - 1j * cfg.b
-    dF = _assemble(*impulse_tilde_lmn(fr.sigma, tau), fr.u, pol)
+    dF = assemble(*impulse_tilde_lmn(fr.sigma, tau), fr.u, pol)
     return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 

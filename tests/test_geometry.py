@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from emwavelets import (
     SmoothSpheroid,
     SourceConfig,
     UpperSpheroid,
+    branch,
     complex_distance,
     complex_distance_principal,
     cut_sign,
@@ -25,7 +27,6 @@ from emwavelets import (
 from emwavelets.geometry import (
     _SCREEN_MARGIN,
     ComplexDistanceSample,
-    _frame,
     branch_circle_distance,
     continued_sign,
     on_reference_cut,
@@ -456,9 +457,21 @@ class TestFrame:
         with pytest.raises(OnBranchCircleError):
             frame(np.array([1.0, 0.0, 0.0]), cfg)
 
+    def test_guard_in_the_constructor(self, cfg):
+        # a sample built from a (sigma, p, q) the caller holds refuses the circle too
+        r = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(OnBranchCircleError, match=r"1 of 2 points refused, first at \(1, 0, 0\)"):
+            ComplexDistanceSample(r, cfg, *complex_distance_principal(r, cfg))
+
+    def test_vectors_built_on_read(self, cfg):
+        fr = frame(np.array([[1.2, 0.4, 0.8], [0.0, 0.0, 2.0]]), cfg)
+        assert not set(SAMPLE_PROPERTIES) & set(vars(fr))
+        assert fr.u.shape == (2, 3)
+        assert {"grad_p", "grad_q", "u"} <= set(vars(fr)) and not {"e_p", "e_q"} & set(vars(fr))
+
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (0.3, -0.5, 0.8)])
     def test_frame_of_kept_points_from_the_principal_sigma(self, axis, rng):
-        """_frame on the masked (sigma, p, q) a caller already holds is frame on the masked points."""
+        """A sample built from the masked (sigma, p, q) a caller already holds is frame on the masked points."""
         cfg = SourceConfig(a=np.array(axis), b=3.0)
         pts = rng.uniform(-3, 3, (4000, 3)) * cfg.a_mag
         axis_aligned = np.count_nonzero(cfg.a) == 1
@@ -468,11 +481,66 @@ class TestFrame:
         sigma, p, q = complex_distance_principal(pts, cfg)
         keep = (p**2 + q**2 > (1e-3 * cfg.a_mag) ** 2) & (rng.uniform(size=len(pts)) < 0.7)
         assert not axis_aligned or (keep & (p == 0.0)).sum() > 100
-        got = _frame(pts[keep], sigma[keep], p[keep], q[keep], cfg)
+        got = ComplexDistanceSample(pts[keep], cfg, sigma[keep], p[keep], q[keep])
         want = frame(pts[keep], cfg)
-        for name in ComplexDistanceSample.__dataclass_fields__:
+        assert got.sign is None and want.sign is None
+        for name in ("sigma", "p", "q", *SAMPLE_PROPERTIES):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+# the frame vectors a sample builds when they are read
+SAMPLE_PROPERTIES = tuple(
+    name for name, attr in vars(ComplexDistanceSample).items()
+    if isinstance(attr, cached_property) and not name.startswith("_")
+)
+
+
+class TestBranch:
+    @pytest.mark.parametrize("cut", [
+        FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi),
+    ], ids=["flat", "upper", "lower", "smooth", "custom"])
+    @pytest.mark.parametrize("axis", AXES.values(), ids=AXES.keys())
+    def test_matches_the_public_pieces_bitwise(self, cut, axis, rng):
+        cfg = SourceConfig(a=np.array(axis), b=1.5)
+        tol = 1e-6
+        pts = np.vstack([
+            rng.uniform(-2, 2, (3000, 3)),
+            meridian_points(cfg, rng.uniform(0.0, 1.2, 1000), rng.uniform(-0.15, 0.15, 1000),
+                            rng.uniform(0.0, 2 * np.pi, 1000)),
+            np.linspace(-2.0, 2.0, 41)[:, None] * cfg.a_hat,  # the symmetry axis, r = 0 included
+            np.array([[0.0, 0.0, 0.05], [0.0, 0.0, -0.05], [0.0, 0.5, 0.0]]),
+        ])
+        pts = pts[~cut.near_cut(pts, cfg, tol) & (branch_circle_distance(pts, cfg) > 1e-3)]
+        b = branch(cut, pts, cfg, tol)
+        sign = cut_sign(cut, pts, cfg, tol)
+        if not isinstance(cut, FlatDisk):
+            assert (sign == -1).sum() > 50
+        assert (pts == 0.0).any()  # zero components, where s*u and -u differ in the sign of a zero
+        expect = {
+            "sign": sign,
+            "sigma": complex_distance(cut, pts, cfg, tol),
+            "u": sign[..., None] * frame(pts, cfg).u,
+        }
+        expect.update(zip(("p", "q"), complex_distance_principal(pts, cfg)[1:]))
+        for name in ("grad_p", "grad_q", "e_p", "e_q"):
+            expect[name] = getattr(frame(pts, cfg), name)
+        for name, want in expect.items():
+            got = getattr(b, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_refuses_the_cut_then_the_circle(self, cfg):
+        # the circle bounds every cut, so a cut that refuses its points reports the cut
+        circle = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(OnCutError):
+            branch(UpperSpheroid(0.1), circle, cfg)
+        with pytest.raises(OnBranchCircleError, match="branch circle"):
+            branch(FlatDisk(), circle, cfg)
+
+    def test_scalar_point(self, cfg):
+        b = branch(UpperSpheroid(0.1), np.array([0.0, 0.0, 0.05]), cfg)
+        assert b.sign == -1 and b.u.shape == (3,)
+        assert b.sigma == -complex_distance_principal(np.array([0.0, 0.0, 0.05]), cfg)[0]
 
 
 class TestSpheroidPoint:

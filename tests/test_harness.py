@@ -248,11 +248,24 @@ class TestFieldRows:
         for mod in (geometry, scalar_wavelet, em_fields):
             monkeypatch.setattr(
                 mod, "complex_distance_principal",
-                lambda r, cfg: points.append(np.size(r) // 3) or principal(r, cfg),
+                lambda r, cfg: points.append(np.size(r) // 3) or principal(r, cfg), raising=False,
             )
         field_rows(upper_spheroid_config(quantity, self.GRID))
         assert sum(points) == 7 * 10
         assert azimuths == []
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_frame_vectors_built_only_where_read(self, quantity, monkeypatch):
+        # psi reads sigma only; F reads u, and neither reads the unit vectors e_p, e_q
+        built = []
+        for name in ("_num", "e_p", "e_q"):
+            prop = vars(geometry.ComplexDistanceSample)[name]
+            monkeypatch.setattr(
+                geometry.ComplexDistanceSample, name,
+                property(lambda self, prop=prop, name=name: built.append(name) or prop.func(self)),
+            )
+        field_rows(upper_spheroid_config(quantity, self.GRID))
+        assert set(built) == (set() if quantity == "psi" else {"_num"})
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_configured_tol_cut_governs(self, quantity):
@@ -317,6 +330,24 @@ class TestLayering:
                 else:
                     continue
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
+
+    def test_one_branch_resolution(self):
+        # harness.runs uses the public API only, and the cut sign is resolved inside geometry
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                if rel == "harness/runs.py" and isinstance(node, ast.ImportFrom):
+                    found += [f"{rel}:{node.lineno} imports {n}" for n in names if n.startswith("_")]
+                if rel != "geometry.py":
+                    found += [f"{rel}:{node.lineno} uses {n}" for n in names if n == "_cut_sign"]
+        assert not found, "resolve the branch with geometry.branch:\n" + "\n".join(found)
 
     def test_three_vector_products_use_the_geometry_kernels(self):
         # np.sum over a (..., 3) axis and np.cross are several times slower than the
@@ -814,7 +845,11 @@ class TestCli:
         assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 1
         assert not (out / "field.csv").exists()
         message = json.loads(capsys.readouterr().err.strip())["message"]
-        assert re.search(r": 1 of \d+ points refused, first at \(-1, 0, 0\)$", message)
+        # one guard and one reason, whichever quantity the sweep evaluates
+        assert re.fullmatch(
+            r"field point on the branch circle \(p = q = 0\): 1 of \d+ points refused, first at \(-1, 0, 0\)",
+            message,
+        )
 
     def test_beam_direction_follows_source_axis(self, config_file, tmp_path):
         # |F| on a transverse-plane sweep peaks on the +a axis for b > a

@@ -3,16 +3,23 @@ import pytest
 
 from emwavelets import (
     CauchySignal,
+    CustomCut,
     FlatDisk,
+    LowerSpheroid,
     OnBranchCircleError,
+    OnCutError,
     ScalarWavelet,
+    SmoothSpheroid,
     TooCloseToCutError,
     UpperSpheroid,
     complex_distance_principal,
+    from_oblate,
     interior_psi,
     mixed_signals,
     psi,
     psi_sigma_derivs,
+    smooth_cut_function,
+    spheroid_point,
     wave_residual,
 )
 from emwavelets.harness.spectral import cauchy_series_transform, energy_split
@@ -99,6 +106,22 @@ class TestInterior:
         got = interior_psi(wavelet, pt, t)
         expect = -2.0 * wavelet.sig.eval(wavelet.tau(t), 1)
         assert got == pytest.approx(expect, rel=1e-5)
+
+    @pytest.mark.parametrize("cut", [
+        UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005),
+        CustomCut(chi=lambda q, phi: smooth_cut_function(q, 0.1, 0.005)),
+    ], ids=["upper", "lower", "smooth", "custom"])
+    def test_defined_on_the_wavelets_cut(self, cut, wavelet, cfg):
+        # even in sigma, so the same on every cut, and on the membrane of the wavelet's own cut too
+        if isinstance(cut, (UpperSpheroid, LowerSpheroid)):
+            side = 1.0 if isinstance(cut, UpperSpheroid) else -1.0
+            pt = spheroid_point(0.1, side * 0.5, 0.3, cfg)
+        else:
+            pt = from_oblate(smooth_cut_function(0.5, 0.1, 0.005), 0.5, 0.3, cfg)
+        with pytest.raises(OnCutError):
+            psi(ScalarWavelet(cut=cut, cfg=cfg, sig=wavelet.sig), pt, 1.3)
+        got = interior_psi(ScalarWavelet(cut=cut, cfg=cfg, sig=wavelet.sig), pt, 1.3)
+        assert got == interior_psi(wavelet, pt, 1.3)
 
     def test_matches_mixed_signal(self, wavelet, rng):
         pts = rng.uniform(-2, 2, (20, 3))

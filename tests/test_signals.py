@@ -28,7 +28,7 @@ from emwavelets import (
     tilde_lmn,
 )
 from emwavelets.harness.fd import richardson
-from emwavelets.scalar_wavelet import _branch_sigma
+from emwavelets.geometry import branch
 from emwavelets.signals import KERNEL_CHUNK
 from emwavelets.harness.spectral import cauchy_series_transform, quadpack_fourier
 
@@ -222,7 +222,7 @@ class TestEvalDerivs:
         w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=sig)
         r = rng.uniform(-2, 2, (40, 3))
         t = rng.uniform(0, 3, 40)
-        _, sigma = _branch_sigma(w, r)
+        sigma = branch(w.cut, r, cfg).sigma
         g, g1, g2 = (sig.eval(w.tau(t) - sigma, k) for k in (0, 1, 2))
         value, d1, d2 = psi_sigma_derivs(w, r, t)
         assert np.array_equal(value, g / sigma)

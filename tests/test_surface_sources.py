@@ -27,7 +27,7 @@ from emwavelets import (
     surface_sources_exact,
     tilde_lmn,
 )
-from emwavelets.em_fields import _assemble, _field_core, lmn
+from emwavelets.em_fields import assemble, lmn
 from emwavelets.geometry import frame, spheroid_point
 from emwavelets.harness.fd import bandpass_via_impulse
 from emwavelets.signals import DrivingSignal, SampledSignal
@@ -126,16 +126,16 @@ class TestFieldJump:
         t = 1.6
         dF, pos, fr = field_jump(wavelet, POL_X, qs, phis, 0.05, t)
         tau = wavelet.tau(t)
-        Fp = _field_core(wavelet.sig, fr.sigma, fr.u, POL_X, tau)
-        Fm = _field_core(wavelet.sig, -fr.sigma, -fr.u, POL_X, tau)
+        Fp = assemble(*lmn(wavelet.sig, fr.sigma, tau), fr.u, POL_X)
+        Fm = assemble(*lmn(wavelet.sig, -fr.sigma, tau), -fr.u, POL_X)
         assert np.abs(dF - (Fp - Fm)).max() < 1e-12 * np.abs(dF).max()
 
     def test_antisymmetry(self, wavelet, cfg):
         # swapping the roles of the two branches negates the jump
         dF, _, fr = field_jump(wavelet, POL_X, 0.5, 1.0, 0.05, 1.6)
         tau = wavelet.tau(1.6)
-        swapped = _field_core(wavelet.sig, -fr.sigma, -fr.u, POL_X, tau) - _field_core(
-            wavelet.sig, fr.sigma, fr.u, POL_X, tau
+        swapped = assemble(*lmn(wavelet.sig, -fr.sigma, tau), -fr.u, POL_X) - assemble(
+            *lmn(wavelet.sig, fr.sigma, tau), fr.u, POL_X
         )
         assert np.allclose(swapped, -dF)
 
@@ -187,7 +187,7 @@ class TestSurfaceFrame:
         s = surface_sources_exact(w, POL_X, qs, phis, alpha, t_obs, q_min=0.0)
         pos = spheroid_point(alpha, qs, phis, cfg)
         fr = frame(pos, cfg)
-        dF = _assemble(*tilde_lmn(DenseSampled(sig), fr.sigma, w.tau(t_obs)), fr.u, POL_X)
+        dF = assemble(*tilde_lmn(DenseSampled(sig), fr.sigma, w.tau(t_obs)), fr.u, POL_X)
         j0 = np.sum(fr.e_p * dF, axis=-1)
         j = -1j * np.cross(fr.e_p, dF)
         got = np.column_stack([s.j0, s.j])
