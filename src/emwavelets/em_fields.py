@@ -173,17 +173,15 @@ def interior_field(w: ScalarWavelet, pol, r, t):
     return assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) + assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
 
 
-def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, mu: float = 1.0, nu: float = 1.0):
+def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, nu: float = 1.0):
     """Field radiated jointly by the two spheroidal cuts at parameter alpha.
 
     2F outside the spheroid p = alpha; inside, nu times the symmetric
     sourceless combination F(sigma) + F(-sigma), which is single-valued
-    across the disk for any nu.  mu = 2 - nu only enters the surface jump
-    mu*F(sigma) - nu*F(-sigma); mu = nu = 1 is the combination realizable
-    as a pair of branch cuts.
+    across the disk for any nu.  The split mu = 2 - nu only enters the
+    surface jump mu*F(sigma) - nu*F(-sigma) (surface_sources.field_jump);
+    nu = 1 is the combination realizable as a pair of branch cuts.
     """
-    if abs(mu + nu - 2.0) > 1e-12:
-        raise ValueError("need mu + nu = 2")
     pol = _as_pol(pol)
     fr = frame(r, w.cfg)
     if np.any(np.abs(fr.p - alpha) < 1e-9 * w.cfg.a_mag):

@@ -39,9 +39,10 @@ def _env(name, fallback):
 def _add_common(p):
     p.add_argument("--config", default=_env("CONFIG", None), help="run configuration file")
     p.add_argument("--out", default=_env("OUT", "out"), help="output directory")
-    p.add_argument("--threads", type=int, default=int(_env("THREADS", "1")))
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    p.add_argument("--tol-scale", type=float, default=float(_env("TOL_SCALE", "1.0")))
+    # string defaults: argparse converts them with `type`, so a bad variable exits 2 like a bad flag
+    p.add_argument("--threads", type=int, default=_env("THREADS", "1"))
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--tol-scale", type=float, default=_env("TOL_SCALE", "1.0"))
 
 
 def _load(args) -> RunConfig:

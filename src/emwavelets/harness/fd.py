@@ -2,10 +2,13 @@
 
 All operators take a callable f(r, t) vectorized over points r with shape
 (..., 3) (scalar- or 3-vector-valued) and differentiate it at the given
-points.  Stencil order 2 or 4.  The oracles at the end re-derive the
-closed forms of the core modules by differencing: the field from psi, the
-Lorenz gauge from the potentials, the wave operator on psi, and band-pass
-sources from the impulse response.  The core modules never difference
+points.  One table holds every central stencil (order 2 or 4) and one
+kernel applies it, evaluating f once per stencil point: a curl samples F
+twice per axis at order 2.  The oracles at the end re-derive the closed
+forms of the core modules by differencing: the field from psi, the Lorenz
+gauge from the potentials, the wave operator on psi, and band-pass sources
+from the impulse response.  Those that sample near a cut share one refusal
+of a stencil that would straddle it.  The core modules never difference
 anything.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..em_fields import _as_pol, four_potential
-from ..errors import TooCloseToCutError
+from ..errors import TooCloseToCutError, _refuse
 from ..geometry import SourceConfig, _cross, spheroid_point
 from ..scalar_wavelet import ScalarWavelet, interior_psi, psi
 from ..signals import CauchySignal
@@ -36,80 +39,59 @@ __all__ = [
     "bandpass_via_impulse",
 ]
 
-_FIRST = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12)),
-}
-_SECOND = {
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    4: ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12)),
-}
-# central stencils for the k-th derivative of a 1-parameter function
-_PARAM = {
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
+# Central-difference weights (Fornberg, Math. Comp. 51 (1988) 699):
+# (k, order) -> offsets and weights of the k-th derivative at the given order.
+_STENCIL = {
+    (1, 2): ((-1, 1), (-0.5, 0.5)),
+    (1, 4): ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12)),
+    (2, 2): ((-1, 0, 1), (1.0, -2.0, 1.0)),
+    (2, 4): ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12)),
+    (3, 2): ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
+    (4, 2): ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
 }
 
 
-def _axis_first(f, r, t, h, axis, order):
-    offs, wts = _FIRST[order]
+def _stencil(g, h, k, order):
+    """k-th derivative at s = 0 of g(s), evaluating g once at each point s = o*h."""
+    if (k, order) not in _STENCIL:
+        raise ValueError(f"no central stencil for derivative {k} at order {order}")
+    offs, wts = _STENCIL[k, order]
+    return sum(w * np.asarray(g(o * h)) for o, w in zip(offs, wts)) / h**k
+
+
+def _axes(f, r, t, h, k, order):
+    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f."""
     r = np.asarray(r, dtype=float)
-    e = np.zeros(3)
-    e[axis] = 1.0
-    acc = sum(w * np.asarray(f(r + o * h * e, t)) for o, w in zip(offs, wts))
-    return acc / h
-
-
-def _axis_second(f, r, t, h, axis, order):
-    offs, wts = _SECOND[order]
-    r = np.asarray(r, dtype=float)
-    e = np.zeros(3)
-    e[axis] = 1.0
-    acc = sum(w * np.asarray(f(r + o * h * e, t)) for o, w in zip(offs, wts))
-    return acc / h**2
+    return [_stencil(lambda s: f(r + s * e, t), h, k, order) for e in np.eye(3)]
 
 
 def grad(f, r, t, h, order: int = 2):
     """Gradient of scalar f; returns shape (..., 3)."""
-    comps = [_axis_first(f, r, t, h, ax, order) for ax in range(3)]
-    return np.stack(comps, axis=-1)
+    return np.stack(_axes(f, r, t, h, 1, order), axis=-1)
 
 
 def divergence(F, r, t, h, order: int = 2):
     """Divergence of vector F (components on the last axis)."""
-    return sum(
-        _axis_first(lambda rr, tt, ax=ax: np.asarray(F(rr, tt))[..., ax], r, t, h, ax, order)
-        for ax in range(3)
-    )
+    d = _axes(F, r, t, h, 1, order)
+    return sum(d[ax][..., ax] for ax in range(3))
 
 
 def curl(F, r, t, h, order: int = 2):
     """Curl of vector F."""
-    d = [
-        [
-            _axis_first(lambda rr, tt, c=c: np.asarray(F(rr, tt))[..., c], r, t, h, ax, order)
-            for c in range(3)
-        ]
-        for ax in range(3)
-    ]  # d[axis][component]
+    d = _axes(F, r, t, h, 1, order)  # d[axis][..., component]
     return np.stack(
-        [d[1][2] - d[2][1], d[2][0] - d[0][2], d[0][1] - d[1][0]],
+        [d[1][..., 2] - d[2][..., 1], d[2][..., 0] - d[0][..., 2], d[0][..., 1] - d[1][..., 0]],
         axis=-1,
     )
 
 
 def time_derivative(f, r, t, h, order: int = 2, k: int = 1):
-    """k-th time derivative (k = 1 or 2) of f(r, t)."""
-    table = _FIRST if k == 1 else _SECOND
-    offs, wts = table[order]
-    acc = sum(w * np.asarray(f(r, t + o * h)) for o, w in zip(offs, wts))
-    return acc / h**k
+    """k-th time derivative of f(r, t): k = 1..4 at order 2, k = 1, 2 at order 4."""
+    return _stencil(lambda s: f(r, t + s), h, k, order)
 
 
 def laplacian(f, r, t, h, order: int = 2):
-    return sum(_axis_second(f, r, t, h, ax, order) for ax in range(3))
+    return sum(_axes(f, r, t, h, 2, order))
 
 
 def dalembertian(f, r, t, h, order: int = 2):
@@ -117,14 +99,13 @@ def dalembertian(f, r, t, h, order: int = 2):
     return time_derivative(f, r, t, h, order, k=2) - laplacian(f, r, t, h, order)
 
 
-def hessian_apply(f, r, t, h, v):
-    """Hessian of scalar f applied to the constant vector v (2nd-order stencils)."""
+def _hessian(f, r, t, h):
+    """Hessian H[i][j] of scalar f (2nd-order stencils); its diagonal is laplacian's terms."""
     r = np.asarray(r, dtype=float)
-    v = np.asarray(v)
-    eye = np.eye(3)
     H = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        H[i][i] = _axis_second(f, r, t, h, i, 2)
+    eye = np.eye(3)
+    for i, dii in enumerate(_axes(f, r, t, h, 2, 2)):
+        H[i][i] = dii
         for j in range(i + 1, 3):
             ei, ej = eye[i] * h, eye[j] * h
             dij = (
@@ -134,15 +115,21 @@ def hessian_apply(f, r, t, h, v):
                 + np.asarray(f(r - ei - ej, t))
             ) / (4.0 * h**2)
             H[i][j] = H[j][i] = dij
-    rows = [sum(H[i][j] * v[j] for j in range(3)) for i in range(3)]
-    return np.stack(rows, axis=-1)
+    return H
+
+
+def _contract(H, v):
+    return np.stack([sum(H[i][j] * v[j] for j in range(3)) for i in range(3)], axis=-1)
+
+
+def hessian_apply(f, r, t, h, v):
+    """Hessian of scalar f applied to the constant vector v (2nd-order stencils)."""
+    return _contract(_hessian(f, r, t, h), np.asarray(v))
 
 
 def nth_derivative_param(func, x0: float, k: int, h: float):
     """k-th derivative (k <= 4) of a 1-parameter function by central differences."""
-    offs, wts = _PARAM[k]
-    acc = sum(w * np.asarray(func(x0 + o * h)) for o, w in zip(offs, wts))
-    return acc / h**k
+    return _stencil(lambda s: func(x0 + s), h, k, 2)
 
 
 def richardson(coarse, fine, order: int, ratio: float = 2.0):
@@ -155,25 +142,31 @@ def richardson(coarse, fine, order: int, ratio: float = 2.0):
 # Oracles
 
 
+def _refuse_straddle(w: ScalarWavelet, r, margin):
+    """Refuse the points within margin of the wavelet's cut, where a stencil would cross it."""
+    _refuse(TooCloseToCutError, "stencil would straddle the branch cut",
+            w.cut.clearance(r, w.cfg) <= margin, r)
+
+
 def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):
     """F recomputed as curl curl Z + i d/dt curl Z, Z = psi*pol, by differencing psi.
 
     Uses curl curl Z = grad(div Z) - lap(Z) and curl Z = grad(psi) x pol,
-    so only the scalar psi is ever sampled.  Independent of the L/M/N
-    algebra.
+    so only the scalar psi is ever sampled: 21 times for the Hessian, whose
+    trace is the Laplacian, and 12 for d/dt grad psi.  Independent of the
+    L/M/N algebra.
     """
     pol = _as_pol(pol)
     if h is None:
         h = 1e-4 * w.cfg.a_mag
     r = np.asarray(r, dtype=float)
-    if np.any(w.cut.clearance(r, w.cfg) <= 4.0 * h):
-        raise TooCloseToCutError("oracle stencil would straddle the branch cut")
+    _refuse_straddle(w, r, 4.0 * h)
     f = lambda rr, tt: psi(w, rr, tt)
-    hess_pol = hessian_apply(f, r, t, h, pol)
-    lap = laplacian(f, r, t, h, order=2)
+    H = _hessian(f, r, t, h)
+    lap = sum(H[i][i] for i in range(3))
     dgrad_dt = time_derivative(lambda rr, tt: grad(f, rr, tt, h, order=2), r, t, h, order=2)
     curl_z_dot = _cross(dgrad_dt, pol)
-    return hess_pol - lap[..., None] * pol + 1j * curl_z_dot
+    return _contract(H, pol) - lap[..., None] * pol + 1j * curl_z_dot
 
 
 def lorenz_residual(w: ScalarWavelet, pol, r, t, h: float | None = None):
@@ -181,6 +174,7 @@ def lorenz_residual(w: ScalarWavelet, pol, r, t, h: float | None = None):
     if h is None:
         h = 1e-3 * w.cfg.a_mag
     r = np.asarray(r, dtype=float)
+    _refuse_straddle(w, r, 2.0 * h)
     dA0 = time_derivative(lambda rr, tt: four_potential(w, pol, rr, tt)[0], r, t, h)
     divA = divergence(lambda rr, tt: four_potential(w, pol, rr, tt)[1], r, t, h)
     return np.abs(dA0 + divA)
@@ -190,14 +184,14 @@ def wave_residual(w: ScalarWavelet, r, t, h: float | None = None, order: int = 4
     """Central-difference wave-operator residual of psi (or the interior combination).
 
     Off the cut the residual vanishes as O(h^order); near the cut the
-    stencil is refused.
+    stencil is refused, except for the interior combination, which is
+    single-valued across it.
     """
     if h is None:
         h = 1e-3 * w.cfg.a_mag
     r = np.asarray(r, dtype=float)
-    margin = (2 if order == 2 else 4) * h
-    if not interior and np.any(w.cut.clearance(r, w.cfg) <= margin):
-        raise TooCloseToCutError("stencil would straddle the branch cut")
+    if not interior:
+        _refuse_straddle(w, r, (2 if order == 2 else 4) * h)
     f = (lambda rr, tt: interior_psi(w, rr, tt)) if interior else (lambda rr, tt: psi(w, rr, tt))
     return dalembertian(f, r, t, h, order=order)
 

@@ -167,7 +167,7 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
     ps = chi(qs)
     base = from_oblate(ps, qs, phis, cfg, side="upper")
     fr = frame(base, cfg)
-    dchi = (chi(qs + 1e-7 * a) - chi(qs - 1e-7 * a)) / (2e-7 * a)
+    dchi = fd.nth_derivative_param(chi, qs, 1, 1e-7 * a)
     nvec = fr.grad_p - dchi[:, None] * fr.grad_q
     nhat = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
     return base + delta * nhat, base - delta * nhat
@@ -461,8 +461,8 @@ def suite_analyticity(rc: RunConfig, rng, tol_scale=1.0, n_points=200):
     for half in (+1.0, -1.0):
         tau = rng.uniform(0.5, 3.0, n_points) - 1j * half * rng.uniform(0.5, 3.0, n_points)
         h = 1e-4 * np.abs(tau)
-        d_re = (sig.eval(tau + h) - sig.eval(tau - h)) / (2 * h)
-        d_im = (sig.eval(tau + 1j * h) - sig.eval(tau - 1j * h)) / (2 * h)
+        d_re = fd.nth_derivative_param(sig.eval, tau, 1, h)
+        d_im = fd.nth_derivative_param(lambda e: sig.eval(tau + 1j * e), 0.0, 1, h)
         res = np.abs(d_re + 1j * d_im) / np.abs(sig.eval(tau))
         worst = max(worst, float((res * np.abs(tau)).max()))
     # L, M, N in both complex variables
@@ -476,8 +476,8 @@ def suite_analyticity(rc: RunConfig, rng, tol_scale=1.0, n_points=200):
         else:
             f = lambda x: np.stack(lmn(sig, s, x))
             x0 = tau
-        d_re = (f(x0 + h) - f(x0 - h)) / (2 * h)
-        d_im = (f(x0 + 1j * h) - f(x0 - 1j * h)) / (2 * h)
+        d_re = fd.nth_derivative_param(f, x0, 1, h)
+        d_im = fd.nth_derivative_param(lambda e: f(x0 + 1j * e), 0.0, 1, h)
         res = np.abs(d_re + 1j * d_im) / np.maximum(np.abs(f(x0)), 1e-30)
         worst = max(worst, float(res.max()))
     thr = 1e-6 * tol_scale
@@ -488,9 +488,6 @@ def _surface_divergence(w, pol, alpha, qs, phis, t, h):
     """(d j0/dt + surface divergence of j) on the spheroid, by central differences."""
     cfg = w.cfg
     a = cfg.a_mag
-
-    def j0_of(q, phi, tt):
-        return surface_sources_exact(w, pol, q, phi, alpha, tt, q_min=0.0).j0
 
     rho_of = lambda q: _spheroid_rho(alpha, q, a)
     drho_of = lambda q: -q * (alpha**2 + a**2) / (a**2 * rho_of(q))
@@ -504,13 +501,10 @@ def _surface_divergence(w, pol, alpha, qs, phis, t, h):
         tvec = drho_of(q)[..., None] * e_rho + (alpha / a) * cfg.a_hat
         return _dot(j, tvec / np.linalg.norm(tvec, axis=-1)[..., None])
 
-    dj0_dt = (j0_of(qs, phis, t + h) - j0_of(qs, phis, t - h)) / (2 * h)
-    term_q = (
-        rho_of(qs + h) * jcomp(qs + h, phis, "q") - rho_of(qs - h) * jcomp(qs - h, phis, "q")
-    ) / (2 * h)
-    term_phi = (
-        h_q_of(qs) * jcomp(qs, phis + h, "phi") - h_q_of(qs) * jcomp(qs, phis - h, "phi")
-    ) / (2 * h)
+    j0_of = lambda tt: surface_sources_exact(w, pol, qs, phis, alpha, tt, q_min=0.0).j0
+    dj0_dt = fd.nth_derivative_param(j0_of, t, 1, h)
+    term_q = fd.nth_derivative_param(lambda q: rho_of(q) * jcomp(q, phis, "q"), qs, 1, h)
+    term_phi = fd.nth_derivative_param(lambda phi: h_q_of(qs) * jcomp(qs, phi, "phi"), phis, 1, h)
     div_s = (term_q + term_phi) / (h_q_of(qs) * rho_of(qs))
     return dj0_dt + div_s
 

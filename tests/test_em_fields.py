@@ -12,6 +12,7 @@ from emwavelets import (
     ScalarWavelet,
     SmoothSpheroid,
     SourceConfig,
+    TooCloseToCutError,
     UpperSpheroid,
     cut_sign,
     far_field,
@@ -195,6 +196,15 @@ class TestPotentials:
         ratio = np.mean(r1 / r2)
         assert ratio == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("oracle", [lorenz_residual, field_curl_oracle])
+    def test_oracles_refuse_a_straddling_stencil(self, cfg, oracle):
+        # 3e-4 a above the disk at (q, phi) = (0.6, 0.3): an h = 1e-3 stencil crosses the cut
+        w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(2))
+        pt = np.array([0.8 * np.cos(0.3), 0.8 * np.sin(0.3), 3e-4])
+        message = r"stencil would straddle the branch cut: 1 of 1 points refused, first at \(0.764269, 0.236416, 0.0003\)"
+        with pytest.raises(TooCloseToCutError, match=message):
+            oracle(w, POL_X, pt, 1.5, h=1e-3)
+
     def test_b_field_from_curl_a(self, wavelet, rng):
         pts = off_cut_points(rng, wavelet.cfg, 10)
         t = 1.6
@@ -250,9 +260,9 @@ class TestInteriorAndJoint:
         # interior is nu times the symmetric combination; nu = 0 empties it
         pt = np.array([0.3, 0.0, 0.02])
         t = 1.2
-        J0 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, mu=2.0, nu=0.0)
+        J0 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, nu=0.0)
         assert np.allclose(J0, 0.0)
-        J32 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, mu=0.5, nu=1.5)
+        J32 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, nu=1.5)
         assert np.allclose(J32, 1.5 * interior_field(wavelet, POL_X, pt, t))
 
     def test_joint_minus_interior_is_jump(self, wavelet, cfg):
@@ -266,8 +276,8 @@ class TestInteriorAndJoint:
         eps = 1e-7
         for mu in (1.0, 0.4):
             nu = 2.0 - mu
-            outside = joint_field(wavelet, POL_X, base + eps * nhat, t, alpha=alpha, mu=mu, nu=nu)
-            inside = joint_field(wavelet, POL_X, base - eps * nhat, t, alpha=alpha, mu=mu, nu=nu)
+            outside = joint_field(wavelet, POL_X, base + eps * nhat, t, alpha=alpha, nu=nu)
+            inside = joint_field(wavelet, POL_X, base - eps * nhat, t, alpha=alpha, nu=nu)
             dF, _, _ = field_jump(wavelet, POL_X, qv, phiv, alpha, t, mu=mu, nu=nu)
             assert np.linalg.norm(outside - inside - dF) < 1e-5 * np.linalg.norm(dF)
 
@@ -275,14 +285,16 @@ class TestInteriorAndJoint:
         up = np.array([0.5, 0.0, 1e-8])
         dn = np.array([0.5, 0.0, -1e-8])
         t = 1.3
-        for mu in (0.5, 1.0, 1.7):
-            Ju = joint_field(wavelet, POL_X, up, t, alpha=0.1, mu=mu, nu=2 - mu)
-            Jd = joint_field(wavelet, POL_X, dn, t, alpha=0.1, mu=mu, nu=2 - mu)
+        for nu in (1.5, 1.0, 0.3):
+            Ju = joint_field(wavelet, POL_X, up, t, alpha=0.1, nu=nu)
+            Jd = joint_field(wavelet, POL_X, dn, t, alpha=0.1, nu=nu)
             assert np.linalg.norm(Ju - Jd) < 1e-7 * np.linalg.norm(Ju)
 
-    def test_joint_rejects_bad_split(self, wavelet):
+    def test_jump_rejects_bad_split(self, wavelet):
+        from emwavelets.surface_sources import field_jump
+
         with pytest.raises(ValueError):
-            joint_field(wavelet, POL_X, np.array([1.5, 0.0, 0.7]), 1.0, alpha=0.1, mu=1.5, nu=1.0)
+            field_jump(wavelet, POL_X, 0.5, 0.2, 0.1, 1.0, mu=1.5, nu=1.0)
 
     def test_joint_on_surface_raises(self, wavelet, cfg):
         from emwavelets.geometry import spheroid_point

@@ -35,11 +35,13 @@ from emwavelets.harness.spectral import _chirp_z, cauchy_series_transform, quadp
 from emwavelets.harness.validate import (
     ALL_SUITES,
     _straddle_pairs_for_cut,
+    suite_analyticity,
     suite_appendix_identities,
     suite_interior_continuity,
     suite_oracle_equivalence,
     suite_sigma_algebra,
     suite_spectra,
+    suite_surface_continuity,
     suite_wave_maxwell,
 )
 from emwavelets.harness import cli
@@ -131,6 +133,80 @@ class TestFiniteDifferences:
         for k in (1, 2, 3, 4):
             got = fd.nth_derivative_param(f, 1.3, k, 1e-2)
             assert got == pytest.approx(0.7**k * np.exp(0.7 * 1.3), rel=1e-3)
+
+    def test_higher_time_derivatives(self):
+        f = lambda rr, tt: np.sin(tt)
+        r = np.zeros(3)
+        assert fd.time_derivative(f, r, 0.7, 1e-2, k=3) == pytest.approx(-np.cos(0.7), rel=1e-4)
+        assert fd.time_derivative(f, r, 0.7, 1e-2, k=4) == pytest.approx(np.sin(0.7), rel=1e-4)
+        for k, order in ((3, 4), (5, 2), (1, 6)):
+            with pytest.raises(ValueError, match="no central stencil"):
+                fd.time_derivative(f, r, 0.7, 1e-2, order=order, k=k)
+
+    def test_operators_keep_the_per_axis_per_component_bits(self):
+        # each operator equals the stencil applied axis by axis and component by
+        # component, with the same operand order, to the last bit
+        cfg = SourceConfig(a=np.array([0.3, -0.4, 0.8]), b=1.2)
+        w = emwavelets.ScalarWavelet(cut=emwavelets.FlatDisk(), cfg=cfg, sig=CauchySignal(3))
+        pol = np.array([1.0, 0.5j, 0.2])
+        f = lambda rr, tt: psi(w, rr, tt)
+        F = lambda rr, tt: field(w, pol, rr, tt).F
+        r = np.vstack([np.random.default_rng(2).uniform(-2.0, 2.0, (6, 3)), [[0.0, -0.0, 1.3]]])
+        r = r[emwavelets.FlatDisk().clearance(r, cfg) > 0.1]
+        t, h = 1.7, 2e-3
+        first = {2: ((-1, 1), (-0.5, 0.5)), 4: ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))}
+        second = {2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
+                  4: ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))}
+
+        def along(g, k, order, ax, comp=None):
+            offs, wts = (first if k == 1 else second)[order]
+            e = np.zeros(3)
+            e[ax] = 1.0
+            at = lambda o: np.asarray(g(r + o * h * e, t)) if comp is None else np.asarray(g(r + o * h * e, t))[..., comp]
+            return sum(wt * at(o) for o, wt in zip(offs, wts)) / h**k
+
+        def same(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        for order in (2, 4):
+            same(fd.grad(f, r, t, h, order), np.stack([along(f, 1, order, ax) for ax in range(3)], axis=-1))
+            same(fd.divergence(F, r, t, h, order), sum(along(F, 1, order, ax, ax) for ax in range(3)))
+            d = [[along(F, 1, order, ax, c) for c in range(3)] for ax in range(3)]
+            same(fd.curl(F, r, t, h, order),
+                 np.stack([d[1][2] - d[2][1], d[2][0] - d[0][2], d[0][1] - d[1][0]], axis=-1))
+            same(fd.laplacian(f, r, t, h, order), sum(along(f, 2, order, ax) for ax in range(3)))
+            for k, table in ((1, first), (2, second)):
+                offs, wts = table[order]
+                same(fd.time_derivative(F, r, t, h, order, k=k),
+                     sum(wt * np.asarray(F(r, t + o * h)) for o, wt in zip(offs, wts)) / h**k)
+        eye = np.eye(3)
+        H = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            H[i][i] = along(f, 2, 2, i)
+            for j in range(i + 1, 3):
+                ei, ej = eye[i] * h, eye[j] * h
+                H[i][j] = H[j][i] = (
+                    f(r + ei + ej, t) - f(r + ei - ej, t) - f(r - ei + ej, t) + f(r - ei - ej, t)
+                ) / (4.0 * h**2)
+        same(fd.hessian_apply(f, r, t, h, pol),
+             np.stack([sum(H[i][j] * pol[j] for j in range(3)) for i in range(3)], axis=-1))
+
+    def test_each_stencil_point_evaluated_once(self, monkeypatch):
+        cfg = SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5)
+        w = emwavelets.ScalarWavelet(cut=emwavelets.FlatDisk(), cfg=cfg, sig=CauchySignal(1))
+        pol = np.array([1.0, 0.0, 0.0])
+        r = np.array([[0.4, -0.2, 0.9], [1.1, 0.3, -0.6]])
+        calls = []
+        F = lambda rr, tt: calls.append(rr) or field(w, pol, rr, tt).F
+        for order, count in ((2, 6), (4, 12)):
+            calls.clear()
+            fd.curl(F, r, 1.5, 1e-3, order)
+            assert len(calls) == count
+        calls.clear()
+        counted_psi = lambda *args: calls.append(args) or psi(*args)
+        monkeypatch.setattr(fd, "psi", counted_psi)
+        fd.field_curl_oracle(w, pol, r, 1.5, h=1e-4)
+        assert len(calls) == 33  # 21 for the Hessian and its trace, 12 for d/dt grad psi
 
     def test_richardson(self):
         f = lambda x: np.sin(x)
@@ -315,6 +391,18 @@ def _slow_vector_product(call):
     )
 
 
+def _central_difference(node):
+    """True for a (a - b) / (c * x) with a numeric constant c: a hand-written central difference."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    num, den = node.left, node.right
+    return (
+        isinstance(num, ast.BinOp) and isinstance(num.op, ast.Sub)
+        and isinstance(den, ast.BinOp) and isinstance(den.op, ast.Mult)
+        and any(isinstance(x, ast.Constant) and isinstance(x.value, (int, float)) for x in (den.left, den.right))
+    )
+
+
 class TestLayering:
     CORE = ("errors", "geometry", "signals", "scalar_wavelet", "em_fields", "surface_sources")
 
@@ -365,6 +453,18 @@ class TestLayering:
             "np.sum(w, axis=-1) of a product or power, and geometry._cross(u, v) for "
             "np.cross(u, v):\n" + "\n".join(found)
         )
+
+    def test_central_differences_live_in_fd(self):
+        # one stencil table: every derivative by differences goes through harness.fd
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            if rel == "harness/fd.py":
+                continue
+            found += [f"{rel}:{node.lineno}: {ast.unparse(node)}"
+                      for node in ast.walk(ast.parse(path.read_text())) if _central_difference(node)]
+        assert not found, "use fd.nth_derivative_param or an fd operator:\n" + "\n".join(found)
 
     def test_cli_import_loads_no_scipy(self):
         # the data commands start without SciPy; the oracles import it when they run
@@ -716,8 +816,8 @@ class TestValidationSuites:
             assert suite.__doc__
 
     def test_oracle_suites_golden_at_seed_1(self):
-        # the values validate --seed 1 prints for the two suites built on
-        # quadpack_fourier and continued_sign, pinned exactly
+        # the values validate --seed 1 prints for the suites built on
+        # quadpack_fourier, continued_sign and harness.fd, pinned exactly
         spectra = suite_spectra(default_config(), np.random.default_rng(1))
         assert spectra.measured == 3.8368407399298336e-10
         assert spectra.detail == "negative-frequency energy ratio 7.7e-18"
@@ -725,6 +825,17 @@ class TestValidationSuites:
         assert sigma.measured == 4.434433238322705e-16
         assert sigma.detail == ("straddle flip residual 7.8e-05 (<=1e-3), 5 cut kinds, "
                                 "0 continuation mismatches (=0)")
+        # and the suites built on harness.fd
+        wave = suite_wave_maxwell(default_config(), np.random.default_rng(1))
+        assert wave.measured == 1.998980535685136
+        assert wave.detail == "n=1: orders 2.00/2.00/2.00; n=4: orders 2.00/2.00/2.00"
+        oracle = suite_oracle_equivalence(default_config(), np.random.default_rng(1))
+        assert oracle.measured == 3.755282442608368e-07
+        analyticity = suite_analyticity(default_config(), np.random.default_rng(1))
+        assert analyticity.measured == 8.000313384849691e-08
+        surface = suite_surface_continuity(default_config(), np.random.default_rng(1))
+        assert surface.measured == 2.000079276040583
+        assert surface.detail == "residuals 5.13e-02 -> 3.21e-03, |q| >= 0.25a"
 
     def test_straddle_pairs_follow_azimuth(self):
         # the membrane height depends on phi, so each pair must sit across it at its own phi
@@ -822,6 +933,19 @@ class TestCli:
         assert cli.main(["sample-field", "--config", str(path), "--out", out]) == 0
         lines = (tmp_path / "out1" / "field.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "name, flag, kind", [("THREADS", "--threads", "int"), ("SEED", "--seed", "int"),
+                             ("TOL_SCALE", "--tol-scale", "float")],
+    )
+    def test_malformed_environment_exits_2(self, monkeypatch, capsys, name, flag, kind):
+        # a bad variable is refused like the bad flag it stands for
+        monkeypatch.setenv(f"EMWAVELETS_{name}", "many")
+        for argv in (["validate"], ["validate", flag, "many"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid {kind} value: 'many'" in capsys.readouterr().err
 
     def test_missing_signal_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
