@@ -70,12 +70,16 @@ def _sum3(w):
 
 
 def _dot(u, v):
-    """u . v over the last axis, from the components.
+    """u . v over the last axis, from the components; broadcasts u against v.
 
-    Bitwise equal to np.sum(u * v, axis=-1): the products are summed in order
-    starting from +0.0, which is what _sum3's final += 0.0 is for.
+    Bitwise equal to np.sum(u * v, axis=-1): the same products summed in the
+    same order, with the final += 0.0 of _sum3, but with no (..., 3) product
+    array, whose inner loops a (N, 3) x (3,) broadcast runs three long.
     """
-    return _sum3(u * v)
+    out = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    out += u[..., 2] * v[..., 2]
+    out += 0.0
+    return out
 
 
 def _norm(v):
@@ -194,8 +198,15 @@ class ComplexDistanceSample:
 
     @cached_property
     def _num(self):
-        p, q = self.p[..., None], self.q[..., None]
-        return p * self.r + q * self.cfg.a, p * self.cfg.a - q * self.r
+        """(p r + q a, p a - q r), written per component like _cross."""
+        p, q, r, a = self.p, self.q, self.r, self.cfg.a
+        shape = np.broadcast_shapes(np.shape(p) + (3,), r.shape)
+        dtype = np.result_type(p, q, r, a)
+        gp, gq = np.empty(shape, dtype), np.empty(shape, dtype)
+        for k in range(3):
+            np.add(p * r[..., k], q * a[k], out=gp[..., k])
+            np.subtract(p * a[k], q * r[..., k], out=gq[..., k])
+        return gp, gq
 
     @cached_property
     def grad_p(self):
@@ -538,8 +549,9 @@ class CustomCut(BranchCut):
 
     chi must be odd in q and 2*pi-periodic in phi (spot-checked at
     construction); the membrane is assumed to lie on the q >= 0 sheet
-    (chi >= 0 there).  The sign follows the shared closed-form rule, to
-    which continued_sign reduces for any chi odd in q: no independent check.
+    (chi >= 0 there).  The sign follows the shared closed-form rule; the
+    validation battery gates it by continuity of sigma across the
+    reference disk, where the principal branch flips.
     """
 
     chi: Callable
@@ -569,6 +581,9 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
     one: the parity of sign changes along the path is set by its end
     values, so for a chi odd in q the result is the endpoint test
     p < chi(q, phi) whatever the path does; the path adds its refusals.
+    So it cannot catch a wrong rule, and nothing in the package calls it:
+    it is kept only as the benchmark's reference sign for the spheroid
+    sweep.  The validation battery gates the rule by closed forms.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     out = np.empty(r.shape[0], dtype=int)

@@ -4,15 +4,18 @@ All operators take a callable f(r, t) vectorized over points r with shape
 (..., 3) (scalar- or 3-vector-valued) and differentiate it at the given
 points.  One table holds every central stencil (order 2 or 4) and one
 kernel applies it, evaluating f once per stencil point: a curl samples F
-twice per axis at order 2.  The oracles at the end re-derive the closed
-forms of the core modules by differencing: the field from psi, the Lorenz
-gauge from the potentials, the wave operator on psi, and band-pass sources
-from the impulse response.  Those that sample near a cut share one refusal
-of a stencil that would straddle it.  The core modules never difference
+twice per axis at order 2, and a Laplacian samples the centre its three
+axes share once.  The oracles at the end re-derive the closed forms of the
+core modules by differencing: the field from psi, the Lorenz gauge from the
+potentials, the wave operator on psi, and band-pass sources from the
+impulse response.  Those that sample near a cut share one refusal of a
+stencil that would straddle it.  The core modules never difference
 anything.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,9 +63,14 @@ def _stencil(g, h, k, order):
 
 
 def _axes(f, r, t, h, k, order):
-    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f."""
+    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f.
+
+    The centre r + 0.0 is one point on every axis, so f is evaluated there once.
+    """
     r = np.asarray(r, dtype=float)
-    return [_stencil(lambda s: f(r + s * e, t), h, k, order) for e in np.eye(3)]
+    centre = functools.cache(lambda: f(r + 0.0, t))
+    at = lambda s, e: centre() if s == 0 else f(r + s * e, t)
+    return [_stencil(lambda s: at(s, e), h, k, order) for e in np.eye(3)]
 
 
 def grad(f, r, t, h, order: int = 2):
@@ -152,7 +160,7 @@ def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):
     """F recomputed as curl curl Z + i d/dt curl Z, Z = psi*pol, by differencing psi.
 
     Uses curl curl Z = grad(div Z) - lap(Z) and curl Z = grad(psi) x pol,
-    so only the scalar psi is ever sampled: 21 times for the Hessian, whose
+    so only the scalar psi is ever sampled: 19 times for the Hessian, whose
     trace is the Laplacian, and 12 for d/dt grad psi.  Independent of the
     L/M/N algebra.
     """

@@ -72,7 +72,7 @@ class CauchySignal(DrivingSignal):
     def eval(self, tau, order: int = 0):
         """d^order/dt^order C_n at tau; closed form, valid for tau != 0."""
         tau = np.asarray(tau, dtype=complex)
-        if (tau == 0).any():
+        if np.count_nonzero(tau) < tau.size:
             raise PoleOnPathError("Cauchy kernel evaluated at its pole tau = 0")
         n, k = self.n, order
         coef = (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)

@@ -1,9 +1,10 @@
 """Property test: the component-form 3-vector kernels return the bytes of numpy's forms.
 
 _dot, _norm and _cross replace np.sum(u * v, axis=-1), np.sqrt(np.sum(...))
-and np.cross everywhere in the package, so they must agree bit for bit,
-signed zeros and infinities included, and put NaNs in the same places,
-whatever the memory layout.
+and np.cross everywhere in the package, and ComplexDistanceSample._num writes
+p r + q a and p a - q r per component, so they must agree bit for bit with
+the broadcast forms, signed zeros and infinities included, and put NaNs in
+the same places, whatever the memory layout.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emwavelets.geometry import _cross, _dot, _norm
+from emwavelets.geometry import ComplexDistanceSample, SourceConfig, _cross, _dot, _norm
 
 # a value pool that makes signed zeros, cancellations, overflow and inf*0 likely
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e-300, 1e300, -1e300,
@@ -108,3 +109,31 @@ def test_negative_zero_rows_sum_to_positive_zero(layout, dtype):
     got = _dot(u, v)
     same_bytes(got, np.sum(u * v, axis=-1))
     assert not np.signbit(got.real).any() and not np.signbit(np.imag(got)).any()
+
+
+@st.composite
+def sample_inputs(draw):
+    """(r, p, q, a) for a ComplexDistanceSample: r of shape (3,), (N, 3) or (S, N, 3)."""
+    shape = draw(st.sampled_from([(3,), (draw(st.integers(1, 6)), 3), (draw(st.integers(1, 4)), 5, 3)]))
+    r = _layout(_real(draw, shape), draw(st.sampled_from(LAYOUTS)))
+    p, q = _real(draw, shape[:-1]), _real(draw, shape[:-1])
+    a = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-8, -7.0]),
+                               min_size=3, max_size=3)))
+    return r, p, q, a
+
+
+@settings(max_examples=150)
+@given(sample_inputs())
+def test_num_is_the_broadcast_formula(rpqa):
+    r, p, q, a = rpqa
+    if not np.any(a):
+        a[2] = 1.0
+    cfg = SourceConfig(a=a, b=2.0 * float(np.linalg.norm(a)) + 1.0)
+    with np.errstate(all="ignore"):
+        # the branch-circle refusal reads p^2 + q^2; keep the drawn values clear of it
+        far = ~(p**2 + q**2 <= (1e-8 * cfg.a_mag) ** 2)
+        p = np.where(far, p, 1.0)
+        sample = ComplexDistanceSample(r, cfg, p - 1j * q, p, q)
+        num_p, num_q = sample._num
+        same_bytes(num_p, p[..., None] * r + q[..., None] * a)
+        same_bytes(num_q, p[..., None] * a - q[..., None] * r)

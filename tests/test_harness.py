@@ -19,7 +19,8 @@ import pytest
 import emwavelets
 from emwavelets import em_fields, geometry, scalar_wavelet
 from emwavelets import (
-    CauchySignal, CustomCut, SourceConfig, complex_distance_principal, cut_sign, field, psi,
+    CauchySignal, CustomCut, FlatDisk, LowerSpheroid, SourceConfig, UpperSpheroid, complex_distance_principal,
+    cut_sign, field, psi, spheroid_point,
 )
 from emwavelets.errors import ConfigError, OnCutError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
@@ -34,6 +35,7 @@ from emwavelets.harness.runs import (
 from emwavelets.harness.spectral import _chirp_z, cauchy_series_transform, quadpack_fourier
 from emwavelets.harness.validate import (
     ALL_SUITES,
+    _region_sign,
     _straddle_pairs_for_cut,
     suite_analyticity,
     suite_appendix_identities,
@@ -206,7 +208,11 @@ class TestFiniteDifferences:
         counted_psi = lambda *args: calls.append(args) or psi(*args)
         monkeypatch.setattr(fd, "psi", counted_psi)
         fd.field_curl_oracle(w, pol, r, 1.5, h=1e-4)
-        assert len(calls) == 33  # 21 for the Hessian and its trace, 12 for d/dt grad psi
+        assert len(calls) == 31  # 19 for the Hessian and its trace, 12 for d/dt grad psi
+        # the centre shared by the three axes of a Laplacian is evaluated once
+        calls.clear()
+        fd.laplacian(lambda rr, tt: calls.append(rr) or psi(w, rr, tt), r, 1.5, 1e-3)
+        assert len(calls) == 7
 
     def test_richardson(self):
         f = lambda x: np.sin(x)
@@ -436,6 +442,21 @@ class TestLayering:
                 if rel != "geometry.py":
                     found += [f"{rel}:{node.lineno} uses {n}" for n in names if n == "_cut_sign"]
         assert not found, "resolve the branch with geometry.branch:\n" + "\n".join(found)
+
+    def test_battery_gates_the_sign_rule_by_closed_forms(self):
+        # continued_sign reduces to the closed-form rule for any chi odd in q, so it
+        # cannot catch a wrong rule; it stays in geometry only as a benchmark reference
+        tree = ast.parse((pathlib.Path(emwavelets.__file__).parent / "harness" / "validate.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name == "continued_sign"]
+            elif isinstance(node, ast.Name) and node.id == "continued_sign":
+                found.append(f"{node.lineno}: uses continued_sign")
+            elif isinstance(node, ast.Attribute) and node.attr == "continued_sign":
+                found.append(f"{node.lineno}: uses {ast.unparse(node)}")
+        assert not found, "harness/validate.py:\n" + "\n".join(found)
+        assert callable(geometry.continued_sign)
 
     def test_three_vector_products_use_the_geometry_kernels(self):
         # np.sum over a (..., 3) axis and np.cross are several times slower than the
@@ -792,6 +813,11 @@ class TestBeamMeasurement:
         assert T == pytest.approx(0.5, rel=0.05)
 
 
+def _sign_mismatches(res):
+    """The count of sign-rule mismatches that suite_sigma_algebra reports."""
+    return int(re.search(r"(\d+) region/disk-continuity mismatches", res.detail).group(1))
+
+
 class TestValidationSuites:
     def test_negative_control_breaks_maxwell(self, rng):
         rc = default_config()
@@ -816,15 +842,19 @@ class TestValidationSuites:
             assert suite.__doc__
 
     def test_oracle_suites_golden_at_seed_1(self):
-        # the values validate --seed 1 prints for the suites built on
-        # quadpack_fourier, continued_sign and harness.fd, pinned exactly
+        # the values validate --seed 1 prints for the million-point suites, whose
+        # component kernels and batches must keep the bits, and for the suites built
+        # on quadpack_fourier and harness.fd, pinned exactly
+        appendix = suite_appendix_identities(default_config(), np.random.default_rng(1))
+        assert appendix.measured == 6.355287432313019e-14
+        assert appendix.detail == "1000000 points"
         spectra = suite_spectra(default_config(), np.random.default_rng(1))
         assert spectra.measured == 3.8368407399298336e-10
         assert spectra.detail == "negative-frequency energy ratio 7.7e-18"
         sigma = suite_sigma_algebra(default_config(), np.random.default_rng(1))
         assert sigma.measured == 4.434433238322705e-16
         assert sigma.detail == ("straddle flip residual 7.8e-05 (<=1e-3), 5 cut kinds, "
-                                "0 continuation mismatches (=0)")
+                                "0 region/disk-continuity mismatches (=0)")
         # and the suites built on harness.fd
         wave = suite_wave_maxwell(default_config(), np.random.default_rng(1))
         assert wave.measured == 1.998980535685136
@@ -836,6 +866,49 @@ class TestValidationSuites:
         surface = suite_surface_continuity(default_config(), np.random.default_rng(1))
         assert surface.measured == 2.000079276040583
         assert surface.detail == "residuals 5.13e-02 -> 3.21e-03, |q| >= 0.25a"
+
+    def test_sign_gate_fails_on_a_membrane_over_both_sheets(self, monkeypatch):
+        # alpha*|sign(q)| spans the q < 0 sheet too: every straddle pair still flips and
+        # path continuation reduces to the same endpoint rule, but sigma_cut now jumps
+        # across the reference disk
+        monkeypatch.setattr(geometry.UpperSpheroid, "cut_function",
+                            lambda self, q, phi: self.alpha * np.abs(np.sign(np.asarray(q, dtype=float))))
+        res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
+        assert not res.passed
+        assert res.measured <= res.threshold and _sign_mismatches(res) > 0
+
+    def test_sign_gate_fails_on_a_reversed_sign_rule(self, monkeypatch):
+        monkeypatch.setattr(geometry.BranchCut, "_sign",
+                            lambda self, r, p, q, cfg: np.where(p > self.cut_function(q, self._phi(r, cfg)), -1, 1))
+        res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
+        assert not res.passed
+        assert res.measured <= res.threshold and _sign_mismatches(res) > 0
+
+    @pytest.mark.parametrize("cut", [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1),
+                                     UpperSpheroid(1.0), LowerSpheroid(0.03)],
+                             ids=["flat", "upper-0.1", "lower-0.1", "upper-1", "lower-0.03"])
+    def test_region_oracle_is_the_sign_rule(self, cut):
+        cfg = SourceConfig(a=np.array([0.3, -0.2, 0.9]), b=2.0)
+        a = cfg.a_mag
+        alpha = getattr(cut, "alpha", 0.1 * a)
+        rng = np.random.default_rng(11)
+        n = 4000
+        # a box, and a slab about the disk plane where the thin spheroids live
+        box = rng.uniform(-1.5 * a, 1.5 * a, (n, 3))
+        slab = (rng.uniform(-1.5 * a, 1.5 * a, (n, 1)) * cfg.e1 + rng.uniform(-1.5 * a, 1.5 * a, (n, 1)) * cfg.e2
+                + rng.uniform(-2.0, 2.0, (n, 1)) * alpha * cfg.a_hat)
+        # +-1e-4 alpha off the membrane: the confocal spheroids p = alpha (1 +- 1e-4) on
+        # both sides, and the disk plane over the disk and the apron
+        qs = rng.uniform(-0.99 * a, 0.99 * a, n)
+        phis = rng.uniform(0.0, 2.0 * np.pi, n)
+        shells = [spheroid_point(alpha * (1.0 + s * 1e-4), qs, phis, cfg) for s in (1.0, -1.0)]
+        rhos = rng.uniform(0.01 * a, 0.999 * np.hypot(a, alpha), n)
+        plane = rhos[:, None] * (np.cos(phis)[:, None] * cfg.e1 + np.sin(phis)[:, None] * cfg.e2)
+        planes = [plane + s * 1e-4 * alpha * cfg.a_hat for s in (1.0, -1.0)]
+        for pts in [box, slab, *shells, *planes]:
+            assert np.array_equal(_region_sign(cut, pts, cfg), cut.sign(pts, cfg))
+        if not isinstance(cut, FlatDisk):  # the region is not empty
+            assert np.any(_region_sign(cut, slab, cfg) == -1)
 
     def test_straddle_pairs_follow_azimuth(self):
         # the membrane height depends on phi, so each pair must sit across it at its own phi
