@@ -14,7 +14,7 @@ from emwavelets import (
     SmoothSpheroid,
     SourceConfig,
     UpperSpheroid,
-    complex_distance,
+    branch,
     complex_distance_principal,
     frame,
     to_oblate,
@@ -51,7 +51,7 @@ print(f"{'point':>18s} | " + " | ".join(f"{name:>22s}" for name, _ in cuts))
 for pt in pts:
     row = []
     for _, cut in cuts:
-        row.append(f"{complex_distance(cut, pt, cfg):+.4f}")
+        row.append(f"{branch(cut, pt, cfg).sigma:+.4f}")
     print(f"{np.array2string(pt, precision=2):>18s} | " + " | ".join(f"{v:>22s}" for v in row))
 print("\ninside the lens between the disk and the upper cut the sign flips:")
 print("that flipped branch is what turns retarded fields into advanced ones,")

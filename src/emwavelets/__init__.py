@@ -34,9 +34,7 @@ from .geometry import (
     SourceConfig,
     UpperSpheroid,
     branch,
-    complex_distance,
     complex_distance_principal,
-    cut_sign,
     frame,
     from_oblate,
     smooth_cut_function,
@@ -46,10 +44,7 @@ from .geometry import (
 from .signals import (
     CauchySignal,
     SampledSignal,
-    SignalSum,
     SpectralProfile,
-    boundary_recovery,
-    complex_time,
     diffraction_angle,
     eval_derivs,
     mixed_signals,
@@ -58,7 +53,7 @@ from .signals import (
     spectral_profile,
     spectrum_cauchy,
 )
-from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_of_sigma, psi_sigma_derivs
+from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_of_sigma
 from .em_fields import (
     EMFieldSample,
     LMNTriplet,
@@ -77,15 +72,12 @@ from .surface_sources import (
     TildeTriplet,
     bandpass_response,
     coulomb_disk_sources,
-    coulomb_field,
     coulomb_spheroid_sources,
     disk_angular_velocity,
-    disk_charge_velocity,
     effective_aperture,
     field_jump,
     impulse_surface_sources,
     impulse_tilde_lmn,
-    phase_sweep_magnetic_fraction,
     surface_sources_approx,
     surface_sources_exact,
     tilde_lmn,

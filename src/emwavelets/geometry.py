@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "SmoothSpheroid",
     "CustomCut",
     "complex_distance_principal",
-    "complex_distance",
-    "cut_sign",
     "branch",
     "continued_sign",
     "to_oblate",
@@ -46,7 +44,6 @@ __all__ = [
     "spheroid_point",
     "smooth_cut_function",
     "frame",
-    "on_reference_cut",
     "branch_circle_distance",
 ]
 
@@ -252,15 +249,6 @@ def complex_distance_principal(r, cfg: SourceConfig):
     return sigma, np.real(sigma), -np.imag(sigma)
 
 
-def on_reference_cut(r, cfg: SourceConfig, tol: float | None = None):
-    """True where r lies on the flat-disk reference cut (within tol)."""
-    r = np.asarray(r, dtype=float)
-    if tol is None:
-        tol = 1e-9 * cfg.a_mag
-    z, rho = _axial(r, cfg)
-    return (np.abs(z) <= tol) & (rho <= cfg.a_mag)
-
-
 def branch_circle_distance(r, cfg: SourceConfig):
     """Euclidean distance from r to the branch circle."""
     z, rho = _axial(np.asarray(r, dtype=float), cfg)
@@ -376,7 +364,7 @@ class BranchCut:
         return np.minimum(d_surface, d_circle)
 
     def near_cut(self, r, cfg: SourceConfig, tol: float):
-        """Mask of the points that cut_sign refuses: clearance(r) < tol, shaped like r[..., 0]."""
+        """Mask of the points that branch refuses: clearance(r) < tol, shaped like r[..., 0]."""
         return np.asarray(self.clearance(r, cfg) < tol)
 
 
@@ -445,7 +433,7 @@ def _spheroid_clearance(r, cfg, alpha, side, ellipse=_ellipse_bisection):
     the apron a <= rho <= A.  The apron distance is exact; the ellipse distance is
     exact by default (_ellipse_bisection, the spheroids' clearance, which the
     difference oracles use as a stencil margin) or the closed-form lower bound
-    _ellipse_bound, with which cut_sign screens its refusal rule clearance < tol_cut.
+    _ellipse_bound, with which near_cut screens branch's refusal rule clearance < tol_cut.
     For y < 0 it returns hypot(d(rho, 0), y), a lower bound as
     |P - X|^2 >= |P' - X|^2 + y^2 for every cut point X (P' the projection of P on
     the plane), exact where the nearest cut point is on the apron or the rim.
@@ -458,73 +446,57 @@ def _spheroid_clearance(r, cfg, alpha, side, ellipse=_ellipse_bisection):
     return np.hypot(np.minimum(d_ellipse, d_apron), np.minimum(side * z, 0.0))
 
 
-def _spheroid_near(cut, r, cfg, tol):
-    """clearance(r) < tol, with the bisection run only where the closed-form bound is in the band.
-
-    The bound never exceeds the exact distance but by rounding, so a point outside
-    tol widened by _SCREEN_MARGIN cannot have clearance < tol; the points inside it
-    are confirmed by cut.clearance.
-    """
-    r = np.asarray(r, dtype=float)
-    widened = tol + _SCREEN_MARGIN * (tol + math.hypot(cfg.a_mag, cut.alpha))
-    near = np.asarray(cut.clearance_bound(r, cfg) < widened)
-    if np.any(near):
-        near[near] = cut.clearance(r[near], cfg) < tol
-    return near
-
-
 @dataclass(frozen=True)
-class UpperSpheroid(BranchCut):
+class HalfSpheroid(BranchCut):
+    """Half spheroid p = alpha on the side side*(a.r) > 0, closed by the flat apron.
+
+    UpperSpheroid (side = +1) and LowerSpheroid (side = -1) are its two mirror images.
+    """
+
+    alpha: float
+    side: ClassVar[float]
+    _reads_phi = False
+
+    def __post_init__(self):
+        if not self.alpha > 0.0:
+            raise ValueError("alpha must be positive")
+
+    def cut_function(self, q, phi):
+        return self.side * self.alpha * np.sign(np.asarray(q, dtype=float))
+
+    def clearance(self, r, cfg):
+        """Exact distance to the cut on its side of the disk plane; a lower bound beyond it."""
+        return _spheroid_clearance(r, cfg, self.alpha, self.side)
+
+    def clearance_bound(self, r, cfg):
+        """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
+        return _spheroid_clearance(r, cfg, self.alpha, self.side, _ellipse_bound)
+
+    def near_cut(self, r, cfg, tol):
+        """clearance(r) < tol, with the bisection run only where clearance_bound is in the band.
+
+        The bound never exceeds the exact distance but by rounding, so a point outside
+        tol widened by _SCREEN_MARGIN cannot have clearance < tol; the points inside it
+        are confirmed by clearance.
+        """
+        r = np.asarray(r, dtype=float)
+        widened = tol + _SCREEN_MARGIN * (tol + math.hypot(cfg.a_mag, self.alpha))
+        near = np.asarray(self.clearance_bound(r, cfg) < widened)
+        if np.any(near):
+            near[near] = self.clearance(r[near], cfg) < tol
+        return near
+
+
+class UpperSpheroid(HalfSpheroid):
     """Half spheroid p = alpha on the a.r > 0 side, closed by the flat apron."""
 
-    alpha: float
-    _reads_phi = False
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-
-    def cut_function(self, q, phi):
-        return self.alpha * np.sign(np.asarray(q, dtype=float))
-
-    def clearance(self, r, cfg):
-        """Exact distance to the cut on its a.r >= 0 side; a lower bound beyond the disk plane."""
-        return _spheroid_clearance(r, cfg, self.alpha, 1.0)
-
-    def clearance_bound(self, r, cfg):
-        """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
-        return _spheroid_clearance(r, cfg, self.alpha, 1.0, _ellipse_bound)
-
-    def near_cut(self, r, cfg, tol):
-        """clearance(r) < tol, screened by clearance_bound (_spheroid_near)."""
-        return _spheroid_near(self, r, cfg, tol)
+    side = 1.0
 
 
-@dataclass(frozen=True)
-class LowerSpheroid(BranchCut):
+class LowerSpheroid(HalfSpheroid):
     """Mirror image of UpperSpheroid on the a.r < 0 side."""
 
-    alpha: float
-    _reads_phi = False
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-
-    def cut_function(self, q, phi):
-        return -self.alpha * np.sign(np.asarray(q, dtype=float))
-
-    def clearance(self, r, cfg):
-        """Exact distance to the cut on its a.r <= 0 side; a lower bound beyond the disk plane."""
-        return _spheroid_clearance(r, cfg, self.alpha, -1.0)
-
-    def clearance_bound(self, r, cfg):
-        """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
-        return _spheroid_clearance(r, cfg, self.alpha, -1.0, _ellipse_bound)
-
-    def near_cut(self, r, cfg, tol):
-        """clearance(r) < tol, screened by clearance_bound (_spheroid_near)."""
-        return _spheroid_near(self, r, cfg, tol)
+    side = -1.0
 
 
 @dataclass(frozen=True)
@@ -615,44 +587,23 @@ def _continued_chunk(cut, r, cfg):
     return np.where(crossings % 2 == 0, 1, -1) * branch[-1].astype(int)
 
 
-def cut_sign(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):
-    """Sign of sigma_cut relative to the principal branch: +1 outside, -1 inside.
-
-    Raises OnCutError when any point has cut.clearance(r) < tol_cut, naming
-    how many and the first of them (cut.near_cut; the flat disk is the
-    reference cut and never raises).  The spheroid cuts screen that rule with
-    a closed-form lower bound and compute their exact clearance only inside
-    the band; clearance itself stays exact.
-    """
-    r = np.asarray(r, dtype=float)
-    _, p, q = complex_distance_principal(r, cfg)
-    return _cut_sign(cut, r, p, q, cfg, tol_cut)
-
-
-def _cut_sign(cut, r, p, q, cfg, tol_cut):
-    """cut_sign(cut, r, cfg, tol_cut) from the principal p and q at r, which the caller holds."""
-    if tol_cut is None:
-        tol_cut = 1e-9 * cfg.a_mag
-    _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
-    return cut._sign(r, p, q, cfg)
-
-
-def complex_distance(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None):
-    """sigma with the given branch cut: cut sign times the principal value."""
-    r = np.asarray(r, dtype=float)
-    sigma0, p, q = complex_distance_principal(r, cfg)
-    return _cut_sign(cut, r, p, q, cfg, tol_cut) * sigma0
-
-
 def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -> ComplexDistanceSample:
     """sigma on the branch that cut selects at r, from one principal sigma per point.
 
-    Refuses points within tol_cut of the cut (cut_sign), then points on the
-    branch circle.
+    The one resolution of the cut sign that refuses points: raises OnCutError
+    when any point has cut.clearance(r) < tol_cut (default 1e-9 |a|), naming
+    how many and the first of them (cut.near_cut; the flat disk is the
+    reference cut and never raises), then refuses points on the branch circle.
+    The spheroid cuts screen that rule with a closed-form lower bound and
+    compute their exact clearance only inside the band.  BranchCut.sign is
+    the same sign rule without the refusals.
     """
     r = np.asarray(r, dtype=float)
     sigma0, p, q = complex_distance_principal(r, cfg)
-    s = _cut_sign(cut, r, p, q, cfg, tol_cut)
+    if tol_cut is None:
+        tol_cut = 1e-9 * cfg.a_mag
+    _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
+    s = cut._sign(r, p, q, cfg)
     return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)
 
 

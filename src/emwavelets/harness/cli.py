@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -46,6 +47,10 @@ def _add_common(p):
 
 
 def _load(args) -> RunConfig:
+    if not math.isfinite(args.tol_scale) or args.tol_scale <= 0.0:
+        raise ConfigError(f"--tol-scale must be finite and positive, got {args.tol_scale!r}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.config:
         rc = load_config(args.config)
     else:

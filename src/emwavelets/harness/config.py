@@ -159,6 +159,16 @@ def _axis(text):
     return AxisSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+def _get(sec, key, convert, default):
+    """sec[key] through convert, or default if the key is absent; a bad value names section.key."""
+    if key not in sec:
+        return default
+    try:
+        return convert(sec[key])
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{sec.name}.{key}: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a RunConfig; raises ConfigError on any problem."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -168,49 +178,47 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if "source" not in cp:
+        raise ConfigError("missing [source] section")
+    src = cp["source"]
+    a = _get(src, "a", _vec, np.array([0.0, 0.0, 1.0]))
+    b, c = _get(src, "b", float, 1.5), _get(src, "c", float, 1.0)
     try:
-        if "source" not in cp:
-            raise ConfigError("missing [source] section")
-        src = cp["source"]
-        source = SourceConfig(
-            a=_vec(src.get("a", "0,0,1")),
-            b=float(src.get("b", "1.5")),
-            c=float(src.get("c", "1.0")),
-        )
+        source = SourceConfig(a=a, b=b, c=c)
     except ValueError as exc:
         raise ConfigError(f"invalid source: {exc}") from exc
     rc = RunConfig(source=source)
     if "cut" in cp:
         sec = cp["cut"]
         rc.cut_kind = sec.get("kind", rc.cut_kind).strip()
-        rc.cut_alpha = sec.getfloat("alpha", rc.cut_alpha)
-        rc.cut_eps = sec.getfloat("eps", rc.cut_eps)
+        rc.cut_alpha = _get(sec, "alpha", float, rc.cut_alpha)
+        rc.cut_eps = _get(sec, "eps", float, rc.cut_eps)
     if "signal" in cp:
         sec = cp["signal"]
         rc.signal_kind = sec.get("kind", "").strip()
         if not rc.signal_kind:
             raise ConfigError("[signal] section present but kind is empty")
-        rc.signal_n = sec.getint("n", rc.signal_n)
+        rc.signal_n = _get(sec, "n", int, rc.signal_n)
         rc.signal_csv = sec.get("csv", "").strip()
     else:
         raise ConfigError("missing [signal] section")
     if "polarization" in cp:
         sec = cp["polarization"]
-        rc.pol_re = _vec(sec.get("re", "1,0,0"))
-        rc.pol_im = _vec(sec.get("im", "0,0,0"))
+        rc.pol_re = _get(sec, "re", _vec, rc.pol_re)
+        rc.pol_im = _get(sec, "im", _vec, rc.pol_im)
         if np.linalg.norm(rc.pol_re + 1j * rc.pol_im) == 0.0:
             raise ConfigError("polarization must be nonzero")
     if "grid" in cp:
         sec = cp["grid"]
         for ax in ("x", "y", "z", "t"):
             if ax in sec:
-                rc.grid[ax] = _axis(sec[ax])
+                rc.grid[ax] = _get(sec, ax, _axis, None)
     if "surface" in cp:
         sec = cp["surface"]
-        rc.surface_alpha = sec.getfloat("alpha", rc.surface_alpha)
-        rc.surface_nq = sec.getint("nq", rc.surface_nq)
-        rc.surface_nphi = sec.getint("nphi", rc.surface_nphi)
-        rc.surface_t = sec.getfloat("t", rc.surface_t)
+        rc.surface_alpha = _get(sec, "alpha", float, rc.surface_alpha)
+        rc.surface_nq = _get(sec, "nq", int, rc.surface_nq)
+        rc.surface_nphi = _get(sec, "nphi", int, rc.surface_nphi)
+        rc.surface_t = _get(sec, "t", float, rc.surface_t)
     if "output" in cp:
         sec = cp["output"]
         rc.out_dir = sec.get("dir", rc.out_dir).strip()
@@ -219,7 +227,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("output quantity must be psi or F")
     if "tolerances" in cp:
         sec = cp["tolerances"]
-        rc.tol_cut = sec.getfloat("tol_cut", rc.tol_cut)
+        rc.tol_cut = _get(sec, "tol_cut", float, rc.tol_cut)
         rc.q_min = sec.get("q_min", rc.q_min).strip()
         if rc.q_min != "auto":
             try:

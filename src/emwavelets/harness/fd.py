@@ -33,7 +33,6 @@ __all__ = [
     "time_derivative",
     "laplacian",
     "dalembertian",
-    "hessian_apply",
     "nth_derivative_param",
     "richardson",
     "field_curl_oracle",
@@ -128,11 +127,6 @@ def _hessian(f, r, t, h):
 
 def _contract(H, v):
     return np.stack([sum(H[i][j] * v[j] for j in range(3)) for i in range(3)], axis=-1)
-
-
-def hessian_apply(f, r, t, h, v):
-    """Hessian of scalar f applied to the constant vector v (2nd-order stencils)."""
-    return _contract(_hessian(f, r, t, h), np.asarray(v))
 
 
 def nth_derivative_param(func, x0: float, k: int, h: float):

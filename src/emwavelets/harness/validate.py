@@ -20,6 +20,7 @@ from ..geometry import (
     ComplexDistanceSample,
     CustomCut,
     FlatDisk,
+    HalfSpheroid,
     LowerSpheroid,
     SmoothSpheroid,
     SourceConfig,
@@ -28,7 +29,7 @@ from ..geometry import (
     _dot,
     _spheroid_rho,
     _sum3,
-    complex_distance,
+    branch,
     complex_distance_principal,
     frame,
     from_oblate,
@@ -155,10 +156,8 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
         base = rho[:, None] * _cylindrical_basis(phis, cfg)[0]
         nhat = np.broadcast_to(cfg.a_hat, base.shape)
         return base + delta * nhat, base - delta * nhat
-    if isinstance(cut, (UpperSpheroid, LowerSpheroid)):
-        alpha = cut.alpha
-        sgn = 1.0 if isinstance(cut, UpperSpheroid) else -1.0
-        base = spheroid_point(alpha, sgn * qs, phis, cfg)
+    if isinstance(cut, HalfSpheroid):
+        base = spheroid_point(cut.alpha, cut.side * qs, phis, cfg)
         fr = frame(base, cfg)
         return base + delta * fr.e_p, base - delta * fr.e_p
     # smooth or custom: surface p = chi(q, phi); offset along the meridian-plane part of
@@ -185,11 +184,10 @@ def _region_sign(cut, r, cfg):
     """
     if isinstance(cut, FlatDisk):
         return np.ones(np.shape(r)[:-1], dtype=int)
-    side = 1.0 if isinstance(cut, UpperSpheroid) else -1.0
     z = _dot(r, cfg.a_hat)
     rho2 = _dot(r, r) - z**2
     inside = rho2 / (cfg.a_mag**2 + cut.alpha**2) + (z / cut.alpha) ** 2 < 1.0
-    return np.where((side * z > 0.0) & inside, -1, 1)
+    return np.where((cut.side * z > 0.0) & inside, -1, 1)
 
 
 def _disk_discontinuities(cut, cfg):
@@ -208,7 +206,7 @@ def _disk_discontinuities(cut, cfg):
     plus, minus = base + delta, base - delta
     s0p, _, _ = complex_distance_principal(plus, cfg)
     s0m, _, _ = complex_distance_principal(minus, cfg)
-    jump = np.abs(complex_distance(cut, plus, cfg) - complex_distance(cut, minus, cfg)) / np.abs(s0p)
+    jump = np.abs(branch(cut, plus, cfg).sigma - branch(cut, minus, cfg).sigma) / np.abs(s0p)
     flip = np.abs(s0p + s0m) / np.abs(s0p)
     return int(np.sum((jump > 1e-3) | (flip > 1e-3)))
 
@@ -235,12 +233,12 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000, n
     mismatches = 0
     for cut in cuts:
         plus, minus = _straddle_pairs_for_cut(cut, cfg, rng, n_straddle)
-        sp = complex_distance(cut, plus, cfg)
-        sm = complex_distance(cut, minus, cfg)
+        sp = branch(cut, plus, cfg).sigma
+        sm = branch(cut, minus, cfg).sigma
         flip = np.abs(sp + sm) / np.maximum(np.abs(sp), 1e-30)
         worst_flip = max(worst_flip, float(flip.max()))
         # the closed-form sign rule against the Cartesian region it must describe
-        if isinstance(cut, (FlatDisk, UpperSpheroid, LowerSpheroid)):
+        if isinstance(cut, (FlatDisk, HalfSpheroid)):
             both = np.vstack([plus[:32], minus[:32]])
             mismatches += int(np.sum(cut.sign(both, cfg) != _region_sign(cut, both, cfg)))
         if not isinstance(cut, FlatDisk):
@@ -253,7 +251,7 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000, n
 
 
 @_timed
-def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100, break_cut_sign=False):
+def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
     """Order >= 1.9 convergence of box(psi), div F and dF/dt + i curl F."""
     cfg = rc.source
     a = cfg.a_mag
@@ -266,16 +264,7 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100, break_cu
     for n in (1, 4):
         w = ScalarWavelet(cut=cut, cfg=cfg, sig=CauchySignal(n))
         pts = _off_cut_points(rng, cfg, cut, n_points, clearance=6 * hs[0])
-
-        def F_of(rr, tt):
-            Fv = field(w, pol, rr, tt).F
-            if break_cut_sign:
-                # negative control: a sign rule inconsistent at stencil scale,
-                # the failure mode of a broken branch assignment near a cut
-                flip = np.where(np.sin(3000.0 * rr[..., 0] / a) > 0, -1.0, 1.0)
-                Fv = flip[..., None] * Fv
-            return Fv
-
+        F_of = lambda rr, tt: field(w, pol, rr, tt).F
         res_wave, res_div, res_cc = [], [], []
         for h in hs:
             res_wave.append(float(np.sqrt(np.mean(np.abs(wave_residual(w, pts, t, h=h, order=2)) ** 2))))

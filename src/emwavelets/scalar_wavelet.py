@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BranchCut, SourceConfig, branch, complex_distance, frame
+from .geometry import BranchCut, SourceConfig, branch, frame
 from .signals import DrivingSignal, _pair, eval_derivs
 
-__all__ = ["ScalarWavelet", "psi", "psi_of_sigma", "psi_sigma_derivs", "interior_psi"]
+__all__ = ["ScalarWavelet", "psi", "psi_of_sigma", "interior_psi"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ScalarWavelet:
         return np.asarray(t, dtype=float) - 1j * self.cfg.b
 
     def sigma(self, r):
-        return complex_distance(self.cut, r, self.cfg)
+        return branch(self.cut, r, self.cfg).sigma
 
 
 def psi_of_sigma(sig, sigma, tau):
@@ -43,22 +43,6 @@ def psi_of_sigma(sig, sigma, tau):
 def psi(w: ScalarWavelet, r, t):
     """Retarded wavelet g(tau - sigma)/sigma at field point r, time t."""
     return psi_of_sigma(w.sig, branch(w.cut, r, w.cfg).sigma, w.tau(t))
-
-
-def psi_sigma_derivs(w: ScalarWavelet, r, t):
-    """(psi, d(psi)/d(sigma), d2(psi)/d(sigma)2) at (r, t).
-
-    psi' = -g./sigma - g/sigma^2 and psi'' = g../sigma + 2g./sigma^2
-    + 2g/sigma^3, with g, g., g.. the retarded signal and its time
-    derivatives.
-    """
-    sigma = branch(w.cut, r, w.cfg).sigma
-    tau = w.tau(t)
-    g, g1, g2 = eval_derivs(w.sig, tau - sigma, 2)
-    value = g / sigma
-    d1 = -g1 / sigma - g / sigma**2
-    d2 = g2 / sigma + 2.0 * g1 / sigma**2 + 2.0 * g / sigma**3
-    return value, d1, d2
 
 
 def interior_psi(w: ScalarWavelet, r, t):

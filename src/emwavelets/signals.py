@@ -25,28 +25,20 @@ from .errors import NoSolutionError, PoleOnPathError, QuadratureDivergenceError
 __all__ = [
     "CauchySignal",
     "SampledSignal",
-    "SignalSum",
     "eval_derivs",
     "SpectralProfile",
-    "complex_time",
     "spectrum_cauchy",
     "spectral_profile",
     "pulse_duration",
     "peak_strength",
     "diffraction_angle",
     "mixed_signals",
-    "boundary_recovery",
 ]
 
 
 # bound on the complex entries of one block of a sampled drive's kernel
 # (2^19 entries, 8 MB)
 KERNEL_CHUNK = 1 << 19
-
-
-def complex_time(t, b):
-    """tau = t - i*b."""
-    return np.asarray(t, dtype=float) - 1j * b
 
 
 class DrivingSignal:
@@ -176,22 +168,6 @@ class SampledSignal(DrivingSignal):
         ]
 
 
-@dataclass(frozen=True)
-class SignalSum(DrivingSignal):
-    """Linear combination sum_k c_k * sig_k, e.g. mixes of high-order Cauchy kernels."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((complex(c), s) for c, s in self.terms)
-        if not terms:
-            raise ValueError("empty combination")
-        object.__setattr__(self, "terms", terms)
-
-    def eval(self, tau, order: int = 0):
-        return sum(c * s.eval(tau, order) for c, s in self.terms)
-
-
 def eval_derivs(sig, tau, kmax: int):
     """[g, g', ..., g^(kmax)] of the drive sig at tau: the one derivative entry point.
 
@@ -286,9 +262,3 @@ def mixed_signals(sig: DrivingSignal, sigma, tau):
         out.append(em - ep)
     return tuple(out)
 
-
-def boundary_recovery(sig: DrivingSignal, t, b):
-    """g(t - i*b) - g(t + i*b); converges to the original g0(t) as b -> 0+."""
-    t = np.asarray(t, dtype=float)
-    gm, gp = eval_derivs(sig, _pair(t - 1j * b, t + 1j * b), 0)[0]
-    return gm - gp

@@ -10,8 +10,10 @@ The jump collapses to tilde coefficients built from the mixed signals
 g+- = g(tau-sigma) +- g(tau+sigma), and for the impulse drive (n = 1
 Cauchy kernel) the tilde coefficients reduce to rational closed forms in
 (sigma, tau): the antenna's impulse response.  The analytically continued
-Coulomb field provides the static validation example, including the
-classic rigidly-spinning-disk picture of its sources.
+Coulomb field provides the static validation example.  Its disk-limit
+sources are a charge density and an azimuthal current j = j0 v with
+v = (c rho/a) e_phi: the picture of a charged disk spinning rigidly at the
+angular velocity c/a, whose rim moves at the speed of light.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .geometry import (
     _cross,
     _cylindrical_basis,
     _dot,
-    complex_distance_principal,
     spheroid_point,
 )
 from .scalar_wavelet import ScalarWavelet
@@ -48,14 +49,11 @@ __all__ = [
     "tilde_lmn",
     "impulse_tilde_lmn",
     "impulse_surface_sources",
-    "phase_sweep_magnetic_fraction",
     "surface_sources_exact",
     "surface_sources_approx",
     "bandpass_response",
-    "coulomb_field",
     "coulomb_disk_sources",
     "coulomb_spheroid_sources",
-    "disk_charge_velocity",
     "disk_angular_velocity",
     "effective_aperture",
 ]
@@ -259,24 +257,6 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 
-def phase_sweep_magnetic_fraction(w: ScalarWavelet, pol, q, phi, alpha, t, phases,
-                                  q_min: float | None = None):
-    """Magnetic energy fraction of the sources as the polarization phase turns.
-
-    For each phase, the drive uses exp(i*phase)*pol and the returned
-    fraction is sum(|Im j|^2 + |Im j0|^2) / sum(|j|^2 + |j0|^2) over the
-    sample set.  Exploratory only; nothing is asserted about a minimum.
-    """
-    pol = _as_pol(pol)
-    out = []
-    for ph in np.asarray(phases, dtype=float):
-        s = surface_sources_exact(w, np.exp(1j * ph) * pol, q, phi, alpha, t, q_min=q_min)
-        mag = np.sum(s.j_magnetic**2) + np.sum(s.j0_magnetic**2)
-        tot = np.sum(np.abs(s.j) ** 2) + np.sum(np.abs(s.j0) ** 2)
-        out.append(mag / tot)
-    return np.asarray(out)
-
-
 def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
                       q_min: float | None = None) -> SurfaceSourceSample:
     """Surface sources for the band-pass drive C_n: the wavelet re-driven with C_n.
@@ -292,19 +272,6 @@ def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
 
 # --------------------------------------------------------------------------
 # The analytically continued Coulomb field: static validation example
-
-
-def coulomb_field(r, a_vec, cfg: SourceConfig | None = None):
-    """C = (r - i a)/(4 pi sigma^3), the Coulomb field of a unit charge at i*a."""
-    a_vec = np.asarray(a_vec, dtype=float)
-    if cfg is None:
-        cfg = SourceConfig(a=a_vec, b=2.0 * np.linalg.norm(a_vec))
-    r = np.asarray(r, dtype=float)
-    sigma, _, _ = complex_distance_principal(r, cfg)
-    if np.any(np.abs(sigma) < 1e-12 * cfg.a_mag):
-        raise OnBranchCircleError("Coulomb field evaluated on the branch circle")
-    z = r - 1j * a_vec
-    return z / (4.0 * np.pi * sigma**3)[..., None]
 
 
 def coulomb_disk_sources(rho, a, c: float = 1.0, phi=0.0):
@@ -325,14 +292,6 @@ def coulomb_disk_sources(rho, a, c: float = 1.0, phi=0.0):
     e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
     j = jmag[..., None] * e_phi
     return j0, j
-
-
-def disk_charge_velocity(rho, a, c: float = 1.0, phi=0.0):
-    """Local charge velocity v = (c rho / a) e_phi of the spinning disk picture."""
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-    return (c * rho / a)[..., None] * e_phi
 
 
 def disk_angular_velocity(a, c: float = 1.0):

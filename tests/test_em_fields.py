@@ -14,7 +14,7 @@ from emwavelets import (
     SourceConfig,
     TooCloseToCutError,
     UpperSpheroid,
-    cut_sign,
+    branch,
     far_field,
     field,
     field_curl_oracle,
@@ -370,7 +370,7 @@ class TestRotationCovariance:
         w_r = ScalarWavelet(cut=cut, cfg=cfg_r, sig=CauchySignal(2))
         c, c_r = cut.clearance(pts, cfg), cut.clearance(rot, cfg_r)
         assert np.all(np.abs(c_r - c) <= 1e-12 * c)
-        assert np.array_equal(cut_sign(cut, rot, cfg_r), cut_sign(cut, pts, cfg))
+        assert np.array_equal(branch(cut, rot, cfg_r).sign, branch(cut, pts, cfg).sign)
         v, v_r = psi(w, pts, 1.7), psi(w_r, rot, 1.7)
         assert np.all(np.abs(v_r - v) <= 1e-12 * np.abs(v))
         F = field(w, pol, pts, 1.7).F @ R.T

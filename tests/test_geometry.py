@@ -15,9 +15,7 @@ from emwavelets import (
     SourceConfig,
     UpperSpheroid,
     branch,
-    complex_distance,
     complex_distance_principal,
-    cut_sign,
     frame,
     from_oblate,
     smooth_cut_function,
@@ -29,7 +27,6 @@ from emwavelets.geometry import (
     ComplexDistanceSample,
     branch_circle_distance,
     continued_sign,
-    on_reference_cut,
 )
 
 
@@ -44,7 +41,7 @@ def meridian_distance(cut, cfg, rho, z, n=200_001, stride=100):
         verts = np.column_stack([np.linspace(0.0, a, n), np.zeros(n)])
     else:
         big = np.hypot(a, cut.alpha)
-        side = 1.0 if isinstance(cut, UpperSpheroid) else -1.0
+        side = cut.side
         theta = np.linspace(0.0, np.pi / 2, n)
         k = n // 100
         verts = np.vstack(
@@ -79,7 +76,7 @@ def cut_cases(cuts):
 
 
 def cut_side(cut):
-    return -1.0 if isinstance(cut, LowerSpheroid) else 1.0
+    return getattr(cut, "side", 1.0)
 
 
 def meridian_points(cfg, rho, z, phi):
@@ -185,11 +182,6 @@ class TestComplexDistance:
         assert sigma[0] == pytest.approx(-1j * np.sqrt(0.75))
         assert sigma[1] == pytest.approx(np.sqrt(3.0))
 
-    def test_on_reference_cut_flag(self, cfg):
-        assert on_reference_cut(np.array([0.5, 0.0, 0.0]), cfg)
-        assert not on_reference_cut(np.array([0.5, 0.0, 0.1]), cfg)
-        assert not on_reference_cut(np.array([1.5, 0.0, 0.0]), cfg)
-
 
 class TestOblate:
     def test_on_axis_example(self, cfg):
@@ -220,29 +212,29 @@ class TestOblate:
 
 class TestCutSign:
     def test_far_zone_positive(self, cfg):
-        assert cut_sign(UpperSpheroid(0.1), np.array([0.0, 0.0, 50.0]), cfg) == 1
+        assert branch(UpperSpheroid(0.1), np.array([0.0, 0.0, 50.0]), cfg).sign == 1
 
     def test_inside_upper_lens(self, cfg):
         pt = np.array([0.0, 0.0, 0.05])
-        assert cut_sign(UpperSpheroid(0.1), pt, cfg) == -1
-        assert cut_sign(LowerSpheroid(0.1), pt, cfg) == 1
+        assert branch(UpperSpheroid(0.1), pt, cfg).sign == -1
+        assert branch(LowerSpheroid(0.1), pt, cfg).sign == 1
 
     def test_flat_disk_always_positive(self, cfg, rng):
         pts = rng.uniform(-2, 2, (100, 3))
-        assert np.all(cut_sign(FlatDisk(), pts, cfg) == 1)
+        assert np.all(branch(FlatDisk(), pts, cfg).sign == 1)
 
     def test_on_cut_raises(self, cfg):
         surface_pt = spheroid_point(0.1, 0.6, 0.3, cfg)
         with pytest.raises(OnCutError):
-            cut_sign(UpperSpheroid(0.1), surface_pt, cfg)
+            branch(UpperSpheroid(0.1), surface_pt, cfg)
 
     def test_on_apron_raises(self, cfg):
         # the flat annulus bridging the circle to the half spheroid is part of the cut
         apron_pt = np.array([1.002, 0.0, 0.0])
         with pytest.raises(OnCutError):
-            cut_sign(UpperSpheroid(0.1), apron_pt, cfg)
+            branch(UpperSpheroid(0.1), apron_pt, cfg)
         with pytest.raises(OnCutError):
-            cut_sign(LowerSpheroid(0.1), apron_pt, cfg)
+            branch(LowerSpheroid(0.1), apron_pt, cfg)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-4])
     @pytest.mark.parametrize("cut, axis", cut_cases(SPHEROIDS))
@@ -263,7 +255,7 @@ class TestCutSign:
             r = pts.reshape(shape)
             assert np.array_equal(cut.near_cut(r, cfg, tol_cut), expected.reshape(shape[:-1]))
             with pytest.raises(OnCutError) as err:
-                cut_sign(cut, r, cfg, tol_cut=tol_cut)
+                branch(cut, r, cfg, tol_cut=tol_cut)
             first = ", ".join(f"{v:g}" for v in pts[np.flatnonzero(expected)[0]])
             assert str(err.value).endswith(
                 f"{np.count_nonzero(expected)} of {2 * n} points refused, first at ({first})"
@@ -271,9 +263,9 @@ class TestCutSign:
         for pt, refused in zip(pts[:16], expected[:16]):
             if refused:
                 with pytest.raises(OnCutError, match=r"1 of 1 points refused"):
-                    cut_sign(cut, pt, cfg, tol_cut=tol_cut)
+                    branch(cut, pt, cfg, tol_cut=tol_cut)
             else:
-                assert cut_sign(cut, pt, cfg, tol_cut=tol_cut) in (-1, 1)
+                assert branch(cut, pt, cfg, tol_cut=tol_cut).sign in (-1, 1)
 
     def test_custom_cut_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -282,18 +274,18 @@ class TestCutSign:
             CustomCut(chi=lambda q, phi: 0.02 * q * phi)
 
     def test_branched_distance_examples(self, cfg):
-        assert complex_distance(FlatDisk(), np.array([0.0, 0.0, 2.0]), cfg) == pytest.approx(2 - 1j)
+        assert branch(FlatDisk(), np.array([0.0, 0.0, 2.0]), cfg).sigma == pytest.approx(2 - 1j)
         pt = np.array([0.0, 0.0, 0.05])
         sigma0, _, _ = complex_distance_principal(pt, cfg)
-        assert complex_distance(UpperSpheroid(0.1), pt, cfg) == pytest.approx(-sigma0)
+        assert branch(UpperSpheroid(0.1), pt, cfg).sigma == pytest.approx(-sigma0)
 
     def test_straddle_flip(self, cfg):
         base = spheroid_point(0.1, 0.6, 1.2, cfg)
         nhat = frame(base, cfg).e_p
         plus = base + 1e-6 * nhat
         minus = base - 1e-6 * nhat
-        sp = complex_distance(UpperSpheroid(0.1), plus, cfg)
-        sm = complex_distance(UpperSpheroid(0.1), minus, cfg)
+        sp = branch(UpperSpheroid(0.1), plus, cfg).sigma
+        sm = branch(UpperSpheroid(0.1), minus, cfg).sigma
         assert abs(sp + sm) < 1e-4 * abs(sp)
 
     def test_smooth_region_rule_matches_continuation(self, cfg, rng):
@@ -322,9 +314,9 @@ class TestCutSign:
         rho = rng.uniform(0.05, 0.95, 40)
         phi = rng.uniform(0.0, 2 * np.pi, 40)
         disk = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.zeros(40)])
-        on = complex_distance(cut, disk, cfg)
+        on = branch(cut, disk, cfg).sigma
         for dz in (1e-12, -1e-12):
-            near = complex_distance(cut, disk + [0.0, 0.0, dz], cfg)
+            near = branch(cut, disk + [0.0, 0.0, dz], cfg).sigma
             assert np.all(np.abs(on - near) <= 1e-9 * np.abs(on))
 
     def test_phi_dependent_custom_cut_matches_continuation(self, cfg, rng):
@@ -360,7 +352,7 @@ class TestCutSign:
         cut = UpperSpheroid(0.1)
         angles = np.linspace(-np.pi / 2 + 0.2, np.pi / 2 - 0.2, 400)
         path = np.column_stack([2.0 * np.cos(angles), np.zeros_like(angles), 2.0 * np.sin(angles)])
-        vals = complex_distance(cut, path, cfg)
+        vals = branch(cut, path, cfg).sigma
         steps = np.abs(np.diff(vals))
         arc = 2.0 * (angles[1] - angles[0])
         assert steps.max() < 5 * arc
@@ -513,16 +505,12 @@ class TestBranch:
         ])
         pts = pts[~cut.near_cut(pts, cfg, tol) & (branch_circle_distance(pts, cfg) > 1e-3)]
         b = branch(cut, pts, cfg, tol)
-        sign = cut_sign(cut, pts, cfg, tol)
+        sign = cut.sign(pts, cfg)  # the unrefused rule; no point here is refused
         if not isinstance(cut, FlatDisk):
             assert (sign == -1).sum() > 50
         assert (pts == 0.0).any()  # zero components, where s*u and -u differ in the sign of a zero
-        expect = {
-            "sign": sign,
-            "sigma": complex_distance(cut, pts, cfg, tol),
-            "u": sign[..., None] * frame(pts, cfg).u,
-        }
-        expect.update(zip(("p", "q"), complex_distance_principal(pts, cfg)[1:]))
+        sigma0, p, q = complex_distance_principal(pts, cfg)
+        expect = {"sign": sign, "sigma": sign * sigma0, "p": p, "q": q, "u": sign[..., None] * frame(pts, cfg).u}
         for name in ("grad_p", "grad_q", "e_p", "e_q"):
             expect[name] = getattr(frame(pts, cfg), name)
         for name, want in expect.items():
