@@ -27,6 +27,8 @@ __all__ = [
     "beam_profile_rows",
 ]
 
+OVERSAMPLE, N_OMEGA = 64, 800  # measure_pulse's samples per duration T; spectral_window's frequencies
+
 
 def far_point(cfg: SourceConfig, theta, R):
     """Point at radius R and polar angle theta from the source axis."""
@@ -36,8 +38,7 @@ def far_point(cfg: SourceConfig, theta, R):
     )
 
 
-def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float,
-                  oversample: int = 64):
+def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float):
     """(T_measured, M_measured) from the sampled |g(tau - sigma)| time series.
 
     The series is sampled around the retarded arrival t = p; the duration
@@ -47,7 +48,7 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float,
     r = far_point(cfg, theta, R)
     sigma, p, q = complex_distance_principal(r, cfg)
     T_nominal = abs(cfg.b - q)
-    ts = float(p) + np.linspace(-6.0, 6.0, 12 * oversample + 1) * T_nominal
+    ts = float(p) + np.linspace(-6.0, 6.0, 12 * OVERSAMPLE + 1) * T_nominal
     vals = np.abs(sig.eval(ts - 1j * cfg.b - sigma))
     i = int(np.argmax(vals))
     M = float(vals[i])
@@ -85,16 +86,16 @@ def measure_diffraction_angle(sig: CauchySignal, cfg: SourceConfig, beta: float,
     return brentq(gap, 0.0, np.pi, xtol=1e-6)
 
 
-def spectral_window(n: int, b: float, n_omega: int = 800):
+def spectral_window(n: int, b: float):
     """Evenly spaced frequencies spanning the C_n(t - i b) spectrum: 8 widths below center, 12 above."""
     w0 = n / b
     dw = math.sqrt(n) / abs(b)
-    return np.linspace(max(1e-4 / abs(b), w0 - 8 * dw), w0 + 12 * dw, n_omega)
+    return np.linspace(max(1e-4 / abs(b), w0 - 8 * dw), w0 + 12 * dw, N_OMEGA)
 
 
-def measure_spectral_profile(n: int, b: float, n_omega: int = 800):
+def measure_spectral_profile(n: int, b: float):
     """Center/width moments of the numeric amplitude spectrum of C_n(t - i b)."""
-    omegas = spectral_window(n, b, n_omega)
+    omegas = spectral_window(n, b)
     amp = np.abs(cauchy_series_transform({n: 1.0}, 1j * b, omegas))
     return spectral_moments(omegas, amp)
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from ..errors import ConfigError, EmwaveletsError
-from .config import RunConfig, default_config, load_config
+from .config import FLAGS, RunConfig, default_config, load_config, parse
 from .datasets import write_csv_atomic, write_json_sidecar
 from .runs import (
     FIELD_HEADER_F,
@@ -47,37 +46,23 @@ def _add_common(p):
 
 
 def _load(args) -> RunConfig:
-    if not math.isfinite(args.tol_scale) or args.tol_scale <= 0.0:
-        raise ConfigError(f"--tol-scale must be finite and positive, got {args.tol_scale!r}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    if args.config:
-        rc = load_config(args.config)
-    else:
-        rc = default_config()
-    rc.out_dir = args.out
-    rc.threads = args.threads
-    rc.seed = args.seed
-    rc.tol_scale = args.tol_scale
-    return rc
-
-
-def _config_error(msg: str) -> int:
-    print(json.dumps({"error": "config", "message": str(msg)}), file=sys.stderr)
-    return 2
+    """The run's config, after refusing a flag out of range; the config object is not modified."""
+    for flag, convert in FLAGS.items():
+        parse(flag, convert, getattr(args, flag[2:].replace("-", "_")))
+    return load_config(args.config) if args.config else default_config()
 
 
 def cmd_sample_field(args) -> int:
     rc = _load(args)
     if not rc.grid:
-        raise ConfigError("sample-field needs a [grid] section")
-    rows = field_rows(rc, threads=rc.threads)
+        raise ConfigError("grid: sample-field needs a [grid] section")
+    rows = field_rows(rc, threads=args.threads)
     records = rows.shape[0] * rows.shape[1]
     header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
-    csv_path = os.path.join(rc.out_dir, "field.csv")
+    csv_path = os.path.join(args.out, "field.csv")
     write_csv_atomic(csv_path, header, rows)
     write_json_sidecar(
-        os.path.join(rc.out_dir, "field.json"),
+        os.path.join(args.out, "field.json"),
         {
             "a": rc.source.a,
             "b": rc.source.b,
@@ -101,9 +86,9 @@ def cmd_sample_sources(args, impulse: bool = False) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     name = "impulse_response" if impulse else "sources"
-    csv_path = os.path.join(rc.out_dir, f"{name}.csv")
+    csv_path = os.path.join(args.out, f"{name}.csv")
     write_csv_atomic(csv_path, SOURCE_HEADER, rows)
-    write_json_sidecar(os.path.join(rc.out_dir, f"{name}.json"), meta)
+    write_json_sidecar(os.path.join(args.out, f"{name}.json"), meta)
     print(f"wrote {len(rows)} records to {csv_path}")
     return 0
 
@@ -114,9 +99,9 @@ def cmd_beam_profile(args) -> int:
         rows, summary = beam_profile_data(rc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    csv_path = os.path.join(rc.out_dir, "beam_profile.csv")
+    csv_path = os.path.join(args.out, "beam_profile.csv")
     write_csv_atomic(csv_path, BEAM_HEADER, rows)
-    write_json_sidecar(os.path.join(rc.out_dir, "beam_profile.json"), summary)
+    write_json_sidecar(os.path.join(args.out, "beam_profile.json"), summary)
     print(f"wrote {len(rows)} angles to {csv_path}")
     return 0
 
@@ -124,7 +109,7 @@ def cmd_beam_profile(args) -> int:
 def cmd_validate(args) -> int:
     rc = _load(args)
     t0 = time.perf_counter()
-    results = run_all(rc, seed=rc.seed, tol_scale=rc.tol_scale)
+    results = run_all(rc, seed=args.seed, tol_scale=args.tol_scale)
     for res in results:
         print(res.line())
     total = time.perf_counter() - t0
@@ -152,11 +137,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        return _config_error(exc)
     except EmwaveletsError as exc:
-        print(json.dumps({"error": "run", "message": str(exc)}), file=sys.stderr)
-        return 1
+        config = isinstance(exc, ConfigError)
+        print(json.dumps({"error": "config" if config else "run", "message": str(exc)}), file=sys.stderr)
+        return 2 if config else 1
 
 
 if __name__ == "__main__":

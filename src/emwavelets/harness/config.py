@@ -1,58 +1,64 @@
 """Run configuration: INI-style key = value sections, flat and diffable.
 
-Example::
+Every key, its range, and the default a missing key takes (the [grid]
+axes have none; an axis left out is the single point 0)::
 
-    [source]
-    a = 0,0,1
-    b = 1.5
-    c = 1.0
-
+    [source]                    ; required
+    a = 0,0,1                   ; finite nonzero 3-vector: imaginary displacement
+    b = 1.5                     ; finite, with c*|b| > |a|: imaginary time
+    c = 1.0                     ; finite, > 0
     [cut]
-    kind = upper_spheroid      ; flat_disk | upper_spheroid | lower_spheroid | smooth_spheroid
-    alpha = 0.1
-    eps = 0.005
-
-    [signal]
-    kind = cauchy              ; cauchy | sampled
-    n = 4
-    csv =                      ; two-column t,g0 file for kind = sampled
-
-    [polarization]
+    kind = flat_disk            ; flat_disk | upper_spheroid | lower_spheroid | smooth_spheroid
+    alpha = 0.1                 ; finite, > 0
+    eps = 0.005                 ; finite, > 0: smoothing width of smooth_spheroid
+    [signal]                    ; required
+    kind = cauchy               ; cauchy | sampled
+    n = 1                       ; integer, 1 <= n <= 169
+    csv =                       ; two-column t,g0 file, needed when kind = sampled
+    [polarization]              ; finite 3-vectors, re + i im nonzero
     re = 1,0,0
     im = 0,0,0
-
-    [grid]
+    [grid]                      ; lo,hi,n: finite, integer n >= 1, lo = hi iff n = 1
     x = -2,2,41
     y = 0,0,1
     z = -2,2,41
     t = 1,3,5
-
     [surface]
-    alpha = 0.01
-    nq = 40
-    nphi = 16
-    t = 1.2
-
+    alpha = 0.01                ; finite, > 0
+    nq = 40                     ; integer >= 1
+    nphi = 16                   ; integer >= 1
+    t = 1.2                     ; finite
     [output]
-    dir = out
-    quantity = F               ; psi | F
-
+    quantity = F                ; psi | F
     [tolerances]
-    tol_cut = 1e-9
-    q_min = auto               ; auto = effective-aperture band, or a number
+    tol_cut = 1e-9              ; finite, > 0, in units of |a|
+    q_min = auto                ; auto = effective-aperture band, or finite >= 0
+
+load_config refuses an unknown section or key, a missing required section
+and a value out of range, each as one ConfigError("section.key: reason").
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, QuadratureDivergenceError
 from ..geometry import FlatDisk, LowerSpheroid, SmoothSpheroid, SourceConfig, UpperSpheroid
 from ..scalar_wavelet import ScalarWavelet
 from ..signals import CauchySignal, SampledSignal
+
+N_MAX = 169  # the largest Cauchy order n whose factorial(n + 1) is a finite float
+
+CUTS = {
+    "flat_disk": lambda rc: FlatDisk(),
+    "upper_spheroid": lambda rc: UpperSpheroid(rc.cut_alpha),
+    "lower_spheroid": lambda rc: LowerSpheroid(rc.cut_alpha),
+    "smooth_spheroid": lambda rc: SmoothSpheroid(rc.cut_alpha, rc.cut_eps),
+}
 
 
 @dataclass
@@ -62,12 +68,8 @@ class AxisSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("axis resolution must be >= 1")
-        if self.n == 1 and self.lo != self.hi:
-            raise ConfigError("1-point axis needs lo == hi")
-        if self.n > 1 and not self.hi > self.lo:
-            raise ConfigError("need hi > lo for a multi-point axis")
+        if not (self.n == 1 and self.lo == self.hi or self.n > 1 and self.hi > self.lo):
+            raise ConfigError(f"need lo = hi for n = 1, lo < hi for n > 1; got {self.lo},{self.hi},{self.n}")
 
     def values(self):
         return np.linspace(self.lo, self.hi, self.n)
@@ -75,40 +77,29 @@ class AxisSpec:
 
 @dataclass
 class RunConfig:
+    """The parameters of a run; load_config and default_config fill every field from TABLE."""
+
     source: SourceConfig
-    cut_kind: str = "flat_disk"
-    cut_alpha: float = 0.1
-    cut_eps: float = 0.005
-    signal_kind: str = "cauchy"
-    signal_n: int = 1
-    signal_csv: str = ""
-    pol_re: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    pol_im: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    grid: dict = field(default_factory=dict)
-    surface_alpha: float = 0.01
-    surface_nq: int = 40
-    surface_nphi: int = 16
-    surface_t: float = 1.2
-    out_dir: str = "out"
-    quantity: str = "F"
-    tol_cut: float = 1e-9
-    q_min: str = "auto"
-    threads: int = 1
-    seed: int = 0
-    tol_scale: float = 1.0
+    cut_kind: str
+    cut_alpha: float
+    cut_eps: float
+    signal_kind: str
+    signal_n: int
+    signal_csv: str
+    pol_re: np.ndarray
+    pol_im: np.ndarray
+    grid: dict
+    surface_alpha: float
+    surface_nq: int
+    surface_nphi: int
+    surface_t: float
+    quantity: str
+    tol_cut: float
+    q_min: str | float
     _drive: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def cut(self):
-        kind = self.cut_kind
-        if kind == "flat_disk":
-            return FlatDisk()
-        if kind == "upper_spheroid":
-            return UpperSpheroid(self.cut_alpha)
-        if kind == "lower_spheroid":
-            return LowerSpheroid(self.cut_alpha)
-        if kind == "smooth_spheroid":
-            return SmoothSpheroid(self.cut_alpha, self.cut_eps)
-        raise ConfigError(f"unknown cut kind {kind!r}")
+        return CUTS[self.cut_kind](self)
 
     def signal(self):
         """The drive, built once per (kind, n, csv): a pulse CSV is parsed once a run."""
@@ -120,11 +111,9 @@ class RunConfig:
     def _build_signal(self):
         if self.signal_kind == "cauchy":
             return CauchySignal(self.signal_n)
-        if self.signal_kind == "sampled":
-            if not self.signal_csv:
-                raise ConfigError("signal kind 'sampled' needs csv = <path>")
-            return SampledSignal.from_csv(self.signal_csv)
-        raise ConfigError(f"unknown signal kind {self.signal_kind!r}")
+        if not self.signal_csv:
+            raise ConfigError("signal.csv: a pulse file is needed when kind = sampled")
+        return SampledSignal.from_csv(self.signal_csv)
 
     def wavelet(self):
         return ScalarWavelet(cut=self.cut(), cfg=self.source, sig=self.signal())
@@ -136,7 +125,7 @@ class RunConfig:
         """Rim exclusion band: effective-aperture default, or the configured number."""
         a, b, c = self.source.a_mag, self.source.b, self.source.c
         if self.q_min != "auto":
-            return float(self.q_min)
+            return self.q_min
         if self.signal_kind == "cauchy":
             omega = self.signal_n / abs(b)
             k = omega / c
@@ -145,107 +134,137 @@ class RunConfig:
         return 0.1 * a
 
 
-def _vec(text):
-    parts = [p.strip() for p in text.split(",")]
+def _number(kind=float, lo=-math.inf, hi=math.inf, above=False):
+    """Converter to a finite kind in [lo, hi], or in (lo, hi] if above."""
+    bounds = [f"{'>' if above else '>='} {lo}"] * (lo > -math.inf) + [f"<= {hi}"] * (hi < math.inf)
+    rule = " ".join(["a finite number" if kind is float else "an integer", " and ".join(bounds)]).strip()
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > lo if above else value >= lo) and value <= hi):
+            raise ValueError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
+
+
+_REAL, _POSITIVE, _COUNT = _number(), _number(lo=0, above=True), _number(int, 1)
+
+
+def _choice(*names):
+    def convert(text):
+        if text not in names:
+            raise ValueError(f"must be one of {' | '.join(names)}, got {text!r}")
+        return text
+
+    return convert
+
+
+def _triple(text, converters):
+    parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"expected a comma triple, got {text!r}")
-    return np.array([float(p) for p in parts])
+        raise ValueError(f"expected three comma-separated values, got {text!r}")
+    return [convert(part) for convert, part in zip(converters, parts)]
+
+
+def _vector(text):
+    return np.array(_triple(text, [_REAL] * 3))
+
+
+def _direction(text):
+    a = _vector(text)
+    if not a.any():
+        raise ValueError(f"must be nonzero, got {text!r}")
+    return a
 
 
 def _axis(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected lo,hi,n got {text!r}")
-    return AxisSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    return AxisSpec(*_triple(text, (_REAL, _REAL, _COUNT)))
 
 
-def _get(sec, key, convert, default):
-    """sec[key] through convert, or default if the key is absent; a bad value names section.key."""
-    if key not in sec:
-        return default
+def _q_min(text):
+    return "auto" if text == "auto" else _number(lo=0)(text)
+
+
+# (section, key) -> (RunConfig field, converter, default as INI text).  A dotted
+# field is an entry of that field's mapping; the [grid] axes have no default.
+TABLE = {
+    ("source", "a"): ("source.a", _direction, "0,0,1"),
+    ("source", "b"): ("source.b", _REAL, "1.5"),
+    ("source", "c"): ("source.c", _POSITIVE, "1.0"),
+    ("cut", "kind"): ("cut_kind", _choice(*CUTS), "flat_disk"),
+    ("cut", "alpha"): ("cut_alpha", _POSITIVE, "0.1"),
+    ("cut", "eps"): ("cut_eps", _POSITIVE, "0.005"),
+    ("signal", "kind"): ("signal_kind", _choice("cauchy", "sampled"), "cauchy"),
+    ("signal", "n"): ("signal_n", _number(int, 1, N_MAX), "1"),
+    ("signal", "csv"): ("signal_csv", str, ""),
+    ("polarization", "re"): ("pol_re", _vector, "1,0,0"),
+    ("polarization", "im"): ("pol_im", _vector, "0,0,0"),
+    **{("grid", axis): (f"grid.{axis}", _axis, None) for axis in ("x", "y", "z", "t")},
+    ("surface", "alpha"): ("surface_alpha", _POSITIVE, "0.01"),
+    ("surface", "nq"): ("surface_nq", _COUNT, "40"),
+    ("surface", "nphi"): ("surface_nphi", _COUNT, "16"),
+    ("surface", "t"): ("surface_t", _REAL, "1.2"),
+    ("output", "quantity"): ("quantity", _choice("psi", "F"), "F"),
+    ("tolerances", "tol_cut"): ("tol_cut", _POSITIVE, "1e-9"),
+    ("tolerances", "q_min"): ("q_min", _q_min, "auto"),
+}
+
+# the CLI flags that take a ranged value, through the converters of the keys
+FLAGS = {"--threads": _COUNT, "--seed": _number(int, 0), "--tol-scale": _POSITIVE}
+
+
+def parse(name, convert, text):
+    """convert(text); a value it refuses raises ConfigError("name: reason")."""
     try:
-        return convert(sec[key])
+        return convert(text)
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{sec.name}.{key}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _run_config(cp) -> RunConfig:
+    """Apply TABLE to a parsed file; an empty one gives the defaults."""
+    fields = {"source": {}, "grid": {}}
+    for (section, key), (name, convert, default) in TABLE.items():
+        text = cp.get(section, key, fallback=default)
+        if text is not None:
+            outer, _, inner = name.rpartition(".")
+            (fields[outer] if outer else fields)[inner] = parse(f"{section}.{key}", convert, text)
+    try:
+        fields["source"] = SourceConfig(**fields["source"])
+    except ValueError as exc:  # the keys' ranges leave only the c*|b| > |a| rule
+        raise ConfigError(f"source.b: {exc}") from exc
+    return RunConfig(**fields)
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a RunConfig; raises ConfigError on any problem."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    if "source" not in cp:
-        raise ConfigError("missing [source] section")
-    src = cp["source"]
-    a = _get(src, "a", _vec, np.array([0.0, 0.0, 1.0]))
-    b, c = _get(src, "b", float, 1.5), _get(src, "c", float, 1.0)
+    # iterating cp visits [DEFAULT] first, whose keys configparser copies into every section
+    refused = [f"{s}: unknown section" for s in cp.sections() if s not in {section for section, _ in TABLE}]
+    refused += [f"{s}.{k}: unknown key" for s in cp for k in cp[s] if (s, k) not in TABLE]
+    refused += [f"{s}: missing section" for s in ("source", "signal") if s not in cp]
+    if refused:
+        raise ConfigError(refused[0])
+    rc = _run_config(cp)
+    if not (rc.pol_re.any() or rc.pol_im.any()):
+        raise ConfigError("polarization.re: re + i im must be nonzero")
     try:
-        source = SourceConfig(a=a, b=b, c=c)
-    except ValueError as exc:
-        raise ConfigError(f"invalid source: {exc}") from exc
-    rc = RunConfig(source=source)
-    if "cut" in cp:
-        sec = cp["cut"]
-        rc.cut_kind = sec.get("kind", rc.cut_kind).strip()
-        rc.cut_alpha = _get(sec, "alpha", float, rc.cut_alpha)
-        rc.cut_eps = _get(sec, "eps", float, rc.cut_eps)
-    if "signal" in cp:
-        sec = cp["signal"]
-        rc.signal_kind = sec.get("kind", "").strip()
-        if not rc.signal_kind:
-            raise ConfigError("[signal] section present but kind is empty")
-        rc.signal_n = _get(sec, "n", int, rc.signal_n)
-        rc.signal_csv = sec.get("csv", "").strip()
-    else:
-        raise ConfigError("missing [signal] section")
-    if "polarization" in cp:
-        sec = cp["polarization"]
-        rc.pol_re = _get(sec, "re", _vec, rc.pol_re)
-        rc.pol_im = _get(sec, "im", _vec, rc.pol_im)
-        if np.linalg.norm(rc.pol_re + 1j * rc.pol_im) == 0.0:
-            raise ConfigError("polarization must be nonzero")
-    if "grid" in cp:
-        sec = cp["grid"]
-        for ax in ("x", "y", "z", "t"):
-            if ax in sec:
-                rc.grid[ax] = _get(sec, ax, _axis, None)
-    if "surface" in cp:
-        sec = cp["surface"]
-        rc.surface_alpha = _get(sec, "alpha", float, rc.surface_alpha)
-        rc.surface_nq = _get(sec, "nq", int, rc.surface_nq)
-        rc.surface_nphi = _get(sec, "nphi", int, rc.surface_nphi)
-        rc.surface_t = _get(sec, "t", float, rc.surface_t)
-    if "output" in cp:
-        sec = cp["output"]
-        rc.out_dir = sec.get("dir", rc.out_dir).strip()
-        rc.quantity = sec.get("quantity", rc.quantity).strip()
-        if rc.quantity not in ("psi", "F"):
-            raise ConfigError("output quantity must be psi or F")
-    if "tolerances" in cp:
-        sec = cp["tolerances"]
-        rc.tol_cut = _get(sec, "tol_cut", float, rc.tol_cut)
-        rc.q_min = sec.get("q_min", rc.q_min).strip()
-        if rc.q_min != "auto":
-            try:
-                float(rc.q_min)
-            except ValueError as exc:
-                raise ConfigError("q_min must be 'auto' or a number") from exc
-        if rc.tol_cut <= 0:
-            raise ConfigError("tol_cut must be positive")
-    try:
-        rc.cut()
-        rc.signal() if rc.signal_kind != "sampled" or rc.signal_csv else None
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+        rc.signal()
+    except (OSError, ValueError, QuadratureDivergenceError) as exc:
+        raise ConfigError(f"signal.csv: {exc}") from exc
     return rc
 
 
 def default_config() -> RunConfig:
     """The desk-scale configuration used by `validate` when no file is given."""
-    return RunConfig(source=SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5))
+    return _run_config(configparser.ConfigParser())

@@ -199,8 +199,7 @@ def wave_residual(w: ScalarWavelet, r, t, h: float | None = None, order: int = 4
 
 
 def bandpass_via_impulse(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
-                         db_step: float | None = None,
-                         q_min: float | None = None) -> SurfaceSourceSample:
+                         db_step: float | None = None) -> SurfaceSourceSample:
     """Surface sources for the band-pass drive C_n as (-d/db)^(n-1) of the impulse response.
 
     Uses C_n = (-d/db)^(n-1) C_1; cross-checks surface_sources.bandpass_response.
@@ -214,7 +213,7 @@ def bandpass_via_impulse(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
     def impulse_at(b):
         cfg_b = SourceConfig(a=cfg.a, b=b, c=cfg.c)
         w1 = ScalarWavelet(cut=w.cut, cfg=cfg_b, sig=CauchySignal(1))
-        s = surface_sources_exact(w1, pol, q, phi, alpha, t, q_min=q_min)
+        s = surface_sources_exact(w1, pol, q, phi, alpha, t)
         return np.concatenate([np.atleast_1d(s.j0)[..., None], np.atleast_2d(s.j)], axis=-1)
 
     if n == 1:

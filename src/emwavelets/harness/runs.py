@@ -29,6 +29,7 @@ FIELD_HEADER_F = [
     "x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign",
     "re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz",
 ]
+N_THETA, R_FACTOR = 13, 1000.0  # the beam profile's far-zone arc: angles, radius in |a|
 SOURCE_HEADER = [
     "q", "phi", "x", "y", "z",
     "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
@@ -100,10 +101,7 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     a = cfg.a_mag
     alpha = rc.surface_alpha
     if not alpha > 0.0:
-        raise ValueError(
-            "surface alpha must be positive; for the alpha = 0 disk use the "
-            "Coulomb disk source routines"
-        )
+        raise ValueError("surface.alpha: must be > 0; for the alpha = 0 disk use the Coulomb disk source routines")
     pol = rc.polarization()
     q_min = rc.q_min_value()
     qs = np.linspace(-0.98 * a, 0.98 * a, rc.surface_nq)
@@ -144,15 +142,15 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     return rows, meta
 
 
-def beam_profile_data(rc: RunConfig, n_theta: int = 13, R_factor: float = 1000.0):
-    """Predicted vs measured beam table plus summary diagnostics."""
+def beam_profile_data(rc: RunConfig):
+    """Predicted vs measured beam table, on N_THETA angles at R_FACTOR*|a|, plus summary diagnostics."""
     cfg = rc.source
     a = cfg.a_mag
     if rc.signal_kind != "cauchy":
-        raise ValueError("beam profile is defined for the band-pass kernels")
+        raise ValueError("signal.kind: the beam profile is defined for the band-pass kernels (cauchy)")
     n = rc.signal_n
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    R = R_factor * a
+    thetas = np.linspace(0.0, np.pi, N_THETA)
+    R = R_FACTOR * a
     rows = beam_profile_rows(n, cfg, thetas, R)
     th_pred = diffraction_angle(1.0, n, a, cfg.b, cfg.c)
     th_meas = measure_diffraction_angle(CauchySignal(n), cfg, 1.0, R)

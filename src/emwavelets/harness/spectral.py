@@ -35,8 +35,12 @@ __all__ = [
     "energy_split",
 ]
 
+QUAD_LIMIT = 400  # QUADPACK subintervals per integral in quadpack_fourier
+EXPINT_TOL, EXPINT_TERMS = 4e-16, 2000  # convergence of the E_n continued fraction
+HALF_WIDTH, POINTS_PER_SCALE, MAX_PHASE_STEP = 48.0, 64, 0.25  # cauchy_series_transform's Simpson core
 
-def quadpack_fourier(f, omegas, limit: int = 400):
+
+def quadpack_fourier(f, omegas):
     """Fourier transform of callable f(t) (complex-valued) at given frequencies.
 
     f takes a 1-D array of times.  Pairs t and -t so that slowly decaying
@@ -65,15 +69,15 @@ def quadpack_fourier(f, omegas, limit: int = 400):
             even_im = lambda t: parts(t)[0].imag
             aw = abs(w)
             if aw == 0.0:
-                re, _ = quad(even_re, 0.0, np.inf, limit=limit)
-                im, _ = quad(even_im, 0.0, np.inf, limit=limit)
+                re, _ = quad(even_re, 0.0, np.inf, limit=QUAD_LIMIT)
+                im, _ = quad(even_im, 0.0, np.inf, limit=QUAD_LIMIT)
                 out[i] = re + 1j * im
                 continue
             # int_0^inf cos(wt)*even(t) dt + i*sgn(w)*int_0^inf sin(wt)*odd(t) dt
-            cos_re, _ = quad(even_re, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
-            cos_im, _ = quad(even_im, 0.0, np.inf, weight="cos", wvar=aw, limit=limit)
-            sin_re, _ = quad(lambda t: parts(t)[1].real, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
-            sin_im, _ = quad(lambda t: parts(t)[1].imag, 0.0, np.inf, weight="sin", wvar=aw, limit=limit)
+            cos_re, _ = quad(even_re, 0.0, np.inf, weight="cos", wvar=aw, limit=QUAD_LIMIT)
+            cos_im, _ = quad(even_im, 0.0, np.inf, weight="cos", wvar=aw, limit=QUAD_LIMIT)
+            sin_re, _ = quad(lambda t: parts(t)[1].real, 0.0, np.inf, weight="sin", wvar=aw, limit=QUAD_LIMIT)
+            sin_im, _ = quad(lambda t: parts(t)[1].imag, 0.0, np.inf, weight="sin", wvar=aw, limit=QUAD_LIMIT)
             s = 1.0 if w > 0 else -1.0
             out[i] = (cos_re + 1j * cos_im) + 1j * s * (sin_re + 1j * sin_im)
     return out
@@ -108,24 +112,24 @@ def _scaled_expint(n, x):
     return out
 
 
-def _expint_fraction(n, x, tol=4e-16, max_terms=2000):
+def _expint_fraction(n, x):
     """e^x E_n(x) by the modified Lentz continued fraction, vectorized over x."""
     b = x + n
     c = np.full_like(b, 1e300)
     d = 1.0 / b
     h = d.copy()
     done = np.zeros(x.shape, dtype=bool)
-    for i in range(1, max_terms + 1):
+    for i in range(1, EXPINT_TERMS + 1):
         an = -i * (n - 1 + i)
         b = b + 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
         h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) <= tol
+        done |= np.abs(delta - 1.0) <= EXPINT_TOL
         if done.all():
             return h
-    raise RuntimeError(f"E_{n} continued fraction did not converge in {max_terms} terms")
+    raise RuntimeError(f"E_{n} continued fraction did not converge in {EXPINT_TERMS} terms")
 
 
 def _kernel_const(n):
@@ -192,13 +196,12 @@ def _chirp_z(fw, t0, dt, omegas):
     return np.exp(1j * outer) * np.exp(1j * outer_err + 2j * np.pi * k_chirp) * conv
 
 
-def cauchy_series_transform(coeffs, shift, omegas, half_width: float = 48.0,
-                            points_per_scale: int = 64, max_phase_step: float = 0.25):
+def cauchy_series_transform(coeffs, shift, omegas):
     """FT of f(t) = sum_n coeffs[n] * C_n(t - shift) by a Simpson core plus exact tails.
 
     shift is the complex pole location (Im shift != 0).  The core window
-    spans half_width times the pole offset on each side of Re shift,
-    sampled at points_per_scale per offset and at most max_phase_step
+    spans HALF_WIDTH times the pole offset on each side of Re shift,
+    sampled at POINTS_PER_SCALE per offset and at most MAX_PHASE_STEP
     radians per step at the largest |omega|; its Simpson sum is one
     chirp-z transform, so omegas must be evenly spaced (ValueError
     otherwise).  Each tail beyond the window is
@@ -214,10 +217,10 @@ def cauchy_series_transform(coeffs, shift, omegas, half_width: float = 48.0,
     if s0 == 0.0:
         raise ValueError("pole on the real axis: Im shift must be nonzero")
     wmax = float(np.max(np.abs(omegas))) if omegas.size else 0.0
-    dt = s0 / points_per_scale
+    dt = s0 / POINTS_PER_SCALE
     if wmax > 0.0:
-        dt = min(dt, max_phase_step / wmax)
-    W = half_width * s0
+        dt = min(dt, MAX_PHASE_STEP / wmax)
+    W = HALF_WIDTH * s0
     n_half = int(np.ceil(W / dt))
     ts = shift.real + dt * np.arange(-n_half, n_half + 1)
     # composite Simpson weights (odd count by construction)

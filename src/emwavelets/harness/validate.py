@@ -99,10 +99,10 @@ def _slope(hs, residuals):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _off_cut_points(rng, cfg, cut, n, clearance, box=3.0):
+def _off_cut_points(rng, cfg, cut, n, clearance):
     pts = np.empty((0, 3))
     while len(pts) < n:
-        cand = rng.uniform(-box, box, (4 * n, 3)) * cfg.a_mag
+        cand = rng.uniform(-3.0, 3.0, (4 * n, 3)) * cfg.a_mag
         ok = cut.clearance(cand, cfg) > clearance
         _, p, q = complex_distance_principal(cand, cfg)
         ok &= p**2 + q**2 > (0.05 * cfg.a_mag) ** 2
@@ -602,12 +602,10 @@ ALL_SUITES = [
 ]
 
 
-def run_all(rc: RunConfig | None = None, seed: int = 0, tol_scale: float = 1.0,
-            suites=None):
+def run_all(rc: RunConfig, seed: int = 0, tol_scale: float = 1.0):
     """Run the battery; returns the list of SuiteResult."""
-    rc = rc or default_config()
     results = []
-    for suite in suites or ALL_SUITES:
+    for suite in ALL_SUITES:
         rng = np.random.default_rng(seed)
         results.append(suite(rc, rng, tol_scale=tol_scale))
     return results

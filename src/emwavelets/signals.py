@@ -39,6 +39,7 @@ __all__ = [
 # bound on the complex entries of one block of a sampled drive's kernel
 # (2^19 entries, 8 MB)
 KERNEL_CHUNK = 1 << 19
+DECAY_TOL = 1e-3  # a sampled drive's end samples may reach this fraction of its peak
 
 
 class DrivingSignal:
@@ -64,7 +65,7 @@ class CauchySignal(DrivingSignal):
     def eval(self, tau, order: int = 0):
         """d^order/dt^order C_n at tau; closed form, valid for tau != 0."""
         tau = np.asarray(tau, dtype=complex)
-        if np.count_nonzero(tau) < tau.size:
+        if not tau.all():
             raise PoleOnPathError("Cauchy kernel evaluated at its pole tau = 0")
         n, k = self.n, order
         coef = (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)
@@ -91,7 +92,6 @@ class SampledSignal(DrivingSignal):
 
     t: np.ndarray
     g0: np.ndarray
-    decay_tol: float = 1e-3
     dt: float = field(init=False, default=0.0)
     weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
@@ -110,7 +110,7 @@ class SampledSignal(DrivingSignal):
         if peak == 0.0:
             raise ValueError("signal is identically zero")
         edge = max(abs(float(g0[0])), abs(float(g0[-1])))
-        if edge > self.decay_tol * peak:
+        if edge > DECAY_TOL * peak:
             raise QuadratureDivergenceError(
                 "sampled signal does not decay at the grid ends; quadrature tails untrusted"
             )
@@ -121,12 +121,12 @@ class SampledSignal(DrivingSignal):
         object.__setattr__(self, "weights", g0 * trap)
 
     @classmethod
-    def from_csv(cls, path, **kwargs):
+    def from_csv(cls, path):
         """Load two-column CSV (t, g0); rejects non-uniform grids."""
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError("expected two columns: t, g0")
-        return cls(t=data[:, 0], g0=data[:, 1], **kwargs)
+        return cls(t=data[:, 0], g0=data[:, 1])
 
     def eval(self, tau, order: int = 0):
         """d^order/dt^order of the transform at tau."""

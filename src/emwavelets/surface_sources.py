@@ -257,17 +257,14 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 
-def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
-                      q_min: float | None = None) -> SurfaceSourceSample:
+def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t) -> SurfaceSourceSample:
     """Surface sources for the band-pass drive C_n: the wavelet re-driven with C_n.
 
     harness.fd.bandpass_via_impulse derives the same sources as
     (-d/db)^(n-1) of the impulse response.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     wn = ScalarWavelet(cut=w.cut, cfg=w.cfg, sig=CauchySignal(n))
-    return surface_sources_exact(wn, pol, q, phi, alpha, t, q_min=q_min)
+    return surface_sources_exact(wn, pol, q, phi, alpha, t)
 
 
 # --------------------------------------------------------------------------

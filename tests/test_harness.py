@@ -1,4 +1,5 @@
 import ast
+import configparser
 import dataclasses
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import re
 import stat
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import typing
 
@@ -26,6 +28,7 @@ from emwavelets import (
 from emwavelets.errors import ConfigError, OnCutError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.harness import _format, fd
+from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
@@ -82,10 +85,14 @@ nphi = 4
 t = 1.1
 
 [tolerances]
-h = 1e-3
 tol_cut = 1e-9
 q_min = 0.15
 """
+
+
+def _readme_example():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 @pytest.fixture
@@ -256,6 +263,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_readme_example_loads(self, tmp_path):
+        path = tmp_path / "readme.ini"
+        path.write_text(_readme_example())
+        rc = load_config(str(path))
+        assert rc.cut_kind == "upper_spheroid" and rc.signal_n == 4 and rc.grid["z"].n == 41
+
+    def test_documented_keys_are_the_table(self):
+        # README's example and the module docstring list every key the table reads, and no other
+        doc = config_mod.__doc__.split("::\n", 1)[1].split("\nload_config refuses", 1)[0]
+        table = set(config_mod.TABLE)
+        for text in (_readme_example(), textwrap.dedent(doc)):
+            cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+            cp.read_string(text)
+            assert {(section, key) for section in cp.sections() for key in cp[section]} == table
+
+    def test_defaults_are_the_documented_ones(self):
+        rc = default_config()
+        assert (rc.cut_kind, rc.cut_alpha, rc.cut_eps, rc.signal_kind, rc.signal_n) == ("flat_disk", 0.1, 0.005,
+                                                                                           "cauchy", 1)
+        assert (rc.source.b, rc.source.c, rc.quantity, rc.tol_cut, rc.q_min, rc.grid) == (1.5, 1.0, "F", 1e-9,
+                                                                                           "auto", {})
+
+    @pytest.mark.xfail(strict=True, reason="a finite but huge value passes its range check; see ROADMAP item 5")
+    def test_huge_surface_alpha_refused_or_finite(self, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text(CONFIG_TEXT.replace("alpha = 0.02", "alpha = 1e308"))
+        out = tmp_path / "out"
+        code = cli.main(["sample-sources", "--config", str(path), "--out", str(out)])
+        if code == 0:
+            assert np.isfinite(np.loadtxt(out / "sources.csv", delimiter=",", skiprows=1)).all()
+        else:
+            assert code == 2 and json.loads(capsys.readouterr().err)["message"].startswith("surface.alpha:")
+
     def test_axis_validation(self):
         with pytest.raises(ConfigError):
             AxisSpec(0.0, 1.0, 0)
@@ -301,9 +341,8 @@ def per_slice_rows(rc):
 
 
 def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
-    return RunConfig(
-        source=SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5),
-        cut_kind="upper_spheroid", cut_alpha=0.1, signal_n=2,
+    return dataclasses.replace(
+        default_config(), cut_kind="upper_spheroid", cut_alpha=0.1, signal_n=2,
         pol_re=np.array([1.0, 0.0, 0.0]), pol_im=np.array([0.0, 0.5, 0.0]),
         quantity=quantity, tol_cut=tol_cut, grid=grid,
     )
@@ -377,6 +416,34 @@ def _calls_in_scopes(tree):
             visit(child, scope)
 
     visit(tree, "")
+    return out
+
+
+def _calls_in_defs(tree):
+    """(innermost enclosing function def or None, call node) for every call in tree."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((scope, child))
+            visit(child, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return out
+
+
+def _defaulted(fn):
+    """{name: position in a call, or None if keyword-only} of fn's defaulted parameters.
+
+    A method's position does not count self or cls; the methods are the defs whose
+    first parameter is named self or cls.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = {p.arg: i - skip for i, p in enumerate(positional) if i >= len(positional) - len(args.defaults)}
+    out.update((p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
     return out
 
 
@@ -521,6 +588,56 @@ class TestLayering:
                     used.add(node.attr)
         dead = sorted(f"{rel}: {name}" for name, rel in exported.items() if name not in used | kept.keys())
         assert not dead, "exported with no caller outside tests; delete it:\n" + "\n".join(dead)
+
+    def test_optional_parameters_are_passed(self):
+        # a defaulted parameter that no call passes is a constant in disguise.  Calls match
+        # by the callee's name and count if they pass it by keyword or by position, unless
+        # they only forward a defaulted parameter of their own that no call passes.
+        kept = {
+            ("richardson", "ratio"): "the tests' reference Richardson step states its refinement ratio",
+            ("effective_aperture", "c"): "the propagation speed, which every closed form takes beside a",
+            **{(suite.__name__, "tol_scale"): "run_all passes it to each suite through ALL_SUITES"
+               for suite in ALL_SUITES},
+            **{(suite, size): "a suite's sample size; tests shrink the sizes of its sibling suites"
+               for suite, size in [("suite_appendix_identities", "n_points"), ("suite_sigma_algebra", "n_straddle"),
+                                   ("suite_impulse_response", "n_points"), ("suite_sources_approx", "n_samples"),
+                                   ("suite_analyticity", "n_points")]},
+        }
+        root = pathlib.Path(__file__).resolve().parents[1]
+        defs, calls = [], {}  # calls: callee name -> [(call, enclosing def)]
+        for sub in ("src", "demos", "perfbench", "tests"):
+            for path in sorted((root / sub).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                for scope, node in _calls_in_defs(tree):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append((node, scope))
+                if sub == "src":
+                    defs += [(path.relative_to(root).as_posix(), fn) for fn in ast.walk(tree)
+                             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+        def passed(fn, param, index, seen):
+            if (fn, param) in kept:
+                return True
+            for call, scope in calls.get(fn, []):
+                if any(k.arg is None for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+                    return True  # a **mapping or *sequence may pass anything
+                values = [k.value for k in call.keywords if k.arg == param]
+                values += call.args[index:index + 1] if index is not None else []
+                for value in values:
+                    own = _defaulted(scope) if scope is not None else {}
+                    if not (isinstance(value, ast.Name) and value.id in own):
+                        return True
+                    key = (scope.name, value.id)
+                    if key not in seen and passed(*key, own[value.id], seen | {key}):
+                        return True
+            return False
+
+        unpassed = [
+            f"{rel}:{fn.lineno} {fn.name}({param})"
+            for rel, fn in defs for param, index in _defaulted(fn).items()
+            if not passed(fn.name, param, index, {(fn.name, param)})
+        ]
+        assert not unpassed, "no call passes these; make each a constant:\n" + "\n".join(unpassed)
 
     def test_annotations_resolve(self):
         # every name an annotation uses is in scope in its module
@@ -1048,13 +1165,33 @@ class TestCli:
         assert len(lines) == 2
 
     @pytest.mark.parametrize("edit, flags, named", [
-        (("n = 2", "n = 2.5"), [], "signal.n"),
-        (("re = 1,0,0", "re = 1,x,0"), [], "polarization.re"),
-        (("nq = 8", "nq = many"), [], "surface.nq"),
-        (("alpha = 0.1", "alpha = big"), [], "cut.alpha"),
-        (None, ["--tol-scale", "nan"], "--tol-scale"),
-        (None, ["--threads", "0"], "--threads"),
-    ], ids=["signal.n", "polarization.re", "surface.nq", "cut.alpha", "tol-scale", "threads"])
+        pytest.param(("n = 2", "n = 2.5"), [], "signal.n", id="signal.n"),
+        pytest.param(("re = 1,0,0", "re = 1,x,0"), [], "polarization.re", id="polarization.re"),
+        pytest.param(("nq = 8", "nq = many"), [], "surface.nq", id="surface.nq"),
+        pytest.param(("alpha = 0.1", "alpha = big"), [], "cut.alpha", id="cut.alpha"),
+        pytest.param(None, ["--tol-scale", "nan"], "--tol-scale", id="tol-scale"),
+        pytest.param(None, ["--threads", "0"], "--threads", id="threads"),
+        pytest.param(None, ["--seed", "-1"], "--seed", id="seed"),
+        # before the config table each of these ran, to NaN or empty output or a
+        # traceback, or was silently ignored
+        pytest.param(("b = 1.5", "b = inf"), [], "source.b", id="probe-source.b-inf"),
+        pytest.param(("t = 1.1", "t = nan"), [], "surface.t", id="probe-surface.t-nan"),
+        pytest.param(("nq = 8", "nq = 0"), [], "surface.nq", id="probe-surface.nq-0"),
+        pytest.param(("nphi = 4", "nphi = 0"), [], "surface.nphi", id="probe-surface.nphi-0"),
+        pytest.param(("n = 2", "n = 200"), [], "signal.n", id="probe-signal.n-200"),
+        pytest.param(("x = -1,1,5", "x = -inf,1,3"), [], "grid.x", id="probe-grid.x-inf"),
+        pytest.param(("kind = smooth_spheroid\nalpha = 0.1", "kind = upper_spheroid\nalpha = inf"), [], "cut.alpha",
+                     id="probe-cut.alpha-inf"),
+        pytest.param(("re = 1,0,0", "re = inf,0,0"), [], "polarization.re", id="probe-polarization.re-inf"),
+        pytest.param(("q_min = 0.15", "q_min = nan"), [], "tolerances.q_min", id="probe-tolerances.q_min-nan"),
+        pytest.param(("tol_cut = 1e-9", "tol_cut = inf"), [], "tolerances.tol_cut", id="probe-tolerances.tol_cut-inf"),
+        pytest.param(("alpha = 0.1", "alpah = 0.2"), [], "cut.alpah", id="probe-cut.alpah"),
+        pytest.param(("[tolerances]", "[output]\ndir = elsewhere\n\n[tolerances]"), [], "output.dir",
+                     id="probe-output.dir"),
+        pytest.param(("[surface]", "[surfce]"), [], "surfce", id="probe-section-surfce"),
+        pytest.param(("[source]", "[DEFAULT]\nn = 3\n\n[source]"), [], "DEFAULT.n", id="DEFAULT"),
+        pytest.param(("[signal]\nkind = cauchy\nn = 2", ""), [], "signal", id="missing-signal"),
+    ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys, edit, flags, named):
         text = CONFIG_TEXT.replace(*edit, 1) if edit else CONFIG_TEXT
         assert edit is None or text != CONFIG_TEXT
