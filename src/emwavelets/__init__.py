@@ -22,6 +22,7 @@ from .errors import (
     RimSingularityError,
     SubRadiatingError,
     TooCloseToCutError,
+    UnderResolvedSignalError,
 )
 from .geometry import (
     BranchCut,

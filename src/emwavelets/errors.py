@@ -35,6 +35,10 @@ class QuadratureDivergenceError(EmwaveletsError):
     """Sampled signal does not decay at the ends of its grid."""
 
 
+class UnderResolvedSignalError(EmwaveletsError):
+    """Sampled signal evaluated closer to the real axis than its sample grid resolves."""
+
+
 class NoSolutionError(EmwaveletsError):
     """Requested beam-design equation has no solution for these parameters."""
 

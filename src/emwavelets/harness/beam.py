@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from ..errors import NoSolutionError
 from ..geometry import SourceConfig, complex_distance_principal
 from ..signals import CauchySignal, peak_strength, pulse_duration
 from .spectral import cauchy_series_transform, spectral_moments
@@ -61,7 +62,7 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float):
     while hi < len(vals) - 1 and vals[hi] > half:
         hi += 1
     if vals[lo] > half or vals[hi] > half:
-        raise ValueError("time window too narrow for the FWHM")
+        raise NoSolutionError("time window too narrow for the FWHM")
     t_lo = np.interp(half, [vals[lo], vals[lo + 1]], [ts[lo], ts[lo + 1]])
     t_hi = np.interp(half, [vals[hi], vals[hi - 1]], [ts[hi], ts[hi - 1]])
     fwhm = t_hi - t_lo
@@ -82,7 +83,7 @@ def measure_diffraction_angle(sig: CauchySignal, cfg: SourceConfig, beta: float,
         return M - target
 
     if gap(np.pi) > 0.0:
-        raise ValueError("peak never drops below e^-beta of the axis value")
+        raise NoSolutionError("peak never drops below e^-beta of the axis value")
     return brentq(gap, 0.0, np.pi, xtol=1e-6)
 
 

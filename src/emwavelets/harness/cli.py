@@ -3,8 +3,9 @@
 Subcommands: sample-field, sample-sources, impulse-response, beam-profile,
 validate.  Flags mirror environment variables with the EMWAVELETS_ prefix
 (EMWAVELETS_CONFIG, EMWAVELETS_OUT, EMWAVELETS_THREADS, EMWAVELETS_SEED,
-EMWAVELETS_TOL_SCALE).  Exit codes: 0 success, 1 validation failure,
-2 configuration error.
+EMWAVELETS_TOL_SCALE).  Exit codes: 0 success, 1 validation failure or a
+refused run, 2 configuration error.  The writing commands stream their CSV
+and then write its sidecar; a refusal leaves neither behind.
 """
 
 from __future__ import annotations
@@ -18,18 +19,17 @@ import time
 from ..errors import ConfigError, EmwaveletsError
 from .config import FLAGS, RunConfig, default_config, load_config, parse
 from .datasets import write_csv_atomic, write_json_sidecar
-from .runs import (
-    FIELD_HEADER_F,
-    FIELD_HEADER_PSI,
-    SOURCE_HEADER,
-    beam_profile_data,
-    drive_meta,
-    field_rows,
-    source_sweep_rows,
-)
+from .runs import beam_profile_data, field_dataset, source_sweep_rows
 from .validate import run_all
 
-BEAM_HEADER = ["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"]
+# the writing commands: (name, header, blocks, sidecar of the count) of a run, and what the count counts;
+# each producer is looked up when called, where a tracer may have wrapped it
+DATASETS = {
+    "sample-field": (lambda rc, threads: field_dataset(rc, threads), "records"),
+    "sample-sources": (lambda rc, threads: source_sweep_rows(rc), "records"),
+    "impulse-response": (lambda rc, threads: source_sweep_rows(rc, impulse=True), "records"),
+    "beam-profile": (lambda rc, threads: beam_profile_data(rc), "angles"),
+}
 
 
 def _env(name, fallback):
@@ -52,57 +52,14 @@ def _load(args) -> RunConfig:
     return load_config(args.config) if args.config else default_config()
 
 
-def cmd_sample_field(args) -> int:
-    rc = _load(args)
-    if not rc.grid:
-        raise ConfigError("grid: sample-field needs a [grid] section")
-    rows = field_rows(rc, threads=args.threads)
-    records = rows.shape[0] * rows.shape[1]
-    header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
-    csv_path = os.path.join(args.out, "field.csv")
-    write_csv_atomic(csv_path, header, rows)
-    write_json_sidecar(
-        os.path.join(args.out, "field.json"),
-        {
-            "a": rc.source.a,
-            "b": rc.source.b,
-            "c": rc.source.c,
-            "cut": rc.cut_kind,
-            "signal": rc.signal_kind,
-            **drive_meta(rc.signal()),
-            "quantity": rc.quantity,
-            "records": records,
-            "columns": header,
-        },
-    )
-    print(f"wrote {records} records to {csv_path}")
-    return 0
-
-
-def cmd_sample_sources(args, impulse: bool = False) -> int:
-    rc = _load(args)
-    try:
-        rows, meta = source_sweep_rows(rc, impulse=impulse)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    name = "impulse_response" if impulse else "sources"
+def cmd_write(args) -> int:
+    """Compute a writing command's dataset, streaming its CSV, then write its JSON sidecar."""
+    produce, noun = DATASETS[args.command]
+    name, header, blocks, sidecar = produce(_load(args), args.threads)
     csv_path = os.path.join(args.out, f"{name}.csv")
-    write_csv_atomic(csv_path, SOURCE_HEADER, rows)
-    write_json_sidecar(os.path.join(args.out, f"{name}.json"), meta)
-    print(f"wrote {len(rows)} records to {csv_path}")
-    return 0
-
-
-def cmd_beam_profile(args) -> int:
-    rc = _load(args)
-    try:
-        rows, summary = beam_profile_data(rc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    csv_path = os.path.join(args.out, "beam_profile.csv")
-    write_csv_atomic(csv_path, BEAM_HEADER, rows)
-    write_json_sidecar(os.path.join(args.out, "beam_profile.json"), summary)
-    print(f"wrote {len(rows)} angles to {csv_path}")
+    count = write_csv_atomic(csv_path, header, blocks)
+    write_json_sidecar(os.path.join(args.out, f"{name}.json"), sidecar(count))
+    print(f"wrote {count} {noun} to {csv_path}")
     return 0
 
 
@@ -124,13 +81,7 @@ def main(argv=None) -> int:
         description="Complex-source pulsed beams: field sampling, antenna sources, validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("sample-field", cmd_sample_field),
-        ("sample-sources", cmd_sample_sources),
-        ("impulse-response", lambda a: cmd_sample_sources(a, impulse=True)),
-        ("beam-profile", cmd_beam_profile),
-        ("validate", cmd_validate),
-    ):
+    for name, fn in {**dict.fromkeys(DATASETS, cmd_write), "validate": cmd_validate}.items():
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)

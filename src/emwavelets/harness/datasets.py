@@ -3,12 +3,13 @@
 Floats are written with 17 significant digits (round-trip exact), complex
 values as paired Re/Im columns, rows in fixed row-major order, and files
 are written atomically (temp then rename) so interrupted runs leave no
-partial output.  The CSV body comes from a 2-D table or from a 3-D block
-(outer, inner, columns) written in reshape(-1, columns) order; a value
-that repeats along either axis of a block, as a sweep's point and time
-columns do, is formatted once and its text reused.  Values are formatted
-a chunk at a time by whole-array numpy kernels (harness._format), and
-the bytes are still those of np.savetxt(fmt="%.17g", delimiter=",").
+partial output.  The CSV body is a stream of 3-D blocks (outer, inner,
+columns), each written in reshape(-1, columns) order as it arrives, so a
+sweep is never held whole; a table is the one block rows[:, None].  A
+value that repeats along either axis of a block, as a sweep's point and
+time columns do, is formatted once and its text reused.  Values are
+formatted a chunk at a time by whole-array numpy kernels (harness._format),
+and the bytes are still those of np.savetxt(fmt="%.17g", delimiter=",").
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from ._format import WIDTH, format17
 __all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
 CHUNK = 512  # records formatted per write: bounds the writer's memory
+BLOCK_CHUNKS = 4  # writer chunks per computed field block: fewer compute up to 2x slower
 
 
 def _write_atomic(path, write):
-    """Run write(fh) on a temp file next to path, then rename it into place.
+    """Run write(fh) on a temp file next to path, then rename it into place; returns what write returns.
 
-    The temp file is created as open() would create it, mode 0o666 less the
-    umask.
+    A write that raises leaves no file behind.  The temp file is created as
+    open() would create it, mode 0o666 less the umask.
     """
     path = os.fspath(path)
     folder = os.path.dirname(path) or "."
@@ -38,8 +40,9 @@ def _write_atomic(path, write):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            write(fh)
+            result = write(fh)
         os.replace(tmp, path)
+        return result
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -78,39 +81,43 @@ def _write_chunk(fh, sub, buf):
     fh.write(used.translate(None, b"\0").decode("ascii"))
 
 
-def write_csv(fh, header, rows):
-    """Header line, then one line of 17-significant-digit values per record.
+def write_csv(fh, header, blocks) -> int:
+    """Header line, then one line of 17-significant-digit values per record; returns the record count.
 
-    rows is a 2-D table (records, columns) or a 3-D block (outer, inner,
-    columns) whose records are written in reshape(-1, columns) order.  The
-    bytes are those of np.savetxt(fmt="%.17g", delimiter=","): every value
-    formatted with "%.17g" (harness._format), comma-joined.  At most CHUNK
-    records are formatted at a time, and values that repeat along an axis
-    are formatted once per chunk.
+    blocks is an iterable of 3-D (outer, inner, columns) arrays with the
+    same columns; each is written in reshape(-1, columns) order as it
+    arrives.  The bytes are those of np.savetxt(fmt="%.17g", delimiter=",")
+    on the concatenated records: every value formatted with "%.17g"
+    (harness._format), comma-joined.  At most CHUNK records are formatted
+    at a time, and values that repeat along an axis are formatted once per
+    chunk.
     """
     fh.write(",".join(header) + "\n")
-    block = np.asarray(rows, dtype=np.float64)
-    if block.ndim == 2:
-        block = block[None]  # one outer item whose inner axis is the records
-    if block.ndim != 3:
-        raise ValueError(f"expected a 2-D table or a 3-D block, got {block.ndim} dimensions")
-    n_outer, n_inner, n_cols = block.shape
-    if n_outer * n_inner == 0:
-        return
-    per = max(1, CHUNK // n_inner)
-    step = min(n_inner, CHUNK)
-    buf = bytearray(min(per, n_outer) * step * n_cols * (WIDTH + 1))
-    seps = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n_cols, WIDTH + 1)[..., WIDTH]
-    seps[:] = ord(",")
-    seps[:, -1] = ord("\n")
-    for o in range(0, n_outer, per):
-        for i in range(0, n_inner, step):
-            _write_chunk(fh, block[o : o + per, i : i + step], buf)
+    buf = bytearray()
+    records = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        n_outer, n_inner, n_cols = block.shape
+        if n_outer * n_inner == 0:
+            continue
+        per = max(1, CHUNK // n_inner)
+        step = min(n_inner, CHUNK)
+        size = min(per, n_outer) * step * n_cols * (WIDTH + 1)
+        if len(buf) < size:
+            buf = bytearray(size)
+            seps = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n_cols, WIDTH + 1)[..., WIDTH]
+            seps[:] = ord(",")
+            seps[:, -1] = ord("\n")
+        for o in range(0, n_outer, per):
+            for i in range(0, n_inner, step):
+                _write_chunk(fh, block[o : o + per, i : i + step], buf)
+        records += n_outer * n_inner
+    return records
 
 
-def write_csv_atomic(path, header, rows):
-    """Write rows (a 2-D table or 3-D block, as write_csv) under a header line."""
-    _write_atomic(path, lambda fh: write_csv(fh, header, rows))
+def write_csv_atomic(path, header, blocks) -> int:
+    """write_csv to path, atomically; returns the record count."""
+    return _write_atomic(path, lambda fh: write_csv(fh, header, blocks))
 
 
 def _jsonable(v):

@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..em_fields import assemble, helicity_residual, lmn
+from ..errors import ConfigError
 from ..geometry import branch
 from ..scalar_wavelet import psi_of_sigma
 from ..signals import CauchySignal, SampledSignal, diffraction_angle, spectral_profile
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
 from .config import RunConfig
-from .grids import CHUNK, chunked_parallel_map, grid_points
+from .datasets import BLOCK_CHUNKS, CHUNK
+from .grids import chunked_parallel_map, grid_axes, grid_points
 
 __all__ = [
     "field_rows",
+    "field_dataset",
     "points_per_chunk",
     "FIELD_HEADER_PSI",
     "FIELD_HEADER_F",
     "source_sweep_rows",
     "SOURCE_HEADER",
-    "drive_meta",
     "beam_profile_data",
 ]
 
@@ -35,24 +39,26 @@ SOURCE_HEADER = [
     "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
     "in_rim_band",
 ]
+BEAM_HEADER = ["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"]
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
-    """Field sweep as a (points, times, columns) block.
+    """Field sweep as (points, times, columns) blocks of points_per_chunk points, computed as consumed.
 
-    Points run row-major over (x, y, z); reshape(-1, columns) gives the
-    records in output order, time fastest.  Each chunk's branch is resolved
-    once (geometry.branch), refusing points within the configured tol_cut of
-    the cut, and every time slice is evaluated in one broadcast call of the
-    closed forms psi() and field() use.
+    Points run row-major over (x, y, z); the blocks' reshape(-1, columns),
+    in order, gives the records in output order, time fastest.  Each
+    chunk's branch is resolved once (geometry.branch), refusing points
+    within the configured tol_cut of the cut, and every time slice is
+    evaluated in one broadcast call of the closed forms psi() and field() use.
     """
     w = rc.wavelet()
     pol = rc.polarization()
-    pts, ts = grid_points(rc.grid)
+    *xyz, ts = grid_axes(rc.grid)
     tau = w.tau(ts)
     tol_cut = rc.tol_cut * w.cfg.a_mag
 
-    def eval_chunk(chunk):
+    def eval_chunk(index):
+        chunk = grid_points(xyz, index)
         b = branch(w.cut, chunk, w.cfg, tol_cut)
         if rc.quantity == "psi":
             values = psi_of_sigma(w.sig, b.sigma[:, None], tau)[..., None]
@@ -68,20 +74,31 @@ def field_rows(rc: RunConfig, threads: int = 1):
         rows[..., 8::2] = values.imag
         return rows
 
-    return chunked_parallel_map(eval_chunk, pts, threads=threads, chunk=points_per_chunk(len(ts)))
+    n_points = math.prod(map(len, xyz))
+    return chunked_parallel_map(eval_chunk, range(n_points), points_per_chunk(len(ts)), threads=threads)
 
 
 def points_per_chunk(n_times: int) -> int:
-    """Grid points per field_rows chunk.
+    """Grid points per field_rows block: BLOCK_CHUNKS whole writer chunks of max(1, CHUNK // n_times) points.
 
-    CHUNK records, not CHUNK points, per chunk: the broadcast temporaries
-    (several complex values per record) must not grow with the number of
-    time slices.
+    Records, not points, set the size: the broadcast temporaries (several
+    complex values per record) must not grow with the number of time slices.
     """
-    return max(1, CHUNK // n_times)
+    return BLOCK_CHUNKS * max(1, CHUNK // n_times)
 
 
-def drive_meta(sig) -> dict:
+def field_dataset(rc: RunConfig, threads: int):
+    """sample-field's ("field", header, field_rows blocks, sidecar of the record count)."""
+    if not rc.grid:
+        raise ConfigError("grid: sample-field needs a [grid] section")
+    header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
+    cfg = rc.source
+    meta = {"a": cfg.a, "b": cfg.b, "c": cfg.c, "cut": rc.cut_kind, "signal": rc.signal_kind,
+            **_drive_meta(rc.signal()), "quantity": rc.quantity, "columns": header}
+    return "field", header, field_rows(rc, threads), lambda records: {**meta, "records": records}
+
+
+def _drive_meta(sig) -> dict:
     """The drive's sidecar entries, the same in every sidecar.
 
     "n" is the Cauchy order, or "sampled" for a sampled drive, which also
@@ -93,15 +110,15 @@ def drive_meta(sig) -> dict:
 
 
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):
-    """Surface sweep of the equivalent sources on the spheroid p = alpha.
+    """sample-sources' or impulse-response's (name, header, blocks, sidecar of the record count).
 
-    Rim-band rows are annotated via the last column, never dropped.
+    The block is the surface sweep of the equivalent sources on the
+    spheroid p = alpha; rim-band rows are annotated via the last column,
+    never dropped.
     """
     cfg = rc.source
     a = cfg.a_mag
     alpha = rc.surface_alpha
-    if not alpha > 0.0:
-        raise ValueError("surface.alpha: must be > 0; for the alpha = 0 disk use the Coulomb disk source routines")
     pol = rc.polarization()
     q_min = rc.q_min_value()
     qs = np.linspace(-0.98 * a, 0.98 * a, rc.surface_nq)
@@ -115,7 +132,7 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     else:
         w = rc.wavelet()
         s = surface_sources_exact(w, pol, qf, pf, alpha, t, q_min=0.0)
-        drive = drive_meta(w.sig)
+        drive = _drive_meta(w.sig)
     in_rim = (np.abs(qf) < q_min).astype(float)
     rows = np.column_stack(
         [
@@ -139,19 +156,25 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         "q_min": q_min,
         "columns": SOURCE_HEADER,
     }
-    return rows, meta
+    return "impulse_response" if impulse else "sources", SOURCE_HEADER, [rows[:, None]], lambda records: meta
 
 
 def beam_profile_data(rc: RunConfig):
-    """Predicted vs measured beam table, on N_THETA angles at R_FACTOR*|a|, plus summary diagnostics."""
+    """beam-profile's (name, header, blocks, sidecar of the angle count).
+
+    The block is the predicted vs measured beam table on N_THETA angles at
+    R_FACTOR*|a|; the sidecar holds the summary diagnostics.
+    """
     cfg = rc.source
     a = cfg.a_mag
     if rc.signal_kind != "cauchy":
-        raise ValueError("signal.kind: the beam profile is defined for the band-pass kernels (cauchy)")
+        raise ConfigError("signal.kind: the beam profile is defined for the band-pass kernels (cauchy)")
+    if not cfg.b > 0.0:
+        raise ConfigError(f"source.b: the beam profile follows the beam along +a, which needs b > 0, got {cfg.b!r}")
     n = rc.signal_n
     thetas = np.linspace(0.0, np.pi, N_THETA)
     R = R_FACTOR * a
-    rows = beam_profile_rows(n, cfg, thetas, R)
+    rows = np.array(beam_profile_rows(n, cfg, thetas, R))
     th_pred = diffraction_angle(1.0, n, a, cfg.b, cfg.c)
     th_meas = measure_diffraction_angle(CauchySignal(n), cfg, 1.0, R)
     prof = spectral_profile(n, cfg.b)
@@ -170,4 +193,4 @@ def beam_profile_data(rc: RunConfig):
         "helicity_residual_10a": float(helicity_residual(w, pol, 10 * a * dirv, 10 * a / cfg.c)),
         "helicity_residual_100a": float(helicity_residual(w, pol, 100 * a * dirv, 100 * a / cfg.c)),
     }
-    return rows, summary
+    return "beam_profile", BEAM_HEADER, [rows[:, None]], lambda records: summary

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral
 from .config import AxisSpec, RunConfig, default_config
 from .datasets import write_csv
 from .fd import field_curl_oracle, lorenz_residual, wave_residual
-from .grids import grid_points
+from .grids import grid_axes
 from .runs import FIELD_HEADER_F, field_rows, points_per_chunk
 from .spectral import cauchy_series_transform, energy_split, quadpack_fourier
 
@@ -573,8 +574,8 @@ def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
         "t": AxisSpec(1.0, 2.0, 3),
     }
     # a single chunk would run serially whatever the thread count
-    pts, ts = grid_points(rc2.grid)
-    n_chunks = -(-len(pts) // points_per_chunk(len(ts)))
+    *xyz, ts = grid_axes(rc2.grid)
+    n_chunks = -(-math.prod(map(len, xyz)) // points_per_chunk(len(ts)))
     outs = []
     for threads in (1, 4):
         buf = io.StringIO()

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoSolutionError, PoleOnPathError, QuadratureDivergenceError
+from .errors import NoSolutionError, PoleOnPathError, QuadratureDivergenceError, UnderResolvedSignalError
 
 __all__ = [
     "CauchySignal",
@@ -144,7 +144,7 @@ class SampledSignal(DrivingSignal):
         tau = np.asarray(tau, dtype=complex)
         low = np.abs(tau.imag) < 4.0 * self.dt
         if np.any(low & (tau.real >= self.t[0]) & (tau.real <= self.t[-1])):
-            raise ValueError("|Im tau| below 4*dt: the sample grid cannot resolve the kernel")
+            raise UnderResolvedSignalError("|Im tau| below 4*dt: the sample grid cannot resolve the kernel")
         keys, inverse = np.unique(tau.reshape(-1).view("V16"), return_inverse=True)
         flat = keys.view(complex)
         out = np.empty((kmax + 1, flat.size), dtype=complex)

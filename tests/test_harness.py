@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -25,7 +26,7 @@ from emwavelets import (
     CauchySignal, CustomCut, FlatDisk, LowerSpheroid, SourceConfig, UpperSpheroid, complex_distance_principal,
     field, psi, spheroid_point,
 )
-from emwavelets.errors import ConfigError, OnCutError
+from emwavelets.errors import ConfigError, OnCutError, UnderResolvedSignalError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.harness import _format, fd
 from emwavelets.harness import config as config_mod
@@ -33,7 +34,7 @@ from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
 from emwavelets.harness.datasets import CHUNK, write_csv, write_csv_atomic, write_json_sidecar
-from emwavelets.harness.grids import chunked_parallel_map, grid_points
+from emwavelets.harness.grids import chunked_parallel_map, grid_axes, grid_points
 from emwavelets.harness.runs import (
     FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, points_per_chunk, source_sweep_rows,
 )
@@ -307,25 +308,40 @@ class TestConfig:
 class TestGrids:
     def test_row_major_order(self):
         grid = {"x": AxisSpec(0, 1, 2), "y": AxisSpec(0, 2, 2), "z": AxisSpec(5, 5, 1)}
-        pts, ts = grid_points(grid)
+        *xyz, ts = grid_axes(grid)
+        pts = grid_points(xyz, range(4))
         assert pts.shape == (4, 3)
         assert np.allclose(pts[:, 0], [0, 0, 1, 1])  # x slowest
         assert np.allclose(pts[:, 1], [0, 2, 0, 2])
         assert np.allclose(ts, [0.0])
+        assert np.array_equal(grid_points(xyz, range(1, 3)), pts[1:3])
 
     def test_parallel_map_order(self):
         pts = np.arange(300, dtype=float).reshape(100, 3)
         f = lambda c: c * 2.0
-        serial = chunked_parallel_map(f, pts, threads=1, chunk=7)
-        parallel = chunked_parallel_map(f, pts, threads=4, chunk=7)
-        assert np.array_equal(serial, parallel)
-        assert np.array_equal(serial, pts * 2.0)
+        serial = list(chunked_parallel_map(f, pts, 7, threads=1))
+        parallel = list(chunked_parallel_map(f, pts, 7, threads=4))
+        assert [len(c) for c in serial] == [7] * 14 + [2]
+        assert np.array_equal(np.concatenate(serial), np.concatenate(parallel))
+        assert np.array_equal(np.concatenate(serial), pts * 2.0)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_parallel_map_runs_at_most_threads_ahead(self, threads):
+        # chunks are computed `threads` at a time, and none starts while the consumer holds a result
+        started, ahead = [], []
+        for taken, part in enumerate(chunked_parallel_map(lambda c: started.append(c) or c, range(40), 3,
+                                                          threads=threads)):
+            assert part == range(3 * taken, min(3 * taken + 3, 40))
+            ahead.append(len(started) - taken)
+        assert len(ahead) == 14
+        assert ahead == [min(14, (i // threads + 1) * threads) - i for i in range(14)]
 
 
 def per_slice_rows(rc):
     """Reference sweep: the branch resolved per point, psi() or field() called per time slice."""
     w = rc.wavelet()
-    pts, ts = grid_points(rc.grid)
+    *xyz, ts = grid_axes(rc.grid)
+    pts = grid_points(xyz, range(math.prod(map(len, xyz))))
     sgn = w.cut.sign(pts, w.cfg)
     sigma = sgn * complex_distance_principal(pts, w.cfg)[0]
     blocks = []
@@ -338,6 +354,11 @@ def per_slice_rows(rc):
         base = [pts, np.full(len(pts), tt), sigma.real, sigma.imag, sgn.astype(float)]
         blocks.append(np.column_stack(base + [vals]))
     return np.stack(blocks, axis=1)
+
+
+def field_block(rc, threads=1):
+    """The field_rows blocks of a sweep, concatenated into one (points, times, columns) block."""
+    return np.concatenate(list(field_rows(rc, threads)))
 
 
 def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
@@ -353,16 +374,17 @@ class TestFieldRows:
         "x": AxisSpec(-1.45, 1.55, 7),
         "y": AxisSpec(0.03, 0.03, 1),
         "z": AxisSpec(-0.47, 0.61, 10),
-        "t": AxisSpec(0.5, 2.5, 40),  # 51 points per chunk: the grid spans two chunks
+        "t": AxisSpec(0.5, 2.5, 40),  # 48 points per block: the 70 points span two blocks
     }
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_matches_per_slice_evaluation(self, quantity):
         rc = upper_spheroid_config(quantity, self.GRID)
-        rows = field_rows(rc)
+        assert [len(block) for block in field_rows(rc)] == [48, 22]
+        rows = field_block(rc)
         assert set(np.unique(rows[..., 6])) == {-1.0, 1.0}  # straddles the membrane
         assert np.array_equal(rows, per_slice_rows(rc))
-        assert np.array_equal(field_rows(rc, threads=2), rows)
+        assert np.array_equal(field_block(rc, threads=2), rows)
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_principal_sigma_once_per_point(self, quantity, monkeypatch):
@@ -375,7 +397,7 @@ class TestFieldRows:
                 mod, "complex_distance_principal",
                 lambda r, cfg: points.append(np.size(r) // 3) or principal(r, cfg), raising=False,
             )
-        field_rows(upper_spheroid_config(quantity, self.GRID))
+        field_block(upper_spheroid_config(quantity, self.GRID))
         assert sum(points) == 7 * 10
         assert azimuths == []
 
@@ -389,18 +411,18 @@ class TestFieldRows:
                 geometry.ComplexDistanceSample, name,
                 property(lambda self, prop=prop, name=name: built.append(name) or prop.func(self)),
             )
-        field_rows(upper_spheroid_config(quantity, self.GRID))
+        field_block(upper_spheroid_config(quantity, self.GRID))
         assert set(built) == (set() if quantity == "psi" else {"_num"})
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_configured_tol_cut_governs(self, quantity):
         # 5e-10 above the apron of the upper spheroid
         grid = {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", 5e-10), ("t", 1.0))}
-        rows = field_rows(upper_spheroid_config(quantity, grid, tol_cut=1e-10))
+        rows = field_block(upper_spheroid_config(quantity, grid, tol_cut=1e-10))
         assert rows.shape == (1, 1, 9 if quantity == "psi" else 13)
         assert np.isfinite(rows).all()
         with pytest.raises(OnCutError):
-            field_rows(upper_spheroid_config(quantity, grid))
+            field_block(upper_spheroid_config(quantity, grid))
 
 
 def _calls_in_scopes(tree):
@@ -558,6 +580,15 @@ class TestLayering:
                       for node in ast.walk(ast.parse(path.read_text())) if _central_difference(node)]
         assert not found, "use fd.nth_derivative_param or an fd operator:\n" + "\n".join(found)
 
+    def test_one_cli_write_path(self):
+        # every writing command streams through one CSV call and one sidecar call, and
+        # a refusal keeps its own error class: none is turned into a ConfigError here
+        tree = ast.parse((pathlib.Path(emwavelets.__file__).parent / "harness" / "cli.py").read_text())
+        calls = [getattr(n.func, "id", None) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        assert calls.count("write_csv_atomic") == 1 and calls.count("write_json_sidecar") == 1
+        caught = [ast.unparse(n.type) for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler) and n.type]
+        assert not [c for c in caught if "ValueError" in c], caught
+
     def test_cli_import_loads_no_scipy(self):
         # the data commands start without SciPy; the oracles import it when they run
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(emwavelets.__file__).parents[1]))
@@ -660,14 +691,14 @@ class TestDatasets:
     def test_format_round_trip(self, tmp_path):
         vals = [1 / 3, np.pi, 1e-17, -2.5e300]
         path = tmp_path / "vals.csv"
-        write_csv_atomic(path, ["v"], [(v,) for v in vals])
+        write_csv_atomic(path, ["v"], table([(v,) for v in vals]))
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         for v, read in zip(vals, back):
             assert float(read) == v
 
     def test_atomic_csv(self, tmp_path):
         path = tmp_path / "sub" / "data.csv"
-        write_csv_atomic(path, ["a", "b"], [(1.0, 2.0), (3.0, 4.5)])
+        assert write_csv_atomic(path, ["a", "b"], table([(1.0, 2.0), (3.0, 4.5)])) == 2
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,2"
@@ -683,7 +714,7 @@ class TestDatasets:
     def test_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)
         try:
-            write_csv_atomic(tmp_path / "data.csv", ["a"], [(1.0,)])
+            write_csv_atomic(tmp_path / "data.csv", ["a"], table([(1.0,)]))
             write_json_sidecar(tmp_path / "meta.json", {"n": 1})
         finally:
             os.umask(old)
@@ -702,10 +733,17 @@ def savetxt_csv(header, table):
     return buf.getvalue()
 
 
-def written_csv(header, rows):
+def table(rows):
+    """A 2-D table as write_csv's one block rows[:, None]."""
+    return [np.asarray(rows, dtype=np.float64)[:, None]]
+
+
+def written_csv(header, blocks):
     buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()
+    records = write_csv(buf, header, blocks)
+    text = buf.getvalue()
+    assert records == text.count("\n") - 1
+    return text
 
 
 def sweep_like_block(rng, n_outer, n_inner):
@@ -737,10 +775,10 @@ class TestCsvParity:
     HEADER = [f"c{i}" for i in range(7)]
 
     def test_special_values(self):
-        table = np.array(SPECIAL)[:, None]
-        assert written_csv(["v"], table) == savetxt_csv(["v"], table)
+        column = np.array(SPECIAL)[:, None]
+        assert written_csv(["v"], table(column)) == savetxt_csv(["v"], column)
         square = np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T
-        assert written_csv(["a", "b"], square) == savetxt_csv(["a", "b"], square)
+        assert written_csv(["a", "b"], table(square)) == savetxt_csv(["a", "b"], square)
 
     @pytest.mark.parametrize(
         "shape",
@@ -749,16 +787,21 @@ class TestCsvParity:
     def test_blocks(self, shape):
         block = sweep_like_block(np.random.default_rng(sum(shape)), *shape)
         expected = savetxt_csv(self.HEADER, block.reshape(-1, block.shape[-1]))
-        assert written_csv(self.HEADER, block) == expected
-        assert written_csv(self.HEADER, block.reshape(-1, block.shape[-1])) == expected
+        assert written_csv(self.HEADER, [block]) == expected
+        assert written_csv(self.HEADER, table(block.reshape(-1, block.shape[-1]))) == expected
+        # streamed in uneven pieces along the outer axis, as field_rows' last block is
+        pieces = np.split(block, [1, 3 + len(block) // 2])
+        assert written_csv(self.HEADER, iter(pieces)) == expected
 
     def test_list_of_tuples(self):
+        # a block is anything np.asarray makes a 3-D array of; here one nested list per record
         rows = [(1.0, -0.0, 2), (1.0, 0.0, 3), (np.nan, 1 / 3, -2.5e300)]
-        assert written_csv(["a", "b", "c"], rows) == savetxt_csv(["a", "b", "c"], rows)
+        assert written_csv(["a", "b", "c"], ([[row]] for row in rows)) == savetxt_csv(["a", "b", "c"], rows)
 
     def test_rejects_other_ranks(self):
-        with pytest.raises(ValueError):
-            write_csv(io.StringIO(), ["v"], np.zeros((2, 2, 2, 2)))
+        for shape in [(2, 2), (2, 2, 2, 2)]:
+            with pytest.raises(ValueError):
+                write_csv(io.StringIO(), ["v"], [np.zeros(shape)])
 
     def test_writer_memory_bounded(self):
         class Sink:
@@ -771,7 +814,7 @@ class TestCsvParity:
             block = np.concatenate([sweep_like_block(rng, n_points, n_times), per_record], axis=-1)
             tracemalloc.start()
             try:
-                write_csv(Sink(), FIELD_HEADER_F, block)
+                write_csv(Sink(), FIELD_HEADER_F, [block])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -779,6 +822,28 @@ class TestCsvParity:
         small, large = peak(1_000), peak(10_000)
         assert large <= 1.1 * small
         assert large < 2 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_memory_bounded(self, threads):
+        # field_rows' blocks stream into the writer, so a 4x larger grid takes no more memory;
+        # a sweep gathered into one block before writing peaked at 13.0 and 52.1 MiB here
+        class Sink:
+            def write(self, text):
+                pass
+
+        def peak(nz):
+            axes = {"x": AxisSpec(-2.0, 2.0, 41), "z": AxisSpec(0.5, 2.5, nz), "t": AxisSpec(1.0, 3.0, 7)}
+            rc = dataclasses.replace(default_config(), grid=axes)
+            tracemalloc.start()
+            try:
+                write_csv(Sink(), FIELD_HEADER_F, field_rows(rc, threads))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        importlib.import_module("scipy")
+        small, large = peak(225), peak(900)  # 9,225 and 36,900 points
+        assert large <= 1.1 * small
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_sample_field_matches_reference(self, tmp_path, quantity):
@@ -794,7 +859,7 @@ class TestCsvParity:
         )
         out = tmp_path / "out"
         assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 0
-        rows = field_rows(load_config(str(path)))
+        rows = field_block(load_config(str(path)))
         header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
         assert (out / "field.csv").read_text() == savetxt_csv(header, rows.reshape(-1, rows.shape[-1]))
         assert json.loads((out / "field.json").read_text())["records"] == 70 * 40
@@ -802,8 +867,9 @@ class TestCsvParity:
     def test_sample_sources_matches_reference(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["sample-sources", "--config", config_file, "--out", str(out)]) == 0
-        rows, _ = source_sweep_rows(load_config(config_file))
-        assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, rows)
+        name, header, (block,), _ = source_sweep_rows(load_config(config_file))
+        assert (name, header) == ("sources", SOURCE_HEADER)
+        assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, block[:, 0])
 
 
 def format17_text(values):
@@ -868,7 +934,7 @@ class TestFormat17:
         monkeypatch.setattr(_format, "_fallback", counted)
         block = sweep_like_block(np.random.default_rng(3), 40, 13)
         header = TestCsvParity.HEADER
-        assert written_csv(header, block) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
+        assert written_csv(header, [block]) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
         flat = block.ravel()
         special = ~((flat == 0.0) | ((np.abs(flat) >= 1e-280) & (np.abs(flat) <= 1e280)))
         bits = lambda values: set(np.asarray(values, dtype=np.float64).view(np.int64).tolist())
@@ -1234,15 +1300,18 @@ class TestCli:
         )
         path = tmp_path / "circle.ini"
         path.write_text(text + f"\n[output]\nquantity = {quantity}\n")
-        out = tmp_path / "out"
-        assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 1
-        assert not (out / "field.csv").exists()
-        message = json.loads(capsys.readouterr().err.strip())["message"]
-        # one guard and one reason, whichever quantity the sweep evaluates
-        assert re.fullmatch(
-            r"field point on the branch circle \(p = q = 0\): 1 of \d+ points refused, first at \(-1, 0, 0\)",
-            message,
-        )
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            argv = ["sample-field", "--config", str(path), "--out", str(out), "--threads", threads]
+            assert cli.main(argv) == 1
+            # the refusal arrives while the CSV streams: its temp file goes, and no sidecar is written
+            assert not [p.name for p in out.glob("*")]
+            message = json.loads(capsys.readouterr().err.strip())["message"]
+            # one guard and one reason, whichever quantity the sweep evaluates
+            assert re.fullmatch(
+                r"field point on the branch circle \(p = q = 0\): 1 of \d+ points refused, first at \(-1, 0, 0\)",
+                message,
+            )
 
     def test_beam_direction_follows_source_axis(self, config_file, tmp_path):
         # |F| on a transverse-plane sweep peaks on the +a axis for b > a
@@ -1254,19 +1323,26 @@ class TestCli:
             "t": AxisSpec(20.0, 20.0, 1),
         }
         rc.cut_kind = "flat_disk"
-        rows = field_rows(rc)
+        rows = field_block(rc)
         mag = np.linalg.norm(rows[:, 0, 7::2] + 1j * rows[:, 0, 8::2], axis=1)
         assert np.argmax(mag) == 4  # the x = 0 record
 
-    def test_sources_alpha_zero_redirects(self, config_file, tmp_path, capsys):
-        rc = load_config(config_file)
-        rc.surface_alpha = 0.0
-        with pytest.raises(ValueError, match="disk"):
-            source_sweep_rows(rc)
+    def test_sources_alpha_zero_refused_by_name(self, tmp_path, capsys):
+        # the alpha = 0 disk has its own source routines; the config refuses it for a spheroid sweep
+        path = tmp_path / "disk.ini"
+        path.write_text(CONFIG_TEXT.replace("alpha = 0.02", "alpha = 0"))
+        out = tmp_path / "out"
+        for command in ("sample-sources", "impulse-response"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            error = json.loads(capsys.readouterr().err.strip())
+            assert error["error"] == "config" and error["message"].startswith("surface.alpha: must be")
+        assert not out.exists()
 
     def test_impulse_response_finite_and_annotated(self, config_file):
         rc = load_config(config_file)
-        rows, meta = source_sweep_rows(rc, impulse=True)
+        name, header, (block,), sidecar = source_sweep_rows(rc, impulse=True)
+        rows, meta = block[:, 0], sidecar(len(block))
+        assert name == "impulse_response"
         assert np.isfinite(rows).all()
         assert meta["n"] == "impulse"
         assert set(np.unique(rows[:, -1])) <= {0.0, 1.0}
@@ -1278,8 +1354,8 @@ class TestCli:
             CONFIG_TEXT.replace("x = -1,1,5", "x = -1,1,41").replace("z = 0.5,1.5,4", "z = 0.5,1.5,26")
         )
         # a single chunk would run serially whatever the thread count
-        pts, ts = grid_points(load_config(str(config_file)).grid)
-        assert len(pts) > points_per_chunk(len(ts))
+        *xyz, ts = grid_axes(load_config(str(config_file)).grid)
+        assert math.prod(map(len, xyz)) > points_per_chunk(len(ts))
         outs = []
         for threads in ("1", "3"):
             out = str(tmp_path / f"t{threads}")
@@ -1291,6 +1367,41 @@ class TestCli:
             )
             outs.append((tmp_path / f"t{threads}" / "field.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_coarse_sampled_pulse_is_a_run_error(self, tmp_path, capsys):
+        # dt = 0.5 cannot resolve the kernel at Im tau = -b = -1.5 (it needs >= 4 dt): both
+        # sampling commands refuse the run the same way, and write nothing
+        t = np.linspace(-20.0, 20.0, 81)
+        pulse = tmp_path / "coarse.csv"
+        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        path = tmp_path / "coarse.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
+        errors = []
+        for command in ("sample-field", "sample-sources"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+            errors.append(json.loads(capsys.readouterr().err.strip()))
+            assert not [p.name for p in out.glob("*")]
+        assert errors[0] == errors[1]
+        assert errors[0] == {"error": "run", "message": "|Im tau| below 4*dt: the sample grid cannot resolve the kernel"}
+        with pytest.raises(UnderResolvedSignalError):
+            load_config(str(path)).signal().eval(0.0 - 1.5j)
+
+    @pytest.mark.parametrize("edit, named", [
+        (("b = 1.5", "b = -1.5"), "source.b"),
+        (("kind = cauchy\nn = 2", "kind = sampled\ncsv = {pulse}"), "signal.kind"),
+    ])
+    def test_beam_profile_refusal_names_the_key(self, tmp_path, capsys, edit, named):
+        t = np.linspace(-20.0, 20.0, 801)
+        pulse = tmp_path / "pulse.csv"
+        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        path = tmp_path / "beam.ini"
+        path.write_text(CONFIG_TEXT.replace(edit[0], edit[1].format(pulse=pulse)))
+        out = tmp_path / "out"
+        assert cli.main(["beam-profile", "--config", str(path), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "config" and error["message"].startswith(f"{named}: ")
+        assert not out.exists()
 
     def test_env_override(self, config_file, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")

@@ -22,6 +22,7 @@ from emwavelets import (
     spectral_profile,
     spectrum_cauchy,
     tilde_lmn,
+    UnderResolvedSignalError,
 )
 from emwavelets.harness.fd import richardson
 from emwavelets.geometry import branch
@@ -108,7 +109,7 @@ class TestSampledSignal:
     def test_rejects_underresolved_offset(self):
         t = np.linspace(-30, 30, 601)  # dt = 0.1
         sig = SampledSignal(t=t, g0=np.exp(-t**2))
-        with pytest.raises(ValueError):
+        with pytest.raises(UnderResolvedSignalError):
             sig.eval(0.0 - 0.2j)
         sig.eval(0.0 - 0.5j)  # fine above 4*dt
 
@@ -189,7 +190,7 @@ class TestEvalDerivs:
     def test_refusal_sees_repeated_offenders(self, sig):
         # dt = 0.075: Im tau = -0.1 is under-resolved, and it only ever appears repeated
         tau = np.array([[0.5 - 1.0j, 0.2 - 0.1j], [0.2 - 0.1j, 0.5 - 1.0j]])
-        with pytest.raises(ValueError, match="4\\*dt"):
+        with pytest.raises(UnderResolvedSignalError, match="4\\*dt"):
             eval_derivs(sig, tau, 2)
 
     @pytest.mark.parametrize("sig", [CauchySignal(3)], ids=["cauchy"])
