@@ -15,18 +15,16 @@ from emwavelets import (
     diffraction_angle,
     peak_strength,
     pulse_duration,
-    spectral_profile,
     spectrum_cauchy,
 )
-from emwavelets.harness.beam import measure_pulse, measure_spectral_profile
+from emwavelets.harness.beam import measure_pulse, spectral_profiles
 
 a, b = 1.0, 1.5
 cfg = SourceConfig(a=[0, 0, a], b=b)
 
 print("=== the band-pass family ===")
 for n in (1, 2, 4, 16):
-    prof = spectral_profile(n, b)
-    c_meas, w_meas = measure_spectral_profile(n, b)
+    prof, (c_meas, w_meas) = spectral_profiles(n, b)
     print(
         f"n = {n:2d}: center = {prof.center:6.3f} (measured {c_meas:6.3f}), "
         f"width = {prof.width:5.3f} (measured {w_meas:5.3f})"

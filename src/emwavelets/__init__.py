@@ -58,7 +58,6 @@ from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_of_sigma
 from .em_fields import (
     EMFieldSample,
     LMNTriplet,
-    PolarizationVector,
     far_field,
     field,
     four_potential,
@@ -70,8 +69,6 @@ from .em_fields import (
 )
 from .surface_sources import (
     SurfaceSourceSample,
-    TildeTriplet,
-    bandpass_response,
     coulomb_disk_sources,
     coulomb_spheroid_sources,
     disk_angular_velocity,

@@ -1,7 +1,7 @@
 """Electromagnetic fields synthesized from the scalar wavelet as a Hertz potential.
 
-The complex Hertz potential Z = psi*pol (pol a fixed complex polarization
-vector: real part electric dipole, imaginary part magnetic) generates the
+The complex Hertz potential Z = psi*pol (pol a fixed complex 3-vector:
+real part electric dipole, imaginary part magnetic) generates the
 complex field F = D + i*B = curl curl Z + i dZ/dt.  Carrying out the curls
 against the complex-distance frame collapses F to three scalar
 coefficients,
@@ -16,19 +16,17 @@ live in harness.fd.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OnBranchCircleError, OnCutError
-from .geometry import SourceConfig, _cross, _dot, _sum3, branch, complex_distance_principal, frame
+from .geometry import _cross, _dot, _sum3, branch, complex_distance_principal, frame
 from .scalar_wavelet import ScalarWavelet
 from .signals import CauchySignal, eval_derivs
 
 __all__ = [
-    "PolarizationVector",
     "EMFieldSample",
     "LMNTriplet",
     "lmn",
@@ -44,42 +42,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarizationVector:
-    """Fixed complex dipole direction; component along a is wasted in the far zone.
-
-    By default the part parallel to the source axis is projected away
-    (with a warning if it was substantial); pass keep_parallel=True to
-    keep the vector exactly as given.
-    """
-
-    vec: np.ndarray
-    cfg: SourceConfig | None = None
-    keep_parallel: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=complex)
-        if v.shape != (3,):
-            raise ValueError("polarization must be a complex 3-vector")
-        if np.linalg.norm(v) == 0.0:
-            raise ValueError("polarization must be nonzero")
-        if self.cfg is not None and not self.keep_parallel:
-            par = np.dot(v, self.cfg.a_hat)
-            if abs(par) > 1e-12 * np.linalg.norm(v):
-                warnings.warn(
-                    "projecting away the polarization component along a "
-                    "(it only weakens the beam); pass keep_parallel=True to keep it",
-                    stacklevel=2,
-                )
-                v = v - par * self.cfg.a_hat
-                if np.linalg.norm(v) == 0.0:
-                    raise ValueError("polarization entirely parallel to a")
-        object.__setattr__(self, "vec", v)
-
-
 def _as_pol(pol):
-    if isinstance(pol, PolarizationVector):
-        return pol.vec
+    """The polarization as a complex 3-vector, refusing any other shape."""
     v = np.asarray(pol, dtype=complex)
     if v.shape != (3,):
         raise ValueError("polarization must be a complex 3-vector")
@@ -109,22 +73,36 @@ class LMNTriplet(NamedTuple):
     N: np.ndarray
 
 
+def _nonzero_sigma(sigma):
+    """sigma as a complex array, refusing sigma = 0, where every coefficient has a pole."""
+    sigma = np.asarray(sigma, dtype=complex)
+    if np.any(sigma == 0):
+        raise OnBranchCircleError("sigma = 0: on the branch circle, where the field coefficients are singular")
+    return sigma
+
+
+def _lmn_kernel(sigma, g, g1, g2, h1, h2) -> LMNTriplet:
+    """L = g2/s + 3 g1/s^2 + 3 g/s^3,  M = g2/s + g1/s^2 + g/s^3,  N = h2/s + h1/s^2.
+
+    lmn passes (g, g., g.., g., g..) of the retarded signal, tilde_lmn
+    (g+, g.-, g..+, g.+, g..-) of the mixed signals.
+    """
+    s1, s2, s3 = sigma, sigma**2, sigma**3
+    L = g2 / s1 + 3.0 * g1 / s2 + 3.0 * g / s3
+    M = g2 / s1 + g1 / s2 + g / s3
+    N = h2 / s1 + h1 / s2
+    return LMNTriplet(L, M, N)
+
+
 def lmn(sig, sigma, tau) -> LMNTriplet:
     """Field coefficients from the retarded signal g_r = g(tau - sigma):
 
     L = g../s + 3g./s^2 + 3g/s^3,  M = g../s + g./s^2 + g/s^3,
     N = g../s + g./s^2.
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    if np.any(sigma == 0):
-        raise OnBranchCircleError("sigma = 0 in lmn")
-    tau = np.asarray(tau, dtype=complex)
-    g, g1, g2 = eval_derivs(sig, tau - sigma, 2)
-    s1, s2, s3 = sigma, sigma**2, sigma**3
-    L = g2 / s1 + 3.0 * g1 / s2 + 3.0 * g / s3
-    M = g2 / s1 + g1 / s2 + g / s3
-    N = g2 / s1 + g1 / s2
-    return LMNTriplet(L, M, N)
+    sigma = _nonzero_sigma(sigma)
+    g, g1, g2 = eval_derivs(sig, np.asarray(tau, dtype=complex) - sigma, 2)
+    return _lmn_kernel(sigma, g, g1, g2, g1, g2)
 
 
 def assemble(L, M, N, u, pol):

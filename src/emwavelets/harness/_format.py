@@ -30,8 +30,6 @@ import math
 
 import numpy as np
 
-from .spectral import _exact_product
-
 __all__ = ["WIDTH", "format17"]
 
 _LOW, _HIGH = 1e-280, 1e280  # 10^(16-E) and its error term stay normal doubles
@@ -95,6 +93,20 @@ _at = 8 * np.arange(WIDTH + 1)[:, None] - 64 * np.arange(3)
 _SHL = np.where(_at >= 0, np.minimum(_at, 64), 64).astype(np.uint64).T.copy()
 _SHR = np.where(_at < 0, np.minimum(-_at, 64), 64).astype(np.uint64).T.copy()
 del _at
+
+
+def _exact_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's two-product)."""
+    p = a * b
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _veltkamp_split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 @functools.cache

@@ -5,7 +5,9 @@ diffraction angle, spectral center/width) are compared against values
 extracted from the sampled pulse |g(tau - sigma)| on a far-zone arc: the
 duration from the full width at half maximum, the peak from the sampled
 maximum, the diffraction angle from the angle where the measured peak
-drops by e^-beta, and the spectrum from numeric-transform moments.
+drops by e^-beta, and the spectrum from numeric-transform moments.  The
+helicity residual of the exact field is sampled at 10|a| and 100|a|.
+beam-profile's sidecar and the validation battery read the same functions.
 """
 
 from __future__ import annotations
@@ -14,21 +16,26 @@ import math
 
 import numpy as np
 
+from ..em_fields import helicity_residual
 from ..errors import NoSolutionError
 from ..geometry import SourceConfig, complex_distance_principal
-from ..signals import CauchySignal, peak_strength, pulse_duration
+from ..signals import CauchySignal, diffraction_angle, peak_strength, pulse_duration, spectral_profile
 from .spectral import cauchy_series_transform, spectral_moments
 
 __all__ = [
     "far_point",
     "measure_pulse",
-    "measure_diffraction_angle",
     "spectral_window",
-    "measure_spectral_profile",
     "beam_profile_rows",
+    "diffraction_angles",
+    "spectral_profiles",
+    "helicity_residuals",
 ]
 
 OVERSAMPLE, N_OMEGA = 64, 800  # measure_pulse's samples per duration T; spectral_window's frequencies
+R_FACTOR = 1000.0  # radius of the far-zone arc, in |a|
+BETA = 1.0  # the diffraction angle is where the peak falls to e^-BETA of its on-axis value
+HELICITY_THETA = 0.4  # polar angle of the helicity residual's points
 
 
 def far_point(cfg: SourceConfig, theta, R):
@@ -70,35 +77,11 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float):
     return float(T), M
 
 
-def measure_diffraction_angle(sig: CauchySignal, cfg: SourceConfig, beta: float,
-                              R: float):
-    """Angle where the measured peak drops to e^-beta of its on-axis value."""
-    from scipy.optimize import brentq
-
-    _, M0 = measure_pulse(sig, cfg, 0.0, R)
-    target = math.exp(-beta) * M0
-
-    def gap(theta):
-        _, M = measure_pulse(sig, cfg, theta, R)
-        return M - target
-
-    if gap(np.pi) > 0.0:
-        raise NoSolutionError("peak never drops below e^-beta of the axis value")
-    return brentq(gap, 0.0, np.pi, xtol=1e-6)
-
-
 def spectral_window(n: int, b: float):
     """Evenly spaced frequencies spanning the C_n(t - i b) spectrum: 8 widths below center, 12 above."""
     w0 = n / b
     dw = math.sqrt(n) / abs(b)
     return np.linspace(max(1e-4 / abs(b), w0 - 8 * dw), w0 + 12 * dw, N_OMEGA)
-
-
-def measure_spectral_profile(n: int, b: float):
-    """Center/width moments of the numeric amplitude spectrum of C_n(t - i b)."""
-    omegas = spectral_window(n, b)
-    amp = np.abs(cauchy_series_transform({n: 1.0}, 1j * b, omegas))
-    return spectral_moments(omegas, amp)
 
 
 def beam_profile_rows(n: int, cfg: SourceConfig, thetas, R: float):
@@ -122,3 +105,41 @@ def beam_profile_rows(n: int, cfg: SourceConfig, thetas, R: float):
             )
         )
     return rows
+
+
+def diffraction_angles(n: int, cfg: SourceConfig):
+    """(predicted, measured) angle where the C_n beam's peak falls to e^-BETA of its on-axis value.
+
+    The measured angle is where the peak measured at R_FACTOR*|a| falls that far.
+    """
+    from scipy.optimize import brentq
+
+    a = cfg.a_mag
+    predicted = diffraction_angle(BETA, n, a, cfg.b, cfg.c)
+    sig, R = CauchySignal(n), R_FACTOR * a
+    _, M0 = measure_pulse(sig, cfg, 0.0, R)
+    target = math.exp(-BETA) * M0
+
+    def gap(theta):
+        _, M = measure_pulse(sig, cfg, theta, R)
+        return M - target
+
+    if gap(np.pi) > 0.0:
+        raise NoSolutionError("peak never drops below e^-beta of the axis value")
+    return predicted, brentq(gap, 0.0, np.pi, xtol=1e-6)
+
+
+def spectral_profiles(n: int, b: float):
+    """(predicted, measured) (center, width) of the C_n(t - i b) spectrum; the measured
+    pair from the moments of its numeric amplitude spectrum."""
+    predicted = spectral_profile(n, b)
+    omegas = spectral_window(n, b)
+    amp = np.abs(cauchy_series_transform({n: 1.0}, 1j * b, omegas))
+    return predicted, spectral_moments(omegas, amp)
+
+
+def helicity_residuals(w, pol):
+    """The field's helicity residual at 10|a| and 100|a| along HELICITY_THETA, each at time r/c."""
+    cfg = w.cfg
+    return tuple(float(helicity_residual(w, pol, far_point(cfg, HELICITY_THETA, r), r / cfg.c))
+                 for r in (10.0 * cfg.a_mag, 100.0 * cfg.a_mag))

@@ -46,10 +46,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, QuadratureDivergenceError
+from ..errors import ConfigError, QuadratureDivergenceError, SubRadiatingError
 from ..geometry import FlatDisk, LowerSpheroid, SmoothSpheroid, SourceConfig, UpperSpheroid
 from ..scalar_wavelet import ScalarWavelet
 from ..signals import CauchySignal, SampledSignal
+from ..surface_sources import DEFAULT_Q_MIN_FRAC, effective_aperture
 
 N_MAX = 169  # the largest Cauchy order n whose factorial(n + 1) is a finite float
 
@@ -122,16 +123,17 @@ class RunConfig:
         return self.pol_re + 1j * self.pol_im
 
     def q_min_value(self):
-        """Rim exclusion band: effective-aperture default, or the configured number."""
-        a, b, c = self.source.a_mag, self.source.b, self.source.c
+        """Rim exclusion band: the configured number, or for auto the effective aperture's
+        q_min of a Cauchy drive that has one, else DEFAULT_Q_MIN_FRAC*|a|."""
         if self.q_min != "auto":
             return self.q_min
+        a, b, c = self.source.a_mag, self.source.b, self.source.c
         if self.signal_kind == "cauchy":
-            omega = self.signal_n / abs(b)
-            k = omega / c
-            if k * a > 1.0:
-                return 1.0 / k
-        return 0.1 * a
+            try:
+                return effective_aperture(self.signal_n / abs(b), a, c)[0]
+            except SubRadiatingError:
+                pass
+        return DEFAULT_Q_MIN_FRAC * a
 
 
 def _number(kind=float, lo=-math.inf, hi=math.inf, above=False):

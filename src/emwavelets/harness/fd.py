@@ -202,7 +202,7 @@ def bandpass_via_impulse(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
                          db_step: float | None = None) -> SurfaceSourceSample:
     """Surface sources for the band-pass drive C_n as (-d/db)^(n-1) of the impulse response.
 
-    Uses C_n = (-d/db)^(n-1) C_1; cross-checks surface_sources.bandpass_response.
+    Uses C_n = (-d/db)^(n-1) C_1; cross-checks surface_sources_exact driven by C_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 
-from ..em_fields import assemble, helicity_residual, lmn
+from ..em_fields import assemble, lmn
 from ..errors import ConfigError
 from ..geometry import branch
 from ..scalar_wavelet import psi_of_sigma
-from ..signals import CauchySignal, SampledSignal, diffraction_angle, spectral_profile
+from ..signals import SampledSignal
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
-from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
+from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
 from .datasets import BLOCK_CHUNKS, CHUNK
 from .grids import chunked_parallel_map, grid_axes, grid_points
@@ -33,7 +33,7 @@ FIELD_HEADER_F = [
     "x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign",
     "re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz",
 ]
-N_THETA, R_FACTOR = 13, 1000.0  # the beam profile's far-zone arc: angles, radius in |a|
+N_THETA = 13  # angles of the beam profile's far-zone arc
 SOURCE_HEADER = [
     "q", "phi", "x", "y", "z",
     "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
@@ -173,15 +173,10 @@ def beam_profile_data(rc: RunConfig):
         raise ConfigError(f"source.b: the beam profile follows the beam along +a, which needs b > 0, got {cfg.b!r}")
     n = rc.signal_n
     thetas = np.linspace(0.0, np.pi, N_THETA)
-    R = R_FACTOR * a
-    rows = np.array(beam_profile_rows(n, cfg, thetas, R))
-    th_pred = diffraction_angle(1.0, n, a, cfg.b, cfg.c)
-    th_meas = measure_diffraction_angle(CauchySignal(n), cfg, 1.0, R)
-    prof = spectral_profile(n, cfg.b)
-    c_meas, w_meas = measure_spectral_profile(n, cfg.b)
-    w = rc.wavelet()
-    pol = rc.polarization()
-    dirv = np.sin(0.4) * cfg.e1 + np.cos(0.4) * cfg.a_hat
+    rows = np.array(beam_profile_rows(n, cfg, thetas, R_FACTOR * a))
+    th_pred, th_meas = diffraction_angles(n, cfg)
+    prof, (c_meas, w_meas) = spectral_profiles(n, cfg.b)
+    h10, h100 = helicity_residuals(rc.wavelet(), rc.polarization())
     summary = {
         "n": n,
         "theta_beta_predicted": th_pred,
@@ -190,7 +185,7 @@ def beam_profile_data(rc: RunConfig):
         "spectral_center_measured": float(c_meas),
         "spectral_width_predicted": prof.width,
         "spectral_width_measured": float(w_meas),
-        "helicity_residual_10a": float(helicity_residual(w, pol, 10 * a * dirv, 10 * a / cfg.c)),
-        "helicity_residual_100a": float(helicity_residual(w, pol, 100 * a * dirv, 100 * a / cfg.c)),
+        "helicity_residual_10a": h10,
+        "helicity_residual_100a": h100,
     }
     return "beam_profile", BEAM_HEADER, [rows[:, None]], lambda records: summary

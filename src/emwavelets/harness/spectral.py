@@ -28,6 +28,8 @@ import warnings
 
 import numpy as np
 
+from ._format import _exact_product
+
 __all__ = [
     "quadpack_fourier",
     "cauchy_series_transform",
@@ -134,20 +136,6 @@ def _expint_fraction(n, x):
 
 def _kernel_const(n):
     return math.factorial(n - 1) / (2.0 * np.pi * 1j**n)
-
-
-def _exact_product(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's two-product)."""
-    p = a * b
-    a_hi, a_lo = _veltkamp_split(a)
-    b_hi, b_lo = _veltkamp_split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _veltkamp_split(a):
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _turns(rate, m):

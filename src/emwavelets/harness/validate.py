@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..em_fields import field, helicity_residual, joint_field, lmn
+from ..em_fields import field, joint_field, lmn
 from ..geometry import (
     ComplexDistanceSample,
     CustomCut,
@@ -38,7 +38,7 @@ from ..geometry import (
     spheroid_point,
 )
 from ..scalar_wavelet import ScalarWavelet, interior_psi
-from ..signals import CauchySignal, diffraction_angle, spectral_profile, spectrum_cauchy
+from ..signals import CauchySignal, spectrum_cauchy
 from ..surface_sources import (
     coulomb_disk_sources,
     coulomb_spheroid_sources,
@@ -48,7 +48,7 @@ from ..surface_sources import (
     tilde_lmn,
 )
 from . import fd
-from .beam import beam_profile_rows, measure_diffraction_angle, measure_spectral_profile
+from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import AxisSpec, RunConfig, default_config
 from .datasets import write_csv
 from .fd import field_curl_oracle, lorenz_residual, wave_residual
@@ -364,22 +364,15 @@ def suite_beam_diagnostics(rc: RunConfig, rng, tol_scale=1.0):
         for b in (1.01 * a, 1.5 * a):
             cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
             thetas = [0.0, np.pi / 3, 2 * np.pi / 3, np.pi]
-            rows = beam_profile_rows(n, cfg, thetas, R=1000.0 * a)
+            rows = beam_profile_rows(n, cfg, thetas, R=R_FACTOR * a)
             worst_T = max(worst_T, max(r[3] for r in rows))
-            th_pred = diffraction_angle(1.0, n, a, cfg.b, cfg0.c)
-            th_meas = measure_diffraction_angle(CauchySignal(n), cfg, 1.0, R=1000.0 * a)
+            th_pred, th_meas = diffraction_angles(n, cfg)
             worst_ang = max(worst_ang, abs(th_meas / th_pred - 1.0))
-            prof = spectral_profile(n, cfg.b)
-            c_meas, w_meas = measure_spectral_profile(n, cfg.b)
+            prof, (c_meas, w_meas) = spectral_profiles(n, cfg.b)
             worst_spec = max(worst_spec, abs(c_meas / prof.center - 1.0), abs(w_meas / prof.width - 1.0))
     # helicity residual must fall by at least x0.15 from r = 10a to 100a
     cfg = SourceConfig(a=cfg0.a, b=1.5 * a / cfg0.c, c=cfg0.c)
-    w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))
-    pol = rc.polarization()
-    theta = 0.4
-    dirv = np.sin(theta) * cfg.e1 + np.cos(theta) * cfg.a_hat
-    h10 = float(helicity_residual(w, pol, 10.0 * a * dirv, 10.0 * a / cfg0.c))
-    h100 = float(helicity_residual(w, pol, 100.0 * a * dirv, 100.0 * a / cfg0.c))
+    h10, h100 = helicity_residuals(ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1)), rc.polarization())
     hel_ok = h100 <= 0.15 * h10
     passed = (
         worst_T <= 0.05 * tol_scale

@@ -31,9 +31,6 @@ class ScalarWavelet:
     def tau(self, t):
         return np.asarray(t, dtype=float) - 1j * self.cfg.b
 
-    def sigma(self, r):
-        return branch(self.cut, r, self.cfg).sigma
-
 
 def psi_of_sigma(sig, sigma, tau):
     """g(tau - sigma)/sigma on a resolved branch; broadcasts sigma against tau."""

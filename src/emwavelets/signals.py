@@ -48,9 +48,6 @@ class DrivingSignal:
     def eval(self, tau, order: int = 0):
         raise NotImplementedError
 
-    def __call__(self, tau):
-        return self.eval(tau)
-
 
 @dataclass(frozen=True)
 class CauchySignal(DrivingSignal):

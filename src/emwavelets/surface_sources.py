@@ -6,10 +6,12 @@ dF = F(sigma) - F(-sigma), is carried by surface sources
     j0 = e_p . dF,        j = -i e_p x dF,
 
 complex because they mix electric (real) and magnetic (imaginary) parts.
-The jump collapses to tilde coefficients built from the mixed signals
-g+- = g(tau-sigma) +- g(tau+sigma), and for the impulse drive (n = 1
-Cauchy kernel) the tilde coefficients reduce to rational closed forms in
-(sigma, tau): the antenna's impulse response.  The analytically continued
+The jump has the field's form L*lam*u - M*pol - i*N*(u x pol); its tilde
+coefficients are lmn's formula taken of the mixed signals
+g+- = g(tau-sigma) +- g(tau+sigma).  For the impulse drive (n = 1 Cauchy
+kernel) they reduce to rational closed forms in (sigma, tau): the
+antenna's impulse response.  The response to a band-pass drive C_n is
+surface_sources_exact of a wavelet driven by C_n.  The analytically continued
 Coulomb field provides the static validation example.  Its disk-limit
 sources are a charge density and an azimuthal current j = j0 v with
 v = (c rho/a) e_phi: the picture of a charged disk spinning rigidly at the
@@ -19,18 +21,11 @@ angular velocity c/a, whose rim moves at the speed of light.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    LightConePoleError,
-    NearRimError,
-    OnBranchCircleError,
-    RimSingularityError,
-    SubRadiatingError,
-)
-from .em_fields import _as_pol, assemble, lmn
+from .errors import LightConePoleError, NearRimError, RimSingularityError, SubRadiatingError
+from .em_fields import LMNTriplet, _as_pol, _lmn_kernel, _nonzero_sigma, assemble, lmn
 from .geometry import (
     ComplexDistanceSample,
     SourceConfig,
@@ -40,10 +35,9 @@ from .geometry import (
     spheroid_point,
 )
 from .scalar_wavelet import ScalarWavelet
-from .signals import CauchySignal, mixed_signals
+from .signals import mixed_signals
 
 __all__ = [
-    "TildeTriplet",
     "SurfaceSourceSample",
     "field_jump",
     "tilde_lmn",
@@ -51,7 +45,6 @@ __all__ = [
     "impulse_surface_sources",
     "surface_sources_exact",
     "surface_sources_approx",
-    "bandpass_response",
     "coulomb_disk_sources",
     "coulomb_spheroid_sources",
     "disk_angular_velocity",
@@ -60,12 +53,6 @@ __all__ = [
 
 DEFAULT_Q_MIN_FRAC = 0.1
 LIGHTCONE_TOL = 1e-8
-
-
-class TildeTriplet(NamedTuple):
-    L: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,41 +96,37 @@ def _check_rim(q, cfg, q_min):
         )
 
 
-def tilde_lmn(sig, sigma, tau) -> TildeTriplet:
-    """Jump coefficients from the mixed signals:
+def _refuse_light_cone(sigma, tau):
+    """w = tau^2 - sigma^2, refusing tau = +-sigma, where the jump coefficients have a pole."""
+    w = tau**2 - sigma**2
+    if np.any(np.abs(w) < LIGHTCONE_TOL * (np.abs(tau) ** 2 + np.abs(sigma) ** 2)):
+        raise LightConePoleError("tau = +-sigma: on the light cone of the surface point")
+    return w
+
+
+def tilde_lmn(sig, sigma, tau) -> LMNTriplet:
+    """Jump coefficients: lmn's formula taken of the mixed signals g+- (signals.mixed_signals),
 
     Lt = g..+/s + 3g.-/s^2 + 3g+/s^3, Mt = g..+/s + g.-/s^2 + g+/s^3,
     Nt = g..-/s + g.+/s^2.
     """
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = _nonzero_sigma(sigma)
     tau = np.asarray(tau, dtype=complex)
-    if np.any(sigma == 0):
-        raise OnBranchCircleError("sigma = 0 in tilde_lmn")
-    w = tau**2 - sigma**2
-    if np.any(np.abs(w) < LIGHTCONE_TOL * (np.abs(tau) ** 2 + np.abs(sigma) ** 2)):
-        raise LightConePoleError("tau = +-sigma: on the light cone of the surface point")
+    _refuse_light_cone(sigma, tau)
     gp, gm, gp1, gm1, gp2, gm2 = mixed_signals(sig, sigma, tau)
-    s1, s2, s3 = sigma, sigma**2, sigma**3
-    Lt = gp2 / s1 + 3.0 * gm1 / s2 + 3.0 * gp / s3
-    Mt = gp2 / s1 + gm1 / s2 + gp / s3
-    Nt = gm2 / s1 + gp1 / s2
-    return TildeTriplet(Lt, Mt, Nt)
+    return _lmn_kernel(sigma, gp, gm1, gp2, gp1, gm2)
 
 
-def impulse_tilde_lmn(sigma, tau) -> TildeTriplet:
+def impulse_tilde_lmn(sigma, tau) -> LMNTriplet:
     """Closed-form jump coefficients for the impulse drive, w = tau^2 - sigma^2:
 
     Lt = (15 s^4 t - 10 s^2 t^3 + 3 t^5)/(i pi s^3 w^3)
     Mt = (9 s^4 t - 2 s^2 t^3 + t^5)/(i pi s^3 w^3)
     Nt = (3 s^4 + 6 s^2 t^2 - t^4)/(i pi s^2 w^3)
     """
-    s = np.asarray(sigma, dtype=complex)
+    s = _nonzero_sigma(sigma)
     t = np.asarray(tau, dtype=complex)
-    if np.any(s == 0):
-        raise OnBranchCircleError("sigma = 0 in impulse_tilde_lmn")
-    w = t**2 - s**2
-    if np.any(np.abs(w) < LIGHTCONE_TOL * (np.abs(t) ** 2 + np.abs(s) ** 2)):
-        raise LightConePoleError("tau = +-sigma: impulse response is singular on the light cone")
+    w = _refuse_light_cone(s, t)
     ipi = 1j * np.pi
     s2, s4 = s**2, s**4
     t2 = t**2
@@ -151,7 +134,7 @@ def impulse_tilde_lmn(sigma, tau) -> TildeTriplet:
     Lt = (15.0 * s4 * t - 10.0 * s2 * t * t2 + 3.0 * t * t2**2) / (ipi * s * s2 * w3)
     Mt = (9.0 * s4 * t - 2.0 * s2 * t * t2 + t * t2**2) / (ipi * s * s2 * w3)
     Nt = (3.0 * s4 + 6.0 * s2 * t2 - t2**2) / (ipi * s2 * w3)
-    return TildeTriplet(Lt, Mt, Nt)
+    return LMNTriplet(Lt, Mt, Nt)
 
 
 def _surface_geometry(q, phi, alpha, cfg):
@@ -255,16 +238,6 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     tau = np.asarray(t, dtype=float) - 1j * cfg.b
     dF = assemble(*impulse_tilde_lmn(fr.sigma, tau), fr.u, pol)
     return _sources_from_jump(dF, pos, fr.e_p, q, phi)
-
-
-def bandpass_response(n: int, w: ScalarWavelet, pol, q, phi, alpha, t) -> SurfaceSourceSample:
-    """Surface sources for the band-pass drive C_n: the wavelet re-driven with C_n.
-
-    harness.fd.bandpass_via_impulse derives the same sources as
-    (-d/db)^(n-1) of the impulse response.
-    """
-    wn = ScalarWavelet(cut=w.cut, cfg=w.cfg, sig=CauchySignal(n))
-    return surface_sources_exact(wn, pol, q, phi, alpha, t)
 
 
 # --------------------------------------------------------------------------

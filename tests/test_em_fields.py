@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from emwavelets import (
     FlatDisk,
     LowerSpheroid,
     OnCutError,
-    PolarizationVector,
     ScalarWavelet,
     SmoothSpheroid,
     SourceConfig,
@@ -219,7 +216,7 @@ class TestPotentials:
         pol = np.array([1.0 + 1.0j, 0.0, 0.0])
         pt = np.array([1.5, 0.3, 0.9])
         t = 2.0
-        sigma = w.sigma(pt)
+        sigma = branch(w.cut, pt, w.cfg).sigma
         g1 = w.sig.eval(w.tau(t) - sigma, 1)
         dze_dt = np.linalg.norm(np.real(g1 / sigma * pol))
         _, A = four_potential(w, pol, pt, t)
@@ -326,28 +323,6 @@ class TestPoynting:
         _, _, mismatch = poynting_energy_far(F, r / R)
         hel = helicity_residual(wavelet, POL_X, r, R)
         assert mismatch < 4 * hel + 1e-12
-
-
-class TestPolarizationVector:
-    def test_projects_parallel_component(self, cfg):
-        with pytest.warns(UserWarning):
-            pv = PolarizationVector(np.array([1.0, 0.0, 0.5]), cfg=cfg)
-        assert pv.vec[2] == 0.0
-
-    def test_keep_parallel(self, cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pv = PolarizationVector(np.array([1.0, 0.0, 0.5]), cfg=cfg, keep_parallel=True)
-        assert pv.vec[2] == 0.5
-
-    def test_rejects_zero(self, cfg):
-        with pytest.raises(ValueError):
-            PolarizationVector(np.zeros(3), cfg=cfg)
-
-    def test_accepted_by_field(self, wavelet, cfg):
-        pv = PolarizationVector(POL_X, cfg=cfg)
-        out = field(wavelet, pv, np.array([1.5, 0.0, 0.8]), 1.5)
-        assert np.isfinite(out.F).all()
 
 
 class TestRotationCovariance:

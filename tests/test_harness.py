@@ -28,6 +28,7 @@ from emwavelets import (
 )
 from emwavelets.errors import ConfigError, OnCutError, UnderResolvedSignalError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
+from emwavelets.surface_sources import DEFAULT_Q_MIN_FRAC, effective_aperture
 from emwavelets.harness import _format, fd
 from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
@@ -249,8 +250,16 @@ class TestConfig:
         path = tmp_path / "auto.ini"
         path.write_text(text)
         rc = load_config(str(path))
-        # Cauchy(2) at b = 1.5: k = n/b, q_min = b/n
-        assert rc.q_min_value() == pytest.approx(1.5 / 2)
+        # a Cauchy drive with k*a > 1 (k = n/(c|b|)) takes the effective aperture's q_min,
+        # exactly: the sidecar's q_min and the in_rim_band column keep their bits
+        wide = SourceConfig(a=[0.0, 0.0, 2.0], b=-2.5, c=1.25)
+        for source, n in [(rc.source, 2), (wide, 3)]:
+            case = dataclasses.replace(rc, source=source, signal_n=n)
+            assert case.q_min_value() == effective_aperture(n / abs(source.b), source.a_mag, source.c)[0]
+        # k*a <= 1, and a sampled drive: the default band
+        for case in [dataclasses.replace(rc, signal_n=1), dataclasses.replace(rc, source=wide, signal_n=1),
+                     dataclasses.replace(rc, signal_kind="sampled")]:
+            assert case.q_min_value() == DEFAULT_Q_MIN_FRAC * case.source.a_mag
 
     def test_missing_signal_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -505,18 +514,28 @@ def _central_difference(node):
 class TestLayering:
     CORE = ("errors", "geometry", "signals", "scalar_wavelet", "em_fields", "surface_sources")
 
+    @staticmethod
+    def _imports(path):
+        """Per import statement of the file, the modules it names, each imported name dotted onto its module."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                yield [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                yield [a.name for a in node.names]
+
     def test_core_modules_do_not_import_harness(self):
         pkg = pathlib.Path(emwavelets.__file__).parent
         for name in self.CORE:
-            tree = ast.parse((pkg / f"{name}.py").read_text())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom):
-                    imported = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-                elif isinstance(node, ast.Import):
-                    imported = [a.name for a in node.names]
-                else:
-                    continue
+            for imported in self._imports(pkg / f"{name}.py"):
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
+
+    def test_writer_imports_no_oracle(self):
+        # the CSV writer and its number formatter load none of the validation oracles
+        harness = pathlib.Path(emwavelets.__file__).parent / "harness"
+        oracles = {"spectral", "fd", "validate", "beam"}
+        for name in ("_format", "datasets"):
+            for imported in self._imports(harness / f"{name}.py"):
+                assert not any(oracles & set(mod.split(".")) for mod in imported), (name, imported)
 
     def test_one_branch_resolution(self):
         # harness.runs uses the public API only, and the cut sign is resolved inside geometry
@@ -626,7 +645,6 @@ class TestLayering:
         # they only forward a defaulted parameter of their own that no call passes.
         kept = {
             ("richardson", "ratio"): "the tests' reference Richardson step states its refinement ratio",
-            ("effective_aperture", "c"): "the propagation speed, which every closed form takes beside a",
             **{(suite.__name__, "tol_scale"): "run_all passes it to each suite through ALL_SUITES"
                for suite in ALL_SUITES},
             **{(suite, size): "a suite's sample size; tests shrink the sizes of its sibling suites"

@@ -12,6 +12,7 @@ from emwavelets import (
     SmoothSpheroid,
     TooCloseToCutError,
     UpperSpheroid,
+    branch,
     complex_distance_principal,
     from_oblate,
     interior_psi,
@@ -105,7 +106,7 @@ class TestInterior:
         pts = rng.uniform(-2, 2, (20, 3))
         pts = pts[np.linalg.norm(pts, axis=-1) > 1.3]
         t = 1.9
-        sigma = wavelet.sigma(pts)
+        sigma = branch(wavelet.cut, pts, wavelet.cfg).sigma
         _, gm, *_ = mixed_signals(wavelet.sig, sigma, wavelet.tau(t))
         assert np.abs(interior_psi(wavelet, pts, t) - gm / sigma).max() < 1e-14
 

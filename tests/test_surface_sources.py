@@ -8,11 +8,11 @@ from emwavelets import (
     FlatDisk,
     LightConePoleError,
     NearRimError,
+    OnBranchCircleError,
     RimSingularityError,
     ScalarWavelet,
     SourceConfig,
     SubRadiatingError,
-    bandpass_response,
     coulomb_disk_sources,
     coulomb_spheroid_sources,
     disk_angular_velocity,
@@ -89,12 +89,28 @@ class TestTildeLMN:
         with pytest.raises(LightConePoleError):
             tilde_lmn(CauchySignal(1), 1.0 - 0.5j, 1.0 - 0.5j)
 
+    def test_one_refusal_per_pole(self):
+        # lmn and both tilde forms refuse sigma = 0 with one message, both tilde forms tau = +-sigma with another
+        sig, s, tau = CauchySignal(1), 1.0 - 0.5j, 2.0 - 1.5j
+        for error, calls in [
+            (OnBranchCircleError, [lambda: lmn(sig, 0.0, tau), lambda: tilde_lmn(sig, 0.0, tau),
+                                   lambda: impulse_tilde_lmn(0.0, tau)]),
+            (LightConePoleError, [lambda: tilde_lmn(sig, s, s), lambda: impulse_tilde_lmn(s, -s)]),
+        ]:
+            messages = set()
+            for call in calls:
+                with pytest.raises(error) as caught:
+                    call()
+                messages.add(str(caught.value))
+            assert len(messages) == 1, messages
+
 
 class TestImpulseClosedForms:
     def test_matches_generic(self, rng):
         s, tau = random_sigma_tau(rng, 2000)
         generic = tilde_lmn(CauchySignal(1), s, tau)
         closed = impulse_tilde_lmn(s, tau)
+        assert type(generic) is type(closed) is type(lmn(CauchySignal(1), s, tau))
         for x, y in zip(generic, closed):
             assert (np.abs(x - y) / np.abs(y)).max() < 1e-11
 
@@ -258,18 +274,23 @@ class TestApproxSources:
             surface_sources_approx(w, POL_X, 0.02, 0.0, 0.01, 1.2)
 
 
+def driven_by(w, n):
+    """The wavelet w re-driven by the band-pass kernel C_n."""
+    return ScalarWavelet(cut=w.cut, cfg=w.cfg, sig=CauchySignal(n))
+
+
 class TestBandpass:
     def test_n1_is_impulse(self, wavelet, cfg, rng):
         qs = rng.uniform(0.3, 0.9, 10)
         phis = rng.uniform(0, TWO_PI, 10)
-        direct = bandpass_response(1, wavelet, POL_X, qs, phis, 0.03, 1.5)
+        direct = surface_sources_exact(driven_by(wavelet, 1), POL_X, qs, phis, 0.03, 1.5)
         via = bandpass_via_impulse(1, wavelet, POL_X, qs, phis, 0.03, 1.5)
         assert np.abs(direct.j0 - via.j0).max() < 1e-12 * np.abs(direct.j0).max()
 
     def test_n2_parameter_derivative(self, wavelet, cfg, rng):
         qs = rng.uniform(0.3, 0.9, 10)
         phis = rng.uniform(0, TWO_PI, 10)
-        direct = bandpass_response(2, wavelet, POL_X, qs, phis, 0.03, 1.5)
+        direct = surface_sources_exact(driven_by(wavelet, 2), POL_X, qs, phis, 0.03, 1.5)
         coarse = bandpass_via_impulse(2, wavelet, POL_X, qs, phis, 0.03, 1.5, db_step=2e-4)
         fine = bandpass_via_impulse(2, wavelet, POL_X, qs, phis, 0.03, 1.5, db_step=1e-4)
         e1 = np.abs(coarse.j0 - direct.j0).max()
@@ -280,7 +301,7 @@ class TestBandpass:
     def test_n4_finite_off_rim(self, wavelet, rng):
         qs = rng.uniform(0.25, 0.95, 50) * rng.choice([-1.0, 1.0], 50)
         phis = rng.uniform(0, TWO_PI, 50)
-        s = bandpass_response(4, wavelet, POL_X, qs, phis, 0.02, 1.1)
+        s = surface_sources_exact(driven_by(wavelet, 4), POL_X, qs, phis, 0.02, 1.1)
         assert np.isfinite(s.j0).all() and np.isfinite(s.j).all()
 
 
