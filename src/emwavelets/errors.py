@@ -32,7 +32,7 @@ class PoleOnPathError(EmwaveletsError):
 
 
 class QuadratureDivergenceError(EmwaveletsError):
-    """Sampled signal does not decay at the ends of its grid."""
+    """A sampled signal that does not decay at its grid's ends, or a Fourier quadrature that did not converge."""
 
 
 class UnderResolvedSignalError(EmwaveletsError):

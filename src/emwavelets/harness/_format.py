@@ -167,10 +167,10 @@ def format17(x):
     d[zero] = 0
     e[zero] = 0
 
-    lead, rest = np.divmod(d, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    limbs = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    del d, rest, upper, lower
+    # limbs from floor quotients, as np.divmod has no fast path for a scalar divisor
+    quotients = [d // 10**k for k in (16, 12, 8, 4)] + [d]
+    lead, limbs = quotients[0], [q - p * 10**4 for p, q in zip(quotients, quotients[1:])]
+    del d, quotients
     # significant digits: up to the last nonzero one, at least one
     sig = np.ones(x.size, dtype=np.int8)
     for j, limb in enumerate(limbs):

@@ -11,7 +11,6 @@ same expressions.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -43,6 +42,8 @@ def chunked_parallel_map(func, items, chunk: int, threads: int = 1):
     if threads <= 1:
         yield from map(func, parts)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         while batch := list(islice(parts, threads)):
             yield from list(ex.map(func, batch))

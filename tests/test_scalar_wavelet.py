@@ -22,7 +22,7 @@ from emwavelets import (
     spheroid_point,
     wave_residual,
 )
-from emwavelets.harness.spectral import cauchy_series_transform, energy_split
+from emwavelets.harness.spectral import cauchy_series_transform
 
 
 @pytest.fixture
@@ -152,6 +152,5 @@ class TestSpectralOneSidedness:
         om = np.linspace(0.05 / scale, 12.0 / scale, 80)
         pos = cauchy_series_transform({1: 1.0}, z_c, om)
         neg = cauchy_series_transform({1: 1.0}, z_c, -om[::-1])
-        e_neg, _ = energy_split(-om[::-1], neg)
-        _, e_pos = energy_split(om, pos)
-        assert e_neg / e_pos < 1e-6
+        energy = lambda om, values: np.trapezoid(np.abs(values) ** 2, om)
+        assert energy(-om[::-1], neg) / energy(om, pos) < 1e-6
