@@ -27,7 +27,6 @@ from .errors import (
 from .geometry import (
     BranchCut,
     ComplexDistanceSample,
-    CustomCut,
     FlatDisk,
     LowerSpheroid,
     OblateCoords,
@@ -37,8 +36,6 @@ from .geometry import (
     branch,
     complex_distance_principal,
     frame,
-    from_oblate,
-    smooth_cut_function,
     spheroid_point,
     to_oblate,
 )

@@ -6,9 +6,10 @@ spheroids confocal with the circle C = {|r| = a, a.r = 0} where sigma
 vanishes; level sets of q are the orthogonal hyperboloids.  sigma is
 double-valued on R^3 - C and a branch cut (a membrane spanning C) must be
 chosen to make it single-valued.  This module provides the principal
-branch (flat-disk cut, p >= 0), the standard cut families with their shared
-sign rule, the coordinate transforms, and branch: sigma on the branch a cut
-selects, with its gradient/unit-vector frame built when it is read.
+branch (flat-disk cut, p >= 0), the axisymmetric cuts p = chi(q) with
+their shared sign rule, the coordinate transforms, and branch: sigma on the
+branch a cut selects, with its gradient/unit-vector frame built when it is
+read.
 
 Conventions: vectors are ndarrays with shape (..., 3); scalar results
 broadcast over the leading axes.  On the disk itself the principal branch
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,11 @@ __all__ = [
     "UpperSpheroid",
     "LowerSpheroid",
     "SmoothSpheroid",
-    "CustomCut",
     "complex_distance_principal",
     "branch",
     "continued_sign",
     "to_oblate",
-    "from_oblate",
     "spheroid_point",
-    "smooth_cut_function",
     "frame",
     "branch_circle_distance",
 ]
@@ -173,9 +171,8 @@ class ComplexDistanceSample:
     sample of branch, and None on the principal branch (frame).  The frame
     is computed the first time it is read: grad p = (p r + q a)/(p^2+q^2),
     grad q = (p a - q r)/(p^2+q^2), u = sign*(grad p - i grad q), and the
-    unit vectors e_p, e_q along increasing p and q (e_q = 0 on the symmetry
-    axis).  Construction refuses the points on the branch circle,
-    p^2 + q^2 <= (1e-8 |a|)^2.
+    unit vector e_p along increasing p.  Construction refuses the points on
+    the branch circle, p^2 + q^2 <= (1e-8 |a|)^2.
     """
 
     r: np.ndarray = field(repr=False)
@@ -223,12 +220,6 @@ class ComplexDistanceSample:
     def e_p(self):
         return self._num[0] / (np.sqrt(self._pq2) * np.sqrt(self.p**2 + self.cfg.a_mag**2))[..., None]
 
-    @cached_property
-    def e_q(self):
-        nq = np.sqrt(self._pq2) * np.sqrt(np.maximum(self.cfg.a_mag**2 - self.q**2, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(nq[..., None] > 0.0, self._num[1] / np.where(nq == 0.0, 1.0, nq)[..., None], 0.0)
-
 
 def complex_distance_principal(r, cfg: SourceConfig):
     """Principal branch of sigma(r - i a), flat disk as reference cut.
@@ -269,18 +260,6 @@ def _azimuth(r, cfg):
     return np.mod(np.arctan2(_dot(rho_vec, cfg.e2), _dot(rho_vec, cfg.e1)), 2.0 * np.pi)
 
 
-def from_oblate(p, q, phi, cfg: SourceConfig, side: str = "upper"):
-    """Cartesian point with coordinates (p, |q|, phi); side picks the sign of a.r.
-
-    The pair (p, q) determines the point only up to the twofold cover;
-    side = "upper" places it on the a.r >= 0 sheet, "lower" on the other.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    q = np.abs(np.asarray(q, dtype=float))
-    return spheroid_point(p, q if side == "upper" else -q, phi, cfg)
-
-
 def spheroid_point(alpha, q, phi, cfg: SourceConfig):
     """Point of the spheroid p = alpha at surface coordinates (q, phi).
 
@@ -298,70 +277,31 @@ def spheroid_point(alpha, q, phi, cfg: SourceConfig):
     return _spheroid_rho(alpha, q, a)[..., None] * e_rho + z[..., None] * cfg.a_hat
 
 
-def smooth_cut_function(q, alpha, eps):
-    """Smoothed step alpha*X_eps(q), X_eps(q) = (1/pi) Im ln((eps+iq)/(eps-iq)).
-
-    Odd in q and -> alpha*sgn(q) as eps -> 0.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    q = np.asarray(q, dtype=float)
-    return alpha * (2.0 / np.pi) * np.arctan(q / eps)
-
-
 # --------------------------------------------------------------------------
 # Branch cuts
 
 
 @dataclass(frozen=True)
 class BranchCut:
-    """A membrane p = chi(q, phi) spanning the branch circle.
+    """An axisymmetric membrane p = chi(q) spanning the branch circle.
 
     Deforming the reference disk p = 0 into the membrane flips the branch
-    exactly in the region swept between them, 0 <= p < chi(q, phi), so
-    every cut shares one sign rule; concrete cuts give chi and may replace
-    the generic clearance estimate.  A point is refused where
-    clearance(r) < tol (near_cut): the spheroid cuts screen that rule with
-    a closed-form lower bound and run their exact clearance only inside the
-    band, and clearance itself stays what each cut defines.
+    exactly in the region swept between them, 0 <= p < chi(q), so every cut
+    shares one sign rule; concrete cuts give chi (odd in q) and their
+    clearance.  A point is refused where clearance(r) < tol (near_cut): the
+    spheroid cuts screen that rule with a closed-form lower bound and run
+    their exact clearance only inside the band, and clearance itself stays
+    what each cut defines.
     """
-
-    # False for a chi that ignores phi: it is given phi = None, and no azimuth is computed
-    _reads_phi = True
 
     def sign(self, r, cfg: SourceConfig):
         """sigma_cut/sigma_principal: -1 between the disk and the membrane, else +1."""
-        r = np.asarray(r, dtype=float)
         _, p, q = complex_distance_principal(r, cfg)
-        return self._sign(r, p, q, cfg)
+        return self._sign(p, q)
 
-    def _sign(self, r, p, q, cfg):
+    def _sign(self, p, q):
         """sign(r, cfg) from the principal p and q at r."""
-        return np.where(p < self.cut_function(q, self._phi(r, cfg)), -1, 1)
-
-    def _phi(self, r, cfg):
-        return _azimuth(r, cfg) if self._reads_phi else None
-
-    def cut_function(self, q, phi):
-        """Cut membrane as p = chi(q, phi) on the double cover (odd in q)."""
-        raise NotImplementedError
-
-    def clearance(self, r, cfg: SourceConfig):
-        """First-order estimate of the distance to the cut near the membrane, not a bound.
-
-        |p - chi|/|grad p| drops the chi'(q)|grad q| term, and off the q >= 0
-        sheet a membrane over the disk may be nearer than the branch circle.
-        """
-        r = np.asarray(r, dtype=float)
-        d_circle = branch_circle_distance(r, cfg)
-        _, p, q = complex_distance_principal(r, cfg)
-        chi = np.asarray(self.cut_function(np.abs(q), self._phi(r, cfg)), dtype=float)
-        # metric distance ~ coordinate residual / |grad p|
-        scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
-        d_surface = np.abs(p - chi) * scale
-        # the membrane lives on the q > 0 sheet; off it only the circle is counted
-        d_surface = np.where(q >= 0.0, d_surface, np.inf)
-        return np.minimum(d_surface, d_circle)
+        return np.where(p < self.cut_function(q), -1, 1)
 
     def near_cut(self, r, cfg: SourceConfig, tol: float):
         """Mask of the points that branch refuses: clearance(r) < tol, shaped like r[..., 0]."""
@@ -372,9 +312,7 @@ class BranchCut:
 class FlatDisk(BranchCut):
     """Degenerate spheroid S_0: the reference cut of the principal branch."""
 
-    _reads_phi = False
-
-    def cut_function(self, q, phi):
+    def cut_function(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
     def clearance(self, r, cfg):
@@ -455,13 +393,12 @@ class HalfSpheroid(BranchCut):
 
     alpha: float
     side: ClassVar[float]
-    _reads_phi = False
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def cut_function(self, q, phi):
+    def cut_function(self, q):
         return self.side * self.alpha * np.sign(np.asarray(q, dtype=float))
 
     def clearance(self, r, cfg):
@@ -501,45 +438,38 @@ class LowerSpheroid(HalfSpheroid):
 
 @dataclass(frozen=True)
 class SmoothSpheroid(BranchCut):
-    """Smoothed upper cut p = alpha*X_eps(q); closes onto the circle by itself."""
+    """Smoothed upper cut p = alpha*X_eps(q); closes onto the circle by itself.
+
+    X_eps(q) = (1/pi) Im ln((eps+iq)/(eps-iq)) is odd in q, and alpha*X_eps(q)
+    -> alpha*sgn(q) as eps -> 0.
+    """
 
     alpha: float
     eps: float
-    _reads_phi = False
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.eps > 0.0):
             raise ValueError("alpha and eps must be positive")
 
-    def cut_function(self, q, phi):
-        return smooth_cut_function(np.asarray(q, dtype=float), self.alpha, self.eps)
+    def cut_function(self, q):
+        return self.alpha * (2.0 / np.pi) * np.arctan(np.asarray(q, dtype=float) / self.eps)
 
+    def clearance(self, r, cfg):
+        """First-order estimate of the distance to the cut near the membrane, not a bound.
 
-@dataclass(frozen=True)
-class CustomCut(BranchCut):
-    """Cut given by p = chi(q, phi) on the double cover.
-
-    chi must be odd in q and 2*pi-periodic in phi (spot-checked at
-    construction); the membrane is assumed to lie on the q >= 0 sheet
-    (chi >= 0 there).  The sign follows the shared closed-form rule; the
-    validation battery gates it by continuity of sigma across the
-    reference disk, where the principal branch flips.
-    """
-
-    chi: Callable
-
-    def __post_init__(self):
-        qs = np.array([0.13, 0.47, 0.81])
-        phis = np.array([0.3, 2.1, 5.5])
-        odd = np.asarray(self.chi(qs, phis)) + np.asarray(self.chi(-qs, phis))
-        per = np.asarray(self.chi(qs, phis + 2.0 * np.pi)) - np.asarray(self.chi(qs, phis))
-        if np.any(np.abs(odd) > 1e-9 * (1.0 + np.abs(self.chi(qs, phis)))):
-            raise ValueError("cut function must be odd in q")
-        if np.any(np.abs(per) > 1e-9 * (1.0 + np.abs(self.chi(qs, phis)))):
-            raise ValueError("cut function must be 2*pi-periodic in phi")
-
-    def cut_function(self, q, phi):
-        return self.chi(q, phi)
+        |p - chi|/|grad p| drops the chi'(q)|grad q| term, and off the q >= 0
+        sheet a membrane over the disk may be nearer than the branch circle.
+        """
+        r = np.asarray(r, dtype=float)
+        d_circle = branch_circle_distance(r, cfg)
+        _, p, q = complex_distance_principal(r, cfg)
+        chi = self.cut_function(np.abs(q))
+        # metric distance ~ coordinate residual / |grad p|
+        scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
+        d_surface = np.abs(p - chi) * scale
+        # the membrane lives on the q > 0 sheet; off it only the circle is counted
+        d_surface = np.where(q >= 0.0, d_surface, np.inf)
+        return np.minimum(d_surface, d_circle)
 
 
 def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
@@ -547,15 +477,14 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
 
     Tracks sigma continuously along the straight segment from the on-axis
     anchor 1e3*a to r in 4096 steps and counts crossings of the membrane
-    p = chi(q, phi) in the continued coordinates.  The path lies in the
-    meridian half-plane of r, so phi is that of r all along it.  A
-    cross-check of the closed-form BranchCut.sign, but not an independent
-    one: the parity of sign changes along the path is set by its end
-    values, so for a chi odd in q the result is the endpoint test
-    p < chi(q, phi) whatever the path does; the path adds its refusals.
-    So it cannot catch a wrong rule, and nothing in the package calls it:
-    it is kept only as the benchmark's reference sign for the spheroid
-    sweep.  The validation battery gates the rule by closed forms.
+    p = chi(q) in the continued coordinates.  A cross-check of the
+    closed-form BranchCut.sign, but not an independent one: the parity of
+    sign changes along the path is set by its end values, so for a chi odd
+    in q the result is the endpoint test p < chi(q) whatever the path does;
+    the path adds its refusals.  So it cannot catch a wrong rule, and
+    nothing in the package calls it: it is kept only as the benchmark's
+    reference sign for the spheroid sweep.  The validation battery gates
+    the rule by closed forms.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     out = np.empty(r.shape[0], dtype=int)
@@ -566,7 +495,6 @@ def continued_sign(cut: BranchCut, r, cfg: SourceConfig):
 
 def _continued_chunk(cut, r, cfg):
     """continued_sign of at most 256 points, whose temporaries end with the call."""
-    phi = _azimuth(r, cfg)
     anchor = 1e3 * cfg.a_mag * cfg.a_hat
     # steps clustered toward the target end, where the cut geometry lives
     u = np.linspace(0.0, 1.0, 4096)
@@ -579,8 +507,7 @@ def _continued_chunk(cut, r, cfg):
     branch = np.ones(sigma0.shape)
     branch[1:][np.abs(sigma0[1:] - sigma0[:-1]) > np.abs(sigma0[1:] + sigma0[:-1])] = -1.0
     branch = np.cumprod(branch, axis=0)
-    chi = np.asarray(cut.cut_function(branch * q0, np.broadcast_to(phi, q0.shape)), dtype=float)
-    f = branch * p0 - chi
+    f = branch * p0 - cut.cut_function(branch * q0)
     if np.any(np.abs(f[-1]) < 1e-12 * cfg.a_mag):
         raise OnCutError("endpoint lies on the cut surface")
     crossings = np.sum(np.signbit(f[1:]) != np.signbit(f[:-1]), axis=0)
@@ -603,7 +530,7 @@ def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -
     if tol_cut is None:
         tol_cut = 1e-9 * cfg.a_mag
     _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
-    s = cut._sign(r, p, q, cfg)
+    s = cut._sign(p, q)
     return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)
 
 

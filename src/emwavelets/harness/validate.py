@@ -19,7 +19,6 @@ import numpy as np
 from ..em_fields import field, joint_field, lmn
 from ..geometry import (
     ComplexDistanceSample,
-    CustomCut,
     FlatDisk,
     HalfSpheroid,
     LowerSpheroid,
@@ -33,8 +32,6 @@ from ..geometry import (
     branch,
     complex_distance_principal,
     frame,
-    from_oblate,
-    smooth_cut_function,
     spheroid_point,
 )
 from ..scalar_wavelet import ScalarWavelet, interior_psi
@@ -161,15 +158,13 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
         base = spheroid_point(cut.alpha, cut.side * qs, phis, cfg)
         fr = frame(base, cfg)
         return base + delta * fr.e_p, base - delta * fr.e_p
-    # smooth or custom: surface p = chi(q, phi); offset along the meridian-plane part of
-    # grad(p - chi), which crosses the surface at every phi
-    chi = lambda q: np.asarray(cut.cut_function(q, phis), dtype=float)
-    ps = chi(qs)
+    # smoothed: surface p = chi(q); offset along grad(p - chi), which crosses it
+    ps = cut.cut_function(qs)
     qs = np.where(ps > 1e-4 * a, qs, qs + 0.2 * a)  # stay off the infinitely thin tail
-    ps = chi(qs)
-    base = from_oblate(ps, qs, phis, cfg, side="upper")
+    ps = cut.cut_function(qs)
+    base = spheroid_point(ps, qs, phis, cfg)
     fr = frame(base, cfg)
-    dchi = fd.nth_derivative_param(chi, qs, 1, 1e-7 * a)
+    dchi = fd.nth_derivative_param(cut.cut_function, qs, 1, 1e-7 * a)
     nvec = fr.grad_p - dchi[:, None] * fr.grad_q
     nhat = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
     return base + delta * nhat, base - delta * nhat
@@ -228,7 +223,7 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000, n
         UpperSpheroid(0.1 * a),
         LowerSpheroid(0.1 * a),
         SmoothSpheroid(0.1 * a, 0.005 * a),
-        CustomCut(chi=lambda q, phi, a=a: smooth_cut_function(q, 0.12 * a, 0.01 * a)),
+        SmoothSpheroid(0.12 * a, 0.01 * a),
     ]
     worst_flip = 0.0
     mismatches = 0

@@ -70,16 +70,8 @@ class SurfaceSourceSample:
     j: np.ndarray
 
     @property
-    def j0_electric(self):
-        return np.real(self.j0)
-
-    @property
     def j0_magnetic(self):
         return np.imag(self.j0)
-
-    @property
-    def j_electric(self):
-        return np.real(self.j)
 
     @property
     def j_magnetic(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from emwavelets import (
-    CustomCut,
     FlatDisk,
     LowerSpheroid,
     OnBranchCircleError,
@@ -17,8 +16,6 @@ from emwavelets import (
     branch,
     complex_distance_principal,
     frame,
-    from_oblate,
-    smooth_cut_function,
     spheroid_point,
     to_oblate,
 )
@@ -109,11 +106,6 @@ def probe_points(cut, cfg, rng, n=2000):
     return np.vstack([rng.uniform(-2, 2, (n, 3)) * a, base + offset[:, None] * frame(base, cfg).e_p, rim, beyond])
 
 
-def wobbly_chi(q, phi):
-    """A membrane whose height varies with azimuth: (0.1 + 0.03 cos 2phi) tanh(q/0.02)."""
-    return (0.1 + 0.03 * np.cos(2 * phi)) * np.tanh(np.asarray(q) / 0.02)
-
-
 class TestSourceConfig:
     def test_rejects_zero_displacement(self):
         with pytest.raises(ValueError):
@@ -189,25 +181,25 @@ class TestOblate:
         assert (p, q, phi) == (pytest.approx(2.0), pytest.approx(1.0), pytest.approx(0.0))
 
     def test_degenerate_axis_point(self, cfg):
-        r = from_oblate(0.0, 1.0, 0.7, cfg)
+        r = spheroid_point(0.0, 1.0, 0.7, cfg)
         assert np.linalg.norm(r) < 1e-15
 
-    def test_round_trip_and_identities(self, cfg, rng):
+    def test_round_trip_and_identities(self, rng):
+        # on an arbitrary axis, with z = r.a_hat; the sign of q carries the sheet
+        cfg = SourceConfig(a=np.array([0.3, -0.2, 0.9]), b=1.5)
+        a = cfg.a_mag
         pts = rng.uniform(-3, 3, (3000, 3))
         p, q, phi = to_oblate(pts, cfg)
-        z = pts[:, 2]
-        rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        assert np.allclose(z, p * q, atol=1e-10)
-        assert np.allclose(rho2, (p**2 + 1) * (1 - q**2), atol=1e-10)
-        side = np.where(z >= 0, "upper", "lower")
-        for s in ("upper", "lower"):
-            m = side == s
-            back = from_oblate(p[m], np.abs(q[m]), phi[m], cfg, side=s)
-            assert np.max(np.abs(back - pts[m])) < 1e-10
+        z = pts @ cfg.a_hat
+        rho2 = np.sum(pts**2, axis=1) - z**2
+        assert np.allclose(a * z, p * q, atol=1e-10)
+        assert np.allclose(a**2 * rho2, (p**2 + a**2) * (a**2 - q**2), atol=1e-10)
+        assert np.any(q < 0.0) and np.any(q > 0.0)
+        assert np.max(np.abs(spheroid_point(*to_oblate(pts, cfg), cfg) - pts)) < 1e-10
 
     def test_rejects_large_q(self, cfg):
         with pytest.raises(ValueError):
-            from_oblate(1.0, 1.5, 0.0, cfg)
+            spheroid_point(1.0, 1.5, 0.0, cfg)
 
 
 class TestCutSign:
@@ -267,12 +259,6 @@ class TestCutSign:
             else:
                 assert branch(cut, pt, cfg, tol_cut=tol_cut).sign in (-1, 1)
 
-    def test_custom_cut_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            CustomCut(chi=lambda q, phi: 0.1 * np.abs(q))
-        with pytest.raises(ValueError, match="periodic"):
-            CustomCut(chi=lambda q, phi: 0.02 * q * phi)
-
     def test_branched_distance_examples(self, cfg):
         assert branch(FlatDisk(), np.array([0.0, 0.0, 2.0]), cfg).sigma == pytest.approx(2 - 1j)
         pt = np.array([0.0, 0.0, 0.05])
@@ -305,8 +291,8 @@ class TestCutSign:
 
     @pytest.mark.parametrize(
         "cut",
-        [UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi)],
-        ids=["upper", "lower", "smooth", "custom"],
+        [UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005)],
+        ids=["upper", "lower", "smooth"],
     )
     def test_disk_plane_matches_limits(self, cut, cfg, rng):
         # inside the circle the disk is no part of these cuts: sigma is
@@ -318,34 +304,6 @@ class TestCutSign:
         for dz in (1e-12, -1e-12):
             near = branch(cut, disk + [0.0, 0.0, dz], cfg).sigma
             assert np.all(np.abs(on - near) <= 1e-9 * np.abs(on))
-
-    def test_phi_dependent_custom_cut_matches_continuation(self, cfg, rng):
-        cut = CustomCut(chi=wobbly_chi)
-        qs = rng.uniform(0.05, 0.95, 40)
-        phis = rng.uniform(0.0, 2 * np.pi, 40)
-        chi = wobbly_chi(qs, phis)
-        pts = np.vstack(
-            [
-                rng.uniform(-2, 2, (40, 3)),
-                from_oblate(chi * (1 + 1e-3), qs, phis, cfg),
-                from_oblate(chi * (1 - 1e-3), qs, phis, cfg),
-            ]
-        )
-        analytic = cut.sign(pts, cfg)
-        assert np.all(analytic == continued_sign(cut, pts, cfg))
-        assert set(np.unique(analytic[40:])) == {-1, 1}
-
-    def test_custom_cut_matches_smooth(self, cfg, rng):
-        chi = lambda q, phi: smooth_cut_function(q, 0.1, 0.005)
-        custom = CustomCut(chi=chi)
-        smooth = SmoothSpheroid(0.1, 0.005)
-        pts = np.vstack(
-            [
-                rng.uniform(-1.5, 1.5, (20, 3)),
-                [[0.0, 0.0, 0.05], [0.0, 0.0, -0.05], [0.3, 0.0, 0.02]],
-            ]
-        )
-        assert np.all(custom.sign(pts, cfg) == smooth.sign(pts, cfg))
 
     def test_path_continuity_and_flip(self, cfg):
         # a loop that stays off the cut: adjacent samples close; crossing flips
@@ -361,8 +319,8 @@ class TestCutSign:
 class TestContinuedSign:
     @pytest.mark.parametrize(
         "cut",
-        [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi)],
-        ids=["flat", "upper", "lower", "smooth", "custom"],
+        [FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005)],
+        ids=["flat", "upper", "lower", "smooth"],
     )
     def test_matches_closed_form_sign(self, cut, cfg, rng):
         # 1000 random points and 500 pairs straddling the membrane
@@ -371,7 +329,7 @@ class TestContinuedSign:
         if isinstance(cut, FlatDisk):
             straddle = [spheroid_point(1e-7, qs, phis, cfg), spheroid_point(1e-7, -qs, phis, cfg)]
         else:
-            chi = cut.cut_function(qs, phis)
+            chi = cut.cut_function(qs)
             side = np.sign(chi) * qs
             straddle = [spheroid_point(np.abs(chi) * (1 + d), side, phis, cfg) for d in (1e-4, -1e-4)]
         pts = np.vstack([rng.uniform(-2, 2, (1000, 3)), *straddle])
@@ -393,18 +351,18 @@ class TestContinuedSign:
 
 
 class TestSmoothCutFunction:
+    chi = SmoothSpheroid(0.3, 0.01).cut_function
+
     def test_odd_and_zero(self):
-        assert smooth_cut_function(0.0, 0.3, 0.01) == 0.0
+        assert self.chi(0.0) == 0.0
         q = np.linspace(-1, 1, 41)
-        assert np.allclose(
-            smooth_cut_function(q, 0.3, 0.01), -smooth_cut_function(-q, 0.3, 0.01)
-        )
+        assert np.allclose(self.chi(q), -self.chi(-q))
 
     def test_half_height_at_eps(self):
-        assert smooth_cut_function(0.01, 0.3, 0.01) == pytest.approx(0.15)
+        assert self.chi(0.01) == pytest.approx(0.15)
 
     def test_asymptote(self):
-        val = smooth_cut_function(1.0, 0.3, 0.01)
+        val = self.chi(1.0)
         assert val == pytest.approx(0.3 * (1 - 2 / (100 * np.pi)), rel=1e-4)
 
     def test_approaches_sharp_cut(self, cfg):
@@ -420,7 +378,6 @@ class TestFrame:
         fr = frame(np.array([0.0, 0.0, 2.0]), cfg)
         assert np.allclose(fr.grad_p, [0, 0, 1], atol=1e-15)
         assert np.allclose(fr.grad_q, [0, 0, 0], atol=1e-15)
-        assert np.allclose(fr.e_q, 0.0)
 
     def test_identities(self, cfg, rng):
         pts = rng.uniform(-3, 3, (100000, 3))
@@ -441,9 +398,6 @@ class TestFrame:
         d = branch_circle_distance(pts, cfg)
         fr = frame(pts[d > 1e-2], cfg)
         assert np.abs(np.linalg.norm(fr.e_p, axis=-1) - 1).max() < 1e-12
-        on_axis = np.abs(fr.q) > 1 - 1e-12
-        nq = np.linalg.norm(fr.e_q, axis=-1)
-        assert np.all((np.abs(nq - 1) < 1e-12) | on_axis)
 
     def test_branch_circle_guard(self, cfg):
         with pytest.raises(OnBranchCircleError):
@@ -459,7 +413,7 @@ class TestFrame:
         fr = frame(np.array([[1.2, 0.4, 0.8], [0.0, 0.0, 2.0]]), cfg)
         assert not set(SAMPLE_PROPERTIES) & set(vars(fr))
         assert fr.u.shape == (2, 3)
-        assert {"grad_p", "grad_q", "u"} <= set(vars(fr)) and not {"e_p", "e_q"} & set(vars(fr))
+        assert {"grad_p", "grad_q", "u"} <= set(vars(fr)) and "e_p" not in vars(fr)
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (0.3, -0.5, 0.8)])
     def test_frame_of_kept_points_from_the_principal_sigma(self, axis, rng):
@@ -490,8 +444,8 @@ SAMPLE_PROPERTIES = tuple(
 
 class TestBranch:
     @pytest.mark.parametrize("cut", [
-        FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005), CustomCut(chi=wobbly_chi),
-    ], ids=["flat", "upper", "lower", "smooth", "custom"])
+        FlatDisk(), UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005),
+    ], ids=["flat", "upper", "lower", "smooth"])
     @pytest.mark.parametrize("axis", AXES.values(), ids=AXES.keys())
     def test_matches_the_public_pieces_bitwise(self, cut, axis, rng):
         cfg = SourceConfig(a=np.array(axis), b=1.5)
@@ -511,7 +465,7 @@ class TestBranch:
         assert (pts == 0.0).any()  # zero components, where s*u and -u differ in the sign of a zero
         sigma0, p, q = complex_distance_principal(pts, cfg)
         expect = {"sign": sign, "sigma": sign * sigma0, "p": p, "q": q, "u": sign[..., None] * frame(pts, cfg).u}
-        for name in ("grad_p", "grad_q", "e_p", "e_q"):
+        for name in ("grad_p", "grad_q", "e_p"):
             expect[name] = getattr(frame(pts, cfg), name)
         for name, want in expect.items():
             got = getattr(b, name)

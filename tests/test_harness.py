@@ -24,7 +24,7 @@ import pytest
 import emwavelets
 from emwavelets import em_fields, geometry, scalar_wavelet
 from emwavelets import (
-    CauchySignal, CustomCut, FlatDisk, LowerSpheroid, SourceConfig, UpperSpheroid, complex_distance_principal,
+    CauchySignal, FlatDisk, LowerSpheroid, SmoothSpheroid, SourceConfig, UpperSpheroid, complex_distance_principal,
     field, psi, spheroid_point,
 )
 from emwavelets.errors import ConfigError, OnCutError, QuadratureDivergenceError, UnderResolvedSignalError
@@ -55,7 +55,6 @@ from emwavelets.harness.validate import (
     suite_wave_maxwell,
 )
 from emwavelets.harness import cli
-from tests.test_geometry import wobbly_chi
 
 CONFIG_TEXT = """
 [source]
@@ -413,9 +412,9 @@ class TestFieldRows:
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_frame_vectors_built_only_where_read(self, quantity, monkeypatch):
-        # psi reads sigma only; F reads u, and neither reads the unit vectors e_p, e_q
+        # psi reads sigma only; F reads u, and neither reads the unit vector e_p
         built = []
-        for name in ("_num", "e_p", "e_q"):
+        for name in ("_num", "e_p"):
             prop = vars(geometry.ComplexDistanceSample)[name]
             monkeypatch.setattr(
                 geometry.ComplexDistanceSample, name,
@@ -631,18 +630,23 @@ class TestLayering:
 
     def test_exported_names_have_callers(self):
         # code with no caller is deleted: every name in the __all__ of a core or harness
-        # module is used by the package, a demo or the benchmark, and not only by tests
+        # module, and every public method and property of a class defined there, is used
+        # by the package, a demo or the benchmark, and not only by tests
         kept = {
             "richardson": "the Richardson step of the derivative oracle the signal and field tests share",
             "far_point_series": "the far-zone series the far-field tests compare far_field against",
         }
         root = pathlib.Path(__file__).resolve().parents[1]
         pkg = root / "src" / "emwavelets"
-        exported = {}
+        exported = []  # (name, where it is defined)
         for path in [*(pkg / f"{name}.py" for name in self.CORE), *sorted((pkg / "harness").glob("*.py"))]:
+            rel = path.relative_to(pkg).as_posix()
             for node in ast.parse(path.read_text()).body:
                 if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                    exported.update((elt.value, path.relative_to(pkg).as_posix()) for elt in node.value.elts)
+                    exported += [(elt.value, f"{rel}: ") for elt in node.value.elts]
+                elif isinstance(node, ast.ClassDef):
+                    exported += [(item.name, f"{rel}: {node.name}.") for item in node.body
+                                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
         used = set()
         for path in [*(root / "src").rglob("*.py"), *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]:
             for node in ast.walk(ast.parse(path.read_text())):
@@ -650,7 +654,7 @@ class TestLayering:
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-        dead = sorted(f"{rel}: {name}" for name, rel in exported.items() if name not in used | kept.keys())
+        dead = sorted(f"{where}{name}" for name, where in exported if name not in used | kept.keys())
         assert not dead, "exported with no caller outside tests; delete it:\n" + "\n".join(dead)
 
     def test_optional_parameters_are_passed(self):
@@ -1191,14 +1195,14 @@ class TestValidationSuites:
         # path continuation reduces to the same endpoint rule, but sigma_cut now jumps
         # across the reference disk
         monkeypatch.setattr(geometry.UpperSpheroid, "cut_function",
-                            lambda self, q, phi: self.alpha * np.abs(np.sign(np.asarray(q, dtype=float))))
+                            lambda self, q: self.alpha * np.abs(np.sign(np.asarray(q, dtype=float))))
         res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
         assert not res.passed
         assert res.measured <= res.threshold and _sign_mismatches(res) > 0
 
     def test_sign_gate_fails_on_a_reversed_sign_rule(self, monkeypatch):
         monkeypatch.setattr(geometry.BranchCut, "_sign",
-                            lambda self, r, p, q, cfg: np.where(p > self.cut_function(q, self._phi(r, cfg)), -1, 1))
+                            lambda self, p, q: np.where(p > self.cut_function(q), -1, 1))
         res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
         assert not res.passed
         assert res.measured <= res.threshold and _sign_mismatches(res) > 0
@@ -1229,10 +1233,12 @@ class TestValidationSuites:
         if not isinstance(cut, FlatDisk):  # the region is not empty
             assert np.any(_region_sign(cut, slab, cfg) == -1)
 
-    def test_straddle_pairs_follow_azimuth(self):
-        # the membrane height depends on phi, so each pair must sit across it at its own phi
-        cfg = SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5)
-        cut = CustomCut(chi=wobbly_chi)
+    @pytest.mark.parametrize("cut", [UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005),
+                                     SmoothSpheroid(0.12, 0.01)],
+                             ids=["upper", "lower", "smooth-0.1", "smooth-0.12"])
+    def test_straddle_pairs_cross_the_cut(self, cut):
+        # each pair the battery draws sits across the membrane, on a tilted axis
+        cfg = SourceConfig(a=np.array([0.3, -0.2, 0.9]), b=1.5)
         plus, minus = _straddle_pairs_for_cut(cut, cfg, np.random.default_rng(0), 500)
         assert np.all(cut.sign(plus, cfg) != cut.sign(minus, cfg))
 

@@ -3,7 +3,6 @@ import pytest
 
 from emwavelets import (
     CauchySignal,
-    CustomCut,
     FlatDisk,
     LowerSpheroid,
     OnBranchCircleError,
@@ -14,11 +13,9 @@ from emwavelets import (
     UpperSpheroid,
     branch,
     complex_distance_principal,
-    from_oblate,
     interior_psi,
     mixed_signals,
     psi,
-    smooth_cut_function,
     spheroid_point,
     wave_residual,
 )
@@ -89,14 +86,13 @@ class TestInterior:
 
     @pytest.mark.parametrize("cut", [
         UpperSpheroid(0.1), LowerSpheroid(0.1), SmoothSpheroid(0.1, 0.005),
-        CustomCut(chi=lambda q, phi: smooth_cut_function(q, 0.1, 0.005)),
-    ], ids=["upper", "lower", "smooth", "custom"])
+    ], ids=["upper", "lower", "smooth"])
     def test_defined_on_the_wavelets_cut(self, cut, wavelet, cfg):
         # even in sigma, so the same on every cut, and on the membrane of the wavelet's own cut too
         if isinstance(cut, (UpperSpheroid, LowerSpheroid)):
             pt = spheroid_point(0.1, cut.side * 0.5, 0.3, cfg)
         else:
-            pt = from_oblate(smooth_cut_function(0.5, 0.1, 0.005), 0.5, 0.3, cfg)
+            pt = spheroid_point(cut.cut_function(0.5), 0.5, 0.3, cfg)
         with pytest.raises(OnCutError):
             psi(ScalarWavelet(cut=cut, cfg=cfg, sig=wavelet.sig), pt, 1.3)
         got = interior_psi(ScalarWavelet(cut=cut, cfg=cfg, sig=wavelet.sig), pt, 1.3)

@@ -228,7 +228,7 @@ class TestExactSources:
 
     def test_electric_magnetic_split(self, wavelet):
         s = surface_sources_exact(wavelet, POL_X, 0.5, 0.3, 0.05, 1.4)
-        assert s.j0_electric == pytest.approx(np.real(s.j0))
+        assert s.j0_magnetic == pytest.approx(np.imag(s.j0))
         assert np.allclose(s.j_magnetic, np.imag(s.j))
 
 
