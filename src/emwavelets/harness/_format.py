@@ -196,19 +196,21 @@ def format17(x):
         moved = w << u8 | carry
         carry = w >> np.uint64(56)
         words[k] = w & _STAY[k][point] | moved & _MOVED[k][point] | _POINT[k][point]
+    del sig, w, moved, carry  # each array goes after its last use: a chunk's peak memory is at the end
 
     # the prefix, the digits after it, and the exponent after them
     prefix = 5 * np.signbit(x) - e * (fixed & (e < 0))
-    start = _PREFIX_LEN[prefix]
-    end = start + keep + (point > 0)
-    left = (8 * start).astype(np.uint64)
     expo = _EXP[e + _SPAN]
+    end = _PREFIX_LEN[prefix] + keep + (point > 0)
+    del e, fixed, keep, point
+    left = (8 * _PREFIX_LEN[prefix]).astype(np.uint64)
+    carry = _PREFIX[prefix]  # word 0 takes the prefix below `left`
+    del prefix
     out = np.empty((x.size, 3), dtype="<u8")
-    carry = 0
-    for k, w in enumerate(words):
+    for k in range(3):
+        w, words[k] = words[k], None
         out[:, k] = w << left | carry | expo << _SHL[k][end] | expo >> _SHR[k][end]
         carry = w >> np.uint64(64) - left
-    out[:, 0] |= _PREFIX[prefix]
     text = out.view(np.uint8)
 
     for k in slow.tolist():

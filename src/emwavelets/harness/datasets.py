@@ -8,8 +8,8 @@ columns), each written in reshape(-1, columns) order as it arrives, so a
 sweep is never held whole; a table is the one block rows[:, None].  A
 value that repeats along either axis of a block, as a sweep's point and
 time columns do, is formatted once and its text reused.  Values are
-formatted a chunk at a time by whole-array numpy kernels (harness._format),
-and the bytes are still those of np.savetxt(fmt="%.17g", delimiter=",").
+formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
+and the bytes, those of np.savetxt(fmt="%.17g", delimiter=","), go to a binary file.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from ._format import WIDTH, format17
 
 __all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
-CHUNK = 512  # records formatted per write: bounds the writer's memory
-BLOCK_CHUNKS = 4  # writer chunks per computed field block: fewer compute up to 2x slower
+VALUE_BUDGET = 8192  # values per format17 call: bounds the writer's memory
 
 
 def _write_atomic(path, write):
-    """Run write(fh) on a temp file next to path, then rename it into place; returns what write returns.
+    """Run write(fh) on a binary temp file next to path, then rename it into place; returns what write returns.
 
     A write that raises leaves no file behind.  The temp file is created as
     open() would create it, mode 0o666 less the umask.
@@ -39,7 +38,7 @@ def _write_atomic(path, write):
     tmp = os.path.join(folder, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             result = write(fh)
         os.replace(tmp, path)
         return result
@@ -49,50 +48,62 @@ def _write_atomic(path, write):
         raise
 
 
-def _write_chunk(fh, sub, buf):
+def _column_classes(bits):
+    """Masks of an (m, k, C) int64 block's columns: constant along k, else constant along m, else neither.
+
+    Comparing bits keeps -0.0 vs +0.0 and NaN payloads distinct; the block
+    is compared VALUE_BUDGET values at a time.
+    """
+    step = max(1, VALUE_BUDGET // bits[0].size)
+    parts = [bits[o : o + step] for o in range(0, len(bits), step)]
+    per_outer = np.all([(part == part[:, :1]).all(axis=(0, 1)) for part in parts], axis=0)
+    per_inner = np.all([(part == bits[:1]).all(axis=(0, 1)) for part in parts], axis=0) & ~per_outer
+    return per_outer, per_inner, ~(per_outer | per_inner)
+
+
+def _write_chunk(fh, sub, classes, buf):
     """Write an (m, k, C) sub-block, formatting each repeated value once.
 
-    A column bitwise constant along the inner axis is formatted once per
-    outer item, one constant along the outer axis once per inner item, and
-    any other once per record.  Each record's text goes into the next C
-    fields of buf, a bytearray of NUL-padded fields whose last bytes hold
-    the separators; the text is buf without its NULs.  The same double
-    always gives the same %.17g text, so the bytes are those of formatting
-    every value.
+    A per-outer column is formatted once per outer item, a per-inner one
+    once per inner item, and any other once per record.  Each record's
+    text goes into the next C fields at the start of buf, a bytearray,
+    as NUL-padded fields each followed by its separator; the rest of buf
+    is zeroed, so the text is buf without its NULs.  The same double
+    always gives the same %.17g text, so the bytes are those of
+    formatting every value.
     """
     m, k, n_cols = sub.shape
-    bits = sub.view(np.int64)  # -0.0 vs +0.0 and NaN payloads stay distinct
-    per_outer = (bits == bits[:, :1]).all(axis=(0, 1))
-    per_inner = (bits == bits[:1]).all(axis=(0, 1)) & ~per_outer
-    per_record = ~(per_outer | per_inner)
+    per_outer, per_inner, per_record = classes
     parts = [
         (sub[:, :1][..., per_outer], per_outer),
         (sub[:1][..., per_inner], per_inner),
         (sub[..., per_record], per_record),
     ]
     text = format17(np.concatenate([values.ravel() for values, _ in parts]))
-    size = m * k * n_cols * (WIDTH + 1)
-    out = np.frombuffer(buf, dtype=np.uint8, count=size).reshape(m, k, n_cols, WIDTH + 1)
+    flat = np.frombuffer(buf, dtype=np.uint8)
+    out = flat[: m * k * n_cols * (WIDTH + 1)].reshape(m, k, n_cols, WIDTH + 1)
+    flat[out.size :] = 0
+    out[..., WIDTH] = ord(",")
+    out[..., -1, WIDTH] = ord("\n")
     start = 0
     for values, cols in parts:
         out[:, :, cols, :WIDTH] = text[start : start + values.size].reshape(values.shape + (WIDTH,))
         start += values.size
-    used = buf if size == len(buf) else buf[:size]
-    fh.write(used.translate(None, b"\0").decode("ascii"))
+    fh.write(buf.translate(None, b"\0"))
 
 
 def write_csv(fh, header, blocks) -> int:
-    """Header line, then one line of 17-significant-digit values per record; returns the record count.
+    """Header line, then one line of 17-significant-digit values per record, to binary fh; returns the record count.
 
     blocks is an iterable of 3-D (outer, inner, columns) arrays with the
     same columns; each is written in reshape(-1, columns) order as it
     arrives.  The bytes are those of np.savetxt(fmt="%.17g", delimiter=",")
     on the concatenated records: every value formatted with "%.17g"
-    (harness._format), comma-joined.  At most CHUNK records are formatted
-    at a time, and values that repeat along an axis are formatted once per
-    chunk.
+    (harness._format), comma-joined.  A block's columns are classed once
+    (_column_classes), and the block is written in sub-blocks that each
+    format at most VALUE_BUDGET values, in one call.
     """
-    fh.write(",".join(header) + "\n")
+    fh.write((",".join(header) + "\n").encode())
     buf = bytearray()
     records = 0
     for block in blocks:
@@ -100,17 +111,18 @@ def write_csv(fh, header, blocks) -> int:
         n_outer, n_inner, n_cols = block.shape
         if n_outer * n_inner == 0:
             continue
-        per = max(1, CHUNK // n_inner)
-        step = min(n_inner, CHUNK)
+        classes = _column_classes(block.view(np.int64))
+        # an (m, k) sub-block formats m n_o + k n_i + m k n_r values; a record counting as one at least bounds buf
+        n_o, n_i, n_r = (int(c.sum()) for c in classes)
+        n_r = max(n_r, 1)
+        step = min(n_inner, max(1, (VALUE_BUDGET - n_o) // (n_i + n_r)))  # whole inner rows while one fits
+        per = 1 if step < n_inner else max(1, (VALUE_BUDGET - step * n_i) // (n_o + step * n_r))
         size = min(per, n_outer) * step * n_cols * (WIDTH + 1)
         if len(buf) < size:
             buf = bytearray(size)
-            seps = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n_cols, WIDTH + 1)[..., WIDTH]
-            seps[:] = ord(",")
-            seps[:, -1] = ord("\n")
         for o in range(0, n_outer, per):
             for i in range(0, n_inner, step):
-                _write_chunk(fh, block[o : o + per, i : i + step], buf)
+                _write_chunk(fh, block[o : o + per, i : i + step], classes, buf)
         records += n_outer * n_inner
     return records
 
@@ -131,8 +143,5 @@ def _jsonable(v):
 
 
 def write_json_sidecar(path, metadata: dict):
-    def write(fh):
-        json.dump({k: _jsonable(v) for k, v in metadata.items()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_atomic(path, write)
+    text = json.dumps({k: _jsonable(v) for k, v in metadata.items()}, indent=2, sort_keys=True)
+    _write_atomic(path, lambda fh: fh.write((text + "\n").encode()))

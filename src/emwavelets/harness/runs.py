@@ -14,7 +14,6 @@ from ..signals import SampledSignal
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
-from .datasets import BLOCK_CHUNKS, CHUNK
 from .grids import chunked_parallel_map, grid_axes, grid_points
 
 __all__ = [
@@ -79,12 +78,14 @@ def field_rows(rc: RunConfig, threads: int = 1):
 
 
 def points_per_chunk(n_times: int) -> int:
-    """Grid points per field_rows block: BLOCK_CHUNKS whole writer chunks of max(1, CHUNK // n_times) points.
+    """Grid points per field_rows block: 4 * max(1, 512 // n_times), about 2,048 records.
 
     Records, not points, set the size: the broadcast temporaries (several
     complex values per record) must not grow with the number of time slices.
+    Smaller blocks compute up to 2x slower.  The writer sizes its own work
+    (datasets.VALUE_BUDGET), so the block size is a compute choice only.
     """
-    return BLOCK_CHUNKS * max(1, CHUNK // n_times)
+    return 4 * max(1, 512 // n_times)
 
 
 def field_dataset(rc: RunConfig, threads: int):

@@ -564,7 +564,7 @@ def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
     n_chunks = -(-math.prod(map(len, xyz)) // points_per_chunk(len(ts)))
     outs = []
     for threads in (1, 4):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_csv(buf, FIELD_HEADER_F, field_rows(rc2, threads=threads))
         outs.append(buf.getvalue())
     same = outs[0] == outs[1]

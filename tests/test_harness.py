@@ -30,12 +30,12 @@ from emwavelets import (
 from emwavelets.errors import ConfigError, OnCutError, QuadratureDivergenceError, UnderResolvedSignalError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.surface_sources import DEFAULT_Q_MIN_FRAC, effective_aperture
-from emwavelets.harness import _format, fd, spectral
+from emwavelets.harness import _format, datasets, fd, spectral
 from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
-from emwavelets.harness.datasets import CHUNK, write_csv, write_csv_atomic, write_json_sidecar
+from emwavelets.harness.datasets import VALUE_BUDGET, write_csv, write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_axes, grid_points
 from emwavelets.harness.runs import (
     FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, points_per_chunk, source_sweep_rows,
@@ -775,9 +775,9 @@ def table(rows):
 
 
 def written_csv(header, blocks):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     records = write_csv(buf, header, blocks)
-    text = buf.getvalue()
+    text = buf.getvalue().decode("ascii")
     assert records == text.count("\n") - 1
     return text
 
@@ -807,9 +807,31 @@ def sweep_like_block(rng, n_outer, n_inner):
     return np.stack(cols, axis=-1)
 
 
-class TestCsvParity:
-    HEADER = [f"c{i}" for i in range(7)]
+def column_mix_block(rng, n_outer, n_inner, n_per_record):
+    """sweep_like_block with n_per_record >= 2 columns that vary per record.
 
+    sweep_like_block has three, its columns 3, 5 and 6: column 3 goes for
+    two, and columns drawn from SPECIAL and random values join for more.
+    The others are three per outer item and one per inner item.
+    """
+    block = sweep_like_block(rng, n_outer, n_inner)
+    if n_per_record == 2:
+        return np.delete(block, 3, axis=-1)
+    pool = np.concatenate([SPECIAL, rng.normal(size=6)])
+    return np.concatenate([block, rng.choice(pool, (n_outer, n_inner, n_per_record - 3))], axis=-1)
+
+
+def outer_per_call(n_per_record, n_inner=7):
+    """Outer items of n_inner records that one format17 call takes, for a column_mix_block."""
+    return (VALUE_BUDGET - n_inner) // (3 + n_inner * n_per_record)
+
+
+def inner_per_call(n_per_record):
+    """Records of one outer item that one format17 call takes, for a column_mix_block."""
+    return (VALUE_BUDGET - 3) // (1 + n_per_record)
+
+
+class TestCsvParity:
     def test_special_values(self):
         column = np.array(SPECIAL)[:, None]
         assert written_csv(["v"], table(column)) == savetxt_csv(["v"], column)
@@ -818,16 +840,24 @@ class TestCsvParity:
 
     @pytest.mark.parametrize(
         "shape",
-        [(1, 1), (1, 9), (9, 1), (0, 9), (2 * CHUNK // 7 + 5, 7), (3, CHUNK + 77), (1, 2 * CHUNK + 1)],
+        [
+            (1, 1), (1, 9), (9, 1), (0, 9),
+            # at, one past and well past one format17 call, along each axis
+            (outer_per_call(2), 7), (outer_per_call(2) + 1, 7), (outer_per_call(6) + 1, 7),
+            (2 * outer_per_call(6) + 5, 7), (3, inner_per_call(6) + 1), (2, 2 * inner_per_call(2) + 1),
+        ],
     )
     def test_blocks(self, shape):
-        block = sweep_like_block(np.random.default_rng(sum(shape)), *shape)
-        expected = savetxt_csv(self.HEADER, block.reshape(-1, block.shape[-1]))
-        assert written_csv(self.HEADER, [block]) == expected
-        assert written_csv(self.HEADER, table(block.reshape(-1, block.shape[-1]))) == expected
-        # streamed in uneven pieces along the outer axis, as field_rows' last block is
-        pieces = np.split(block, [1, 3 + len(block) // 2])
-        assert written_csv(self.HEADER, iter(pieces)) == expected
+        # a psi-like and an F-like column mix: 2 and 6 columns per record
+        for n_per_record in (2, 6):
+            block = column_mix_block(np.random.default_rng(sum(shape)), *shape, n_per_record)
+            header = [f"c{i}" for i in range(block.shape[-1])]
+            expected = savetxt_csv(header, block.reshape(-1, block.shape[-1]))
+            assert written_csv(header, [block]) == expected
+            assert written_csv(header, table(block.reshape(-1, block.shape[-1]))) == expected
+            # streamed in uneven pieces along the outer axis, as field_rows' last block is
+            pieces = np.split(block, [1, 3 + len(block) // 2])
+            assert written_csv(header, iter(pieces)) == expected
 
     def test_list_of_tuples(self):
         # a block is anything np.asarray makes a 3-D array of; here one nested list per record
@@ -837,27 +867,67 @@ class TestCsvParity:
     def test_rejects_other_ranks(self):
         for shape in [(2, 2), (2, 2, 2, 2)]:
             with pytest.raises(ValueError):
-                write_csv(io.StringIO(), ["v"], [np.zeros(shape)])
+                write_csv(io.BytesIO(), ["v"], [np.zeros(shape)])
 
     def test_writer_memory_bounded(self):
         class Sink:
             def write(self, text):
                 pass
 
-        def peak(n_points, n_times=10):
-            rng = np.random.default_rng(0)
-            per_record = rng.normal(size=(n_points, n_times, 6))  # 7 + 6 columns: the F width
-            block = np.concatenate([sweep_like_block(rng, n_points, n_times), per_record], axis=-1)
+        def peak(header, block):
             tracemalloc.start()
             try:
-                write_csv(Sink(), FIELD_HEADER_F, [block])
+                write_csv(Sink(), header, [block])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(1_000), peak(10_000)
-        assert large <= 1.1 * small
-        assert large < 2 * 2**20
+        def f_block(n_points, n_times=10):
+            rng = np.random.default_rng(0)
+            per_record = rng.normal(size=(n_points, n_times, 6))  # 7 + 6 columns: the F width
+            return np.concatenate([sweep_like_block(rng, n_points, n_times), per_record], axis=-1)
+
+        def psi_block(n_points, n_times=10):
+            # x, y, z, sigma and the cut sign per point, t per time slice, psi per record
+            rng = np.random.default_rng(0)
+            per_point = np.broadcast_to(rng.normal(size=(n_points, 1, 6)), (n_points, n_times, 6))
+            t = np.broadcast_to(np.linspace(1.0, 2.0, n_times)[:, None], (n_points, n_times, 1))
+            per_record = rng.normal(size=(n_points, n_times, 2))
+            return np.concatenate([per_point[..., :3], t, per_point[..., 3:], per_record], axis=-1)
+
+        def source_table(n_rows):
+            # a sample-sources table: 14 columns, the last a 0/1 flag
+            rng = np.random.default_rng(0)
+            rows = rng.normal(size=(n_rows, 14))
+            rows[:, -1] = rng.integers(0, 2, n_rows)
+            return rows[:, None]
+
+        for header, make, sizes in [
+            (FIELD_HEADER_F, f_block, (1_000, 10_000)),
+            (FIELD_HEADER_PSI, psi_block, (1_000, 10_000)),
+            (SOURCE_HEADER, source_table, (2_560, 10_240)),
+        ]:
+            small, large = (peak(header, make(n)) for n in sizes)
+            assert large <= 1.1 * small, header
+            assert large < 2 * 2**20, header
+
+    @pytest.mark.parametrize("quantity, most", [("psi", 1), ("F", 2)])
+    def test_format_calls_per_field_block(self, quantity, most, monkeypatch):
+        # one 2,048-record field block, 256 points x 8 times: psi formats 5,640 values, F 13,832;
+        # at 512 records a call it took 4 calls
+        grid = {
+            "x": AxisSpec(-1.45, 1.55, 16),
+            "y": AxisSpec(0.03, 0.03, 1),
+            "z": AxisSpec(-0.47, 0.61, 16),
+            "t": AxisSpec(0.5, 2.5, 8),
+        }
+        blocks = list(field_rows(upper_spheroid_config(quantity, grid)))
+        assert [block.shape[:2] for block in blocks] == [(256, 8)]
+        calls = []
+        monkeypatch.setattr(datasets, "format17", lambda x: calls.append(x.size) or _format.format17(x))
+        header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
+        assert written_csv(header, blocks) == savetxt_csv(header, blocks[0].reshape(-1, len(header)))
+        assert 1 <= len(calls) <= most
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_memory_bounded(self, threads):
@@ -969,7 +1039,7 @@ class TestFormat17:
 
         monkeypatch.setattr(_format, "_fallback", counted)
         block = sweep_like_block(np.random.default_rng(3), 40, 13)
-        header = TestCsvParity.HEADER
+        header = [f"c{i}" for i in range(block.shape[-1])]
         assert written_csv(header, [block]) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
         flat = block.ravel()
         special = ~((flat == 0.0) | ((np.abs(flat) >= 1e-280) & (np.abs(flat) <= 1e280)))
