@@ -77,6 +77,20 @@ from .surface_sources import (
     surface_sources_exact,
     tilde_lmn,
 )
-from .harness.fd import field_curl_oracle, lorenz_residual, wave_residual
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """field_curl_oracle, loaded from harness.fd on first use.
+
+    `import emwavelets` loads no finite-difference oracle; the oracles live in
+    emwavelets.harness.fd.  The benchmark's reference check (perfbench/checks.py)
+    still imports this one from the package, so it resolves here until that
+    import moves.
+    """
+    if name == "field_curl_oracle":
+        from .harness.fd import field_curl_oracle
+
+        return field_curl_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -212,7 +212,12 @@ class ComplexDistanceSample:
 
     @cached_property
     def u(self):
-        u = self.grad_p - 1j * self.grad_q
+        # grad p - i grad q in one complex buffer, by the real operations of that
+        # complex expression: the same bits, signed zeros included
+        gp, gq = self.grad_p, self.grad_q
+        u = np.empty(gp.shape, dtype=complex)
+        np.subtract(gp, 0.0 * gq, out=u.real)
+        np.subtract(0.0, gq, out=u.imag)
         # the sign goes last, as s*u: for an int s, s*u and -u differ in the sign of a zero
         return u if self.sign is None else np.asarray(self.sign)[..., None] * u
 
@@ -229,14 +234,20 @@ def complex_distance_principal(r, cfg: SourceConfig):
     """
     r = np.asarray(r, dtype=float)
     adotr = _dot(r, cfg.a)
-    sigma2 = _dot(r, r) - cfg.a_mag**2 - 2j * adotr
-    sigma = np.sqrt(sigma2)
+    # sigma^2 = r.r - a^2 - 2i a.r, written into one complex buffer by the real
+    # operations numpy runs for that complex expression, so every bit, and the
+    # sign of the imaginary zero that picks the branch of np.sqrt, is the same
+    sigma2 = np.empty(np.shape(adotr), dtype=complex)
+    np.subtract(_dot(r, r) - cfg.a_mag**2, 0.0 * adotr, out=sigma2.real)
+    np.subtract(0.0, 2.0 * adotr, out=sigma2.imag)
     # Exactly-real negative sigma^2 (a.r == 0 inside the circle): take the
     # a.r -> 0+ face so that sigma = -i*sqrt(a^2 - rho^2).
     on_disk = (sigma2.imag == 0.0) & (sigma2.real < 0.0)
     if on_disk.any():
         fixed = -1j * np.sqrt(np.where(on_disk, -np.real(sigma2), 0.0))
-        sigma = np.where(on_disk, fixed, sigma)
+        sigma = np.where(on_disk, fixed, np.sqrt(sigma2))
+    else:  # in place; [()] makes one point's 0-d result a scalar, as np.sqrt of a scalar is
+        sigma = np.sqrt(sigma2, out=sigma2)[()]
     return sigma, np.real(sigma), -np.imag(sigma)
 
 

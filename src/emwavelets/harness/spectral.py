@@ -164,22 +164,33 @@ def _scaled_expint(n, x):
 
 
 def _expint_fraction(n, x):
-    """e^x E_n(x) by the modified Lentz continued fraction, vectorized over x."""
+    """e^x E_n(x) by the modified Lentz continued fraction, vectorized over a 1-D x.
+
+    An entry leaves the iteration in the step it converges: its h goes to its
+    index in the output, and b, c, d and h drop it, so a step costs only the
+    entries still open and each entry keeps the bits of the full-length loop.
+    """
     b = x + n
     c = np.full_like(b, 1e300)
     d = 1.0 / b
     h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
+    out = np.empty_like(h)
+    open_ = np.arange(h.size)
     for i in range(1, EXPINT_TERMS + 1):
         an = -i * (n - 1 + i)
         b = b + 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) <= EXPINT_TOL
+        h = h * delta
+        done = np.abs(delta - 1.0) <= EXPINT_TOL
         if done.all():
-            return h
+            out[open_] = h
+            return out
+        if done.any():
+            out[open_[done]] = h[done]
+            left = ~done
+            b, c, d, h, open_ = b[left], c[left], d[left], h[left], open_[left]
     raise RuntimeError(f"E_{n} continued fraction did not converge in {EXPINT_TERMS} terms")
 
 

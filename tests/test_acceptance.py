@@ -5,6 +5,7 @@ the suites are the same code the `emwavelets validate` command runs, so
 the CLI and this module can never drift apart.
 """
 
+import re
 import time
 
 import numpy as np
@@ -37,15 +38,17 @@ def _run(suite, **kwargs):
 
 class TestAcceptance:
     def test_01_appendix_identities(self):
-        # u.u = 1 and the gradient-norm identities at 1e6 points, <= 1e-10, < 10 s
+        # sigma^2 identity <= 1e-12, u.u = 1 and the gradient-norm identities <= 1e-10,
+        # at the same 1e6 points, < 10 s
         res = _run(suite_appendix_identities, n_points=1_000_000)
         assert res.passed and res.measured <= 1e-10
+        assert float(re.search(r"sigma\^2 residual (\S+) ", res.detail).group(1)) <= 1e-12
         assert res.seconds < 10.0
 
     def test_02_sigma_algebra_and_cut_flips(self):
-        # sigma^2 identity <= 1e-12 at 1e6 points; straddle flips for every cut kind
-        res = _run(suite_sigma_algebra, n_points=1_000_000, n_straddle=1000)
-        assert res.passed and res.measured <= 1e-12
+        # straddle flips <= 1e-3 for every cut kind, the sign rule and disk continuity
+        res = _run(suite_sigma_algebra, n_straddle=1000)
+        assert res.passed and res.measured <= 1e-3
 
     def test_03_wave_and_maxwell_convergence(self):
         # box(psi), div F, dF/dt + i curl F: order >= 1.9 over h = {1e-2,5e-3,2.5e-3}a

@@ -14,18 +14,17 @@ from emwavelets import (
     branch,
     far_field,
     field,
-    field_curl_oracle,
     four_potential,
     helicity_residual,
     interior_field,
     joint_field,
     lmn,
-    lorenz_residual,
     poynting_energy_far,
     psi,
 )
 from emwavelets.em_fields import far_point_series
 from emwavelets.harness import fd
+from emwavelets.harness.fd import field_curl_oracle, lorenz_residual
 from emwavelets.harness.spectral import cauchy_series_transform
 from tests.test_signals import fd_derivative
 

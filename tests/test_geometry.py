@@ -22,6 +22,7 @@ from emwavelets import (
 from emwavelets.geometry import (
     _SCREEN_MARGIN,
     ComplexDistanceSample,
+    _dot,
     branch_circle_distance,
     continued_sign,
 )
@@ -173,6 +174,74 @@ class TestComplexDistance:
             sigma, _, _ = complex_distance_principal(pts, cfg)
         assert sigma[0] == pytest.approx(-1j * np.sqrt(0.75))
         assert sigma[1] == pytest.approx(np.sqrt(3.0))
+
+
+def sigma_by_complex_expression(r, cfg):
+    """The principal (sigma, p, q) from sigma^2 as one complex expression, with the on-disk face."""
+    sigma2 = _dot(r, r) - cfg.a_mag**2 - 2j * _dot(r, cfg.a)
+    sigma = np.sqrt(sigma2)
+    on_disk = (sigma2.imag == 0.0) & (sigma2.real < 0.0)
+    if on_disk.any():
+        sigma = np.where(on_disk, -1j * np.sqrt(np.where(on_disk, -np.real(sigma2), 0.0)), sigma)
+    return sigma, np.real(sigma), -np.imag(sigma)
+
+
+# a along z, and a tilted a = (0, 3, 4) for which a.r of the integer points below is exactly 0
+SIGNED_ZERO_CASES = {
+    "axis_z": ((0.0, 0.0, 1.0), [
+        [0.3, 0.2, 0.0], [0.3, 0.2, -0.0], [-0.0, 0.5, -0.0], [-0.3, -0.0, 0.0],  # inside the circle
+        [2.0, 0.1, 0.0], [2.0, -0.1, -0.0], [-0.0, -3.0, 0.0],  # outside it
+        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.5], [-0.0, 0.0, -0.5], [0.0, -0.0, 2.0],  # the axis
+    ]),
+    "tilted": ((0.0, 3.0, 4.0), [
+        [0.5, 2.0, -1.5], [-0.0, 2.0, -1.5], [0.5, -2.0, 1.5], [1.0, -0.0, -0.0],  # inside
+        [6.0, 4.0, -3.0], [-0.0, 8.0, -6.0], [0.0, -8.0, 6.0],  # outside
+        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 3.0, 4.0], [-0.0, -1.5, -2.0],  # the axis
+    ]),
+}
+INFINITE_POINTS = [[np.inf, 0.0, 0.0], [-np.inf, 0.2, -0.0], [0.0, 0.0, np.inf], [0.3, -np.inf, -0.2],
+                   [0.0, -0.0, -np.inf], [np.inf, -np.inf, 1.0]]
+
+
+class TestComplexBuffers:
+    """sigma^2 and u are built in one complex buffer each, with the bits of the complex expressions."""
+
+    @staticmethod
+    def _points(axis, special, rng):
+        cfg = SourceConfig(a=np.array(axis), b=1.5 * np.linalg.norm(axis))
+        return cfg, np.vstack([np.array(special), INFINITE_POINTS, rng.uniform(-3, 3, (500, 3)) * cfg.a_mag])
+
+    @staticmethod
+    def _same(got, want):
+        return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("axis, special", SIGNED_ZERO_CASES.values(), ids=SIGNED_ZERO_CASES.keys())
+    def test_sigma_matches_the_complex_expression(self, axis, special, rng):
+        cfg, pts = self._points(axis, special, rng)
+        with np.errstate(invalid="ignore"):
+            assert np.any(_dot(pts, cfg.a) == 0.0) and np.any(np.signbit(pts) & (pts == 0.0))
+            got, want = complex_distance_principal(pts, cfg), sigma_by_complex_expression(pts, cfg)
+            assert (got[1][: len(special)] == 0.0).sum() >= 4  # on-disk points took the fix
+            for g, w in zip(got, want):
+                assert self._same(g, w)
+            for r in pts:  # one point at a time: scalars, as the expression gives them
+                for g, w in zip(complex_distance_principal(r, cfg), sigma_by_complex_expression(r, cfg)):
+                    assert type(g) is type(w) and self._same(g, w)
+
+    @pytest.mark.parametrize("axis, special", SIGNED_ZERO_CASES.values(), ids=SIGNED_ZERO_CASES.keys())
+    def test_u_matches_the_complex_expression(self, axis, special, rng):
+        cfg, pts = self._points(axis, special, rng)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sigma, p, q = complex_distance_principal(pts, cfg)
+            sign = np.where(rng.uniform(size=len(pts)) < 0.5, -1, 1)
+            # a sample takes the (p, q) its caller holds; the q < 0 sheet reaches more signed zeros
+            for s, qq in ((None, q), (sign, q), (None, -q)):
+                fr = ComplexDistanceSample(pts, cfg, sigma if s is None else s * sigma, p, qq, sign=s)
+                want = fr.grad_p - 1j * fr.grad_q
+                if s is not None:
+                    want = s[..., None] * want
+                assert (fr.grad_q == 0.0).any() and np.isnan(fr.grad_q).any()
+                assert self._same(fr.u, want)
 
 
 class TestOblate:

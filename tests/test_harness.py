@@ -528,6 +528,16 @@ class TestLayering:
         for name in self.CORE:
             for imported in self._imports(pkg / f"{name}.py"):
                 assert not any("harness" in mod.split(".") for mod in imported), (name, imported)
+        # nor does the package's __init__ at import time: import emwavelets loads no oracle,
+        # and the one name it still resolves from harness.fd is loaded when it is read
+        init = ast.parse((pkg / "__init__.py").read_text())
+        for node in init.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert not any("harness" in mod.split(".") for mod in names), ast.unparse(node)
+        code = "import sys, emwavelets; print(sorted(m for m in sys.modules if m.startswith('emwavelets.')))"
+        assert "harness" not in self._fresh_interpreter(code)
+        assert emwavelets.field_curl_oracle is fd.field_curl_oracle
 
     def test_writer_imports_no_oracle(self):
         # the CSV writer and its number formatter load none of the validation oracles
@@ -1179,6 +1189,42 @@ class TestSpectralOracles:
         got = cauchy_series_transform({n: 1.0}, 1j * b, om)
         assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
 
+    @staticmethod
+    def _lentz_full_length(n, x):
+        """e^x E_n(x) by the modified Lentz fraction over all entries until the last converges."""
+        b = x + n
+        c = np.full_like(b, 1e300)
+        d = 1.0 / b
+        h = d.copy()
+        done = np.zeros(x.shape, dtype=bool)
+        for i in range(1, spectral.EXPINT_TERMS + 1):
+            an = -i * (n - 1 + i)
+            b = b + 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = c * d
+            h = np.where(done, h, h * delta)
+            done |= np.abs(delta - 1.0) <= spectral.EXPINT_TOL
+            if done.all():
+                return h
+        raise AssertionError("the reference fraction did not converge")
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_expint_fraction_keeps_the_bits_of_the_full_length_loop(self, n):
+        # entries converge at different steps, so they leave the compacted loop at different steps
+        mags = np.geomspace(1.0, 1e3, 37)
+        args = np.pi * np.array([-0.85, -0.5, -0.25, 0.0, 0.1, 0.5, 0.85])
+        x = (mags[:, None] * np.exp(1j * args)).ravel()
+        got = spectral._expint_fraction(n, x)
+        want = self._lentz_full_length(n, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert spectral._expint_fraction(n, x[:0]).shape == (0,)
+
+    def test_expint_fraction_refuses_what_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(spectral, "EXPINT_TERMS", 3)
+        with pytest.raises(RuntimeError, match="did not converge in 3 terms"):
+            spectral._expint_fraction(2, np.array([1.0 + 1.0j, 50.0 - 2.0j]))
+
 
 class TestBeamMeasurement:
     def test_measured_duration_matches_local_scale(self, cfg):
@@ -1240,14 +1286,13 @@ class TestValidationSuites:
         # on de_fourier and harness.fd, pinned exactly
         appendix = suite_appendix_identities(default_config(), np.random.default_rng(1))
         assert appendix.measured == 6.355287432313019e-14
-        assert appendix.detail == "1000000 points"
+        assert appendix.detail == "1000000 points, sigma^2 residual 4.4e-16 (<=1e-12)"
         spectra = suite_spectra(default_config(), np.random.default_rng(1))
         assert spectra.measured == 1.1255171281129974e-13
         assert spectra.detail == "negative-frequency energy ratio 7.7e-18"
         sigma = suite_sigma_algebra(default_config(), np.random.default_rng(1))
-        assert sigma.measured == 4.434433238322705e-16
-        assert sigma.detail == ("straddle flip residual 7.8e-05 (<=1e-3), 5 cut kinds, "
-                                "0 region/disk-continuity mismatches (=0)")
+        assert sigma.measured == 7.43897436413411e-05
+        assert sigma.detail == "5 cut kinds, 0 region/disk-continuity mismatches (=0)"
         # and the suites built on harness.fd
         wave = suite_wave_maxwell(default_config(), np.random.default_rng(1))
         assert wave.measured == 1.998980535685136
@@ -1266,14 +1311,14 @@ class TestValidationSuites:
         # across the reference disk
         monkeypatch.setattr(geometry.UpperSpheroid, "cut_function",
                             lambda self, q: self.alpha * np.abs(np.sign(np.asarray(q, dtype=float))))
-        res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
+        res = suite_sigma_algebra(default_config(), np.random.default_rng(1))
         assert not res.passed
         assert res.measured <= res.threshold and _sign_mismatches(res) > 0
 
     def test_sign_gate_fails_on_a_reversed_sign_rule(self, monkeypatch):
         monkeypatch.setattr(geometry.BranchCut, "_sign",
                             lambda self, p, q: np.where(p > self.cut_function(q), -1, 1))
-        res = suite_sigma_algebra(default_config(), np.random.default_rng(1), n_points=1000)
+        res = suite_sigma_algebra(default_config(), np.random.default_rng(1))
         assert not res.passed
         assert res.measured <= res.threshold and _sign_mismatches(res) > 0
 
@@ -1312,13 +1357,46 @@ class TestValidationSuites:
         plus, minus = _straddle_pairs_for_cut(cut, cfg, np.random.default_rng(0), 500)
         assert np.all(cut.sign(plus, cfg) != cut.sign(minus, cfg))
 
+    def test_sigma_squared_gate_fails_on_a_scaled_sigma(self, monkeypatch):
+        # sigma off by 1e-11 with p and q unchanged: the frame is built from p and q, so
+        # only the sigma^2 identity can see it, and the suite must fail on that alone
+        n = 3 * validate_mod.BATCH + 5
+        good = suite_appendix_identities(default_config(), np.random.default_rng(1), n_points=n)
+        resolve = validate_mod.complex_distance_principal
+
+        def scaled(r, cfg):
+            sigma, p, q = resolve(r, cfg)
+            return sigma * (1.0 + 1e-11), p, q
+
+        monkeypatch.setattr(validate_mod, "complex_distance_principal", scaled)
+        bad = suite_appendix_identities(default_config(), np.random.default_rng(1), n_points=n)
+        assert good.passed and not bad.passed
+        assert bad.measured == good.measured
+        assert float(re.search(r"sigma\^2 residual (\S+) ", bad.detail).group(1)) > 1e-12
+
+    def test_battery_resolves_the_million_points_once(self, monkeypatch):
+        # the sigma^2 identity and the frame identities share one walk over 10^6 points;
+        # a second million-point walk through the principal sigma fails here
+        resolve = validate_mod.complex_distance_principal
+        seen = []
+
+        def counted(r, cfg):
+            seen.append(math.prod(np.shape(r)[:-1]))
+            return resolve(r, cfg)
+
+        monkeypatch.setattr(validate_mod, "complex_distance_principal", counted)
+        results = validate_mod.run_all(default_config(), seed=1)
+        assert all(res.passed for res in results)
+        assert 1_000_000 <= sum(seen) <= 1_050_000
+
     @pytest.mark.parametrize(
         "suite, limit_mb",
         [(suite_appendix_identities, 6), (suite_sigma_algebra, 4), (suite_spectra, 16)],
     )
     def test_million_point_suites_bounded_memory(self, suite, limit_mb):
-        # the bounds sit between the traced peaks at validate.BATCH = 2^13 (3.1 and 1.1 MB
-        # at seed 0) and at 2^16 (24.6 and 7.6 MB), so undoing the batching fails here;
+        # the appendix bound sits between its traced peaks at validate.BATCH = 2^13 (3.1 MB
+        # at seed 0) and at 2^16 (23.7 MB), so undoing the batching fails here; sigma-algebra
+        # walks no million points now and peaks at 0.4 MB;
         # the spectral tails import scipy.special lazily; trace the suite, not that import
         importlib.import_module("scipy.special")
         tracemalloc.start()

@@ -17,8 +17,8 @@ from emwavelets import (
     mixed_signals,
     psi,
     spheroid_point,
-    wave_residual,
 )
+from emwavelets.harness.fd import wave_residual
 from emwavelets.harness.spectral import cauchy_series_transform
 
 
