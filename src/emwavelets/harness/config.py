@@ -24,7 +24,7 @@ axes have none; an axis left out is the single point 0)::
     z = -2,2,41
     t = 1,3,5
     [surface]
-    alpha = 0.01                ; finite, > 0
+    alpha = 0.01                ; finite, > 0, <= 1e34
     nq = 40                     ; integer >= 1
     nphi = 16                   ; integer >= 1
     t = 1.2                     ; finite
@@ -53,6 +53,8 @@ from ..signals import CauchySignal, SampledSignal
 from ..surface_sources import DEFAULT_Q_MIN_FRAC, effective_aperture
 
 N_MAX = 169  # the largest Cauchy order n whose factorial(n + 1) is a finite float
+# surface_sources.impulse_tilde_lmn forms i pi s^3 w^3 (s = alpha - iq, w = tau^2 - s^2), a power alpha^9:
+SURFACE_ALPHA_MAX = 1e34  # below (largest float / pi)^(1/9) = 1.57e34, so the power is finite
 
 CUTS = {
     "flat_disk": lambda rc: FlatDisk(),
@@ -206,7 +208,7 @@ TABLE = {
     ("polarization", "re"): ("pol_re", _vector, "1,0,0"),
     ("polarization", "im"): ("pol_im", _vector, "0,0,0"),
     **{("grid", axis): (f"grid.{axis}", _axis, None) for axis in ("x", "y", "z", "t")},
-    ("surface", "alpha"): ("surface_alpha", _POSITIVE, "0.01"),
+    ("surface", "alpha"): ("surface_alpha", _number(lo=0, hi=SURFACE_ALPHA_MAX, above=True), "0.01"),
     ("surface", "nq"): ("surface_nq", _COUNT, "40"),
     ("surface", "nphi"): ("surface_nphi", _COUNT, "16"),
     ("surface", "t"): ("surface_t", _REAL, "1.2"),

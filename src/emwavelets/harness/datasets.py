@@ -5,10 +5,11 @@ values as paired Re/Im columns, rows in fixed row-major order, and files
 are written atomically (temp then rename) so interrupted runs leave no
 partial output.  The CSV body is a stream of 3-D blocks (outer, inner,
 columns), each written in reshape(-1, columns) order as it arrives, so a
-sweep is never held whole; a table is the one block rows[:, None].  A
-value that repeats along either axis of a block, as a sweep's point and
-time columns do, is formatted once and its text reused.  Values are
-formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
+sweep is never held whole; a table is the one block rows[:, None].  The
+header declares what each column varies with, as its producer built it:
+the outer item (a sweep's point), the inner item (its time slice) or the
+record; a value declared per item is formatted once and its text reused.
+Values are formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
 and the bytes, those of np.savetxt(fmt="%.17g", delimiter=","), go to a binary file.
 """
 
@@ -21,9 +22,10 @@ import numpy as np
 
 from ._format import WIDTH, format17
 
-__all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
+__all__ = ["OUTER", "INNER", "RECORD", "write_csv", "write_csv_atomic", "write_json_sidecar"]
 
 VALUE_BUDGET = 8192  # values per format17 call: bounds the writer's memory
+OUTER, INNER, RECORD = "outer", "inner", "record"  # what a column's values vary with
 
 
 def _write_atomic(path, write):
@@ -48,29 +50,15 @@ def _write_atomic(path, write):
         raise
 
 
-def _column_classes(bits):
-    """Masks of an (m, k, C) int64 block's columns: constant along k, else constant along m, else neither.
-
-    Comparing bits keeps -0.0 vs +0.0 and NaN payloads distinct; the block
-    is compared VALUE_BUDGET values at a time.
-    """
-    step = max(1, VALUE_BUDGET // bits[0].size)
-    parts = [bits[o : o + step] for o in range(0, len(bits), step)]
-    per_outer = np.all([(part == part[:, :1]).all(axis=(0, 1)) for part in parts], axis=0)
-    per_inner = np.all([(part == bits[:1]).all(axis=(0, 1)) for part in parts], axis=0) & ~per_outer
-    return per_outer, per_inner, ~(per_outer | per_inner)
-
-
 def _write_chunk(fh, sub, classes, buf):
     """Write an (m, k, C) sub-block, formatting each repeated value once.
 
-    A per-outer column is formatted once per outer item, a per-inner one
-    once per inner item, and any other once per record.  Each record's
-    text goes into the next C fields at the start of buf, a bytearray,
-    as NUL-padded fields each followed by its separator; the rest of buf
-    is zeroed, so the text is buf without its NULs.  The same double
-    always gives the same %.17g text, so the bytes are those of
-    formatting every value.
+    classes are the OUTER, INNER and RECORD column masks: each column is
+    formatted once per what it varies with.  Each record's text goes into
+    the next C fields at the start of buf, a bytearray, as NUL-padded
+    fields each followed by its separator; the rest of buf is zeroed, so
+    the text is buf without its NULs.  The same double always gives the
+    same %.17g text, so the bytes are those of formatting every value.
     """
     m, k, n_cols = sub.shape
     per_outer, per_inner, per_record = classes
@@ -95,26 +83,31 @@ def _write_chunk(fh, sub, classes, buf):
 def write_csv(fh, header, blocks) -> int:
     """Header line, then one line of 17-significant-digit values per record, to binary fh; returns the record count.
 
-    blocks is an iterable of 3-D (outer, inner, columns) arrays with the
-    same columns; each is written in reshape(-1, columns) order as it
-    arrives.  The bytes are those of np.savetxt(fmt="%.17g", delimiter=",")
-    on the concatenated records: every value formatted with "%.17g"
-    (harness._format), comma-joined.  A block's columns are classed once
-    (_column_classes), and the block is written in sub-blocks that each
-    format at most VALUE_BUDGET values, in one call.
+    header maps each column's name, in order, to OUTER, INNER or RECORD.
+    blocks is an iterable of 3-D (outer, inner, columns) arrays, each
+    written in reshape(-1, columns) order as it arrives.  An OUTER value is
+    read from an outer item's first record and an INNER one from a block's
+    first outer item, so where the blocks hold what header declares, the
+    bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
+    records.  A block is written in sub-blocks of one format17 call each.
     """
+    varies = list(header.values())
+    if not set(varies) <= {OUTER, INNER, RECORD}:
+        raise ValueError(f"a column varies with {OUTER}, {INNER} or {RECORD}, got {varies}")
+    classes = [np.array([v == kind for v in varies]) for kind in (OUTER, INNER, RECORD)]
+    # an (m, k) sub-block formats m n_o + k n_i + m k n_r values; a record counting as one at least bounds buf
+    n_o, n_i, n_r = (int(c.sum()) for c in classes)
+    n_r = max(n_r, 1)
     fh.write((",".join(header) + "\n").encode())
     buf = bytearray()
     records = 0
     for block in blocks:
         block = np.asarray(block, dtype=np.float64)
         n_outer, n_inner, n_cols = block.shape
+        if n_cols != len(varies):
+            raise ValueError(f"a block of {n_cols} columns under a header of {len(varies)}")
         if n_outer * n_inner == 0:
             continue
-        classes = _column_classes(block.view(np.int64))
-        # an (m, k) sub-block formats m n_o + k n_i + m k n_r values; a record counting as one at least bounds buf
-        n_o, n_i, n_r = (int(c.sum()) for c in classes)
-        n_r = max(n_r, 1)
         step = min(n_inner, max(1, (VALUE_BUDGET - n_o) // (n_i + n_r)))  # whole inner rows while one fits
         per = 1 if step < n_inner else max(1, (VALUE_BUDGET - step * n_i) // (n_o + step * n_r))
         size = min(per, n_outer) * step * n_cols * (WIDTH + 1)

@@ -14,6 +14,7 @@ from ..signals import SampledSignal
 from ..surface_sources import impulse_surface_sources, surface_sources_exact
 from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
+from .datasets import INNER, OUTER, RECORD
 from .grids import chunked_parallel_map, grid_axes, grid_points
 
 __all__ = [
@@ -27,18 +28,16 @@ __all__ = [
     "beam_profile_data",
 ]
 
-FIELD_HEADER_PSI = ["x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign", "re_psi", "im_psi"]
-FIELD_HEADER_F = [
-    "x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign",
-    "re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz",
-]
+# the headers declare what each column varies with (datasets.write_csv): in a sweep, the grid point (outer),
+# the time slice (inner) or the record; in a table, one rows[:, None] block, the record
+_SWEEP = {"x": OUTER, "y": OUTER, "z": OUTER, "t": INNER, "re_sigma": OUTER, "im_sigma": OUTER, "cut_sign": OUTER}
+FIELD_HEADER_PSI = {**_SWEEP, **dict.fromkeys(["re_psi", "im_psi"], RECORD)}
+FIELD_HEADER_F = {**_SWEEP, **dict.fromkeys(["re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz"], RECORD)}
 N_THETA = 13  # angles of the beam profile's far-zone arc
-SOURCE_HEADER = [
-    "q", "phi", "x", "y", "z",
-    "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
-    "in_rim_band",
-]
-BEAM_HEADER = ["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"]
+SOURCE_HEADER = dict.fromkeys([
+    "q", "phi", "x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz", "in_rim_band",
+], RECORD)
+BEAM_HEADER = dict.fromkeys(["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"], RECORD)
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
@@ -95,7 +94,7 @@ def field_dataset(rc: RunConfig, threads: int):
     header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
     cfg = rc.source
     meta = {"a": cfg.a, "b": cfg.b, "c": cfg.c, "cut": rc.cut_kind, "signal": rc.signal_kind,
-            **_drive_meta(rc.signal()), "quantity": rc.quantity, "columns": header}
+            **_drive_meta(rc.signal()), "quantity": rc.quantity, "columns": list(header)}
     return "field", header, field_rows(rc, threads), lambda records: {**meta, "records": records}
 
 
@@ -155,7 +154,7 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         "pol_im": np.imag(pol),
         "t": t,
         "q_min": q_min,
-        "columns": SOURCE_HEADER,
+        "columns": list(SOURCE_HEADER),
     }
     return "impulse_response" if impulse else "sources", SOURCE_HEADER, [rows[:, None]], lambda records: meta
 

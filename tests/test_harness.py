@@ -35,7 +35,9 @@ from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
-from emwavelets.harness.datasets import VALUE_BUDGET, write_csv, write_csv_atomic, write_json_sidecar
+from emwavelets.harness.datasets import (
+    INNER, OUTER, RECORD, VALUE_BUDGET, write_csv, write_csv_atomic, write_json_sidecar,
+)
 from emwavelets.harness.grids import chunked_parallel_map, grid_axes, grid_points
 from emwavelets.harness.runs import (
     FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, points_per_chunk, source_sweep_rows,
@@ -295,7 +297,6 @@ class TestConfig:
         assert (rc.source.b, rc.source.c, rc.quantity, rc.tol_cut, rc.q_min, rc.grid) == (1.5, 1.0, "F", 1e-9,
                                                                                            "auto", {})
 
-    @pytest.mark.xfail(strict=True, reason="a finite but huge value passes its range check; see ROADMAP item 5")
     def test_huge_surface_alpha_refused_or_finite(self, tmp_path, capsys):
         path = tmp_path / "huge.ini"
         path.write_text(CONFIG_TEXT.replace("alpha = 0.02", "alpha = 1e308"))
@@ -305,6 +306,21 @@ class TestConfig:
             assert np.isfinite(np.loadtxt(out / "sources.csv", delimiter=",", skiprows=1)).all()
         else:
             assert code == 2 and json.loads(capsys.readouterr().err)["message"].startswith("surface.alpha:")
+
+    @pytest.mark.parametrize("command, csv", [("sample-sources", "sources.csv"),
+                                              ("impulse-response", "impulse_response.csv")])
+    def test_surface_alpha_bound_runs_finite(self, tmp_path, command, csv):
+        # the largest accepted alpha, and the impulse coefficients' alpha^9 past it
+        log_alpha = math.log10(config_mod.SURFACE_ALPHA_MAX)
+        assert 9 * log_alpha + math.log10(math.pi) < math.log10(sys.float_info.max) < 9 * (log_alpha + 1)
+        path = tmp_path / "bound.ini"
+        path.write_text(CONFIG_TEXT.replace("alpha = 0.02", f"alpha = {config_mod.SURFACE_ALPHA_MAX!r}"))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert np.isfinite(np.loadtxt(out / csv, delimiter=",", skiprows=1)).all()
+        path.write_text(CONFIG_TEXT.replace("alpha = 0.02", "alpha = 1.01e34"))
+        with pytest.raises(ConfigError, match=r"^surface\.alpha: must be a finite number > 0 and <= 1e\+34"):
+            load_config(str(path))
 
     def test_axis_validation(self):
         with pytest.raises(ConfigError):
@@ -737,14 +753,14 @@ class TestDatasets:
     def test_format_round_trip(self, tmp_path):
         vals = [1 / 3, np.pi, 1e-17, -2.5e300]
         path = tmp_path / "vals.csv"
-        write_csv_atomic(path, ["v"], table([(v,) for v in vals]))
+        write_csv_atomic(path, per_record(["v"]), table([(v,) for v in vals]))
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         for v, read in zip(vals, back):
             assert float(read) == v
 
     def test_atomic_csv(self, tmp_path):
         path = tmp_path / "sub" / "data.csv"
-        assert write_csv_atomic(path, ["a", "b"], table([(1.0, 2.0), (3.0, 4.5)])) == 2
+        assert write_csv_atomic(path, per_record(["a", "b"]), table([(1.0, 2.0), (3.0, 4.5)])) == 2
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,2"
@@ -760,7 +776,7 @@ class TestDatasets:
     def test_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)
         try:
-            write_csv_atomic(tmp_path / "data.csv", ["a"], table([(1.0,)]))
+            write_csv_atomic(tmp_path / "data.csv", per_record(["a"]), table([(1.0,)]))
             write_json_sidecar(tmp_path / "meta.json", {"n": 1})
         finally:
             os.umask(old)
@@ -784,6 +800,11 @@ def table(rows):
     return [np.asarray(rows, dtype=np.float64)[:, None]]
 
 
+def per_record(names):
+    """A table's header: every column varies per record."""
+    return dict.fromkeys(names, RECORD)
+
+
 def written_csv(header, blocks):
     buf = io.BytesIO()
     records = write_csv(buf, header, blocks)
@@ -793,10 +814,11 @@ def written_csv(header, blocks):
 
 
 def sweep_like_block(rng, n_outer, n_inner):
-    """Columns repeating as a sweep's do, drawn from SPECIAL and random values.
+    """(header, block) of columns repeating as a sweep's do, drawn from SPECIAL and random values.
 
-    per outer item, per inner item, constant everywhere, per record, and
-    per outer item except for one record whose 0.0 turns into -0.0.
+    per outer item, per inner item, constant everywhere (declared per outer
+    item), per record, per outer item, per outer item except for one record
+    whose 0.0 turns into -0.0 (so per record), and per record.
     """
     pool = np.concatenate([SPECIAL, rng.normal(size=6)])
     shape = (n_outer, n_inner)
@@ -814,21 +836,31 @@ def sweep_like_block(rng, n_outer, n_inner):
         flipped,
         rng.choice(pool, shape),
     ]
-    return np.stack(cols, axis=-1)
+    return named([OUTER, INNER, OUTER, RECORD, OUTER, RECORD, RECORD]), np.stack(cols, axis=-1)
+
+
+def named(varies):
+    """A header of columns c0, c1, ... that vary as listed."""
+    return {f"c{i}": v for i, v in enumerate(varies)}
 
 
 def column_mix_block(rng, n_outer, n_inner, n_per_record):
-    """sweep_like_block with n_per_record >= 2 columns that vary per record.
+    """sweep_like_block's (header, block) with n_per_record >= 2 columns that vary per record.
 
     sweep_like_block has three, its columns 3, 5 and 6: column 3 goes for
     two, and columns drawn from SPECIAL and random values join for more.
     The others are three per outer item and one per inner item.
     """
-    block = sweep_like_block(rng, n_outer, n_inner)
+    header, block = sweep_like_block(rng, n_outer, n_inner)
+    varies = list(header.values())
     if n_per_record == 2:
-        return np.delete(block, 3, axis=-1)
-    pool = np.concatenate([SPECIAL, rng.normal(size=6)])
-    return np.concatenate([block, rng.choice(pool, (n_outer, n_inner, n_per_record - 3))], axis=-1)
+        del varies[3]
+        block = np.delete(block, 3, axis=-1)
+    else:
+        pool = np.concatenate([SPECIAL, rng.normal(size=6)])
+        varies += [RECORD] * (n_per_record - 3)
+        block = np.concatenate([block, rng.choice(pool, (n_outer, n_inner, n_per_record - 3))], axis=-1)
+    return named(varies), block
 
 
 def outer_per_call(n_per_record, n_inner=7):
@@ -844,9 +876,9 @@ def inner_per_call(n_per_record):
 class TestCsvParity:
     def test_special_values(self):
         column = np.array(SPECIAL)[:, None]
-        assert written_csv(["v"], table(column)) == savetxt_csv(["v"], column)
+        assert written_csv(per_record(["v"]), table(column)) == savetxt_csv(["v"], column)
         square = np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T
-        assert written_csv(["a", "b"], table(square)) == savetxt_csv(["a", "b"], square)
+        assert written_csv(per_record(["a", "b"]), table(square)) == savetxt_csv(["a", "b"], square)
 
     @pytest.mark.parametrize(
         "shape",
@@ -860,11 +892,10 @@ class TestCsvParity:
     def test_blocks(self, shape):
         # a psi-like and an F-like column mix: 2 and 6 columns per record
         for n_per_record in (2, 6):
-            block = column_mix_block(np.random.default_rng(sum(shape)), *shape, n_per_record)
-            header = [f"c{i}" for i in range(block.shape[-1])]
+            header, block = column_mix_block(np.random.default_rng(sum(shape)), *shape, n_per_record)
             expected = savetxt_csv(header, block.reshape(-1, block.shape[-1]))
             assert written_csv(header, [block]) == expected
-            assert written_csv(header, table(block.reshape(-1, block.shape[-1]))) == expected
+            assert written_csv(per_record(header), table(block.reshape(-1, block.shape[-1]))) == expected
             # streamed in uneven pieces along the outer axis, as field_rows' last block is
             pieces = np.split(block, [1, 3 + len(block) // 2])
             assert written_csv(header, iter(pieces)) == expected
@@ -872,12 +903,30 @@ class TestCsvParity:
     def test_list_of_tuples(self):
         # a block is anything np.asarray makes a 3-D array of; here one nested list per record
         rows = [(1.0, -0.0, 2), (1.0, 0.0, 3), (np.nan, 1 / 3, -2.5e300)]
-        assert written_csv(["a", "b", "c"], ([[row]] for row in rows)) == savetxt_csv(["a", "b", "c"], rows)
+        header = per_record(["a", "b", "c"])
+        assert written_csv(header, ([[row]] for row in rows)) == savetxt_csv(header, rows)
 
     def test_rejects_other_ranks(self):
         for shape in [(2, 2), (2, 2, 2, 2)]:
             with pytest.raises(ValueError):
-                write_csv(io.BytesIO(), ["v"], [np.zeros(shape)])
+                write_csv(io.BytesIO(), per_record(["v"]), [np.zeros(shape)])
+
+    def test_rejects_a_header_that_does_not_fit(self):
+        with pytest.raises(ValueError, match="a block of 2 columns under a header of 1"):
+            write_csv(io.BytesIO(), per_record(["v"]), [np.zeros((2, 1, 2))])
+        with pytest.raises(ValueError, match="varies with"):
+            write_csv(io.BytesIO(), {"v": "point"}, [np.zeros((2, 1, 1))])
+
+    def test_declared_columns_are_formatted_once_per_item(self, monkeypatch):
+        # an OUTER column's text comes from each outer item's first record, an INNER one's from the first outer item
+        block = np.arange(24.0).reshape(2, 3, 4)
+        calls = []
+        monkeypatch.setattr(datasets, "format17", lambda x: calls.append(x.size) or _format.format17(x))
+        header = {"o": OUTER, "i": INNER, "r": RECORD, "s": RECORD}
+        expected = block.copy()
+        expected[..., 0], expected[..., 1] = block[:, :1, 0], block[:1, :, 1]
+        assert written_csv(header, [block]) == savetxt_csv(header, expected.reshape(-1, 4))
+        assert calls == [2 + 3 + 12]
 
     def test_writer_memory_bounded(self):
         class Sink:
@@ -892,18 +941,19 @@ class TestCsvParity:
             finally:
                 tracemalloc.stop()
 
-        def f_block(n_points, n_times=10):
-            rng = np.random.default_rng(0)
-            per_record = rng.normal(size=(n_points, n_times, 6))  # 7 + 6 columns: the F width
-            return np.concatenate([sweep_like_block(rng, n_points, n_times), per_record], axis=-1)
-
-        def psi_block(n_points, n_times=10):
-            # x, y, z, sigma and the cut sign per point, t per time slice, psi per record
+        def field_like_block(n_points, n_times, n_values):
+            # x, y, z, sigma and the cut sign per point, t per time slice, the field per record
             rng = np.random.default_rng(0)
             per_point = np.broadcast_to(rng.normal(size=(n_points, 1, 6)), (n_points, n_times, 6))
             t = np.broadcast_to(np.linspace(1.0, 2.0, n_times)[:, None], (n_points, n_times, 1))
-            per_record = rng.normal(size=(n_points, n_times, 2))
+            per_record = rng.normal(size=(n_points, n_times, n_values))
             return np.concatenate([per_point[..., :3], t, per_point[..., 3:], per_record], axis=-1)
+
+        def f_block(n_points, n_times=10):
+            return field_like_block(n_points, n_times, 6)
+
+        def psi_block(n_points, n_times=10):
+            return field_like_block(n_points, n_times, 2)
 
         def source_table(n_rows):
             # a sample-sources table: 14 columns, the last a 0/1 flag
@@ -988,6 +1038,60 @@ class TestCsvParity:
         assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, block[:, 0])
 
 
+def blocks_hold_their_header(header, blocks):
+    """The number of blocks, after checking each against what header declares its columns vary with.
+
+    An OUTER column must be bitwise constant along a block's inner axis and
+    an INNER one along its outer axis; bits keep -0.0 and NaN payloads apart.
+    """
+    varies = np.array(list(header.values()))
+    n_blocks = 0
+    for block in blocks:
+        bits = np.asarray(block, dtype=np.float64).view(np.int64)
+        assert bits.shape[-1] == varies.size
+        outer, inner = bits[..., varies == OUTER], bits[..., varies == INNER]
+        assert (outer == outer[:, :1]).all() and (inner == inner[:1]).all()
+        n_blocks += 1
+    return n_blocks
+
+
+class TestColumnDeclarations:
+    GRID = {
+        "x": AxisSpec(-1.45, 1.55, 15),
+        "y": AxisSpec(0.03, 0.2, 2),
+        "z": AxisSpec(-0.47, 0.61, 70),  # 2,100 points: two blocks at one time slice, ten at nine
+    }
+
+    @pytest.mark.parametrize("n_times", [1, 9])
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    @pytest.mark.parametrize("cut", ["flat_disk", "upper_spheroid", "lower_spheroid", "smooth_spheroid"])
+    def test_field_sweep_blocks_hold_the_declaration(self, cut, quantity, n_times):
+        t = AxisSpec(1.0, 1.0, 1) if n_times == 1 else AxisSpec(0.5, 2.5, n_times)
+        rc = dataclasses.replace(upper_spheroid_config(quantity, {**self.GRID, "t": t}), cut_kind=cut)
+        name, header, blocks, sidecar = cli.DATASETS["sample-field"][0](rc, 1)
+        assert header is (FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F)
+        assert list(header) == sidecar(0)["columns"]
+        assert [k for k, v in header.items() if v != RECORD] == [
+            "x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign"]
+        assert header["t"] == INNER
+        assert blocks_hold_their_header(header, blocks) == (2 if n_times == 1 else 10)
+
+    @pytest.mark.parametrize("command", ["sample-sources", "impulse-response", "beam-profile"])
+    def test_tables_declare_every_column_per_record(self, command, config_file):
+        name, header, blocks, _ = cli.DATASETS[command][0](load_config(config_file), 1)
+        assert set(header.values()) == {RECORD}
+        assert blocks_hold_their_header(header, blocks) == 1
+        assert [np.shape(block)[1] for block in blocks] == [1]
+
+    def test_determinism_suite_writes_the_field_declaration(self, monkeypatch):
+        headers = []
+        write = validate_mod.write_csv
+        monkeypatch.setattr(validate_mod, "write_csv", lambda fh, header, blocks: headers.append(header)
+                            or write(fh, header, blocks))
+        assert validate_mod.suite_determinism(default_config(), None).passed
+        assert headers == [FIELD_HEADER_F, FIELD_HEADER_F] and headers[0] is FIELD_HEADER_F
+
+
 def format17_text(values):
     """The text format17 gives each value, its rows without their NULs."""
     rows = _format.format17(np.asarray(values, dtype=np.float64))
@@ -1048,8 +1152,7 @@ class TestFormat17:
             return "%.17g" % v
 
         monkeypatch.setattr(_format, "_fallback", counted)
-        block = sweep_like_block(np.random.default_rng(3), 40, 13)
-        header = [f"c{i}" for i in range(block.shape[-1])]
+        header, block = sweep_like_block(np.random.default_rng(3), 40, 13)
         assert written_csv(header, [block]) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
         flat = block.ravel()
         special = ~((flat == 0.0) | ((np.abs(flat) >= 1e-280) & (np.abs(flat) <= 1e280)))
@@ -1222,8 +1325,20 @@ class TestSpectralOracles:
 
     def test_expint_fraction_refuses_what_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(spectral, "EXPINT_TERMS", 3)
-        with pytest.raises(RuntimeError, match="did not converge in 3 terms"):
+        with pytest.raises(QuadratureDivergenceError, match=r"E_2 .* did not converge in 3 terms at x = 1\+1j"):
             spectral._expint_fraction(2, np.array([1.0 + 1.0j, 50.0 - 2.0j]))
+
+    def test_expint_fraction_converges_on_its_documented_domain(self):
+        x = (np.logspace(0, 6, 61)[:, None] * np.exp(1j * np.pi * np.linspace(-0.85, 0.85, 35))).ravel()
+        for n in (1, 2, 4, 16, 64):
+            assert np.isfinite(spectral._expint_fraction(n, x)).all()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_expint_near_the_negative_real_axis_is_refused(self, n):
+        x = np.array([3.0 + 0.0j, 2.0 * np.exp(0.99j * np.pi), 5.0 * np.exp(-0.99j * np.pi)])
+        first = f"{x[1]:.17g}".replace("+", "\\+").replace("(", "").replace(")", "")
+        with pytest.raises(QuadratureDivergenceError, match=rf"E_{n} .* at x = {first} \(2 of 3 arguments\)"):
+            spectral._scaled_expint(n, x)
 
 
 class TestBeamMeasurement:
