@@ -51,14 +51,25 @@ class RimSingularityError(EmwaveletsError):
     """Disk source density evaluated at the rim, where it diverges."""
 
 
+class NonFiniteSourceError(EmwaveletsError):
+    """Surface source that came out NaN or infinite for finite input: the drive or its coefficients overflowed."""
+
+
 class ConfigError(EmwaveletsError):
     """Invalid run configuration."""
 
 
-def _refuse(error, reason, bad, r):
-    """Raise error(reason) if any point of r is bad, naming how many and the first of them."""
+def refuse(error, reason, bad, r):
+    """Raise error(reason) if any point of r is bad, naming how many and the first of them.
+
+    r holds each point's coordinates along its last axis.  bad broadcasts to
+    r.shape[:-1], so a mask taken once per surface ring counts, and names,
+    the points of that ring.
+    """
     if np.any(bad):
-        first = np.reshape(r, (-1, 3))[np.flatnonzero(bad)[0]]
+        r = np.asarray(r)
+        bad = np.broadcast_to(bad, r.shape[:-1])
+        first = r.reshape(-1, r.shape[-1])[np.flatnonzero(bad)[0]]
         where = ", ".join(f"{v:g}" for v in first)
         count = f"{np.count_nonzero(bad)} of {np.size(bad)} points refused"
         raise error(f"{reason}: {count}, first at ({where})")

@@ -25,7 +25,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import OnBranchCircleError, OnCutError, _refuse
+from .errors import OnBranchCircleError, OnCutError, refuse
 
 __all__ = [
     "SourceConfig",
@@ -184,7 +184,7 @@ class ComplexDistanceSample:
 
     def __post_init__(self):
         near = self._pq2 <= (1e-8 * self.cfg.a_mag) ** 2
-        _refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", near, self.r)
+        refuse(OnBranchCircleError, "field point on the branch circle (p = q = 0)", near, self.r)
 
     @cached_property
     def _pq2(self):
@@ -540,7 +540,7 @@ def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -
     sigma0, p, q = complex_distance_principal(r, cfg)
     if tol_cut is None:
         tol_cut = 1e-9 * cfg.a_mag
-    _refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
+    refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
     s = cut._sign(p, q)
     return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)
 

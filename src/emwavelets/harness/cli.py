@@ -75,19 +75,20 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+COMMANDS = {**dict.fromkeys(DATASETS, cmd_write), "validate": cmd_validate}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="emwavelets",
         description="Complex-source pulsed beams: field sampling, antenna sources, validation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in {**dict.fromkeys(DATASETS, cmd_write), "validate": cmd_validate}.items():
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    # every command takes the same flags: one parser, the command a positional choice
+    parser.add_argument("command", choices=COMMANDS)
+    _add_common(parser)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except EmwaveletsError as exc:
         config = isinstance(exc, ConfigError)
         print(json.dumps({"error": "config" if config else "run", "message": str(exc)}), file=sys.stderr)

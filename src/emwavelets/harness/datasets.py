@@ -7,8 +7,9 @@ partial output.  The CSV body is a stream of 3-D blocks (outer, inner,
 columns), each written in reshape(-1, columns) order as it arrives, so a
 sweep is never held whole; a table is the one block rows[:, None].  The
 header declares what each column varies with, as its producer built it:
-the outer item (a sweep's point), the inner item (its time slice) or the
-record; a value declared per item is formatted once and its text reused.
+the outer item (a field sweep's point, a surface sweep's ring), the inner
+item (its time slice, its azimuth) or the record; a value declared per
+item is formatted once and its text reused.
 Values are formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
 and the bytes, those of np.savetxt(fmt="%.17g", delimiter=","), go to a binary file.
 """

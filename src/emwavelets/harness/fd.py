@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from ..em_fields import _as_pol, four_potential
-from ..errors import TooCloseToCutError, _refuse
+from ..errors import TooCloseToCutError, refuse
 from ..geometry import SourceConfig, _cross, spheroid_point
 from ..scalar_wavelet import ScalarWavelet, interior_psi, psi
 from ..signals import CauchySignal
@@ -146,8 +146,8 @@ def richardson(coarse, fine, order: int, ratio: float = 2.0):
 
 def _refuse_straddle(w: ScalarWavelet, r, margin):
     """Refuse the points within margin of the wavelet's cut, where a stencil would cross it."""
-    _refuse(TooCloseToCutError, "stencil would straddle the branch cut",
-            w.cut.clearance(r, w.cfg) <= margin, r)
+    refuse(TooCloseToCutError, "stencil would straddle the branch cut",
+           w.cut.clearance(r, w.cfg) <= margin, r)
 
 
 def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..em_fields import assemble, lmn
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteSourceError, refuse
 from ..geometry import branch
 from ..scalar_wavelet import psi_of_sigma
 from ..signals import SampledSignal
@@ -28,15 +28,20 @@ __all__ = [
     "beam_profile_data",
 ]
 
-# the headers declare what each column varies with (datasets.write_csv): in a sweep, the grid point (outer),
-# the time slice (inner) or the record; in a table, one rows[:, None] block, the record
+# the headers declare what each column varies with (datasets.write_csv): in a field sweep, the grid point
+# (outer), the time slice (inner) or the record; in a surface sweep, the ring, the azimuth or the record
+# (x, y and z too: z varies with phi about a tilted axis); in a table, one rows[:, None] block, the record
 _SWEEP = {"x": OUTER, "y": OUTER, "z": OUTER, "t": INNER, "re_sigma": OUTER, "im_sigma": OUTER, "cut_sign": OUTER}
 FIELD_HEADER_PSI = {**_SWEEP, **dict.fromkeys(["re_psi", "im_psi"], RECORD)}
 FIELD_HEADER_F = {**_SWEEP, **dict.fromkeys(["re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz"], RECORD)}
 N_THETA = 13  # angles of the beam profile's far-zone arc
-SOURCE_HEADER = dict.fromkeys([
-    "q", "phi", "x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz", "in_rim_band",
-], RECORD)
+SOURCE_HEADER = {
+    "q": OUTER,
+    "phi": INNER,
+    **dict.fromkeys(["x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz"], RECORD),
+    "in_rim_band": OUTER,
+}
+RECORDS_PER_BLOCK = 4096  # a surface sweep block: max(1, RECORDS_PER_BLOCK // nphi) whole rings
 BEAM_HEADER = dict.fromkeys(["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"], RECORD)
 
 
@@ -112,9 +117,15 @@ def _drive_meta(sig) -> dict:
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     """sample-sources' or impulse-response's (name, header, blocks, sidecar of the record count).
 
-    The block is the surface sweep of the equivalent sources on the
-    spheroid p = alpha; rim-band rows are annotated via the last column,
-    never dropped.
+    The sweep of the equivalent sources on the spheroid p = alpha, as
+    (rings, azimuths, columns) blocks of about RECORDS_PER_BLOCK records,
+    whole q rings each, computed as consumed; q runs slowest and phi
+    fastest.  A block's sources take q as a column and phi as a row, so
+    what depends on the ring alone, the drive's signals included, is
+    computed once per ring (surface_sources._surface_geometry).  Rim-band
+    rows are annotated via the last column, never dropped.  A source that
+    is not finite refuses the run (NonFiniteSourceError), naming how many
+    points of its block and the (q, phi) of the first.
     """
     cfg = rc.source
     a = cfg.a_mag
@@ -123,27 +134,32 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     q_min = rc.q_min_value()
     qs = np.linspace(-0.98 * a, 0.98 * a, rc.surface_nq)
     phis = np.linspace(0.0, 2 * np.pi, rc.surface_nphi, endpoint=False)
-    Q, P = np.meshgrid(qs, phis, indexing="ij")
-    qf, pf = Q.ravel(), P.ravel()
     t = rc.surface_t
     if impulse:
-        s = impulse_surface_sources(pol, qf, pf, alpha, t, cfg, q_min=0.0)
+        sources = lambda q: impulse_surface_sources(pol, q, phis, alpha, t, cfg, q_min=0.0)
         drive = {"n": "impulse"}
     else:
         w = rc.wavelet()
-        s = surface_sources_exact(w, pol, qf, pf, alpha, t, q_min=0.0)
+        sources = lambda q: surface_sources_exact(w, pol, q, phis, alpha, t, q_min=0.0)
         drive = _drive_meta(w.sig)
-    in_rim = (np.abs(qf) < q_min).astype(float)
-    rows = np.column_stack(
-        [
-            qf, pf, s.position[:, 0], s.position[:, 1], s.position[:, 2],
-            s.j0.real, s.j0.imag,
-            s.j[:, 0].real, s.j[:, 0].imag,
-            s.j[:, 1].real, s.j[:, 1].imag,
-            s.j[:, 2].real, s.j[:, 2].imag,
-            in_rim,
-        ]
-    )
+
+    def eval_rings(ring_qs):
+        q = ring_qs[:, None]
+        with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
+            s = sources(q)
+        rows = np.empty(s.j0.shape + (14,))
+        rows[..., 0] = q
+        rows[..., 1] = phis
+        rows[..., 2:5] = s.position
+        rows[..., 5] = s.j0.real
+        rows[..., 6] = s.j0.imag
+        rows[..., 7:13:2] = s.j.real
+        rows[..., 8:13:2] = s.j.imag
+        rows[..., 13] = np.abs(q) < q_min
+        refuse(NonFiniteSourceError, "surface source not finite at (q, phi)", ~np.isfinite(rows).all(axis=-1),
+               rows[..., :2])
+        return rows
+
     meta = {
         "a": cfg.a,
         "b": cfg.b,
@@ -156,7 +172,8 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         "q_min": q_min,
         "columns": list(SOURCE_HEADER),
     }
-    return "impulse_response" if impulse else "sources", SOURCE_HEADER, [rows[:, None]], lambda records: meta
+    blocks = chunked_parallel_map(eval_rings, qs, max(1, RECORDS_PER_BLOCK // phis.size))
+    return "impulse_response" if impulse else "sources", SOURCE_HEADER, blocks, lambda records: meta
 
 
 def beam_profile_data(rc: RunConfig):

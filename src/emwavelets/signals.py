@@ -83,8 +83,8 @@ class SampledSignal(DrivingSignal):
     reciprocal and, per derivative order, one complex product and one
     matrix-vector product over the D x M kernel, which is built in row
     chunks of at most KERNEL_CHUNK entries; so memory stays bounded
-    whatever N and M are (see eval_derivs).  A surface sweep repeats each
-    tau -+ sigma along its ring, so D there is twice the ring count.
+    whatever N and M are (see eval_derivs).  A surface sweep passes sigma
+    once per ring, so there N = D is twice the ring count.
     """
 
     t: np.ndarray
@@ -132,9 +132,10 @@ class SampledSignal(DrivingSignal):
     def _derivs(self, tau, kmax: int):
         """[g, g', ..., g^(kmax)] at tau in one pass over row chunks of the distinct tau.
 
-        Repeated arguments (the tau -+ sigma of every point of a surface
-        ring) share one kernel row: the values are deduplicated by bit
-        pattern, so -0.0 and +0.0 stay distinct.  Per chunk, R = 1/(tau - t)
+        Repeated arguments (the tau -+ sigma of a surface ring's points,
+        where a caller passes them point by point) share one kernel row: the
+        values are deduplicated by bit pattern, so -0.0 and +0.0 stay
+        distinct.  Per chunk, R = 1/(tau - t)
         is built once, R^(k+1) by repeated multiplication, and each power is
         contracted with the weights; g^(k) = (-1)^k k!/(2*pi*i) * R^(k+1) @ weights.
         """

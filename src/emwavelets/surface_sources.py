@@ -133,13 +133,18 @@ def _surface_geometry(q, phi, alpha, cfg):
     """Point and frame of the spheroid p = alpha at (q, phi), from the surface coordinates.
 
     sigma = alpha - i*q is exact for the requested (q, phi) and bitwise equal
-    along each ring, so a drive evaluated at tau -+ sigma repeats its
-    arguments there; alpha is a scalar or broadcasts with q and phi.
+    along each ring; alpha is a scalar or broadcasts with q and phi.  p and q
+    are broadcast against each other only, not against phi: for q of shape
+    (rings, 1) and phi of shape (1, azimuths), sigma and all that depends on
+    it alone (the light-cone check, the drive's mixed signals, the jump
+    coefficients, the frame's p^2 + q^2 and its e_p denominator) are
+    computed once per ring, and only the point, the frame's vectors and the
+    assembly once per point.
     """
     if np.any(np.asarray(alpha) < 0.0):
         raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
     pos = spheroid_point(alpha, q, phi, cfg)
-    p, q = (np.broadcast_to(np.asarray(x, dtype=float), pos.shape[:-1]) for x in (alpha, q))
+    p, q = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(q, dtype=float))
     return pos, ComplexDistanceSample(pos, cfg, p - 1j * q, p, q)
 
 

@@ -29,7 +29,9 @@ from emwavelets import (
 )
 from emwavelets.errors import ConfigError, OnCutError, QuadratureDivergenceError, UnderResolvedSignalError
 from emwavelets.signals import SampledSignal, spectrum_cauchy
-from emwavelets.surface_sources import DEFAULT_Q_MIN_FRAC, effective_aperture
+from emwavelets.surface_sources import (
+    DEFAULT_Q_MIN_FRAC, effective_aperture, impulse_surface_sources, surface_sources_exact,
+)
 from emwavelets.harness import _format, datasets, fd, spectral
 from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
@@ -386,6 +388,30 @@ def field_block(rc, threads=1):
     return np.concatenate(list(field_rows(rc, threads)))
 
 
+def source_table(blocks):
+    """source_sweep_rows' ring blocks as one (records, columns) table, in output order."""
+    return np.concatenate([block.reshape(-1, block.shape[-1]) for block in blocks])
+
+
+def flat_source_table(rc, impulse=False):
+    """The surface sweep as one evaluation of every (q, phi) point, flattened: source_sweep_rows' reference."""
+    cfg = rc.source
+    a = cfg.a_mag
+    qs = np.linspace(-0.98 * a, 0.98 * a, rc.surface_nq)
+    phis = np.linspace(0.0, 2 * np.pi, rc.surface_nphi, endpoint=False)
+    Q, P = np.meshgrid(qs, phis, indexing="ij")
+    q, phi = Q.ravel(), P.ravel()
+    pol, alpha, t = rc.polarization(), rc.surface_alpha, rc.surface_t
+    with np.errstate(all="ignore"):
+        if impulse:
+            s = impulse_surface_sources(pol, q, phi, alpha, t, cfg, q_min=0.0)
+        else:
+            s = surface_sources_exact(rc.wavelet(), pol, q, phi, alpha, t, q_min=0.0)
+    j = [part for k in range(3) for part in (s.j[:, k].real, s.j[:, k].imag)]
+    in_rim = (np.abs(q) < rc.q_min_value()).astype(float)
+    return np.column_stack([q, phi, s.position, s.j0.real, s.j0.imag, *j, in_rim])
+
+
 def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
     return dataclasses.replace(
         default_config(), cut_kind="upper_spheroid", cut_alpha=0.1, signal_n=2,
@@ -448,6 +474,93 @@ class TestFieldRows:
         assert np.isfinite(rows).all()
         with pytest.raises(OnCutError):
             field_block(upper_spheroid_config(quantity, grid))
+
+
+def gaussian_pulse_csv(path, n=801):
+    """A two-column t,g0 CSV of a Gaussian derivative on [-20, 20]; returns its path as a string."""
+    t = np.linspace(-20.0, 20.0, n)
+    np.savetxt(path, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+    return str(path)
+
+
+class TestSourceSweep:
+    TILTED = SourceConfig(a=np.array([0.4, -0.65, 1.05]), b=2.5)
+
+    @pytest.mark.parametrize("impulse", [False, True], ids=["sources", "impulse"])
+    @pytest.mark.parametrize("edit, blocks", [
+        pytest.param({"surface_nq": 9, "surface_nphi": 4}, [9], id="odd-nq"),  # a q = 0 ring
+        pytest.param({"surface_nq": 40, "surface_nphi": 1}, [40], id="nphi-1"),
+        pytest.param({"surface_nq": 1, "surface_nphi": 16}, [1], id="nq-1"),
+        pytest.param({"source": TILTED, "surface_nq": 17, "surface_nphi": 12}, [17], id="tilted-axis"),
+        pytest.param({"signal_n": 4, "surface_nq": 33, "surface_nphi": 8}, [33], id="cauchy-n4"),
+        pytest.param({"signal_kind": "sampled", "surface_nq": 33, "surface_nphi": 8}, [33], id="sampled"),
+        pytest.param({"source": TILTED, "signal_kind": "sampled", "surface_nq": 17, "surface_nphi": 12}, [17],
+                     id="sampled-tilted-axis"),
+        pytest.param({"surface_nq": 701, "surface_nphi": 17}, [240, 240, 221], id="several-blocks"),
+    ])
+    def test_matches_flat_evaluation(self, edit, blocks, impulse, tmp_path):
+        # whole rings per block, each bitwise equal to evaluating every point of the grid at once
+        rc = dataclasses.replace(default_config(), **{"signal_n": 2, "pol_im": np.array([0.0, 0.5, 0.0]),
+                                                      "surface_alpha": 0.03, "q_min": 0.15, **edit})
+        if rc.signal_kind == "sampled":
+            rc.signal_csv = gaussian_pulse_csv(tmp_path / "pulse.csv")
+        name, header, got, _ = source_sweep_rows(rc, impulse=impulse)
+        got = list(got)
+        assert [block.shape for block in got] == [(n, rc.surface_nphi, 14) for n in blocks]
+        want = flat_source_table(rc, impulse=impulse)
+        if edit["surface_nq"] == 9:
+            assert 0.0 in want[:, 0]
+        assert np.array_equal(source_table(got).view(np.int64), want.view(np.int64))
+        assert_same_lines(written_csv(header, got), savetxt_csv(header, want))
+
+    def test_drive_evaluated_once_per_ring(self, tmp_path, monkeypatch):
+        # the sampled drive sees the two arguments tau -+ sigma of each ring, not of each point
+        rc = dataclasses.replace(default_config(), signal_kind="sampled", signal_csv=gaussian_pulse_csv(
+            tmp_path / "pulse.csv"), surface_nq=24, surface_nphi=16)
+        seen = []
+        derivs = SampledSignal._derivs
+        monkeypatch.setattr(SampledSignal, "_derivs", lambda sig, tau, kmax: seen.append(np.size(tau))
+                            or derivs(sig, tau, kmax))
+        source_table(source_sweep_rows(rc)[2])
+        assert seen == [2 * 24]
+
+    @pytest.mark.parametrize("command", ["sample-sources", "impulse-response"])
+    def test_branch_circle_refusal_names_a_point_of_its_ring(self, tmp_path, capsys, command):
+        # alpha = 1e-9 puts the q = 0 ring of nq = 9 on the branch circle: a mask taken once per ring
+        # names that ring's first point, not the point at the ring's own index
+        path = tmp_path / "circle.ini"
+        path.write_text(CONFIG_TEXT.replace("alpha = 0.02\nnq = 8", "alpha = 1e-9\nnq = 9"))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not list(out.glob("*"))
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == "field point on the branch circle (p = q = 0): 4 of 36 points refused, first at (1, 0, 0)"
+
+    @pytest.mark.parametrize("command, values", [
+        # a Cauchy kernel overflows at a high order, or at a huge alpha inside its bound
+        pytest.param("sample-sources", {"n": "160"}, id="sources-n160"),
+        pytest.param("sample-sources", {"n": "20", "alpha": "1e15"}, id="sources-n20-alpha1e15"),
+        # the impulse coefficients overflow at a huge time, or a huge imaginary time
+        pytest.param("impulse-response", {"t": "1e100"}, id="impulse-t1e100"),
+        pytest.param("impulse-response", {"b": "1e100"}, id="impulse-b1e100"),
+    ])
+    def test_non_finite_sources_refused(self, tmp_path, capsys, command, values):
+        values = {"n": "1", "alpha": "1", "t": "1.2", "b": "1.5", **values}
+        text = ("[source]\na = 0,0,1\nb = {b}\n[signal]\nkind = cauchy\nn = {n}\n"
+                "[surface]\nalpha = {alpha}\nt = {t}\n").format(**values)
+        path = tmp_path / "huge.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not list(out.glob("*"))
+        error = json.loads(capsys.readouterr().err.strip())
+        # the flat evaluation finds the same points: 40 rings of 16 azimuths, one block
+        rows = flat_source_table(load_config(str(path)), impulse=command == "impulse-response")
+        bad = ~np.isfinite(rows).all(axis=1)
+        q, phi = rows[np.flatnonzero(bad)[0], :2]
+        assert error == {"error": "run", "message": f"surface source not finite at (q, phi): {bad.sum()} of 640 "
+                                                    f"points refused, first at ({q:g}, {phi:g})"}
+        assert 0 < bad.sum() < 640 if values["n"] == "160" else bad.all()
 
 
 def _calls_in_scopes(tree):
@@ -795,6 +908,20 @@ def savetxt_csv(header, table):
     return buf.getvalue()
 
 
+def assert_same_lines(got, want):
+    """Fail at the first line where two CSV texts differ, naming it and both texts' line counts.
+
+    pytest's own diff of two texts of thousands of lines can run for minutes.
+    """
+    if got == want:
+        return
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    line = lambda lines: lines[first] if first < len(lines) else "<no line>"
+    pytest.fail(f"line {first + 1} of {len(got)} differs from line {first + 1} of {len(want)}: "
+                f"{line(got)!r} != {line(want)!r}", pytrace=False)
+
+
 def table(rows):
     """A 2-D table as write_csv's one block rows[:, None]."""
     return [np.asarray(rows, dtype=np.float64)[:, None]]
@@ -876,9 +1003,9 @@ def inner_per_call(n_per_record):
 class TestCsvParity:
     def test_special_values(self):
         column = np.array(SPECIAL)[:, None]
-        assert written_csv(per_record(["v"]), table(column)) == savetxt_csv(["v"], column)
+        assert_same_lines(written_csv(per_record(["v"]), table(column)), savetxt_csv(["v"], column))
         square = np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T
-        assert written_csv(per_record(["a", "b"]), table(square)) == savetxt_csv(["a", "b"], square)
+        assert_same_lines(written_csv(per_record(["a", "b"]), table(square)), savetxt_csv(["a", "b"], square))
 
     @pytest.mark.parametrize(
         "shape",
@@ -894,17 +1021,17 @@ class TestCsvParity:
         for n_per_record in (2, 6):
             header, block = column_mix_block(np.random.default_rng(sum(shape)), *shape, n_per_record)
             expected = savetxt_csv(header, block.reshape(-1, block.shape[-1]))
-            assert written_csv(header, [block]) == expected
-            assert written_csv(per_record(header), table(block.reshape(-1, block.shape[-1]))) == expected
+            assert_same_lines(written_csv(header, [block]), expected)
+            assert_same_lines(written_csv(per_record(header), table(block.reshape(-1, block.shape[-1]))), expected)
             # streamed in uneven pieces along the outer axis, as field_rows' last block is
             pieces = np.split(block, [1, 3 + len(block) // 2])
-            assert written_csv(header, iter(pieces)) == expected
+            assert_same_lines(written_csv(header, iter(pieces)), expected)
 
     def test_list_of_tuples(self):
         # a block is anything np.asarray makes a 3-D array of; here one nested list per record
         rows = [(1.0, -0.0, 2), (1.0, 0.0, 3), (np.nan, 1 / 3, -2.5e300)]
         header = per_record(["a", "b", "c"])
-        assert written_csv(header, ([[row]] for row in rows)) == savetxt_csv(header, rows)
+        assert_same_lines(written_csv(header, ([[row]] for row in rows)), savetxt_csv(header, rows))
 
     def test_rejects_other_ranks(self):
         for shape in [(2, 2), (2, 2, 2, 2)]:
@@ -925,7 +1052,7 @@ class TestCsvParity:
         header = {"o": OUTER, "i": INNER, "r": RECORD, "s": RECORD}
         expected = block.copy()
         expected[..., 0], expected[..., 1] = block[:, :1, 0], block[:1, :, 1]
-        assert written_csv(header, [block]) == savetxt_csv(header, expected.reshape(-1, 4))
+        assert_same_lines(written_csv(header, [block]), savetxt_csv(header, expected.reshape(-1, 4)))
         assert calls == [2 + 3 + 12]
 
     def test_writer_memory_bounded(self):
@@ -955,17 +1082,19 @@ class TestCsvParity:
         def psi_block(n_points, n_times=10):
             return field_like_block(n_points, n_times, 2)
 
-        def source_table(n_rows):
-            # a sample-sources table: 14 columns, the last a 0/1 flag
+        def source_block(n_rows, n_phi=32):
+            # a sample-sources block: q and a 0/1 flag per ring, phi per azimuth, the rest per record
             rng = np.random.default_rng(0)
-            rows = rng.normal(size=(n_rows, 14))
-            rows[:, -1] = rng.integers(0, 2, n_rows)
-            return rows[:, None]
+            rows = rng.normal(size=(n_rows // n_phi, n_phi, 14))
+            rows[..., 0] = rng.normal(size=(n_rows // n_phi, 1))
+            rows[..., 1] = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+            rows[..., -1] = rng.integers(0, 2, (n_rows // n_phi, 1))
+            return rows
 
         for header, make, sizes in [
             (FIELD_HEADER_F, f_block, (1_000, 10_000)),
             (FIELD_HEADER_PSI, psi_block, (1_000, 10_000)),
-            (SOURCE_HEADER, source_table, (2_560, 10_240)),
+            (SOURCE_HEADER, source_block, (2_560, 10_240)),
         ]:
             small, large = (peak(header, make(n)) for n in sizes)
             assert large <= 1.1 * small, header
@@ -986,7 +1115,7 @@ class TestCsvParity:
         calls = []
         monkeypatch.setattr(datasets, "format17", lambda x: calls.append(x.size) or _format.format17(x))
         header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
-        assert written_csv(header, blocks) == savetxt_csv(header, blocks[0].reshape(-1, len(header)))
+        assert_same_lines(written_csv(header, blocks), savetxt_csv(header, blocks[0].reshape(-1, len(header))))
         assert 1 <= len(calls) <= most
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1011,6 +1140,28 @@ class TestCsvParity:
         small, large = peak(225), peak(900)  # 9,225 and 36,900 points
         assert large <= 1.1 * small
 
+    @pytest.mark.parametrize("impulse", [False, True], ids=["sample-sources", "impulse-response"])
+    def test_source_sweep_memory_bounded(self, impulse):
+        # source_sweep_rows' ring blocks stream into the writer, so 4x the rings take no more memory
+        # (2.2 MiB traced at both sizes); the sweep as one table before writing peaked at 3.5 and 13.7 MiB
+        class Sink:
+            def write(self, text):
+                pass
+
+        def peak(nq):
+            rc = dataclasses.replace(default_config(), surface_nq=nq)  # 16 azimuths: 2 and 8 blocks
+            tracemalloc.start()
+            try:
+                name, header, blocks, _ = source_sweep_rows(rc, impulse=impulse)
+                write_csv(Sink(), header, blocks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        importlib.import_module("scipy")
+        small, large = peak(512), peak(2048)  # 8,192 and 32,768 records
+        assert large <= 1.1 * small
+
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_sample_field_matches_reference(self, tmp_path, quantity):
         # the TestFieldRows grid: several writer chunks, records straddling the membrane
@@ -1027,15 +1178,15 @@ class TestCsvParity:
         assert cli.main(["sample-field", "--config", str(path), "--out", str(out)]) == 0
         rows = field_block(load_config(str(path)))
         header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
-        assert (out / "field.csv").read_text() == savetxt_csv(header, rows.reshape(-1, rows.shape[-1]))
+        assert_same_lines((out / "field.csv").read_text(), savetxt_csv(header, rows.reshape(-1, rows.shape[-1])))
         assert json.loads((out / "field.json").read_text())["records"] == 70 * 40
 
     def test_sample_sources_matches_reference(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["sample-sources", "--config", config_file, "--out", str(out)]) == 0
-        name, header, (block,), _ = source_sweep_rows(load_config(config_file))
+        name, header, blocks, _ = source_sweep_rows(load_config(config_file))
         assert (name, header) == ("sources", SOURCE_HEADER)
-        assert (out / "sources.csv").read_text() == savetxt_csv(SOURCE_HEADER, block[:, 0])
+        assert_same_lines((out / "sources.csv").read_text(), savetxt_csv(SOURCE_HEADER, source_table(blocks)))
 
 
 def blocks_hold_their_header(header, blocks):
@@ -1076,7 +1227,19 @@ class TestColumnDeclarations:
         assert header["t"] == INNER
         assert blocks_hold_their_header(header, blocks) == (2 if n_times == 1 else 10)
 
-    @pytest.mark.parametrize("command", ["sample-sources", "impulse-response", "beam-profile"])
+    @pytest.mark.parametrize("command", ["sample-sources", "impulse-response"])
+    def test_source_blocks_hold_the_declaration(self, command, config_file):
+        # 315 rings of 13 azimuths a block: 601 rings make two blocks
+        rc = dataclasses.replace(load_config(config_file), surface_nq=601, surface_nphi=13)
+        name, header, blocks, sidecar = cli.DATASETS[command][0](rc, 1)
+        assert header is SOURCE_HEADER and list(header) == sidecar(0)["columns"]
+        assert {k: v for k, v in header.items() if v != RECORD} == {"q": OUTER, "phi": INNER, "in_rim_band": OUTER}
+        blocks = list(blocks)
+        assert [np.shape(block)[:2] for block in blocks] == [(315, 13), (286, 13)]
+        assert set(np.unique(blocks[0][..., -1])) == {0.0, 1.0}  # the first block reaches the rim band
+        assert blocks_hold_their_header(header, blocks) == 2
+
+    @pytest.mark.parametrize("command", ["beam-profile"])
     def test_tables_declare_every_column_per_record(self, command, config_file):
         name, header, blocks, _ = cli.DATASETS[command][0](load_config(config_file), 1)
         assert set(header.values()) == {RECORD}
@@ -1536,9 +1699,7 @@ class TestCli:
         assert meta["n"] == 2 and "samples" not in meta
 
     def test_sampled_drive_sidecars(self, tmp_path):
-        t = np.linspace(-20.0, 20.0, 801)
-        pulse = tmp_path / "pulse.csv"
-        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        pulse = gaussian_pulse_csv(tmp_path / "pulse.csv")
         path = tmp_path / "sampled.ini"
         path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
         out = tmp_path / "out"
@@ -1557,9 +1718,7 @@ class TestCli:
             assert meta["dt"] == pytest.approx(0.05)
 
     def test_sampled_drive_built_once_per_run(self, tmp_path, monkeypatch):
-        t = np.linspace(-20.0, 20.0, 801)
-        pulse = tmp_path / "pulse.csv"
-        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        pulse = gaussian_pulse_csv(tmp_path / "pulse.csv")
         path = tmp_path / "sampled.ini"
         path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
         calls = []
@@ -1648,6 +1807,19 @@ class TestCli:
             assert exc.value.code == 2
             assert f"argument {flag}: invalid {kind} value: 'many'" in capsys.readouterr().err
 
+    def test_help_and_unknown_commands(self, capsys):
+        # one parser: the five commands are the choices of its positional, and every command takes the flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "{sample-field,sample-sources,impulse-response,beam-profile,validate}" in capsys.readouterr().out
+        for argv, says in [(["sample-feld"], "invalid choice: 'sample-feld'"), ([], "required: command"),
+                           (["validate", "--bogus"], "unrecognized arguments: --bogus")]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert says in capsys.readouterr().err
+
     def test_missing_signal_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[source]\na = 0,0,1\nb = 1.5\n")
@@ -1706,8 +1878,9 @@ class TestCli:
 
     def test_impulse_response_finite_and_annotated(self, config_file):
         rc = load_config(config_file)
-        name, header, (block,), sidecar = source_sweep_rows(rc, impulse=True)
-        rows, meta = block[:, 0], sidecar(len(block))
+        name, header, blocks, sidecar = source_sweep_rows(rc, impulse=True)
+        rows = source_table(blocks)
+        meta = sidecar(len(rows))
         assert name == "impulse_response"
         assert np.isfinite(rows).all()
         assert meta["n"] == "impulse"
@@ -1737,9 +1910,7 @@ class TestCli:
     def test_coarse_sampled_pulse_is_a_run_error(self, tmp_path, capsys):
         # dt = 0.5 cannot resolve the kernel at Im tau = -b = -1.5 (it needs >= 4 dt): both
         # sampling commands refuse the run the same way, and write nothing
-        t = np.linspace(-20.0, 20.0, 81)
-        pulse = tmp_path / "coarse.csv"
-        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        pulse = gaussian_pulse_csv(tmp_path / "coarse.csv", n=81)
         path = tmp_path / "coarse.ini"
         path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
         errors = []
@@ -1758,9 +1929,7 @@ class TestCli:
         (("kind = cauchy\nn = 2", "kind = sampled\ncsv = {pulse}"), "signal.kind"),
     ])
     def test_beam_profile_refusal_names_the_key(self, tmp_path, capsys, edit, named):
-        t = np.linspace(-20.0, 20.0, 801)
-        pulse = tmp_path / "pulse.csv"
-        np.savetxt(pulse, np.column_stack([t, -t * np.exp(-(t**2) / 2)]), delimiter=",")
+        pulse = gaussian_pulse_csv(tmp_path / "pulse.csv")
         path = tmp_path / "beam.ini"
         path.write_text(CONFIG_TEXT.replace(edit[0], edit[1].format(pulse=pulse)))
         out = tmp_path / "out"
