@@ -15,6 +15,7 @@ from .errors import (
     LightConePoleError,
     NearRimError,
     NoSolutionError,
+    NonFiniteFieldError,
     NonFiniteSourceError,
     OnBranchCircleError,
     OnCutError,

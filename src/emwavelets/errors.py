@@ -55,6 +55,10 @@ class NonFiniteSourceError(EmwaveletsError):
     """Surface source that came out NaN or infinite for finite input: the drive or its coefficients overflowed."""
 
 
+class NonFiniteFieldError(EmwaveletsError):
+    """Field value that came out NaN or infinite for finite input: the drive overflowed."""
+
+
 class ConfigError(EmwaveletsError):
     """Invalid run configuration."""
 

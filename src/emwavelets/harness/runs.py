@@ -7,11 +7,11 @@ import math
 import numpy as np
 
 from ..em_fields import assemble, lmn
-from ..errors import ConfigError, NonFiniteSourceError, refuse
+from ..errors import ConfigError, NonFiniteFieldError, NonFiniteSourceError, refuse
 from ..geometry import branch
 from ..scalar_wavelet import psi_of_sigma
 from ..signals import SampledSignal
-from ..surface_sources import impulse_surface_sources, surface_sources_exact
+from ..surface_sources import ring_jump, ring_sources
 from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
 from .datasets import INNER, OUTER, RECORD
@@ -41,7 +41,8 @@ SOURCE_HEADER = {
     **dict.fromkeys(["x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz"], RECORD),
     "in_rim_band": OUTER,
 }
-RECORDS_PER_BLOCK = 4096  # a surface sweep block: max(1, RECORDS_PER_BLOCK // nphi) whole rings
+# records in a surface sweep block: RECORDS_PER_BLOCK // nphi whole rings, or a slice of a ring of more azimuths
+RECORDS_PER_BLOCK = 4096
 BEAM_HEADER = dict.fromkeys(["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"], RECORD)
 
 
@@ -53,6 +54,9 @@ def field_rows(rc: RunConfig, threads: int = 1):
     chunk's branch is resolved once (geometry.branch), refusing points
     within the configured tol_cut of the cut, and every time slice is
     evaluated in one broadcast call of the closed forms psi() and field() use.
+    A value that is not finite (a high-order drive overflows) refuses the
+    run (NonFiniteFieldError), naming how many points of its chunk and the
+    (x, y, z) of the first.
     """
     w = rc.wavelet()
     pol = rc.polarization()
@@ -63,10 +67,14 @@ def field_rows(rc: RunConfig, threads: int = 1):
     def eval_chunk(index):
         chunk = grid_points(xyz, index)
         b = branch(w.cut, chunk, w.cfg, tol_cut)
-        if rc.quantity == "psi":
-            values = psi_of_sigma(w.sig, b.sigma[:, None], tau)[..., None]
-        else:
-            values = assemble(*lmn(w.sig, b.sigma[:, None], tau), b.u[:, None, :], pol)
+        with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
+            if rc.quantity == "psi":
+                values = psi_of_sigma(w.sig, b.sigma[:, None], tau)[..., None]
+            else:
+                values = assemble(*lmn(w.sig, b.sigma[:, None], tau), b.u[:, None, :], pol)
+        if not np.isfinite(values).all():
+            refuse(NonFiniteFieldError, "field not finite at (x, y, z)", ~np.isfinite(values).all(axis=(1, 2)),
+                   chunk)
         rows = np.empty(values.shape[:2] + (7 + 2 * values.shape[2],))  # (m, T, k)
         rows[..., 0:3] = chunk[:, None, :]
         rows[..., 3] = ts
@@ -118,14 +126,15 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     """sample-sources' or impulse-response's (name, header, blocks, sidecar of the record count).
 
     The sweep of the equivalent sources on the spheroid p = alpha, as
-    (rings, azimuths, columns) blocks of about RECORDS_PER_BLOCK records,
-    whole q rings each, computed as consumed; q runs slowest and phi
-    fastest.  A block's sources take q as a column and phi as a row, so
-    what depends on the ring alone, the drive's signals included, is
-    computed once per ring (surface_sources._surface_geometry).  Rim-band
-    rows are annotated via the last column, never dropped.  A source that
-    is not finite refuses the run (NonFiniteSourceError), naming how many
-    points of its block and the (q, phi) of the first.
+    (rings, azimuths, columns) blocks of at most RECORDS_PER_BLOCK records,
+    computed as consumed; q runs slowest and phi fastest.  A block holds
+    whole q rings, or, when one ring has more azimuths than that, a slice
+    of one ring's.  What depends on the ring alone, the drive's signals and
+    the jump coefficients, is computed once per ring (ring_jump) and
+    broadcast against phi (ring_sources).  Rim-band rows are annotated via
+    the last column, never dropped.  A source that is not finite refuses
+    the run (NonFiniteSourceError), naming how many points of its block and
+    the (q, phi) of the first.
     """
     cfg = rc.source
     a = cfg.a_mag
@@ -135,30 +144,35 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     qs = np.linspace(-0.98 * a, 0.98 * a, rc.surface_nq)
     phis = np.linspace(0.0, 2 * np.pi, rc.surface_nphi, endpoint=False)
     t = rc.surface_t
-    if impulse:
-        sources = lambda q: impulse_surface_sources(pol, q, phis, alpha, t, cfg, q_min=0.0)
-        drive = {"n": "impulse"}
-    else:
-        w = rc.wavelet()
-        sources = lambda q: surface_sources_exact(w, pol, q, phis, alpha, t, q_min=0.0)
-        drive = _drive_meta(w.sig)
+    w = None if impulse else rc.wavelet()
+    drive = {"n": "impulse"} if impulse else _drive_meta(w.sig)
+    rings = max(1, RECORDS_PER_BLOCK // phis.size)
+    width = min(phis.size, RECORDS_PER_BLOCK)
 
-    def eval_rings(ring_qs):
-        q = ring_qs[:, None]
+    def eval_block(q, phi, jump):
         with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
-            s = sources(q)
+            s = ring_sources(jump, pol, q, phi, alpha, cfg)
         rows = np.empty(s.j0.shape + (14,))
         rows[..., 0] = q
-        rows[..., 1] = phis
+        rows[..., 1] = phi
         rows[..., 2:5] = s.position
         rows[..., 5] = s.j0.real
         rows[..., 6] = s.j0.imag
         rows[..., 7:13:2] = s.j.real
         rows[..., 8:13:2] = s.j.imag
         rows[..., 13] = np.abs(q) < q_min
-        refuse(NonFiniteSourceError, "surface source not finite at (q, phi)", ~np.isfinite(rows).all(axis=-1),
-               rows[..., :2])
+        if not np.isfinite(rows).all():
+            refuse(NonFiniteSourceError, "surface source not finite at (q, phi)", ~np.isfinite(rows).all(axis=-1),
+                   rows[..., :2])
         return rows
+
+    def blocks():
+        for i in range(0, qs.size, rings):
+            q = qs[i:i + rings, None]
+            with np.errstate(all="ignore"):
+                jump = ring_jump(w, q, alpha, t, cfg)
+            for j in range(0, phis.size, width):
+                yield eval_block(q, phis[j:j + width], jump)
 
     meta = {
         "a": cfg.a,
@@ -172,8 +186,7 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         "q_min": q_min,
         "columns": list(SOURCE_HEADER),
     }
-    blocks = chunked_parallel_map(eval_rings, qs, max(1, RECORDS_PER_BLOCK // phis.size))
-    return "impulse_response" if impulse else "sources", SOURCE_HEADER, blocks, lambda records: meta
+    return "impulse_response" if impulse else "sources", SOURCE_HEADER, blocks(), lambda records: meta
 
 
 def beam_profile_data(rc: RunConfig):

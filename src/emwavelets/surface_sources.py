@@ -43,6 +43,8 @@ __all__ = [
     "tilde_lmn",
     "impulse_tilde_lmn",
     "impulse_surface_sources",
+    "ring_jump",
+    "ring_sources",
     "surface_sources_exact",
     "surface_sources_approx",
     "coulomb_disk_sources",
@@ -136,16 +138,47 @@ def _surface_geometry(q, phi, alpha, cfg):
     along each ring; alpha is a scalar or broadcasts with q and phi.  p and q
     are broadcast against each other only, not against phi: for q of shape
     (rings, 1) and phi of shape (1, azimuths), sigma and all that depends on
-    it alone (the light-cone check, the drive's mixed signals, the jump
-    coefficients, the frame's p^2 + q^2 and its e_p denominator) are
-    computed once per ring, and only the point, the frame's vectors and the
-    assembly once per point.
+    it alone (the frame's p^2 + q^2 and its e_p denominator, and the jump
+    coefficients ring_jump takes of the same sigma) are computed once per
+    ring, and only the point, the frame's vectors and the assembly once per
+    point.
     """
     if np.any(np.asarray(alpha) < 0.0):
         raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
     pos = spheroid_point(alpha, q, phi, cfg)
+    p, q, sigma = _ring_sigma(q, alpha)
+    return pos, ComplexDistanceSample(pos, cfg, sigma, p, q)
+
+
+def _ring_sigma(q, alpha):
+    """(p, q, sigma = p - i*q) of the rings q on p = alpha, p and q broadcast against each other only."""
     p, q = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(q, dtype=float))
-    return pos, ComplexDistanceSample(pos, cfg, p - 1j * q, p, q)
+    return p, q, p - 1j * q
+
+
+def ring_jump(w: ScalarWavelet | None, q, alpha, t, cfg: SourceConfig) -> LMNTriplet:
+    """The jump coefficients of each ring q of the spheroid p = alpha at time t.
+
+    tilde_lmn of the wavelet w's drive, or, for w None, the impulse drive's
+    closed forms (impulse_tilde_lmn); ring_sources turns them into the
+    ring's sources, so a caller that splits a ring along phi evaluates its
+    drive once.
+    """
+    sigma = _ring_sigma(q, alpha)[2]
+    if w is None:
+        return impulse_tilde_lmn(sigma, np.asarray(t, dtype=float) - 1j * cfg.b)
+    return tilde_lmn(w.sig, sigma, w.tau(t))
+
+
+def ring_sources(jump: LMNTriplet, pol, q, phi, alpha, cfg: SourceConfig) -> SurfaceSourceSample:
+    """j0 and j at (q, phi) on p = alpha from the rings' jump coefficients (ring_jump of q).
+
+    The coefficients broadcast against phi; assembly with the exact surface
+    frame, e_p and the sources are per point.
+    """
+    pos, fr = _surface_geometry(q, phi, alpha, cfg)
+    dF = assemble(*jump, fr.u, _as_pol(pol))
+    return _sources_from_jump(dF, pos, fr.e_p, q, phi)
 
 
 def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
@@ -229,12 +262,8 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
     Assembles dF from impulse_tilde_lmn with the exact surface frame, then
     j0 = e_p . dF, j = -i e_p x dF.
     """
-    pol = _as_pol(pol)
     _check_rim(q, cfg, q_min)
-    pos, fr = _surface_geometry(q, phi, alpha, cfg)
-    tau = np.asarray(t, dtype=float) - 1j * cfg.b
-    dF = assemble(*impulse_tilde_lmn(fr.sigma, tau), fr.u, pol)
-    return _sources_from_jump(dF, pos, fr.e_p, q, phi)
+    return ring_sources(ring_jump(None, q, alpha, t, cfg), pol, q, phi, alpha, cfg)
 
 
 # --------------------------------------------------------------------------

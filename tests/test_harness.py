@@ -32,7 +32,8 @@ from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.surface_sources import (
     DEFAULT_Q_MIN_FRAC, effective_aperture, impulse_surface_sources, surface_sources_exact,
 )
-from emwavelets.harness import _format, datasets, fd, spectral
+from emwavelets import signals
+from emwavelets.harness import _format, datasets, fd, runs, spectral
 from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
@@ -523,6 +524,53 @@ class TestSourceSweep:
                             or derivs(sig, tau, kmax))
         source_table(source_sweep_rows(rc)[2])
         assert seen == [2 * 24]
+
+    @pytest.mark.parametrize("impulse", [False, True], ids=["sources", "impulse"])
+    @pytest.mark.parametrize("budget, edit, widths", [
+        pytest.param(5, {"surface_nq": 9, "surface_nphi": 12}, [5, 5, 2], id="odd-nq"),  # a q = 0 ring
+        pytest.param(5, {"source": TILTED, "signal_kind": "sampled", "surface_nq": 4, "surface_nphi": 13}, [5, 5, 3],
+                     id="sampled-tilted-axis"),
+        pytest.param(5, {"signal_kind": "sampled", "surface_nq": 3, "surface_nphi": 5}, [5], id="one-ring-a-block"),
+        pytest.param(None, {"surface_nq": 2, "surface_nphi": 4100}, [4096, 4], id="records-per-block"),
+    ])
+    def test_ring_split_along_phi(self, budget, edit, widths, impulse, tmp_path, monkeypatch):
+        # a ring of more azimuths than a block holds comes in azimuth slices of at most RECORDS_PER_BLOCK
+        # records, bitwise equal to evaluating every point at once, and its drive is evaluated once
+        if budget:
+            monkeypatch.setattr(runs, "RECORDS_PER_BLOCK", budget)
+        rc = dataclasses.replace(default_config(), **{"signal_n": 2, "pol_im": np.array([0.0, 0.5, 0.0]),
+                                                      "surface_alpha": 0.03, "q_min": 0.15, **edit})
+        if rc.signal_kind == "sampled":
+            rc.signal_csv = gaussian_pulse_csv(tmp_path / "pulse.csv")
+        seen = []
+        derivs = SampledSignal._derivs
+        monkeypatch.setattr(SampledSignal, "_derivs", lambda sig, tau, kmax: seen.append(np.size(tau))
+                            or derivs(sig, tau, kmax))
+        name, header, got, _ = source_sweep_rows(rc, impulse=impulse)
+        got = list(got)
+        assert [block.shape for block in got] == [(1, w, 14) for _ in range(rc.surface_nq) for w in widths]
+        assert blocks_hold_their_header(header, got) == len(got)
+        assert seen == ([] if impulse or rc.signal_kind != "sampled" else [2] * rc.surface_nq)
+        want = flat_source_table(rc, impulse=impulse)
+        if edit["surface_nq"] == 9:
+            assert 0.0 in want[:, 0]
+        assert np.array_equal(source_table(got).view(np.int64), want.view(np.int64))
+        assert_same_lines(written_csv(header, got), savetxt_csv(header, want))
+
+    def test_csv_independent_of_the_kernel_chunk(self, tmp_path, monkeypatch):
+        # one kernel row per block, the cache-sized block and a 2^19-entry block write the same bytes
+        path = tmp_path / "sampled.ini"
+        pulse = gaussian_pulse_csv(tmp_path / "pulse.csv", n=2001)
+        path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}")
+                        .replace("nq = 8\nnphi = 4", "nq = 33\nnphi = 8"))
+        texts = []
+        for chunk in (1, signals.KERNEL_CHUNK, 1 << 19):
+            monkeypatch.setattr(signals, "KERNEL_CHUNK", chunk)
+            out = tmp_path / f"out{chunk}"
+            assert cli.main(["sample-sources", "--config", str(path), "--out", str(out)]) == 0
+            texts.append((out / "sources.csv").read_bytes())
+        assert texts[0].count(b"\n") == 1 + 33 * 8
+        assert texts[1] == texts[0] and texts[2] == texts[0]
 
     @pytest.mark.parametrize("command", ["sample-sources", "impulse-response"])
     def test_branch_circle_refusal_names_a_point_of_its_ring(self, tmp_path, capsys, command):
@@ -1141,15 +1189,22 @@ class TestCsvParity:
         assert large <= 1.1 * small
 
     @pytest.mark.parametrize("impulse", [False, True], ids=["sample-sources", "impulse-response"])
-    def test_source_sweep_memory_bounded(self, impulse):
-        # source_sweep_rows' ring blocks stream into the writer, so 4x the rings take no more memory
-        # (2.2 MiB traced at both sizes); the sweep as one table before writing peaked at 3.5 and 13.7 MiB
+    @pytest.mark.parametrize("small, large", [
+        # 16 azimuths: 2 and 8 blocks of whole rings; the sweep as one table before writing peaked at 3.5
+        # and 13.7 MiB
+        pytest.param((512, 16), (2048, 16), id="nq"),
+        # one ring each, split into 2 and 8 azimuth blocks; one whole-ring block peaked at 2.8 and 10.9 MiB
+        pytest.param((1, 8192), (1, 32768), id="nphi"),
+    ])
+    def test_source_sweep_memory_bounded(self, impulse, small, large):
+        # source_sweep_rows' blocks stream into the writer, so 4x the rings, or 4x the azimuths of a ring,
+        # take no more memory: 2.2 MiB traced, and 2.4 MiB at 32,768 azimuths, whose axis alone is 0.25 MiB
         class Sink:
             def write(self, text):
                 pass
 
-        def peak(nq):
-            rc = dataclasses.replace(default_config(), surface_nq=nq)  # 16 azimuths: 2 and 8 blocks
+        def peak(nq, nphi):
+            rc = dataclasses.replace(default_config(), surface_nq=nq, surface_nphi=nphi)
             tracemalloc.start()
             try:
                 name, header, blocks, _ = source_sweep_rows(rc, impulse=impulse)
@@ -1159,7 +1214,7 @@ class TestCsvParity:
                 tracemalloc.stop()
 
         importlib.import_module("scipy")
-        small, large = peak(512), peak(2048)  # 8,192 and 32,768 records
+        small, large = peak(*small), peak(*large)  # 8,192 and 32,768 records
         assert large <= 1.1 * small
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
@@ -1850,6 +1905,29 @@ class TestCli:
                 r"field point on the branch circle \(p = q = 0\): 1 of \d+ points refused, first at \(-1, 0, 0\)",
                 message,
             )
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    def test_non_finite_field_refused(self, tmp_path, capsys, quantity):
+        # C_160 overflows at some of the 50 points: the run stops, naming how many and the first (x, y, z)
+        path = tmp_path / "huge.ini"
+        path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 160\n"
+                        "[grid]\nx = -2,2,5\ny = -1,1,2\nz = 0.5,3,5\nt = 1,3,2\n"
+                        f"[output]\nquantity = {quantity}\n")
+        with np.errstate(all="ignore"):
+            rows = per_slice_rows(load_config(str(path)))
+        bad = ~np.isfinite(rows).all(axis=(1, 2))
+        assert 0 < bad.sum() < 50
+        x, y, z = rows[np.flatnonzero(bad)[0], 0, :3]
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            argv = ["sample-field", "--config", str(path), "--out", str(out), "--threads", threads]
+            assert cli.main(argv) == 1
+            assert not list(out.glob("*"))
+            assert json.loads(capsys.readouterr().err.strip()) == {
+                "error": "run",
+                "message": f"field not finite at (x, y, z): {bad.sum()} of 50 points refused, "
+                           f"first at ({x:g}, {y:g}, {z:g})",
+            }
 
     def test_beam_direction_follows_source_axis(self, config_file, tmp_path):
         # |F| on a transverse-plane sweep peaks on the +a axis for b > a

@@ -26,6 +26,7 @@ from emwavelets import (
 )
 from emwavelets.harness.fd import richardson
 from emwavelets.geometry import branch
+from emwavelets import signals
 from emwavelets.signals import KERNEL_CHUNK
 from emwavelets.harness.spectral import cauchy_series_transform, de_fourier
 
@@ -148,8 +149,21 @@ class TestEvalDerivs:
             ref = trapezoid_reference(sig, tau, k)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_no_bit_depends_on_the_chunk(self, sig, rng, monkeypatch):
+        # one row per block, the cache-sized block and a 2^19-entry block: 300 arguments, 263 of them distinct,
+        # span 263, 4 and 1 blocks
+        tau = rng.uniform(-3, 3, 263) - 1j * rng.uniform(0.4, 2.5, 263)
+        tau = np.concatenate([tau, tau[:37]])
+        got = []
+        for chunk in (1, KERNEL_CHUNK, 1 << 19):
+            monkeypatch.setattr(signals, "KERNEL_CHUNK", chunk)
+            got.append(np.array(eval_derivs(sig, tau, 2)))
+        assert KERNEL_CHUNK == 1 << 15
+        assert all(np.array_equal(g.view(np.int64), got[0].view(np.int64)) for g in got[1:])
+
     def test_peak_memory_bounded(self):
-        # one dense 4000 x 2001 complex kernel alone is 128 MB
+        # one dense 4000 x 2001 complex kernel alone is 128 MB; cache-sized blocks trace ~1.5 MiB here,
+        # and the 2^19-entry blocks traced 16.6 MiB
         t = np.linspace(-20.0, 20.0, 2001)
         sig = SampledSignal(t=t, g0=-t * np.exp(-(t**2) / 2))
         tau = np.linspace(-2.0, 2.0, 4000) - 1.0j
@@ -159,7 +173,7 @@ class TestEvalDerivs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
 
     def test_repeated_arguments_take_the_bits_of_their_value(self, sig, rng):
         # a ring repeats each tau -+ sigma; a +-0.0 imaginary pair beyond the grid is among the values
@@ -175,7 +189,8 @@ class TestEvalDerivs:
                 assert (got[idx == i].view(np.int64).reshape(-1, 2) == ref.view(np.int64)).all()
 
     def test_kernel_built_once_per_distinct_value(self):
-        # 4000 entries, two values: a kernel per entry would trace two 262 x 2001 blocks (16 MB)
+        # 4000 entries, two values: a kernel per entry would trace ~1.5 MiB (two 16 x 2001 blocks and 4000-entry
+        # outputs); deduplicated it traces ~0.35 MiB
         t = np.linspace(-20.0, 20.0, 2001)
         sig = SampledSignal(t=t, g0=-t * np.exp(-(t**2) / 2))
         tau = np.resize(np.array([0.3 - 1.0j, -0.7 - 1.2j]), (40, 100))
