@@ -110,10 +110,9 @@ def beam_profile_rows(n: int, cfg: SourceConfig, thetas, R: float):
 def diffraction_angles(n: int, cfg: SourceConfig):
     """(predicted, measured) angle where the C_n beam's peak falls to e^-BETA of its on-axis value.
 
-    The measured angle is where the peak measured at R_FACTOR*|a| falls that far.
+    The measured angle is where the peak measured at R_FACTOR*|a| falls that far;
+    NoSolutionError if it never does.
     """
-    from scipy.optimize import brentq
-
     a = cfg.a_mag
     predicted = diffraction_angle(BETA, n, a, cfg.b, cfg.c)
     sig, R = CauchySignal(n), R_FACTOR * a
@@ -124,9 +123,64 @@ def diffraction_angles(n: int, cfg: SourceConfig):
         _, M = measure_pulse(sig, cfg, theta, R)
         return M - target
 
-    if gap(np.pi) > 0.0:
-        raise NoSolutionError("peak never drops below e^-beta of the axis value")
-    return predicted, brentq(gap, 0.0, np.pi, xtol=1e-6)
+    return predicted, _brent_root(gap, 0.0, np.pi, xtol=1e-6)
+
+
+def _brent_root(f, lo, hi, xtol):
+    """A root of f in [lo, hi] by Brent's method, to xtol + 4 eps |root|.
+
+    A line-for-line port of SciPy's Zeros/brentq.c (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4): the same
+    interpolation, extrapolation and bisection steps in the same order, so
+    every root is bit-identical to scipy.optimize.brentq(f, lo, hi,
+    xtol=xtol).  Raises NoSolutionError where brentq raises: f(lo) and f(hi)
+    of one sign, a NaN value, or no convergence in 100 iterations.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoSolutionError(f"f is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoSolutionError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoSolutionError(f"no root to xtol {xtol!r} in 100 iterations")
 
 
 def spectral_profiles(n: int, b: float):

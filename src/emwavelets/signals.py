@@ -60,13 +60,31 @@ class CauchySignal(DrivingSignal):
             raise ValueError("n must be a positive integer")
 
     def eval(self, tau, order: int = 0):
-        """d^order/dt^order C_n at tau; closed form, valid for tau != 0."""
+        """d^order/dt^order C_n at tau; closed form, valid for tau != 0.
+
+        The power tau^-(n+k) can overflow before the product with its
+        coefficient, and then gives NaN, or 0 for a real or imaginary tau,
+        where the value is representable.  The floating-point flags route only
+        such calls to a recompute of their non-finite and zero entries from
+        logarithms (the kernel has no zero), so every other entry keeps its
+        bits and the common call makes no extra pass.
+        """
         tau = np.asarray(tau, dtype=complex)
         if not tau.all():
             raise PoleOnPathError("Cauchy kernel evaluated at its pole tau = 0")
         n, k = self.n, order
         coef = (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)
-        return coef * tau ** (-(n + k))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return coef * tau ** (-(n + k))
+        except FloatingPointError:
+            pass
+        with np.errstate(all="ignore"):  # a value that is not representable stays non-finite
+            out = np.array(coef * tau ** (-(n + k)))
+            bad = ~np.isfinite(out) | (out == 0)
+            phase = (-1) ** k * (1, -1j, -1, 1j)[n % 4]  # (-1)^k i^-n
+            out[bad] = phase * np.exp(math.lgamma(n + k) - math.log(2.0 * np.pi) - (n + k) * np.log(tau[bad]))
+        return out[()]
 
 
 @dataclass(frozen=True)

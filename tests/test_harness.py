@@ -27,13 +27,15 @@ from emwavelets import (
     CauchySignal, FlatDisk, LowerSpheroid, SmoothSpheroid, SourceConfig, UpperSpheroid, complex_distance_principal,
     field, psi, spheroid_point,
 )
-from emwavelets.errors import ConfigError, OnCutError, QuadratureDivergenceError, UnderResolvedSignalError
+from emwavelets.errors import (
+    ConfigError, NoSolutionError, OnCutError, QuadratureDivergenceError, UnderResolvedSignalError,
+)
 from emwavelets.signals import SampledSignal, spectrum_cauchy
 from emwavelets.surface_sources import (
     DEFAULT_Q_MIN_FRAC, effective_aperture, impulse_surface_sources, surface_sources_exact,
 )
 from emwavelets import signals
-from emwavelets.harness import _format, datasets, fd, runs, spectral
+from emwavelets.harness import _format, beam, datasets, fd, runs, spectral
 from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
@@ -585,9 +587,8 @@ class TestSourceSweep:
         assert message == "field point on the branch circle (p = q = 0): 4 of 36 points refused, first at (1, 0, 0)"
 
     @pytest.mark.parametrize("command, values", [
-        # a Cauchy kernel overflows at a high order, or at a huge alpha inside its bound
+        # a Cauchy kernel overflows at a high order
         pytest.param("sample-sources", {"n": "160"}, id="sources-n160"),
-        pytest.param("sample-sources", {"n": "20", "alpha": "1e15"}, id="sources-n20-alpha1e15"),
         # the impulse coefficients overflow at a huge time, or a huge imaginary time
         pytest.param("impulse-response", {"t": "1e100"}, id="impulse-t1e100"),
         pytest.param("impulse-response", {"b": "1e100"}, id="impulse-b1e100"),
@@ -609,6 +610,17 @@ class TestSourceSweep:
         assert error == {"error": "run", "message": f"surface source not finite at (q, phi): {bad.sum()} of 640 "
                                                     f"points refused, first at ({q:g}, {phi:g})"}
         assert 0 < bad.sum() < 640 if values["n"] == "160" else bad.all()
+
+    def test_underflowing_sources_are_written(self, tmp_path):
+        # at a huge alpha inside its bound the sources underflow to 0; the power in the
+        # Cauchy kernel overflows first there, and the kernel recomputes it from logarithms
+        path = tmp_path / "huge.ini"
+        path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 20\n"
+                        "[surface]\nalpha = 1e15\nt = 1.2\n")
+        out = tmp_path / "out"
+        assert cli.main(["sample-sources", "--config", str(path), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "sources.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (640, 14) and np.isfinite(rows).all()
 
 
 def _calls_in_scopes(tree):
@@ -801,6 +813,39 @@ class TestLayering:
         code = ("import sys, emwavelets.harness.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')])")
         assert self._fresh_interpreter(code) == "[]"
+
+    @pytest.mark.parametrize("command", ["validate", "beam-profile"])
+    def test_command_loads_no_scipy_optimize(self, tmp_path, command):
+        # the diffraction angle's root finder is beam._brent_root, not scipy.optimize's
+        path = tmp_path / "run.ini"
+        path.write_text(_readme_example())
+        argv = ["validate", "--seed", "1"] if command == "validate" else \
+            ["beam-profile", "--config", str(path), "--out", str(tmp_path / "out")]
+        code = ("import contextlib, io, sys; from emwavelets.harness import cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()): status = cli.main({argv!r})\n"
+                "print(status, 'scipy.optimize' in sys.modules)")
+        assert self._fresh_interpreter(code) == "0 False"
+
+    def test_scipy_imports_are_lazy_and_special(self):
+        # the runtime uses scipy.special alone, imported where it runs; scipy.optimize and
+        # scipy.integrate are test oracles
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            in_def = {id(node) for scope in ast.walk(tree) if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(scope)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                scipy = [name.split(".")[:2] for name in names if name.split(".")[0] == "scipy"]
+                if scipy and (id(node) not in in_def or any(name != ["scipy", "special"] for name in scipy)):
+                    found.append(f"{path.relative_to(pkg).as_posix()}:{node.lineno}: {ast.unparse(node)}")
+        assert not found, "\n".join(found)
 
     def test_spectra_suite_loads_no_scipy_integrate(self):
         # the spectra oracle is double-exponential quadrature in numpy, not QUADPACK callbacks
@@ -1573,6 +1618,73 @@ class TestBeamMeasurement:
     def test_predicted_duration_within_tolerance(self, cfg):
         T, _ = measure_pulse(CauchySignal(1), cfg, 0.0, 1000.0)
         assert T == pytest.approx(0.5, rel=0.05)
+
+
+def _bracketed_functions(seed, count):
+    """Seeded smooth monotone functions with one root inside [lo, hi]: (f, lo, hi)."""
+    rng = np.random.default_rng(seed)
+    families = (
+        lambda x, r, s, c: math.tanh(s * (x - r)) * (1.0 + c),
+        lambda x, r, s, c: (x - r) * (1.0 + c * (x - r) ** 2),
+        lambda x, r, s, c: math.expm1(s * (x - r)),
+        lambda x, r, s, c: math.atan(s * (x - r)) + c * (x - r) ** 3,
+    )
+    out = []
+    for i in range(count):
+        lo, width = rng.uniform(-2.0, 1.0), rng.uniform(0.5, 4.0)
+        r = lo + width * rng.uniform(0.01, 0.99)
+        s, c, sign = rng.uniform(0.2, 5.0), rng.uniform(0.0, 3.0), rng.choice((-1.0, 1.0))
+        family = families[i % len(families)]
+        out.append((lambda x, family=family, r=r, s=s, c=c, sign=sign: sign * family(x, r, s, c), lo, lo + width))
+    return out
+
+
+class TestBrentRoot:
+    # beam._brent_root ports SciPy's brentq.c; brentq is the oracle here, bit for bit
+
+    @pytest.mark.parametrize("xtol", [1e-6, 2e-12, 1e-14])
+    def test_bitwise_brentq_on_smooth_brackets(self, xtol):
+        from scipy.optimize import brentq
+
+        found = [(i, beam._brent_root(f, lo, hi, xtol).hex(), float(brentq(f, lo, hi, xtol=xtol)).hex())
+                 for i, (f, lo, hi) in enumerate(_bracketed_functions(27, 400))]
+        assert [case for case in found if case[1] != case[2]] == []
+
+    def test_bitwise_brentq_on_the_beam_gaps(self):
+        # the six (n, b) gaps whose roots suite_beam_diagnostics finds
+        from scipy.optimize import brentq
+
+        cfg0 = default_config().source
+        a = cfg0.a_mag
+        for n in (1, 4, 16):
+            for b in (1.01 * a, 1.5 * a):
+                cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
+                sig, R = CauchySignal(n), beam.R_FACTOR * a
+                target = math.exp(-beam.BETA) * measure_pulse(sig, cfg, 0.0, R)[1]
+
+                def gap(theta):
+                    return measure_pulse(sig, cfg, theta, R)[1] - target
+
+                root = beam._brent_root(gap, 0.0, np.pi, 1e-6)
+                assert root.hex() == float(brentq(gap, 0.0, np.pi, xtol=1e-6)).hex(), (n, b)
+                assert beam.diffraction_angles(n, cfg)[1].hex() == root.hex(), (n, b)
+
+    def test_endpoint_root_returns_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert beam._brent_root(f, 1.0, 3.0, 1e-6) == 1.0 and calls == [1.0, 3.0]
+        calls.clear()
+        assert beam._brent_root(f, -2.0, 1.0, 1e-6) == 1.0 and calls == [-2.0, 1.0]
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -1e-300, lambda x: math.nan],
+                             ids=["positive", "negative", "nan"])
+    def test_bracket_without_a_root_raises(self, f):
+        with pytest.raises(NoSolutionError):
+            beam._brent_root(f, -1.0, 2.0, 1e-6)
 
 
 def _sign_mismatches(res):

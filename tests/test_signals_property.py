@@ -1,5 +1,7 @@
-"""Property test: the chunked sampled-drive quadrature is the trapezoid rule."""
+"""Property tests of the drives: the chunked sampled-drive quadrature is the trapezoid rule,
+and the Cauchy kernel is finite and accurate wherever its value is representable."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emwavelets import SampledSignal, eval_derivs
+from emwavelets import CauchySignal, SampledSignal, eval_derivs
 
 from .test_signals import trapezoid_reference
 
@@ -45,3 +47,36 @@ def test_eval_derivs_is_the_trapezoid_rule(case):
         kern = math.factorial(k) / (2 * np.pi) * np.abs(tau[:, None] - sig.t) ** -(k + 1.0)
         scale = np.trapezoid(kern * np.abs(sig.g0), sig.t, axis=-1)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@st.composite
+def cauchy_case(draw):
+    """An order n <= 60, a derivative order k <= 2, and taus with |tau| from 1e-3 to 1e300,
+    many near where |tau|^(n+k) overflows, some on the real or imaginary axis."""
+    n, k, m = draw(st.integers(1, 60)), draw(st.integers(0, 2)), draw(st.integers(1, 6))
+    edge = min(308.25 / (n + k), 296.0)
+    mags = st.one_of(st.floats(-3.0, 300.0), st.floats(edge - 0.5, edge + 4.0))
+    units = st.one_of(st.sampled_from([1.0, 1j, -1.0, -1j]),
+                      st.floats(-math.pi, math.pi).map(lambda arg: cmath.rect(1.0, arg)))
+    taus = draw(st.lists(st.tuples(mags, units), min_size=m, max_size=m))
+    return n, k, np.array([10.0**mag * unit for mag, unit in taus], dtype=complex)
+
+
+@settings(max_examples=300)
+@given(cauchy_case())
+def test_cauchy_kernel_is_finite_where_representable(case):
+    mp = pytest.importorskip("mpmath")
+    n, k, tau = case
+    got = CauchySignal(n).eval(tau, k)
+    # an entry the plain power gets finite and nonzero keeps its bits
+    coef = (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)
+    with np.errstate(all="ignore"):
+        plain = coef * tau ** (-(n + k))
+    kept = np.isfinite(plain) & (plain != 0)
+    assert got[kept].tobytes() == plain[kept].tobytes()
+    with mp.workdps(30):
+        for g, t in zip(got, tau):
+            ref = (-1) ** k * mp.factorial(n + k - 1) / (2 * mp.pi * mp.j**n * mp.mpc(t.real, t.imag) ** (n + k))
+            if abs(ref) < 1e307:  # representable: finite, and within rounding of subnormals below 1e-308
+                assert np.isfinite(g), (n, k, t)
+                assert abs(mp.mpc(g.real, g.imag) - ref) <= 1e-12 * abs(ref) + 2.0**-1069, (n, k, t, g, ref)
