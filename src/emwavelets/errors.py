@@ -32,7 +32,7 @@ class PoleOnPathError(EmwaveletsError):
 
 
 class QuadratureDivergenceError(EmwaveletsError):
-    """A sampled signal that does not decay at its grid's ends, or a Fourier quadrature that did not converge."""
+    """A sampled signal that does not decay at its grid's ends, or a Fourier integral that did not converge."""
 
 
 class UnderResolvedSignalError(EmwaveletsError):

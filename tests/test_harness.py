@@ -815,37 +815,48 @@ class TestLayering:
         assert self._fresh_interpreter(code) == "[]"
 
     @pytest.mark.parametrize("command", ["validate", "beam-profile"])
-    def test_command_loads_no_scipy_optimize(self, tmp_path, command):
-        # the diffraction angle's root finder is beam._brent_root, not scipy.optimize's
+    def test_command_loads_no_scipy(self, tmp_path, command):
+        # the diffraction angle's root finder is beam._brent_root and the spectral tails' E_1 is
+        # spectral._exp1_series: a run leaves no SciPy module loaded
         path = tmp_path / "run.ini"
         path.write_text(_readme_example())
         argv = ["validate", "--seed", "1"] if command == "validate" else \
             ["beam-profile", "--config", str(path), "--out", str(tmp_path / "out")]
         code = ("import contextlib, io, sys; from emwavelets.harness import cli\n"
                 f"with contextlib.redirect_stdout(io.StringIO()): status = cli.main({argv!r})\n"
-                "print(status, 'scipy.optimize' in sys.modules)")
-        assert self._fresh_interpreter(code) == "0 False"
+                "print(status, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert self._fresh_interpreter(code) == "0 []"
 
-    def test_scipy_imports_are_lazy_and_special(self):
-        # the runtime uses scipy.special alone, imported where it runs; scipy.optimize and
-        # scipy.integrate are test oracles
+    @staticmethod
+    def _absolute_imports():
+        """(file:line: statement, top-level module) of every absolute import in the package."""
         pkg = pathlib.Path(emwavelets.__file__).parent
-        found = []
         for path in sorted(pkg.rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            in_def = {id(node) for scope in ast.walk(tree) if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
-                      for node in ast.walk(scope)}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom):
-                    names = [f"{node.module}.{a.name}" for a in node.names]
-                elif isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
                 else:
                     continue
-                scipy = [name.split(".")[:2] for name in names if name.split(".")[0] == "scipy"]
-                if scipy and (id(node) not in in_def or any(name != ["scipy", "special"] for name in scipy)):
-                    found.append(f"{path.relative_to(pkg).as_posix()}:{node.lineno}: {ast.unparse(node)}")
+                where = f"{path.relative_to(pkg).as_posix()}:{node.lineno}: {ast.unparse(node)}"
+                yield from ((where, module.split(".")[0]) for module in modules)
+
+    def test_src_imports_no_scipy(self):
+        # SciPy is a test extra: brentq, quad and exp1 are oracles of the tests, wofz of the benchmark
+        found = [where for where, top in self._absolute_imports() if top == "scipy"]
         assert not found, "\n".join(found)
+
+    def test_src_imports_only_declared_dependencies(self):
+        # every third-party module the package imports, at module level or in a function, is a
+        # runtime dependency in pyproject.toml, not only a test extra
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text())
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                    for req in pyproject["project"]["dependencies"]}
+        found = [where for where, top in self._absolute_imports()
+                 if top not in sys.stdlib_module_names and top not in declared | {"emwavelets"}]
+        assert not found, f"not declared in {sorted(declared)}:\n" + "\n".join(found)
 
     def test_spectra_suite_loads_no_scipy_integrate(self):
         # the spectra oracle is double-exponential quadrature in numpy, not QUADPACK callbacks
@@ -1229,7 +1240,6 @@ class TestCsvParity:
             finally:
                 tracemalloc.stop()
 
-        importlib.import_module("scipy")
         small, large = peak(225), peak(900)  # 9,225 and 36,900 points
         assert large <= 1.1 * small
 
@@ -1258,7 +1268,6 @@ class TestCsvParity:
             finally:
                 tracemalloc.stop()
 
-        importlib.import_module("scipy")
         small, large = peak(*small), peak(*large)  # 8,192 and 32,768 records
         assert large <= 1.1 * small
 
@@ -1596,6 +1605,43 @@ class TestSpectralOracles:
         for n in (1, 2, 4, 16, 64):
             assert np.isfinite(spectral._expint_fraction(n, x)).all()
 
+    def test_exp1_series_matches_mpmath(self, rng):
+        # the unit disk, the decades 1e-12..1e-3 where -gamma - log x dominates, both axes and the
+        # branch cut approached from above
+        mp = pytest.importorskip("mpmath")
+        radius = np.concatenate([np.sqrt(rng.random(400)), np.geomspace(1e-12, 1e-3, 100), [0.999999, 0.5, 1e-8]])
+        x = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, radius.size))
+        x = np.concatenate([x, radius[-3:], -radius[-3:] + 0j, 1j * radius[-3:], -1j * radius[-3:]])
+        got = spectral._exp1_series(x)
+        with mp.workdps(40):
+            rel = [abs(mp.mpc(g) - (e := mp.e1(mp.mpc(v)))) / abs(e) for g, v in zip(got, x)]
+        assert float(max(rel)) <= 4e-15
+        assert spectral._exp1_series(x[:0]).shape == (0,)
+
+    def test_transform_keeps_the_bits_of_scipy_exp1(self, monkeypatch):
+        # a pin: with scipy.special.exp1 (a test oracle) in place of the series, every transform
+        # of the beam windows and of the spectra suite keeps its bits
+        from scipy.special import exp1
+
+        calls = [({n: 1.0}, 1j * b, spectral_window(n, b)) for n in (1, 2, 4, 8, 16) for b in (1.01, 1.5, 3.0)]
+        with monkeypatch.context() as m:
+            m.setattr(validate_mod, "cauchy_series_transform",
+                      lambda *args: calls.append(args) or cauchy_series_transform(*args))
+            assert suite_spectra(default_config(), np.random.default_rng(1)).passed
+        assert len(calls) == 15 + 3
+        series = [cauchy_series_transform(*args) for args in calls]
+        seen = []
+        monkeypatch.setattr(spectral, "_exp1_series", lambda x: seen.append(x.size) or exp1(x))
+        oracle = [cauchy_series_transform(*args) for args in calls]
+        assert sum(seen) >= 30  # each beam window's two tails reach |x| < 1
+        assert [got.tobytes() for got in series] == [want.tobytes() for want in oracle]
+
+    def test_expint_of_order_one_at_zero_is_refused(self):
+        # E_1 diverges at 0; E_n(0) = 1/(n - 1) for n >= 2
+        with pytest.raises(QuadratureDivergenceError, match=r"e\^x E_1\(x\) diverges at x = 0\+0j"):
+            spectral._scaled_expint(1, np.array([0.5j, 0j, 2.0]))
+        assert spectral._scaled_expint(3, np.array([0j]))[0] == 0.5
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_expint_near_the_negative_real_axis_is_refused(self, n):
         x = np.array([3.0 + 0.0j, 2.0 * np.exp(0.99j * np.pi), 5.0 * np.exp(-0.99j * np.pi)])
@@ -1841,9 +1887,7 @@ class TestValidationSuites:
     def test_million_point_suites_bounded_memory(self, suite, limit_mb):
         # the appendix bound sits between its traced peaks at validate.BATCH = 2^13 (3.1 MB
         # at seed 0) and at 2^16 (23.7 MB), so undoing the batching fails here; sigma-algebra
-        # walks no million points now and peaks at 0.4 MB;
-        # the spectral tails import scipy.special lazily; trace the suite, not that import
-        importlib.import_module("scipy.special")
+        # walks no million points now and peaks at 0.4 MB
         tracemalloc.start()
         try:
             res = suite(default_config(), np.random.default_rng(0))
