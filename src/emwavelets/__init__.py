@@ -72,7 +72,6 @@ from .surface_sources import (
     coulomb_spheroid_sources,
     disk_angular_velocity,
     effective_aperture,
-    field_jump,
     impulse_surface_sources,
     impulse_tilde_lmn,
     surface_sources_approx,

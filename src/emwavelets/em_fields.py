@@ -151,14 +151,12 @@ def interior_field(w: ScalarWavelet, pol, r, t):
     return assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) + assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
 
 
-def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, nu: float = 1.0):
+def joint_field(w: ScalarWavelet, pol, r, t, alpha: float):
     """Field radiated jointly by the two spheroidal cuts at parameter alpha.
 
-    2F outside the spheroid p = alpha; inside, nu times the symmetric
-    sourceless combination F(sigma) + F(-sigma), which is single-valued
-    across the disk for any nu.  The split mu = 2 - nu only enters the
-    surface jump mu*F(sigma) - nu*F(-sigma) (surface_sources.field_jump);
-    nu = 1 is the combination realizable as a pair of branch cuts.
+    2F outside the spheroid p = alpha; inside, the unique sourceless field
+    F(sigma) + F(-sigma) of interior_field.  The two differ across the
+    spheroid by the jump the surface sources carry (surface_sources.ring_jump).
     """
     pol = _as_pol(pol)
     fr = frame(r, w.cfg)
@@ -170,7 +168,7 @@ def joint_field(w: ScalarWavelet, pol, r, t, alpha: float, nu: float = 1.0):
     if not np.any(inside):
         return 2.0 * Fp
     Fm = assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
-    return np.where(np.asarray(inside)[..., None], nu * (Fp + Fm), 2.0 * Fp)
+    return np.where(np.asarray(inside)[..., None], Fp + Fm, 2.0 * Fp)
 
 
 def far_field(w: ScalarWavelet, pol, r, t):

@@ -156,8 +156,7 @@ def _straddle_pairs_for_cut(cut, cfg, rng, n):
     qs = rng.uniform(0.05 * a, 0.95 * a, n)
     phis = rng.uniform(0.0, 2 * np.pi, n)
     if isinstance(cut, FlatDisk):
-        rho = np.sqrt(a**2 - qs**2)
-        base = rho[:, None] * _cylindrical_basis(phis, cfg)[0]
+        base = spheroid_point(0.0, qs, phis, cfg)
         nhat = np.broadcast_to(cfg.a_hat, base.shape)
         return base + delta * nhat, base - delta * nhat
     if isinstance(cut, HalfSpheroid):
@@ -203,7 +202,7 @@ def _disk_discontinuities(cut, cfg):
     a = cfg.a_mag
     qs = np.linspace(0.2 * a, 0.95 * a, 32)
     phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False) + 0.1
-    base = np.sqrt(a**2 - qs**2)[:, None] * _cylindrical_basis(phis, cfg)[0]
+    base = spheroid_point(0.0, qs, phis, cfg)
     delta = 1e-7 * a * cfg.a_hat
     plus, minus = base + delta, base - delta
     s0p, _, _ = complex_distance_principal(plus, cfg)
@@ -396,8 +395,7 @@ def suite_interior_continuity(rc: RunConfig, rng, tol_scale=1.0, n_pairs=1000):
     pol = rc.polarization()
     qs = rng.uniform(0.2 * a, 0.95 * a, n_pairs)
     phis = rng.uniform(0, 2 * np.pi, n_pairs)
-    rho = np.sqrt(a**2 - qs**2)
-    base = rho[:, None] * _cylindrical_basis(phis, cfg)[0]
+    base = spheroid_point(0.0, qs, phis, cfg)
     up = base + delta * cfg.a_hat
     dn = base - delta * cfg.a_hat
     t = 1.3 * a / cfg.c

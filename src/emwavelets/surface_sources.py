@@ -10,7 +10,10 @@ The jump has the field's form L*lam*u - M*pol - i*N*(u x pol); its tilde
 coefficients are lmn's formula taken of the mixed signals
 g+- = g(tau-sigma) +- g(tau+sigma).  For the impulse drive (n = 1 Cauchy
 kernel) they reduce to rational closed forms in (sigma, tau): the
-antenna's impulse response.  The response to a band-pass drive C_n is
+antenna's impulse response.  Every source takes one route to the jump:
+ring_jump gives the coefficients of each ring q, ring_sources assembles
+them with the exact surface frame, and the flat-spheroid closed forms read
+the same coefficients.  The response to a band-pass drive C_n is
 surface_sources_exact of a wavelet driven by C_n.  The analytically continued
 Coulomb field provides the static validation example.  Its disk-limit
 sources are a charge density and an azimuthal current j = j0 v with
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LightConePoleError, NearRimError, RimSingularityError, SubRadiatingError
-from .em_fields import LMNTriplet, _as_pol, _lmn_kernel, _nonzero_sigma, assemble, lmn
+from .em_fields import LMNTriplet, _as_pol, _lmn_kernel, _nonzero_sigma, assemble
 from .geometry import (
     ComplexDistanceSample,
     SourceConfig,
@@ -39,7 +42,6 @@ from .signals import mixed_signals
 
 __all__ = [
     "SurfaceSourceSample",
-    "field_jump",
     "tilde_lmn",
     "impulse_tilde_lmn",
     "impulse_surface_sources",
@@ -143,15 +145,15 @@ def _surface_geometry(q, phi, alpha, cfg):
     ring, and only the point, the frame's vectors and the assembly once per
     point.
     """
-    if np.any(np.asarray(alpha) < 0.0):
-        raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
+    p, q_ring, sigma = _ring_sigma(q, alpha)
     pos = spheroid_point(alpha, q, phi, cfg)
-    p, q, sigma = _ring_sigma(q, alpha)
-    return pos, ComplexDistanceSample(pos, cfg, sigma, p, q)
+    return pos, ComplexDistanceSample(pos, cfg, sigma, p, q_ring)
 
 
 def _ring_sigma(q, alpha):
     """(p, q, sigma = p - i*q) of the rings q on p = alpha, p and q broadcast against each other only."""
+    if np.any(np.asarray(alpha) < 0.0):
+        raise ValueError("alpha must be non-negative: it is the spheroid's p coordinate")
     p, q = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(q, dtype=float))
     return p, q, p - 1j * q
 
@@ -188,50 +190,28 @@ def _sources_from_jump(dF, pos, e_p, q, phi) -> SurfaceSourceSample:
                                j0=_dot(e_p, dF), j=-1j * _cross(e_p, dF))
 
 
-def field_jump(w: ScalarWavelet, pol, q, phi, alpha, t, mu: float = 1.0, nu: float = 1.0,
-               q_min: float | None = None):
-    """Jump dF = mu*F(sigma) - nu*F(-sigma) across the spheroid p = alpha.
-
-    sigma is the disk-reference branch, continuous across the spheroid; it is
-    taken from the surface coordinates as alpha - i*q, not recomputed from
-    the Cartesian point, so it is exact and constant along each ring.
-    Defaults mu = nu = 1 give the branch-cut combination.
-    """
-    pol = _as_pol(pol)
-    _check_rim(q, w.cfg, q_min)
-    pos, fr = _surface_geometry(q, phi, alpha, w.cfg)
-    tau = w.tau(t)
-    if mu == 1.0 and nu == 1.0:
-        dF = assemble(*tilde_lmn(w.sig, fr.sigma, tau), fr.u, pol)
-    else:
-        if abs(mu + nu - 2.0) > 1e-12:
-            raise ValueError("need mu + nu = 2")
-        dF = mu * assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) - nu * assemble(
-            *lmn(w.sig, -fr.sigma, tau), -fr.u, pol
-        )
-    return dF, pos, fr
-
-
 def surface_sources_exact(w: ScalarWavelet, pol, q, phi, alpha, t,
                           q_min: float | None = None) -> SurfaceSourceSample:
-    """j0 = e_p . dF and j = -i e_p x dF with the exact outgoing normal e_p."""
-    dF, pos, fr = field_jump(w, pol, q, phi, alpha, t, q_min=q_min)
-    return _sources_from_jump(dF, pos, fr.e_p, q, phi)
+    """j0 = e_p . dF and j = -i e_p x dF with the exact outgoing normal e_p: ring_sources of ring_jump."""
+    _check_rim(q, w.cfg, q_min)
+    return ring_sources(ring_jump(w, q, alpha, t, w.cfg), pol, q, phi, alpha, w.cfg)
 
 
 def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
                            q_min: float | None = None) -> SurfaceSourceSample:
     """Flat-spheroid (alpha << a) closed forms for the surface sources.
 
-    With s = alpha - i*q on the surface, rho = sqrt(a^2 - q^2), and the
-    polarization resolved on the local cylindrical axes,
+    With s = alpha - i*q on the surface, rho = sqrt(a^2 - q^2), the
+    polarization resolved on the local cylindrical axes and the source axis,
+    p_z = a_hat . pol, and the jump coefficients of ring_jump,
 
-      s|s| j0 = Lt*a*rho*p_rho + Nt*s*rho*p_phi
-      s|s| j  = (Lt*rho^2*p_rho - Mt*s^2*p_rho + Nt*a*s*p_phi) e_phi
-              + (Mt*s^2*p_phi + Nt*a*s*p_rho) e_rho.
+      s|s| j0 = Lt*a*rho*p_rho + Nt*s*rho*p_phi - i*(Lt*a^2 + Mt*s^2)*p_z
+      s|s| j  = (Lt*rho^2*p_rho - Mt*s^2*p_rho + Nt*a*s*p_phi - i*Lt*a*rho*p_z) e_phi
+              + (Mt*s^2*p_phi + Nt*a*s*p_rho - i*Nt*s*rho*p_z) e_rho,
 
-    Degrades near the rim q = 0, where the normal turns away from the
-    axis; the rim band is refused by default.
+    from e_p ~ (i s/|s|) a_hat and u ~ (rho e_rho - i a a_hat)/s.  Degrades
+    near the rim q = 0, where the normal turns away from the axis; the rim
+    band is refused by default.
     """
     pol = _as_pol(pol)
     cfg = w.cfg
@@ -245,23 +225,20 @@ def surface_sources_approx(w: ScalarWavelet, pol, q, phi, alpha, t,
     e_rho, e_phi = _cylindrical_basis(phi, cfg)
     p_rho = _dot(e_rho, pol)
     p_phi = _dot(e_phi, pol)
-    tau = w.tau(t)
-    Lt, Mt, Nt = tilde_lmn(w.sig, sigma, tau)
+    p_z = _dot(cfg.a_hat, pol)
+    Lt, Mt, Nt = ring_jump(w, q, alpha, t, cfg)
     denom = sigma * np.abs(sigma)
-    j0 = (Lt * a * rho * p_rho + Nt * sigma * rho * p_phi) / denom
-    jc_phi = (Lt * rho**2 * p_rho - Mt * sigma**2 * p_rho + Nt * a * sigma * p_phi) / denom
-    jc_rho = (Mt * sigma**2 * p_phi + Nt * a * sigma * p_rho) / denom
+    j0 = (Lt * a * rho * p_rho + Nt * sigma * rho * p_phi - 1j * (Lt * a**2 + Mt * sigma**2) * p_z) / denom
+    jc_phi = (Lt * rho**2 * p_rho - Mt * sigma**2 * p_rho + Nt * a * sigma * p_phi
+              - 1j * Lt * a * rho * p_z) / denom
+    jc_rho = (Mt * sigma**2 * p_phi + Nt * a * sigma * p_rho - 1j * Nt * sigma * rho * p_z) / denom
     j = jc_phi[..., None] * e_phi + jc_rho[..., None] * e_rho
     return SurfaceSourceSample(position=pos, q=q, phi=phi, j0=j0, j=j)
 
 
 def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
                             q_min: float | None = None) -> SurfaceSourceSample:
-    """Antenna impulse response: sources for the delta drive from the closed forms.
-
-    Assembles dF from impulse_tilde_lmn with the exact surface frame, then
-    j0 = e_p . dF, j = -i e_p x dF.
-    """
+    """Antenna impulse response: the delta drive's sources, from the closed forms of impulse_tilde_lmn."""
     _check_rim(q, cfg, q_min)
     return ring_sources(ring_jump(None, q, alpha, t, cfg), pol, q, phi, alpha, cfg)
 

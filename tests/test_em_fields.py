@@ -251,45 +251,20 @@ class TestInteriorAndJoint:
         J = joint_field(wavelet, POL_X, pt, t, alpha=0.1)
         assert np.allclose(J, 2.0 * field(wavelet, POL_X, pt, t).F)
 
-    def test_joint_general_interior(self, wavelet, cfg):
-        # interior is nu times the symmetric combination; nu = 0 empties it
-        pt = np.array([0.3, 0.0, 0.02])
+    def test_joint_interior_is_interior_field(self, wavelet):
+        # inside the spheroid the joint field is the unique sourceless F(sigma) + F(-sigma)
+        pts = np.array([[0.3, 0.0, 0.02], [0.1, -0.4, -0.03], [0.0, 0.6, 0.01]])
         t = 1.2
-        J0 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, nu=0.0)
-        assert np.allclose(J0, 0.0)
-        J32 = joint_field(wavelet, POL_X, pt, t, alpha=0.1, nu=1.5)
-        assert np.allclose(J32, 1.5 * interior_field(wavelet, POL_X, pt, t))
+        J = joint_field(wavelet, POL_X, pts, t, alpha=0.1)
+        assert np.array_equal(J, interior_field(wavelet, POL_X, pts, t))
 
-    def test_joint_minus_interior_is_jump(self, wavelet, cfg):
-        # exterior limit minus interior limit reproduces the surface jump
-        from emwavelets.geometry import frame, spheroid_point
-        from emwavelets.surface_sources import field_jump
-
-        alpha, qv, phiv, t = 0.1, 0.55, 0.8, 1.4
-        base = spheroid_point(alpha, qv, phiv, cfg)
-        nhat = frame(base, cfg).e_p
-        eps = 1e-7
-        for mu in (1.0, 0.4):
-            nu = 2.0 - mu
-            outside = joint_field(wavelet, POL_X, base + eps * nhat, t, alpha=alpha, nu=nu)
-            inside = joint_field(wavelet, POL_X, base - eps * nhat, t, alpha=alpha, nu=nu)
-            dF, _, _ = field_jump(wavelet, POL_X, qv, phiv, alpha, t, mu=mu, nu=nu)
-            assert np.linalg.norm(outside - inside - dF) < 1e-5 * np.linalg.norm(dF)
-
-    def test_joint_continuity_any_split(self, wavelet):
+    def test_joint_continuity_across_disk(self, wavelet):
         up = np.array([0.5, 0.0, 1e-8])
         dn = np.array([0.5, 0.0, -1e-8])
         t = 1.3
-        for nu in (1.5, 1.0, 0.3):
-            Ju = joint_field(wavelet, POL_X, up, t, alpha=0.1, nu=nu)
-            Jd = joint_field(wavelet, POL_X, dn, t, alpha=0.1, nu=nu)
-            assert np.linalg.norm(Ju - Jd) < 1e-7 * np.linalg.norm(Ju)
-
-    def test_jump_rejects_bad_split(self, wavelet):
-        from emwavelets.surface_sources import field_jump
-
-        with pytest.raises(ValueError):
-            field_jump(wavelet, POL_X, 0.5, 0.2, 0.1, 1.0, mu=1.5, nu=1.0)
+        Ju = joint_field(wavelet, POL_X, up, t, alpha=0.1)
+        Jd = joint_field(wavelet, POL_X, dn, t, alpha=0.1)
+        assert np.linalg.norm(Ju - Jd) < 1e-7 * np.linalg.norm(Ju)
 
     def test_joint_on_surface_raises(self, wavelet, cfg):
         from emwavelets.geometry import spheroid_point

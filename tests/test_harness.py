@@ -754,6 +754,26 @@ class TestLayering:
                     found += [f"{rel}:{node.lineno} uses {n}" for n in names if n == "_sign"]
         assert not found, "resolve the branch with geometry.branch:\n" + "\n".join(found)
 
+    def test_one_jump_route(self):
+        # the jump coefficients are taken in ring_jump and assembled in ring_sources only;
+        # suite_impulse_response compares the closed forms against the generic coefficients
+        takers = {("surface_sources.py", "ring_jump"), ("harness/validate.py", "suite_impulse_response")}
+        coefficients = ("tilde_lmn", "impulse_tilde_lmn")
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            for scope, node in _calls_in_scopes(ast.parse(path.read_text())):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                where = f"{rel}:{node.lineno} in {scope or '<module>'}: {ast.unparse(node)}"
+                if name in coefficients and (rel, scope) not in takers:
+                    found.append(where)
+                elif name == "assemble" and scope != "ring_sources" and (rel == "surface_sources.py" or any(
+                        isinstance(a, ast.Starred) and isinstance(a.value, ast.Call)
+                        and getattr(a.value.func, "id", None) in (*coefficients, "ring_jump") for a in node.args)):
+                    found.append(where)
+        assert not found, "take the jump with ring_jump and assemble it with ring_sources:\n" + "\n".join(found)
+
     def test_battery_gates_the_sign_rule_by_closed_forms(self):
         # continued_sign reduces to the closed-form rule for any chi odd in q, so it
         # cannot catch a wrong rule; it stays in geometry only as a benchmark reference

@@ -17,9 +17,9 @@ from emwavelets import (
     coulomb_spheroid_sources,
     disk_angular_velocity,
     effective_aperture,
-    field_jump,
     impulse_surface_sources,
     impulse_tilde_lmn,
+    joint_field,
     surface_sources_approx,
     surface_sources_exact,
     tilde_lmn,
@@ -28,7 +28,7 @@ from emwavelets.em_fields import assemble, lmn
 from emwavelets.geometry import frame, spheroid_point
 from emwavelets.harness.fd import bandpass_via_impulse
 from emwavelets.signals import DrivingSignal, SampledSignal
-from emwavelets.surface_sources import _surface_geometry
+from emwavelets.surface_sources import _surface_geometry, ring_jump
 
 POL_X = np.array([1.0, 0.0, 0.0], dtype=complex)
 TWO_PI = 2 * np.pi
@@ -132,31 +132,6 @@ class TestImpulseClosedForms:
             impulse_tilde_lmn(0.3 + 0.1j, 0.3 + 0.1j)
 
 
-class TestFieldJump:
-    def test_two_branch_oracle(self, wavelet, cfg, rng):
-        qs = rng.uniform(0.25, 0.95, 50) * rng.choice([-1.0, 1.0], 50)
-        phis = rng.uniform(0, TWO_PI, 50)
-        t = 1.6
-        dF, pos, fr = field_jump(wavelet, POL_X, qs, phis, 0.05, t)
-        tau = wavelet.tau(t)
-        Fp = assemble(*lmn(wavelet.sig, fr.sigma, tau), fr.u, POL_X)
-        Fm = assemble(*lmn(wavelet.sig, -fr.sigma, tau), -fr.u, POL_X)
-        assert np.abs(dF - (Fp - Fm)).max() < 1e-12 * np.abs(dF).max()
-
-    def test_antisymmetry(self, wavelet, cfg):
-        # swapping the roles of the two branches negates the jump
-        dF, _, fr = field_jump(wavelet, POL_X, 0.5, 1.0, 0.05, 1.6)
-        tau = wavelet.tau(1.6)
-        swapped = assemble(*lmn(wavelet.sig, -fr.sigma, tau), -fr.u, POL_X) - assemble(
-            *lmn(wavelet.sig, fr.sigma, tau), fr.u, POL_X
-        )
-        assert np.allclose(swapped, -dF)
-
-    def test_near_rim_refused(self, wavelet):
-        with pytest.raises(NearRimError):
-            field_jump(wavelet, POL_X, 0.01, 0.0, 0.05, 1.5)
-
-
 class TestSurfaceFrame:
     @pytest.mark.parametrize("per_ring_alpha", [False, True], ids=["scalar", "array"])
     def test_sigma_is_alpha_minus_iq_along_each_ring(self, cfg, per_ring_alpha):
@@ -168,9 +143,14 @@ class TestSurfaceFrame:
         assert (bits(fr.sigma) == bits(alpha - 1j * Q)).all()
         assert (bits(fr.sigma) == bits(fr.sigma)[:, :1]).all()
 
-    def test_negative_alpha_refused(self, wavelet):
+    @pytest.mark.parametrize("call", ["sources", "jump", "impulse-jump"])
+    def test_negative_alpha_refused(self, wavelet, cfg, call):
+        # the jump coefficients refuse it as the surface frame does, for a drive and the impulse
         with pytest.raises(ValueError, match="non-negative"):
-            surface_sources_exact(wavelet, POL_X, 0.5, 0.0, -0.05, 1.4)
+            if call == "sources":
+                surface_sources_exact(wavelet, POL_X, 0.5, 0.0, -0.05, 1.4)
+            else:
+                ring_jump(wavelet if call == "jump" else None, 0.5, -0.05, 1.4, cfg)
 
     @pytest.mark.parametrize("a_vec", [(0.0, 0.0, 1.0), (0.4, -0.65, 1.05)], ids=["axis-z", "oblique"])
     def test_frame_matches_cartesian_frame(self, a_vec, rng):
@@ -210,6 +190,39 @@ class TestSurfaceFrame:
 
 
 class TestExactSources:
+    def test_sources_carry_joint_field_jump(self, wavelet, cfg, rng):
+        # the joint field's exterior limit minus its interior limit, both from one call,
+        # is the jump dF the sources carry: j0 = e_p . dF, j = -i e_p x dF
+        alpha, t, eps, n = 0.1, 1.4, 1e-7, 20
+        qs = rng.uniform(0.25, 0.95, n) * rng.choice([-1.0, 1.0], n)
+        phis = rng.uniform(0, TWO_PI, n)
+        base = spheroid_point(alpha, qs, phis, cfg)
+        e_p = frame(base, cfg).e_p
+        F = joint_field(wavelet, POL_X, np.concatenate([base + eps * e_p, base - eps * e_p]), t, alpha=alpha)
+        dF = F[:n] - F[n:]
+        s = surface_sources_exact(wavelet, POL_X, qs, phis, alpha, t)
+        got = np.column_stack([s.j0, s.j])
+        want = np.column_stack([np.sum(e_p * dF, axis=-1), -1j * np.cross(e_p, dF)])
+        dev = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert dev.max() <= 1e-5
+
+    def test_two_branch_oracle(self, wavelet, cfg, rng):
+        # the sources carry dF = F(sigma) - F(-sigma), each branch's field assembled from lmn
+        qs = rng.uniform(0.25, 0.95, 50) * rng.choice([-1.0, 1.0], 50)
+        phis = rng.uniform(0, TWO_PI, 50)
+        t = 1.6
+        s = surface_sources_exact(wavelet, POL_X, qs, phis, 0.05, t)
+        _, fr = _surface_geometry(qs, phis, 0.05, cfg)
+        tau = wavelet.tau(t)
+        dF = assemble(*lmn(wavelet.sig, fr.sigma, tau), fr.u, POL_X) - assemble(
+            *lmn(wavelet.sig, -fr.sigma, tau), -fr.u, POL_X)
+        assert np.abs(s.j0 - np.sum(fr.e_p * dF, axis=-1)).max() < 1e-12 * np.abs(s.j0).max()
+        assert np.abs(s.j + 1j * np.cross(fr.e_p, dF)).max() < 1e-12 * np.abs(s.j).max()
+
+    def test_near_rim_refused(self, wavelet):
+        with pytest.raises(NearRimError):
+            surface_sources_exact(wavelet, POL_X, 0.01, 0.0, 0.05, 1.5)
+
     def test_tangency(self, wavelet, rng):
         qs = rng.uniform(0.25, 0.95, 100) * rng.choice([-1.0, 1.0], 100)
         phis = rng.uniform(0, TWO_PI, 100)
@@ -233,13 +246,19 @@ class TestExactSources:
 
 
 class TestApproxSources:
-    def test_within_ten_percent(self, cfg, rng):
+    @pytest.mark.parametrize("a_vec", [(0.0, 0.0, 1.0), (0.3, -0.2, 1.4)], ids=["axis-z", "oblique"])
+    @pytest.mark.parametrize("pol_kind", ["x", "a_hat", "1,i,1"])
+    def test_within_ten_percent(self, a_vec, pol_kind, rng):
+        # the polarization's component along a_hat feeds both sources too
+        cfg = SourceConfig(a=np.array(a_vec), b=1.5)
+        pol = {"x": POL_X, "a_hat": cfg.a_hat.astype(complex), "1,i,1": np.array([1.0, 1j, 1.0])}[pol_kind]
+        a = cfg.a_mag
         w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(4))
-        qs = rng.uniform(0.2, 0.98, 300) * rng.choice([-1.0, 1.0], 300)
+        qs = rng.uniform(0.2, 0.98, 300) * rng.choice([-1.0, 1.0], 300) * a
         phis = rng.uniform(0, TWO_PI, 300)
-        t = 1.2
-        ex = surface_sources_exact(w, POL_X, qs, phis, 0.01, t, q_min=0.0)
-        ap = surface_sources_approx(w, POL_X, qs, phis, 0.01, t, q_min=0.0)
+        t = 1.2 * a
+        ex = surface_sources_exact(w, pol, qs, phis, 0.01 * a, t, q_min=0.0)
+        ap = surface_sources_approx(w, pol, qs, phis, 0.01 * a, t, q_min=0.0)
         dev_j0 = np.abs(ap.j0 - ex.j0) / np.abs(ex.j0).max()
         dev_j = np.linalg.norm(ap.j - ex.j, axis=-1) / np.linalg.norm(ex.j, axis=-1).max()
         assert dev_j0.max() < 0.10
