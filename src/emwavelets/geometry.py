@@ -97,6 +97,16 @@ def _cross(u, v):
     return out
 
 
+def _component_major(shape, dtype):
+    """An empty (..., 3) array whose component slices are contiguous: a (3, ...) buffer viewed component-last.
+
+    Elementwise results that read it keep its layout, so each per-component
+    pass over a frame vector reads contiguous memory.
+    """
+    buf = np.empty((3,) + shape[:-1], dtype)
+    return buf.transpose(*range(1, buf.ndim), 0)
+
+
 def _axial(r, cfg):
     """(z, rho): height along a_hat and distance from the source axis."""
     z = _dot(r, cfg.a_hat)
@@ -192,11 +202,11 @@ class ComplexDistanceSample:
 
     @cached_property
     def _num(self):
-        """(p r + q a, p a - q r), written per component like _cross."""
+        """(p r + q a, p a - q r), written per component like _cross into component-major buffers."""
         p, q, r, a = self.p, self.q, self.r, self.cfg.a
         shape = np.broadcast_shapes(np.shape(p) + (3,), r.shape)
         dtype = np.result_type(p, q, r, a)
-        gp, gq = np.empty(shape, dtype), np.empty(shape, dtype)
+        gp, gq = _component_major(shape, dtype), _component_major(shape, dtype)
         for k in range(3):
             np.add(p * r[..., k], q * a[k], out=gp[..., k])
             np.subtract(p * a[k], q * r[..., k], out=gq[..., k])
@@ -215,7 +225,7 @@ class ComplexDistanceSample:
         # grad p - i grad q in one complex buffer, by the real operations of that
         # complex expression: the same bits, signed zeros included
         gp, gq = self.grad_p, self.grad_q
-        u = np.empty(gp.shape, dtype=complex)
+        u = _component_major(gp.shape, complex)
         np.subtract(gp, 0.0 * gq, out=u.real)
         np.subtract(0.0, gq, out=u.imag)
         # the sign goes last, as s*u: for an int s, s*u and -u differ in the sign of a zero

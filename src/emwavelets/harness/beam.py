@@ -61,13 +61,7 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float):
     i = int(np.argmax(vals))
     M = float(vals[i])
     half = 0.5 * M
-    # walk out from the peak and interpolate the half crossings
-    lo = i
-    while lo > 0 and vals[lo] > half:
-        lo -= 1
-    hi = i
-    while hi < len(vals) - 1 and vals[hi] > half:
-        hi += 1
+    lo, hi = _half_crossings(vals, i, half)
     if vals[lo] > half or vals[hi] > half:
         raise NoSolutionError("time window too narrow for the FWHM")
     t_lo = np.interp(half, [vals[lo], vals[lo + 1]], [ts[lo], ts[lo + 1]])
@@ -75,6 +69,17 @@ def measure_pulse(sig: CauchySignal, cfg: SourceConfig, theta: float, R: float):
     fwhm = t_hi - t_lo
     T = fwhm / (2.0 * math.sqrt(2.0 ** (2.0 / sig.n) - 1.0))
     return float(T), M
+
+
+def _half_crossings(vals, i, half):
+    """(lo, hi): the nearest indices at or beyond peak index i, on each side, where vals is not above half.
+
+    Where a side never drops to half, its end: the indices a walk out from
+    the peak stops at, found by one vectorized search per side.
+    """
+    low = ~(vals > half)
+    left, right = np.flatnonzero(low[: i + 1]), np.flatnonzero(low[i:])
+    return (int(left[-1]) if left.size else 0), (i + int(right[0]) if right.size else len(vals) - 1)
 
 
 def spectral_window(n: int, b: float):

@@ -2,20 +2,20 @@
 
 All operators take a callable f(r, t) vectorized over points r with shape
 (..., 3) (scalar- or 3-vector-valued) and differentiate it at the given
-points.  One table holds every central stencil (order 2 or 4) and one
-kernel applies it, evaluating f once per stencil point: a curl samples F
-twice per axis at order 2, and a Laplacian samples the centre its three
-axes share once.  The oracles at the end re-derive the closed forms of the
-core modules by differencing: the field from psi, the Lorenz gauge from the
-potentials, the wave operator on psi, and band-pass sources from the
-impulse response.  Those that sample near a cut share one refusal of a
-stencil that would straddle it.  The core modules never difference
-anything.
+points.  One table holds every central stencil (order 2 or 4).  A spatial
+operator evaluates each of its stencil points once, in one call of f on
+the points stacked along a new leading axis of r, and sums the values in
+stencil order: a curl samples F twice per axis at order 2, and a
+Laplacian samples the centre its three axes share once.  Stencils in t
+and in a parameter call f once per offset.  The oracles at the end
+re-derive the closed forms of the core modules by differencing: the field
+from psi, the Lorenz gauge from the potentials, the wave operator on psi,
+and band-pass sources from the impulse response.  Those that sample near
+a cut share one refusal of a stencil that would straddle it.  The core
+modules never difference anything.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "grad",
     "divergence",
     "curl",
+    "div_curl",
     "time_derivative",
     "laplacian",
     "dalembertian",
@@ -53,43 +54,71 @@ _STENCIL = {
 }
 
 
-def _stencil(g, h, k, order):
-    """k-th derivative at s = 0 of g(s), evaluating g once at each point s = o*h."""
+def _weights(k, order):
     if (k, order) not in _STENCIL:
         raise ValueError(f"no central stencil for derivative {k} at order {order}")
-    offs, wts = _STENCIL[k, order]
-    return sum(w * np.asarray(g(o * h)) for o, w in zip(offs, wts)) / h**k
+    return _STENCIL[k, order]
 
 
-def _axes(f, r, t, h, k, order):
-    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f.
+def _combine(values, wts, h, k):
+    """The stencil's weighted sum, in stencil order."""
+    return sum(w * v for v, w in zip(values, wts)) / h**k
 
-    The centre r + 0.0 is one point on every axis, so f is evaluated there once.
+
+def _stencil(g, h, k, order):
+    """k-th derivative at s = 0 of g(s), evaluating g once at each point s = o*h."""
+    offs, wts = _weights(k, order)
+    return _combine((np.asarray(g(o * h)) for o in offs), wts, h, k)
+
+
+def _axes(f, r, t, h, k, order, extra=()):
+    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f, and f at the extra points.
+
+    All the points go to one call of f, stacked along a new leading axis:
+    the centre r + 0.0 once (it lies on every axis), then each axis's
+    shifted points, then the extra points.
     """
+    offs, wts = _weights(k, order)
     r = np.asarray(r, dtype=float)
-    centre = functools.cache(lambda: f(r + 0.0, t))
-    at = lambda s, e: centre() if s == 0 else f(r + s * e, t)
-    return [_stencil(lambda s: at(s, e), h, k, order) for e in np.eye(3)]
+    shifted = [o for o in offs if o != 0]
+    centre = [r + 0.0] if 0 in offs else []
+    points = centre + [r + o * h * e for e in np.eye(3) for o in shifted]
+    vals = np.asarray(f(np.stack(points + list(extra)), t))
+    at = lambda ax, o: vals[0] if o == 0 else vals[len(centre) + ax * len(shifted) + shifted.index(o)]
+    return [_combine((at(ax, o) for o in offs), wts, h, k) for ax in range(3)], vals[len(points):]
 
 
 def grad(f, r, t, h, order: int = 2):
     """Gradient of scalar f; returns shape (..., 3)."""
-    return np.stack(_axes(f, r, t, h, 1, order), axis=-1)
+    return np.stack(_axes(f, r, t, h, 1, order)[0], axis=-1)
 
 
-def divergence(F, r, t, h, order: int = 2):
-    """Divergence of vector F (components on the last axis)."""
-    d = _axes(F, r, t, h, 1, order)
+def _divergence(d):
     return sum(d[ax][..., ax] for ax in range(3))
 
 
-def curl(F, r, t, h, order: int = 2):
-    """Curl of vector F."""
-    d = _axes(F, r, t, h, 1, order)  # d[axis][..., component]
+def _curl(d):
+    # d[axis][..., component]
     return np.stack(
         [d[1][..., 2] - d[2][..., 1], d[2][..., 0] - d[0][..., 2], d[0][..., 1] - d[1][..., 0]],
         axis=-1,
     )
+
+
+def divergence(F, r, t, h, order: int = 2):
+    """Divergence of vector F (components on the last axis)."""
+    return _divergence(_axes(F, r, t, h, 1, order)[0])
+
+
+def curl(F, r, t, h, order: int = 2):
+    """Curl of vector F."""
+    return _curl(_axes(F, r, t, h, 1, order)[0])
+
+
+def div_curl(F, r, t, h, order: int = 2):
+    """(divergence, curl) of vector F from one Jacobian: each stencil point sampled once for both."""
+    d = _axes(F, r, t, h, 1, order)[0]
+    return _divergence(d), _curl(d)
 
 
 def time_derivative(f, r, t, h, order: int = 2, k: int = 1):
@@ -98,7 +127,7 @@ def time_derivative(f, r, t, h, order: int = 2, k: int = 1):
 
 
 def laplacian(f, r, t, h, order: int = 2):
-    return sum(_axes(f, r, t, h, 2, order))
+    return sum(_axes(f, r, t, h, 2, order)[0])
 
 
 def dalembertian(f, r, t, h, order: int = 2):
@@ -107,21 +136,24 @@ def dalembertian(f, r, t, h, order: int = 2):
 
 
 def _hessian(f, r, t, h):
-    """Hessian H[i][j] of scalar f (2nd-order stencils); its diagonal is laplacian's terms."""
+    """Hessian H[i][j] of scalar f (2nd-order stencils), from one call of f on its 19 points.
+
+    The diagonal is laplacian's terms; each mixed term takes the corners r +- h e_i +- h e_j.
+    """
     r = np.asarray(r, dtype=float)
-    H = [[None] * 3 for _ in range(3)]
     eye = np.eye(3)
-    for i, dii in enumerate(_axes(f, r, t, h, 2, 2)):
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    corners = []
+    for i, j in pairs:
+        ei, ej = eye[i] * h, eye[j] * h
+        corners += [r + ei + ej, r + ei - ej, r - ei + ej, r - ei - ej]
+    diagonal, vals = _axes(f, r, t, h, 2, 2, extra=corners)
+    H = [[None] * 3 for _ in range(3)]
+    for i, dii in enumerate(diagonal):
         H[i][i] = dii
-        for j in range(i + 1, 3):
-            ei, ej = eye[i] * h, eye[j] * h
-            dij = (
-                np.asarray(f(r + ei + ej, t))
-                - np.asarray(f(r + ei - ej, t))
-                - np.asarray(f(r - ei + ej, t))
-                + np.asarray(f(r - ei - ej, t))
-            ) / (4.0 * h**2)
-            H[i][j] = H[j][i] = dij
+    for m, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = vals[4 * m : 4 * m + 4]
+        H[i][j] = H[j][i] = (pp - pm - mp + mm) / (4.0 * h**2)
     return H
 
 
@@ -154,9 +186,9 @@ def field_curl_oracle(w: ScalarWavelet, pol, r, t, h: float | None = None):
     """F recomputed as curl curl Z + i d/dt curl Z, Z = psi*pol, by differencing psi.
 
     Uses curl curl Z = grad(div Z) - lap(Z) and curl Z = grad(psi) x pol,
-    so only the scalar psi is ever sampled: 19 times for the Hessian, whose
-    trace is the Laplacian, and 12 for d/dt grad psi.  Independent of the
-    L/M/N algebra.
+    so only the scalar psi is ever sampled: at 19 points in one call for the
+    Hessian, whose trace is the Laplacian, and at 12 in one call per time
+    offset for d/dt grad psi.  Independent of the L/M/N algebra.
     """
     pol = _as_pol(pol)
     if h is None:

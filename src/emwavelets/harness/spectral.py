@@ -333,8 +333,10 @@ def cauchy_series_transform(coeffs, shift, omegas):
         cn = c * _kernel_const(n)
         live = ~zero if n == 1 else slice(None)
         w = omegas[live]
-        right = np.exp(1j * w * t_r) * z_r ** (1 - n) * _scaled_expint(n, -1j * w * z_r)
-        left = (-1.0) ** n * np.exp(1j * w * t_l) * z_l ** (1 - n) * _scaled_expint(n, 1j * w * z_l)
+        # both tails in one call: a continued fraction and a series loop per order, not two
+        e_r, e_l = np.split(_scaled_expint(n, np.concatenate([-1j * w * z_r, 1j * w * z_l])), 2)
+        right = np.exp(1j * w * t_r) * z_r ** (1 - n) * e_r
+        left = (-1.0) ** n * np.exp(1j * w * t_l) * z_l ** (1 - n) * e_l
         out[live] += cn * (right + left)
         if n == 1 and zero.any():
             # symmetric window: paired tails in closed form

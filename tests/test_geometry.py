@@ -243,6 +243,38 @@ class TestComplexBuffers:
                 assert (fr.grad_q == 0.0).any() and np.isnan(fr.grad_q).any()
                 assert self._same(fr.u, want)
 
+    @staticmethod
+    def _c_ordered_frame(r, cfg, p, q, sign):
+        """grad_p, grad_q, u and e_p computed in C-ordered (..., 3) buffers, component by component."""
+        a = cfg.a
+        gp, gq = np.empty(r.shape), np.empty(r.shape)
+        for k in range(3):
+            np.add(p * r[..., k], q * a[k], out=gp[..., k])
+            np.subtract(p * a[k], q * r[..., k], out=gq[..., k])
+        pq2 = p**2 + q**2
+        grad_p, grad_q = gp / pq2[..., None], gq / pq2[..., None]
+        u = np.empty(r.shape, dtype=complex)
+        np.subtract(grad_p, 0.0 * grad_q, out=u.real)
+        np.subtract(0.0, grad_q, out=u.imag)
+        if sign is not None:
+            u = sign[..., None] * u
+        e_p = gp / (np.sqrt(pq2) * np.sqrt(p**2 + cfg.a_mag**2))[..., None]
+        return {"grad_p": grad_p, "grad_q": grad_q, "u": u, "e_p": e_p}
+
+    @pytest.mark.parametrize("axis, special", SIGNED_ZERO_CASES.values(), ids=SIGNED_ZERO_CASES.keys())
+    def test_frame_is_component_major_with_the_bits_of_c_order(self, axis, special, rng):
+        cfg, pts = self._points(axis, special, rng)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for r in (pts, np.asfortranarray(pts), pts[-500:].reshape(20, 25, 3)):
+                sigma, p, q = complex_distance_principal(r, cfg)
+                sign = np.where(rng.uniform(size=p.shape) < 0.5, -1, 1)
+                for s in (None, sign):
+                    fr = ComplexDistanceSample(r, cfg, sigma, p, q, sign=s)
+                    for name, want in self._c_ordered_frame(r, cfg, p, q, s).items():
+                        got = getattr(fr, name)
+                        assert got.dtype == want.dtype and self._same(got, want), name
+                        assert all(got[..., k].flags.c_contiguous for k in range(3)), name
+
 
 class TestOblate:
     def test_on_axis_example(self, cfg):

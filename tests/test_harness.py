@@ -57,6 +57,7 @@ from emwavelets.harness.validate import (
     suite_interior_continuity,
     suite_oracle_equivalence,
     suite_sigma_algebra,
+    suite_sources_approx,
     suite_spectra,
     suite_surface_continuity,
     suite_wave_maxwell,
@@ -214,25 +215,32 @@ class TestFiniteDifferences:
                 same(got[i][j], H[i][j])
 
     def test_each_stencil_point_evaluated_once(self, monkeypatch):
+        # points are counted over all calls; a spatial operator makes one call of f
         cfg = SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5)
         w = emwavelets.ScalarWavelet(cut=emwavelets.FlatDisk(), cfg=cfg, sig=CauchySignal(1))
         pol = np.array([1.0, 0.0, 0.0])
         r = np.array([[0.4, -0.2, 0.9], [1.1, 0.3, -0.6]])
+        n = len(r)
         calls = []
+        points = lambda: sum(math.prod(np.shape(rr)[:-1]) for rr in calls)
         F = lambda rr, tt: calls.append(rr) or field(w, pol, rr, tt).F
         for order, count in ((2, 6), (4, 12)):
             calls.clear()
             fd.curl(F, r, 1.5, 1e-3, order)
-            assert len(calls) == count
+            assert points() == count * n and len(calls) == 1
+            calls.clear()
+            fd.div_curl(F, r, 1.5, 1e-3, order)
+            assert points() == count * n and len(calls) == 1
         calls.clear()
-        counted_psi = lambda *args: calls.append(args) or psi(*args)
+        counted_psi = lambda *args: calls.append(args[1]) or psi(*args)
         monkeypatch.setattr(fd, "psi", counted_psi)
         fd.field_curl_oracle(w, pol, r, 1.5, h=1e-4)
-        assert len(calls) == 31  # 19 for the Hessian and its trace, 12 for d/dt grad psi
+        # 19 for the Hessian and its trace in one call, 12 for d/dt grad psi in one call per time offset
+        assert points() == 31 * n and [math.prod(np.shape(rr)[:-1]) for rr in calls] == [19 * n, 6 * n, 6 * n]
         # the centre shared by the three axes of a Laplacian is evaluated once
         calls.clear()
         fd.laplacian(lambda rr, tt: calls.append(rr) or psi(w, rr, tt), r, 1.5, 1e-3)
-        assert len(calls) == 7
+        assert points() == 7 * n and len(calls) == 1
 
     def test_richardson(self):
         f = lambda x: np.sin(x)
@@ -1669,6 +1677,22 @@ class TestSpectralOracles:
         with pytest.raises(QuadratureDivergenceError, match=rf"E_{n} .* at x = {first} \(2 of 3 arguments\)"):
             spectral._scaled_expint(n, x)
 
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_one_expint_call_keeps_the_bits_of_one_call_per_tail(self, n, monkeypatch):
+        # each order's two tails go to one call, on the concatenated -i omega z_r and +i omega z_l
+        expint = spectral._scaled_expint
+        seen = []
+        monkeypatch.setattr(spectral, "_scaled_expint", lambda m, x: seen.append((m, x)) or expint(m, x))
+        for b in (1.01, 1.5):
+            cauchy_series_transform({n: 1.0}, 1j * b, spectral_window(n, b))
+        assert [m for m, _ in seen] == [n, n]
+        for _, x in seen:
+            x_r, x_l = np.split(x, 2)
+            assert np.all(x_r.imag < 0.0) and np.all(x_l.imag > 0.0)
+            assert (np.abs(x) < 1.0).any() and (np.abs(x) >= 1.0).any()  # both the series and the fraction
+            joint, apart = expint(n, x), np.concatenate([expint(n, x_r), expint(n, x_l)])
+            assert joint.tobytes() == apart.tobytes()
+
 
 class TestBeamMeasurement:
     def test_measured_duration_matches_local_scale(self, cfg):
@@ -1684,6 +1708,44 @@ class TestBeamMeasurement:
     def test_predicted_duration_within_tolerance(self, cfg):
         T, _ = measure_pulse(CauchySignal(1), cfg, 0.0, 1000.0)
         assert T == pytest.approx(0.5, rel=0.05)
+
+    @staticmethod
+    def _walk(vals, i, half):
+        """The half crossings by a walk out from the peak, one sample at a time."""
+        lo = i
+        while lo > 0 and vals[lo] > half:
+            lo -= 1
+        hi = i
+        while hi < len(vals) - 1 and vals[hi] > half:
+            hi += 1
+        return lo, hi
+
+    def test_half_crossings_are_the_walks(self, monkeypatch):
+        # the 24 arcs of the battery's beam_profile_rows, and series that never drop to half
+        # on one side, hold a NaN or vanish
+        crossings = beam._half_crossings
+        seen = []
+        monkeypatch.setattr(beam, "_half_crossings", lambda *args: seen.append(args) or crossings(*args))
+        cfg0 = default_config().source
+        a = cfg0.a_mag
+        for n in (1, 4, 16):
+            for b in (1.01 * a, 1.5 * a):
+                cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
+                beam.beam_profile_rows(n, cfg, [0.0, np.pi / 3, 2 * np.pi / 3, np.pi], R=beam.R_FACTOR * a)
+        assert len(seen) == 24
+        ramp = np.linspace(0.0, 1.0, 9)
+        edge = [(ramp, 8, 0.5), (ramp[::-1].copy(), 0, 0.5), (np.ones(5), 2, 0.5), (np.zeros(5), 0, 0.0),
+                (np.array([0.1, np.nan, 1.0, 0.7, 0.2]), 2, 0.5), (np.array([1.0]), 0, 0.5)]
+        for vals, i, half in [*seen, *edge]:
+            assert crossings(vals, i, half) == self._walk(vals, i, half)
+
+    def test_measured_pulse_keeps_the_bits_of_the_walk(self, monkeypatch):
+        cfg0 = default_config().source
+        rows = beam.beam_profile_rows(4, cfg0, [0.0, 1.0, np.pi], R=beam.R_FACTOR * cfg0.a_mag)
+        monkeypatch.setattr(beam, "_half_crossings", self._walk)
+        walked = beam.beam_profile_rows(4, cfg0, [0.0, 1.0, np.pi], R=beam.R_FACTOR * cfg0.a_mag)
+        assert [[v.hex() for v in map(float, row)] for row in rows] == [[v.hex() for v in map(float, row)]
+                                                                        for row in walked]
 
 
 def _bracketed_functions(seed, count):
@@ -1884,6 +1946,36 @@ class TestValidationSuites:
         assert good.passed and not bad.passed
         assert bad.measured == good.measured
         assert float(re.search(r"sigma\^2 residual (\S+) ", bad.detail).group(1)) > 1e-12
+
+    def test_appendix_points_are_the_uniform_stream_in_f_ordered_batches(self, monkeypatch):
+        resolve = validate_mod.complex_distance_principal
+        seen = []
+        monkeypatch.setattr(validate_mod, "complex_distance_principal", lambda r, cfg: seen.append(r) or resolve(r, cfg))
+        n = 2 * validate_mod.BATCH + 5
+        rc = default_config()
+        assert suite_appendix_identities(rc, np.random.default_rng(3), n_points=n).passed
+        a = rc.source.a_mag
+        want = np.random.default_rng(3).uniform(-3 * a, 3 * a, (n, 3))
+        assert [len(r) for r in seen] == [validate_mod.BATCH, validate_mod.BATCH, 5]
+        assert all(r.flags.f_contiguous for r in seen)
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+
+    def test_sources_approx_suite_fails_on_a_flipped_p_z_sign_in_j0(self, monkeypatch):
+        # the sign of j0's p_z term, -i (Lt a^2 + Mt s^2) p_z / (s|s|), flipped: the configured
+        # polarization (1, 0, 0) on a = z has p_z = 0, so only the a_hat polarization sees it
+        approx = validate_mod.surface_sources_approx
+
+        def flipped(w, pol, q, phi, alpha, t, q_min=None):
+            s = approx(w, pol, q, phi, alpha, t, q_min=q_min)
+            along = approx(w, np.dot(w.cfg.a_hat, pol) * w.cfg.a_hat, q, phi, alpha, t, q_min=q_min)
+            return dataclasses.replace(s, j0=s.j0 - 2.0 * along.j0)
+
+        rc = default_config()
+        assert np.dot(rc.source.a_hat, rc.polarization()) == 0.0
+        assert suite_sources_approx(rc, np.random.default_rng(1)).passed
+        monkeypatch.setattr(validate_mod, "surface_sources_approx", flipped)
+        res = suite_sources_approx(rc, np.random.default_rng(1))
+        assert not res.passed and res.measured > 1.0
 
     def test_battery_resolves_the_million_points_once(self, monkeypatch):
         # the sigma^2 identity and the frame identities share one walk over 10^6 points;
