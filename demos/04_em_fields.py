@@ -22,7 +22,7 @@ from emwavelets import (
     joint_field,
     poynting_energy_far,
 )
-from emwavelets.harness.fd import curl, divergence, field_curl_oracle, time_derivative
+from emwavelets.harness.fd import field_curl_oracle
 
 cfg = SourceConfig(a=[0, 0, 1.0], b=1.5)
 w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))
@@ -40,14 +40,6 @@ print("=== D and B are one analytic object ===")
 sample = field(w, pol, pt, 2.0)
 print(f"D = Re F = {np.array2string(sample.D, precision=6)}")
 print(f"B = Im F = {np.array2string(sample.B, precision=6)}\n")
-
-print("=== Maxwell's equations by central differences ===")
-F_of = lambda rr, tt: field(w, pol, rr, tt).F
-for h in (1e-2, 5e-3):
-    div = divergence(F_of, pt, 2.0, h)
-    res = time_derivative(F_of, pt, 2.0, h) + 1j * curl(F_of, pt, 2.0, h)
-    print(f"h = {h:g}: |div F| = {abs(div):.2e}, |dF/dt + i curl F| = {np.linalg.norm(res):.2e}")
-print("both fall like h^2: div D = div B = 0, dD/dt = curl B and dB/dt = -curl D.\n")
 
 print("=== far zone: transverse, helicity locked, Poynting radial ===")
 for R in (10.0, 100.0, 1000.0):

@@ -6,13 +6,17 @@ points.  One table holds every central stencil (order 2 or 4).  A spatial
 operator evaluates each of its stencil points once, in one call of f on
 the points stacked along a new leading axis of r, and sums the values in
 stencil order: a curl samples F twice per axis at order 2, and a
-Laplacian samples the centre its three axes share once.  Stencils in t
-and in a parameter call f once per offset.  The oracles at the end
-re-derive the closed forms of the core modules by differencing: the field
-from psi, the Lorenz gauge from the potentials, the wave operator on psi,
-and band-pass sources from the impulse response.  Those that sample near
-a cut share one refusal of a stencil that would straddle it.  The core
-modules never difference anything.
+Laplacian samples the centre its three axes share once.  That one call
+holds all of the operator's points at once, so its temporaries are those
+of f on 6N points for an order-2 curl of N points (12N at order 4, 7N for
+a Laplacian, 19N for the Hessian of field_curl_oracle): difference a large
+set of points in chunks.  Stencils in t and in a parameter call f once per
+offset.  The oracles at the end re-derive the closed forms of the core
+modules by differencing: the field from psi, the Lorenz gauge from the
+potentials, the wave operator on psi, and band-pass sources from the
+impulse response.  Those that sample near a cut share one refusal of a
+stencil that would straddle it.  The core modules never difference
+anything.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "grad",
     "divergence",
     "curl",
-    "div_curl",
     "time_derivative",
     "laplacian",
     "dalembertian",
@@ -71,54 +74,45 @@ def _stencil(g, h, k, order):
     return _combine((np.asarray(g(o * h)) for o in offs), wts, h, k)
 
 
-def _axes(f, r, t, h, k, order, extra=()):
-    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f, and f at the extra points.
+def _axis_points(r, h, offs):
+    """The points r + o*h*e of stencil offs on the axes through r, and each axis's indices into them.
 
-    All the points go to one call of f, stacked along a new leading axis:
-    the centre r + 0.0 once (it lies on every axis), then each axis's
-    shifted points, then the extra points.
+    The centre r + 0.0 lies on every axis, so it is listed once, first;
+    then come each axis's shifted points.
     """
-    offs, wts = _weights(k, order)
-    r = np.asarray(r, dtype=float)
     shifted = [o for o in offs if o != 0]
     centre = [r + 0.0] if 0 in offs else []
     points = centre + [r + o * h * e for e in np.eye(3) for o in shifted]
-    vals = np.asarray(f(np.stack(points + list(extra)), t))
-    at = lambda ax, o: vals[0] if o == 0 else vals[len(centre) + ax * len(shifted) + shifted.index(o)]
-    return [_combine((at(ax, o) for o in offs), wts, h, k) for ax in range(3)], vals[len(points):]
+    at = lambda ax, o: 0 if o == 0 else len(centre) + ax * len(shifted) + shifted.index(o)
+    return points, [[at(ax, o) for o in offs] for ax in range(3)]
+
+
+def _axes(f, r, t, h, k, order):
+    """[d^k f/dx^k, d^k f/dy^k, d^k f/dz^k], each of the whole value of f, from one call of f."""
+    offs, wts = _weights(k, order)
+    points, index = _axis_points(np.asarray(r, dtype=float), h, offs)
+    vals = np.asarray(f(np.stack(points), t))
+    return [_combine((vals[i] for i in idx), wts, h, k) for idx in index]
 
 
 def grad(f, r, t, h, order: int = 2):
     """Gradient of scalar f; returns shape (..., 3)."""
-    return np.stack(_axes(f, r, t, h, 1, order)[0], axis=-1)
-
-
-def _divergence(d):
-    return sum(d[ax][..., ax] for ax in range(3))
-
-
-def _curl(d):
-    # d[axis][..., component]
-    return np.stack(
-        [d[1][..., 2] - d[2][..., 1], d[2][..., 0] - d[0][..., 2], d[0][..., 1] - d[1][..., 0]],
-        axis=-1,
-    )
+    return np.stack(_axes(f, r, t, h, 1, order), axis=-1)
 
 
 def divergence(F, r, t, h, order: int = 2):
     """Divergence of vector F (components on the last axis)."""
-    return _divergence(_axes(F, r, t, h, 1, order)[0])
+    d = _axes(F, r, t, h, 1, order)
+    return sum(d[ax][..., ax] for ax in range(3))
 
 
 def curl(F, r, t, h, order: int = 2):
     """Curl of vector F."""
-    return _curl(_axes(F, r, t, h, 1, order)[0])
-
-
-def div_curl(F, r, t, h, order: int = 2):
-    """(divergence, curl) of vector F from one Jacobian: each stencil point sampled once for both."""
-    d = _axes(F, r, t, h, 1, order)[0]
-    return _divergence(d), _curl(d)
+    d = _axes(F, r, t, h, 1, order)  # d[axis][..., component]
+    return np.stack(
+        [d[1][..., 2] - d[2][..., 1], d[2][..., 0] - d[0][..., 2], d[0][..., 1] - d[1][..., 0]],
+        axis=-1,
+    )
 
 
 def time_derivative(f, r, t, h, order: int = 2, k: int = 1):
@@ -127,7 +121,7 @@ def time_derivative(f, r, t, h, order: int = 2, k: int = 1):
 
 
 def laplacian(f, r, t, h, order: int = 2):
-    return sum(_axes(f, r, t, h, 2, order)[0])
+    return sum(_axes(f, r, t, h, 2, order))
 
 
 def dalembertian(f, r, t, h, order: int = 2):
@@ -141,18 +135,20 @@ def _hessian(f, r, t, h):
     The diagonal is laplacian's terms; each mixed term takes the corners r +- h e_i +- h e_j.
     """
     r = np.asarray(r, dtype=float)
+    offs, wts = _weights(2, 2)
+    points, index = _axis_points(r, h, offs)
     eye = np.eye(3)
     pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
-    corners = []
     for i, j in pairs:
         ei, ej = eye[i] * h, eye[j] * h
-        corners += [r + ei + ej, r + ei - ej, r - ei + ej, r - ei - ej]
-    diagonal, vals = _axes(f, r, t, h, 2, 2, extra=corners)
+        points += [r + ei + ej, r + ei - ej, r - ei + ej, r - ei - ej]
+    vals = np.asarray(f(np.stack(points), t))
+    corners = vals[-4 * len(pairs) :]
     H = [[None] * 3 for _ in range(3)]
-    for i, dii in enumerate(diagonal):
-        H[i][i] = dii
+    for i, idx in enumerate(index):
+        H[i][i] = _combine((vals[n] for n in idx), wts, h, 2)
     for m, (i, j) in enumerate(pairs):
-        pp, pm, mp, mm = vals[4 * m : 4 * m + 4]
+        pp, pm, mp, mm = corners[4 * m : 4 * m + 4]
         H[i][j] = H[j][i] = (pp - pm - mp + mm) / (4.0 * h**2)
     return H
 

@@ -57,9 +57,9 @@ __all__ = ["SuiteResult", "run_all", "ALL_SUITES"]
 
 # Points per batch of the million-point identity suite, a constant: a batch's complex
 # (..., 3) temporaries (~0.4 MB each) fit together in a 2 MB per-core L2 cache, where
-# those of 2^16 points (~3 MB each) did not.  Each batch is F-ordered and the frame
-# built on it component-major, so a per-component pass reads 64 kB of contiguous
-# floats.  The points and results do not depend on it.
+# those of 2^16 points (~3 MB each) did not.  The frame built on a batch is
+# component-major, so a per-component pass reads 64 kB of contiguous floats.  The
+# points and results do not depend on it.
 BATCH = 1 << 13
 
 
@@ -111,15 +111,13 @@ def _off_cut_points(rng, cfg, cut, n, clearance):
 
 
 def _uniform_batches(rng, n_points, half_width):
-    """The points of rng.uniform(-half_width, half_width, (n_points, 3)), in F-ordered batches.
+    """The points of rng.uniform(-half_width, half_width, (n_points, 3)), in batches.
 
     The stream is drawn in the same order, so the points are the same,
-    while each batch's temporaries stay bounded by BATCH.  Each batch is
-    component-major, like the frame built on it, so every per-component
-    pass reads contiguous memory.
+    while each batch's temporaries stay bounded by BATCH.
     """
     for lo in range(0, n_points, BATCH):
-        yield np.asfortranarray(rng.uniform(-half_width, half_width, (min(BATCH, n_points - lo), 3)))
+        yield rng.uniform(-half_width, half_width, (min(BATCH, n_points - lo), 3))
 
 
 @_timed
@@ -270,8 +268,9 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
         res_wave, res_div, res_cc = [], [], []
         for h in hs:
             res_wave.append(float(np.sqrt(np.mean(np.abs(wave_residual(w, pts, t, h=h, order=2)) ** 2))))
-            divF, curlF = fd.div_curl(F_of, pts, t, h)
+            divF = fd.divergence(F_of, pts, t, h)
             dtF = fd.time_derivative(F_of, pts, t, h)
+            curlF = fd.curl(F_of, pts, t, h)
             res_div.append(float(np.sqrt(np.mean(np.abs(divF) ** 2))))
             res_cc.append(float(np.sqrt(np.mean(_sum3(np.abs(dtF + 1j * curlF) ** 2)))))
         slopes = (_slope(hs, res_wave), _slope(hs, res_div), _slope(hs, res_cc))

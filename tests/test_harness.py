@@ -228,9 +228,6 @@ class TestFiniteDifferences:
             calls.clear()
             fd.curl(F, r, 1.5, 1e-3, order)
             assert points() == count * n and len(calls) == 1
-            calls.clear()
-            fd.div_curl(F, r, 1.5, 1e-3, order)
-            assert points() == count * n and len(calls) == 1
         calls.clear()
         counted_psi = lambda *args: calls.append(args[1]) or psi(*args)
         monkeypatch.setattr(fd, "psi", counted_psi)
@@ -1947,7 +1944,7 @@ class TestValidationSuites:
         assert bad.measured == good.measured
         assert float(re.search(r"sigma\^2 residual (\S+) ", bad.detail).group(1)) > 1e-12
 
-    def test_appendix_points_are_the_uniform_stream_in_f_ordered_batches(self, monkeypatch):
+    def test_appendix_points_are_the_uniform_stream_in_batches(self, monkeypatch):
         resolve = validate_mod.complex_distance_principal
         seen = []
         monkeypatch.setattr(validate_mod, "complex_distance_principal", lambda r, cfg: seen.append(r) or resolve(r, cfg))
@@ -1957,7 +1954,6 @@ class TestValidationSuites:
         a = rc.source.a_mag
         want = np.random.default_rng(3).uniform(-3 * a, 3 * a, (n, 3))
         assert [len(r) for r in seen] == [validate_mod.BATCH, validate_mod.BATCH, 5]
-        assert all(r.flags.f_contiguous for r in seen)
         assert np.concatenate(seen).tobytes() == want.tobytes()
 
     def test_sources_approx_suite_fails_on_a_flipped_p_z_sign_in_j0(self, monkeypatch):
