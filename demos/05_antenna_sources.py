@@ -18,7 +18,6 @@ from emwavelets import (
     SourceConfig,
     coulomb_disk_sources,
     coulomb_spheroid_sources,
-    disk_angular_velocity,
     effective_aperture,
     impulse_surface_sources,
     surface_sources_approx,
@@ -61,9 +60,10 @@ frac = (np.sum(s.j0_magnetic**2) + np.sum(s.j_magnetic**2)) / (
 print(f"magnetic energy fraction of the sources at alpha = 0.05a: {frac:.3f}")
 
 print("\n=== the static Coulomb analogue ===")
-j0, j = coulomb_disk_sources(0.5, 1.0)
+j0, j = coulomb_disk_sources(0.5, 0.0, cfg)
 print(f"disk charge density at rho = 0.5: {j0:+.6f}; current {np.array2string(j, precision=5)}")
-print(f"rigid rotation rate c/a = {disk_angular_velocity(1.0):.1f}: the rim moves at light speed")
+print(f"charge velocity j/j0 = {np.array2string(np.real(j / j0), precision=3)}: rigid rotation at rate 1/a, "
+      "so the rim moves at light speed (c = 1)")
 for alpha in (0.25, 0.125, 0.0625):
     s = coulomb_spheroid_sources(alpha, np.sqrt(1 - 0.25), 0.0, cfg)
     print(f"alpha = {alpha:7.4f}: |magnetic j0| = {abs(s.j0_magnetic):.5f} (dies as alpha -> 0)")
@@ -72,7 +72,7 @@ print("\n=== effective aperture ===")
 for n in (2, 8, 32):
     omega = n / cfg.b
     try:
-        q_min, rho_max = effective_aperture(omega, 1.0)
+        q_min, rho_max = effective_aperture(omega, cfg.a_mag)
         print(f"C_{n:<2d} drive (omega = {omega:5.2f}): radiating zone rho <= {rho_max:.3f}")
     except Exception as exc:
         print(f"C_{n:<2d} drive: {exc}")

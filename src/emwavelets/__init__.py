@@ -70,7 +70,6 @@ from .surface_sources import (
     SurfaceSourceSample,
     coulomb_disk_sources,
     coulomb_spheroid_sources,
-    disk_angular_velocity,
     effective_aperture,
     impulse_surface_sources,
     impulse_tilde_lmn,

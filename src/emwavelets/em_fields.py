@@ -143,12 +143,17 @@ def four_potential(w: ScalarWavelet, pol, r, t):
     return A0, A
 
 
+def _sourceless(w: ScalarWavelet, pol, fr, tau, Fp):
+    """F(sigma) + F(-sigma) on the frame fr, from Fp = F(sigma): the sourceless interior field."""
+    return Fp + assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
+
+
 def interior_field(w: ScalarWavelet, pol, r, t):
     """Sourceless interior field F(sigma) + F(-sigma); even in sigma."""
     pol = _as_pol(pol)
     fr = frame(r, w.cfg)
     tau = w.tau(t)
-    return assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol) + assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
+    return _sourceless(w, pol, fr, tau, assemble(*lmn(w.sig, fr.sigma, tau), fr.u, pol))
 
 
 def joint_field(w: ScalarWavelet, pol, r, t, alpha: float):
@@ -167,8 +172,7 @@ def joint_field(w: ScalarWavelet, pol, r, t, alpha: float):
     inside = fr.p < alpha
     if not np.any(inside):
         return 2.0 * Fp
-    Fm = assemble(*lmn(w.sig, -fr.sigma, tau), -fr.u, pol)
-    return np.where(np.asarray(inside)[..., None], Fp + Fm, 2.0 * Fp)
+    return np.where(np.asarray(inside)[..., None], _sourceless(w, pol, fr, tau, Fp), 2.0 * Fp)
 
 
 def far_field(w: ScalarWavelet, pol, r, t):

@@ -11,15 +11,16 @@ their shared sign rule, the coordinate transforms, and branch: sigma on the
 branch a cut selects, with its gradient/unit-vector frame built when it is
 read.
 
-Conventions: vectors are ndarrays with shape (..., 3); scalar results
-broadcast over the leading axes.  On the disk itself the principal branch
+Conventions: units have c = 1, so time, b and a are lengths; vectors
+are ndarrays with shape (..., 3); scalar results broadcast over the
+leading axes.  On the disk itself the principal branch
 takes the limit from the a.r > 0 side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
@@ -127,18 +128,20 @@ def _spheroid_rho(alpha, q, a):
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Imaginary source displacement a, imaginary time b, propagation speed c.
+    """Imaginary source displacement a and imaginary time b, both lengths (units with c = 1).
 
     Requires |a| > 0 (the branch circle must not degenerate to a point)
-    and c*|b| > |a| so that pulses built on this source are defined
-    everywhere.
+    and |b| > |a| so that pulses built on this source are defined
+    everywhere.  c is taken only as 1.
     """
 
     a: np.ndarray
     b: float
-    c: float = 1.0
+    c: InitVar[float] = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, c):
+        if c != 1.0:
+            raise ValueError(f"c must be 1: time and b are lengths (units with c = 1), got {c!r}")
         a = np.asarray(self.a, dtype=float)
         if a.shape != (3,):
             raise ValueError("a must be a 3-vector")
@@ -146,10 +149,8 @@ class SourceConfig:
         a_mag = float(np.linalg.norm(a))
         if not a_mag > 0.0:
             raise ValueError("|a| must be positive; a real point source has no branch circle")
-        if not self.c > 0.0:
-            raise ValueError("propagation speed c must be positive")
-        if not self.c * abs(self.b) > a_mag:
-            raise ValueError("need c*|b| > |a| for globally defined pulses")
+        if not abs(self.b) > a_mag:
+            raise ValueError("need |b| > |a| for globally defined pulses")
         object.__setattr__(self, "a_mag", a_mag)
         a_hat = a / a_mag
         # deterministic transverse basis (e1, e2, a_hat)

@@ -92,11 +92,11 @@ def spectral_window(n: int, b: float):
 def beam_profile_rows(n: int, cfg: SourceConfig, thetas, R: float):
     """Rows (theta, T_pred, T_meas, gap_T, M_pred, M_meas, gap_M) over an arc."""
     sig = CauchySignal(n)
-    a, b, c = cfg.a_mag, cfg.b, cfg.c
+    a, b = cfg.a_mag, cfg.b
     rows = []
     for theta in np.asarray(thetas, dtype=float):
-        T_pred = float(pulse_duration(theta, a, b, c))
-        M_pred = float(peak_strength(theta, n, a, b, c))
+        T_pred = float(pulse_duration(theta, a, b))
+        M_pred = float(peak_strength(theta, n, a, b))
         T_meas, M_meas = measure_pulse(sig, cfg, float(theta), R)
         rows.append(
             (
@@ -119,7 +119,7 @@ def diffraction_angles(n: int, cfg: SourceConfig):
     NoSolutionError if it never does.
     """
     a = cfg.a_mag
-    predicted = diffraction_angle(BETA, n, a, cfg.b, cfg.c)
+    predicted = diffraction_angle(BETA, n, a, cfg.b)
     sig, R = CauchySignal(n), R_FACTOR * a
     _, M0 = measure_pulse(sig, cfg, 0.0, R)
     target = math.exp(-BETA) * M0
@@ -198,7 +198,7 @@ def spectral_profiles(n: int, b: float):
 
 
 def helicity_residuals(w, pol):
-    """The field's helicity residual at 10|a| and 100|a| along HELICITY_THETA, each at time r/c."""
+    """The field's helicity residual at 10|a| and 100|a| along HELICITY_THETA, each at time r."""
     cfg = w.cfg
-    return tuple(float(helicity_residual(w, pol, far_point(cfg, HELICITY_THETA, r), r / cfg.c))
+    return tuple(float(helicity_residual(w, pol, far_point(cfg, HELICITY_THETA, r), r))
                  for r in (10.0 * cfg.a_mag, 100.0 * cfg.a_mag))

@@ -5,8 +5,8 @@ axes have none; an axis left out is the single point 0)::
 
     [source]                    ; required
     a = 0,0,1                   ; finite nonzero 3-vector: imaginary displacement
-    b = 1.5                     ; finite, with c*|b| > |a|: imaginary time
-    c = 1.0                     ; finite, > 0
+    b = 1.5                     ; finite, with |b| > |a|: imaginary time
+    c = 1.0                     ; 1 only: time, b and a are lengths (units with c = 1)
     [cut]
     kind = flat_disk            ; flat_disk | upper_spheroid | lower_spheroid | smooth_spheroid
     alpha = 0.1                 ; finite, > 0
@@ -129,10 +129,10 @@ class RunConfig:
         q_min of a Cauchy drive that has one, else DEFAULT_Q_MIN_FRAC*|a|."""
         if self.q_min != "auto":
             return self.q_min
-        a, b, c = self.source.a_mag, self.source.b, self.source.c
+        a = self.source.a_mag
         if self.signal_kind == "cauchy":
             try:
-                return effective_aperture(self.signal_n / abs(b), a, c)[0]
+                return effective_aperture(self.signal_n / abs(self.source.b), a)[0]
             except SubRadiatingError:
                 pass
         return DEFAULT_Q_MIN_FRAC * a
@@ -156,6 +156,13 @@ def _number(kind=float, lo=-math.inf, hi=math.inf, above=False):
 
 
 _REAL, _POSITIVE, _COUNT = _number(), _number(lo=0, above=True), _number(int, 1)
+
+
+def _unit(text):
+    """The speed of light: 1 only, since the package measures time and b in lengths."""
+    if _REAL(text) != 1.0:
+        raise ValueError(f"must be 1, the c = 1 convention (time and b are lengths), got {text!r}")
+    return 1.0
 
 
 def _choice(*names):
@@ -198,7 +205,7 @@ def _q_min(text):
 TABLE = {
     ("source", "a"): ("source.a", _direction, "0,0,1"),
     ("source", "b"): ("source.b", _REAL, "1.5"),
-    ("source", "c"): ("source.c", _POSITIVE, "1.0"),
+    ("source", "c"): ("source.c", _unit, "1.0"),
     ("cut", "kind"): ("cut_kind", _choice(*CUTS), "flat_disk"),
     ("cut", "alpha"): ("cut_alpha", _POSITIVE, "0.1"),
     ("cut", "eps"): ("cut_eps", _POSITIVE, "0.005"),
@@ -239,7 +246,7 @@ def _run_config(cp) -> RunConfig:
             (fields[outer] if outer else fields)[inner] = parse(f"{section}.{key}", convert, text)
     try:
         fields["source"] = SourceConfig(**fields["source"])
-    except ValueError as exc:  # the keys' ranges leave only the c*|b| > |a| rule
+    except ValueError as exc:  # the keys' ranges leave only the |b| > |a| rule
         raise ConfigError(f"source.b: {exc}") from exc
     return RunConfig(**fields)
 

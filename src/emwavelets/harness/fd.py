@@ -38,7 +38,6 @@ __all__ = [
     "laplacian",
     "dalembertian",
     "nth_derivative_param",
-    "richardson",
     "field_curl_oracle",
     "lorenz_residual",
     "wave_residual",
@@ -162,12 +161,6 @@ def nth_derivative_param(func, x0: float, k: int, h: float):
     return _stencil(lambda s: func(x0 + s), h, k, 2)
 
 
-def richardson(coarse, fine, order: int, ratio: float = 2.0):
-    """Extrapolate two stencil evaluations at steps h and h/ratio."""
-    fac = ratio**order
-    return (fac * fine - coarse) / (fac - 1.0)
-
-
 # --------------------------------------------------------------------------
 # Oracles
 
@@ -239,7 +232,7 @@ def bandpass_via_impulse(n: int, w: ScalarWavelet, pol, q, phi, alpha, t,
         db_step = 1e-4 * abs(cfg.b)
 
     def impulse_at(b):
-        cfg_b = SourceConfig(a=cfg.a, b=b, c=cfg.c)
+        cfg_b = SourceConfig(a=cfg.a, b=b)
         w1 = ScalarWavelet(cut=w.cut, cfg=cfg_b, sig=CauchySignal(1))
         s = surface_sources_exact(w1, pol, q, phi, alpha, t)
         return np.concatenate([np.atleast_1d(s.j0)[..., None], np.atleast_2d(s.j)], axis=-1)

@@ -106,7 +106,7 @@ def field_dataset(rc: RunConfig, threads: int):
         raise ConfigError("grid: sample-field needs a [grid] section")
     header = FIELD_HEADER_PSI if rc.quantity == "psi" else FIELD_HEADER_F
     cfg = rc.source
-    meta = {"a": cfg.a, "b": cfg.b, "c": cfg.c, "cut": rc.cut_kind, "signal": rc.signal_kind,
+    meta = {"a": cfg.a, "b": cfg.b, "cut": rc.cut_kind, "signal": rc.signal_kind,
             **_drive_meta(rc.signal()), "quantity": rc.quantity, "columns": list(header)}
     return "field", header, field_rows(rc, threads), lambda records: {**meta, "records": records}
 
@@ -177,7 +177,6 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     meta = {
         "a": cfg.a,
         "b": cfg.b,
-        "c": cfg.c,
         "alpha": alpha,
         **drive,
         "pol_re": np.real(pol),

@@ -258,7 +258,7 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
     cut = FlatDisk()
     pol = rc.polarization()
     hs = np.array([1e-2, 5e-3, 2.5e-3]) * a
-    t = 2.0 * a / cfg.c
+    t = 2.0 * a
     worst_slope = np.inf
     detail = []
     for n in (1, 4):
@@ -288,7 +288,7 @@ def suite_oracle_equivalence(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
     pol = rc.polarization()
     w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))
     pts = _off_cut_points(rng, cfg, w.cut, n_points, clearance=0.3 * a)
-    t = 2.0 * a / cfg.c
+    t = 2.0 * a
     F = field(w, pol, pts, t).F
     Fo = field_curl_oracle(w, pol, pts, t, h=1e-4 * a)
     rel = np.linalg.norm(F - Fo, axis=-1) / np.linalg.norm(F, axis=-1)
@@ -327,7 +327,7 @@ def suite_coulomb(rc: RunConfig, rng, tol_scale=1.0):
     """Disk sources, vanishing magnetic parts, and the rim-divergence control."""
     cfg = rc.source
     a = cfg.a_mag
-    j0, jvec = coulomb_disk_sources(0.0, a, c=cfg.c)
+    j0, _ = coulomb_disk_sources(0.0, 0.0, cfg)
     err_center = abs(j0 + a / (2 * np.pi * a**3)) / abs(j0)
     # magnetic parts on the disk interior must fall with alpha
     rhos = np.linspace(0.05 * a, 0.8 * a, 20)
@@ -343,7 +343,7 @@ def suite_coulomb(rc: RunConfig, rng, tol_scale=1.0):
     for k in (2, 3, 4, 5):
         rho_max = a * (1.0 - 2.0 ** -(2 * k))
         rr = np.linspace(0.0, rho_max, 2000)
-        jj, _ = coulomb_disk_sources(rr, a, c=cfg.c)
+        jj, _ = coulomb_disk_sources(rr, 0.0, cfg)
         totals.append(abs(2 * np.pi * np.trapezoid(jj * rr, rr)))
     diverges = all(t2 > 1.5 * t1 for t1, t2 in zip(totals, totals[1:]))
     passed = err_center <= 1e-14 * max(tol_scale, 1.0) and bool(mono) and diverges
@@ -361,7 +361,7 @@ def suite_beam_diagnostics(rc: RunConfig, rng, tol_scale=1.0):
     worst_T = worst_ang = worst_spec = 0.0
     for n in (1, 4, 16):
         for b in (1.01 * a, 1.5 * a):
-            cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
+            cfg = SourceConfig(a=cfg0.a, b=b)
             thetas = [0.0, np.pi / 3, 2 * np.pi / 3, np.pi]
             rows = beam_profile_rows(n, cfg, thetas, R=R_FACTOR * a)
             worst_T = max(worst_T, max(r[3] for r in rows))
@@ -370,7 +370,7 @@ def suite_beam_diagnostics(rc: RunConfig, rng, tol_scale=1.0):
             prof, (c_meas, w_meas) = spectral_profiles(n, cfg.b)
             worst_spec = max(worst_spec, abs(c_meas / prof.center - 1.0), abs(w_meas / prof.width - 1.0))
     # helicity residual must fall by at least x0.15 from r = 10a to 100a
-    cfg = SourceConfig(a=cfg0.a, b=1.5 * a / cfg0.c, c=cfg0.c)
+    cfg = SourceConfig(a=cfg0.a, b=1.5 * a)
     h10, h100 = helicity_residuals(ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1)), rc.polarization())
     hel_ok = h100 <= 0.15 * h10
     passed = (
@@ -400,7 +400,7 @@ def suite_interior_continuity(rc: RunConfig, rng, tol_scale=1.0, n_pairs=1000):
     base = spheroid_point(0.0, qs, phis, cfg)
     up = base + delta * cfg.a_hat
     dn = base - delta * cfg.a_hat
-    t = 1.3 * a / cfg.c
+    t = 1.3 * a
     pu = interior_psi(w, up, t)
     pd = interior_psi(w, dn, t)
     rel_psi = np.abs(pu - pd) / np.maximum(np.abs(pu), 1e-30)
@@ -426,7 +426,7 @@ def suite_sources_approx(rc: RunConfig, rng, tol_scale=1.0, n_samples=1000):
     w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(4))
     qs = rng.uniform(0.2 * a, 0.98 * a, n_samples) * rng.choice([-1.0, 1.0], n_samples)
     phis = rng.uniform(0, 2 * np.pi, n_samples)
-    t = 1.2 * a / cfg.c
+    t = 1.2 * a
     worst = med = 0.0
     for pol in (rc.polarization(), cfg.a_hat):
         ex = surface_sources_exact(w, pol, qs, phis, alpha, t, q_min=0.0)
@@ -543,7 +543,7 @@ def suite_surface_continuity(rc: RunConfig, rng, tol_scale=1.0):
     pol = rc.polarization()
     qs = np.linspace(0.25 * a, 0.9 * a, 12)
     phis = np.linspace(0.2, 6.0, 12)
-    t = 1.2 * a / cfg.c
+    t = 1.2 * a
     hs = np.array([2e-3, 1e-3, 5e-4]) * a
     res = [
         float(np.sqrt(np.mean(np.abs(_surface_divergence(w, pol, alpha, qs, phis, t, h)) ** 2)))

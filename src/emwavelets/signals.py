@@ -5,7 +5,8 @@ Cauchy kernel, g(tau) = (1/2i*pi) int g0(t') dt'/(tau - t'), which is
 analytic off the real axis and one-sided in frequency on each half-plane.
 The workhorse family is C_n(tau) = (n-1)!/(2*pi*i^n*tau^n), the (n-1)-st
 derivative of the Cauchy kernel: a band-pass pulse with center frequency
-n/b and bandwidth sqrt(n)/|b| when evaluated at tau = t - i*b.
+n/b and bandwidth sqrt(n)/|b| when evaluated at tau = t - i*b.  Time and b
+are lengths (units with c = 1), so a frequency is a wavenumber.
 
 Beam-design formulas (pulse duration, peak strength, diffraction angle)
 live here because they depend only on the pulse and the source geometry
@@ -247,30 +248,28 @@ def spectral_profile(n, b) -> SpectralProfile:
     return SpectralProfile(center=n / b, width=math.sqrt(n) / abs(b))
 
 
-def pulse_duration(theta, a, b, c: float = 1.0):
-    """Angle-dependent pulse duration |b - (a/c)*cos(theta)| of the far-zone beam."""
-    ta = a / c
-    if not abs(b) > ta:
-        raise ValueError("need c*|b| > a")
-    return np.abs(b - ta * np.cos(np.asarray(theta, dtype=float)))
+def pulse_duration(theta, a, b):
+    """Angle-dependent pulse duration |b - a*cos(theta)| of the far-zone beam."""
+    if not abs(b) > a:
+        raise ValueError("need |b| > a")
+    return np.abs(b - a * np.cos(np.asarray(theta, dtype=float)))
 
 
-def peak_strength(theta, n, a, b, c: float = 1.0):
+def peak_strength(theta, n, a, b):
     """Far-zone peak amplitude (n-1)!/(2*pi*T(theta)^n) of the C_n beam."""
-    T = pulse_duration(theta, a, b, c)
+    T = pulse_duration(theta, a, b)
     return math.factorial(n - 1) / (2.0 * np.pi * T**n)
 
 
-def diffraction_angle(beta, n, a, b, c: float = 1.0):
+def diffraction_angle(beta, n, a, b):
     """Angle where the beam peak drops to exp(-beta) of its on-axis value.
 
-    Solves 2*sin(theta/2)^2 = (exp(beta/n) - 1)*(b - a/c)/(a/c); raises
+    Solves 2*sin(theta/2)^2 = (exp(beta/n) - 1)*(b - a)/a; raises
     NoSolutionError when the right side exceeds 2 (no such angle).
     """
-    ta = a / c
-    if not b > ta:
-        raise ValueError("requires b > a/c (beam along +a)")
-    rhs = (math.exp(beta / n) - 1.0) * (b - ta) / ta
+    if not b > a:
+        raise ValueError("requires b > a (beam along +a)")
+    rhs = (math.exp(beta / n) - 1.0) * (b - a) / a
     if rhs > 2.0:
         raise NoSolutionError("peak never drops that far: (e^(beta/n)-1)(b-a)/a > 2")
     return 2.0 * math.asin(math.sqrt(rhs / 2.0))

@@ -17,8 +17,8 @@ the same coefficients.  The response to a band-pass drive C_n is
 surface_sources_exact of a wavelet driven by C_n.  The analytically continued
 Coulomb field provides the static validation example.  Its disk-limit
 sources are a charge density and an azimuthal current j = j0 v with
-v = (c rho/a) e_phi: the picture of a charged disk spinning rigidly at the
-angular velocity c/a, whose rim moves at the speed of light.
+v = (rho/a) e_phi: the picture of a charged disk spinning rigidly at the
+angular velocity 1/a, whose rim moves at the speed of light (c = 1).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "surface_sources_approx",
     "coulomb_disk_sources",
     "coulomb_spheroid_sources",
-    "disk_angular_velocity",
     "effective_aperture",
 ]
 
@@ -247,29 +246,23 @@ def impulse_surface_sources(pol, q, phi, alpha, t, cfg: SourceConfig,
 # The analytically continued Coulomb field: static validation example
 
 
-def coulomb_disk_sources(rho, a, c: float = 1.0, phi=0.0):
-    """Disk-limit electric sources of the continued Coulomb field:
+def coulomb_disk_sources(rho, phi, cfg: SourceConfig):
+    """Disk-limit electric sources of the continued Coulomb field at (rho, phi):
 
-    j0 = -a/(2 pi (a^2-rho^2)^(3/2)), j = -c rho e_phi / (2 pi (a^2-rho^2)^(3/2)).
+    j0 = -a/(2 pi (a^2-rho^2)^(3/2)), j = -rho e_phi / (2 pi (a^2-rho^2)^(3/2)),
 
-    The vector j is returned in the frame with the source axis along z and
-    e_phi at azimuth phi.  Diverges at the rim rho = a.
+    with e_phi the azimuthal unit vector about the source axis.  Diverges
+    at the rim rho = a.
     """
+    a = cfg.a_mag
     rho = np.asarray(rho, dtype=float)
     if np.any(rho >= a):
         raise RimSingularityError("disk sources diverge at the rim rho = a")
     s3 = (a**2 - rho**2) ** 1.5
     j0 = -a / (2.0 * np.pi * s3)
-    jmag = -c * rho / (2.0 * np.pi * s3)
-    phi = np.asarray(phi, dtype=float)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-    j = jmag[..., None] * e_phi
+    _, e_phi = _cylindrical_basis(np.asarray(phi, dtype=float), cfg)
+    j = (-rho / (2.0 * np.pi * s3))[..., None] * e_phi
     return j0, j
-
-
-def disk_angular_velocity(a, c: float = 1.0):
-    """Rigid angular velocity c/a: the rim moves at the speed of light."""
-    return c / a
 
 
 def coulomb_spheroid_sources(alpha, q, phi, cfg: SourceConfig):
@@ -285,14 +278,14 @@ def coulomb_spheroid_sources(alpha, q, phi, cfg: SourceConfig):
     return _sources_from_jump(2.0 * C, pos, fr.e_p, q, phi)
 
 
-def effective_aperture(omega, a, c: float = 1.0):
+def effective_aperture(omega, a):
     """(q_min, rho_max) of the disk zone that radiates at frequency omega.
 
-    q >= 1/k with k = omega/c, i.e. rho <= sqrt(a^2 - 1/k^2); requires
-    k*a > 1, lower frequencies drive mostly a reactive near field.
+    q >= 1/omega (c = 1, so omega is the wavenumber), i.e.
+    rho <= sqrt(a^2 - 1/omega^2); requires omega*a > 1, lower frequencies
+    drive mostly a reactive near field.
     """
-    k = omega / c
-    if not k * a > 1.0:
-        raise SubRadiatingError("k*a <= 1: no effective aperture, field is reactive")
-    q_min = 1.0 / k
+    if not omega * a > 1.0:
+        raise SubRadiatingError("omega*a <= 1: no effective aperture, field is reactive")
+    q_min = 1.0 / omega
     return q_min, np.sqrt(a**2 - q_min**2)

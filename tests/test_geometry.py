@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from functools import cached_property
@@ -116,11 +117,13 @@ class TestSourceConfig:
         with pytest.raises(ValueError):
             SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=0.5)
 
-    def test_speed_scales_validity(self):
-        # c*|b| > |a| is the dimensionally consistent bound
-        SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=0.5, c=3.0)
-        with pytest.raises(ValueError):
-            SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=0.5, c=1.5)
+    def test_units_with_c_one(self):
+        # time and b are lengths: c is accepted as 1 and refused otherwise, and holds no field
+        cfg = SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5, c=1.0)
+        assert "c" not in vars(cfg) and "c" not in {f.name for f in dataclasses.fields(cfg)}
+        for c in (3.0, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="c = 1"):
+                SourceConfig(a=np.array([0.0, 0.0, 1.0]), b=1.5, c=c)
 
     def test_basis_orthonormal(self, cfg):
         for u, v in ((cfg.e1, cfg.e2), (cfg.e1, cfg.a_hat), (cfg.e2, cfg.a_hat)):

@@ -239,13 +239,6 @@ class TestFiniteDifferences:
         fd.laplacian(lambda rr, tt: calls.append(rr) or psi(w, rr, tt), r, 1.5, 1e-3)
         assert points() == 7 * n and len(calls) == 1
 
-    def test_richardson(self):
-        f = lambda x: np.sin(x)
-        d = lambda h: (f(1.0 + h) - f(1.0 - h)) / (2 * h)
-        extr = fd.richardson(d(1e-2), d(5e-3), order=2)
-        assert extr == pytest.approx(np.cos(1.0), abs=1e-10)
-        assert abs(extr - np.cos(1.0)) < 1e-3 * abs(d(1e-2) - np.cos(1.0))
-
 
 class TestConfig:
     def test_parse_round_trip(self, config_file):
@@ -262,12 +255,12 @@ class TestConfig:
         path = tmp_path / "auto.ini"
         path.write_text(text)
         rc = load_config(str(path))
-        # a Cauchy drive with k*a > 1 (k = n/(c|b|)) takes the effective aperture's q_min,
+        # a Cauchy drive with k*a > 1 (k = n/|b|) takes the effective aperture's q_min,
         # exactly: the sidecar's q_min and the in_rim_band column keep their bits
-        wide = SourceConfig(a=[0.0, 0.0, 2.0], b=-2.5, c=1.25)
+        wide = SourceConfig(a=[0.0, 0.0, 2.0], b=-2.5)
         for source, n in [(rc.source, 2), (wide, 3)]:
             case = dataclasses.replace(rc, source=source, signal_n=n)
-            assert case.q_min_value() == effective_aperture(n / abs(source.b), source.a_mag, source.c)[0]
+            assert case.q_min_value() == effective_aperture(n / abs(source.b), source.a_mag)[0]
         # k*a <= 1, and a sampled drive: the default band
         for case in [dataclasses.replace(rc, signal_n=1), dataclasses.replace(rc, source=wide, signal_n=1),
                      dataclasses.replace(rc, signal_kind="sampled")]:
@@ -304,8 +297,7 @@ class TestConfig:
         rc = default_config()
         assert (rc.cut_kind, rc.cut_alpha, rc.cut_eps, rc.signal_kind, rc.signal_n) == ("flat_disk", 0.1, 0.005,
                                                                                            "cauchy", 1)
-        assert (rc.source.b, rc.source.c, rc.quantity, rc.tol_cut, rc.q_min, rc.grid) == (1.5, 1.0, "F", 1e-9,
-                                                                                           "auto", {})
+        assert (rc.source.b, rc.quantity, rc.tol_cut, rc.q_min, rc.grid) == (1.5, "F", 1e-9, "auto", {})
 
     def test_huge_surface_alpha_refused_or_finite(self, tmp_path, capsys):
         path = tmp_path / "huge.ini"
@@ -779,6 +771,28 @@ class TestLayering:
                     found.append(where)
         assert not found, "take the jump with ring_jump and assemble it with ring_sources:\n" + "\n".join(found)
 
+    def test_no_propagation_speed(self):
+        # units with c = 1: time and b are lengths, so no function takes a speed c and nothing reads
+        # one off a SourceConfig (no object in the package has a .c, so every .c read is flagged);
+        # SourceConfig.__post_init__ takes its c only to refuse any value but 1
+        allowed = {("geometry.py", "SourceConfig.__post_init__")}
+        pkg = pathlib.Path(emwavelets.__file__).parent
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            tree = ast.parse(path.read_text())
+            methods = {id(fn): f"{cls.name}.{fn.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                       for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    if "c" in [p.arg for p in (*args.posonlyargs, *args.args, *args.kwonlyargs)] \
+                            and (rel, methods.get(id(node))) not in allowed:
+                        found.append(f"{rel}:{node.lineno}: {getattr(node, 'name', 'lambda')} takes a parameter c")
+                elif isinstance(node, ast.Attribute) and node.attr == "c":
+                    found.append(f"{rel}:{node.lineno}: reads {ast.unparse(node)}")
+        assert not found, "time and b are lengths (c = 1); drop the speed:\n" + "\n".join(found)
+
     def test_battery_gates_the_sign_rule_by_closed_forms(self):
         # continued_sign reduces to the closed-form rule for any chi odd in q, so it
         # cannot catch a wrong rule; it stays in geometry only as a benchmark reference
@@ -901,7 +915,6 @@ class TestLayering:
         # module, and every public method and property of a class defined there, is used
         # by the package, a demo or the benchmark, and not only by tests
         kept = {
-            "richardson": "the Richardson step of the derivative oracle the signal and field tests share",
             "far_point_series": "the far-zone series the far-field tests compare far_field against",
         }
         root = pathlib.Path(__file__).resolve().parents[1]
@@ -930,7 +943,6 @@ class TestLayering:
         # by the callee's name and count if they pass it by keyword or by position, unless
         # they only forward a defaulted parameter of their own that no call passes.
         kept = {
-            ("richardson", "ratio"): "the tests' reference Richardson step states its refinement ratio",
             **{(suite.__name__, "tol_scale"): "run_all passes it to each suite through ALL_SUITES"
                for suite in ALL_SUITES},
             **{(suite, size): "a suite's sample size; tests shrink the sizes of its sibling suites"
@@ -1727,7 +1739,7 @@ class TestBeamMeasurement:
         a = cfg0.a_mag
         for n in (1, 4, 16):
             for b in (1.01 * a, 1.5 * a):
-                cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
+                cfg = SourceConfig(a=cfg0.a, b=b)
                 beam.beam_profile_rows(n, cfg, [0.0, np.pi / 3, 2 * np.pi / 3, np.pi], R=beam.R_FACTOR * a)
         assert len(seen) == 24
         ramp = np.linspace(0.0, 1.0, 9)
@@ -1783,7 +1795,7 @@ class TestBrentRoot:
         a = cfg0.a_mag
         for n in (1, 4, 16):
             for b in (1.01 * a, 1.5 * a):
-                cfg = SourceConfig(a=cfg0.a, b=b / cfg0.c, c=cfg0.c)
+                cfg = SourceConfig(a=cfg0.a, b=b)
                 sig, R = CauchySignal(n), beam.R_FACTOR * a
                 target = math.exp(-beam.BETA) * measure_pulse(sig, cfg, 0.0, R)[1]
 
@@ -2085,6 +2097,8 @@ class TestCli:
         # before the config table each of these ran, to NaN or empty output or a
         # traceback, or was silently ignored
         pytest.param(("b = 1.5", "b = inf"), [], "source.b", id="probe-source.b-inf"),
+        # time and b are lengths: the speed of light is 1, and no other value is taken
+        pytest.param(("b = 1.5", "b = 1.5\nc = 2"), [], "source.c", id="source.c-2"),
         pytest.param(("t = 1.1", "t = nan"), [], "surface.t", id="probe-surface.t-nan"),
         pytest.param(("nq = 8", "nq = 0"), [], "surface.nq", id="probe-surface.nq-0"),
         pytest.param(("nphi = 4", "nphi = 0"), [], "surface.nphi", id="probe-surface.nphi-0"),

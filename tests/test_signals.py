@@ -24,7 +24,6 @@ from emwavelets import (
     tilde_lmn,
     UnderResolvedSignalError,
 )
-from emwavelets.harness.fd import richardson
 from emwavelets.geometry import branch
 from emwavelets import signals
 from emwavelets.signals import KERNEL_CHUNK
@@ -38,6 +37,20 @@ def trapezoid_reference(sig, tau, k):
     tau = np.asarray(tau, dtype=complex)
     kern = (-1) ** k * math.factorial(k) / (2j * np.pi) / (tau[..., None] - sig.t) ** (k + 1)
     return np.trapezoid(kern * sig.g0, sig.t, axis=-1)
+
+
+def richardson(coarse, fine, order: int, ratio: float = 2.0):
+    """Extrapolate two stencil evaluations at steps h and h/ratio."""
+    fac = ratio**order
+    return (fac * fine - coarse) / (fac - 1.0)
+
+
+def test_richardson():
+    f = lambda x: np.sin(x)
+    d = lambda h: (f(1.0 + h) - f(1.0 - h)) / (2 * h)
+    extr = richardson(d(1e-2), d(5e-3), order=2)
+    assert extr == pytest.approx(np.cos(1.0), abs=1e-10)
+    assert abs(extr - np.cos(1.0)) < 1e-3 * abs(d(1e-2) - np.cos(1.0))
 
 
 def fd_derivative(f, x, h):

@@ -15,7 +15,6 @@ from emwavelets import (
     SubRadiatingError,
     coulomb_disk_sources,
     coulomb_spheroid_sources,
-    disk_angular_velocity,
     effective_aperture,
     impulse_surface_sources,
     impulse_tilde_lmn,
@@ -325,25 +324,32 @@ class TestBandpass:
 
 
 class TestCoulomb:
-    def test_center_values(self):
-        j0, j = coulomb_disk_sources(0.0, 1.0)
+    def test_center_values(self, cfg):
+        j0, j = coulomb_disk_sources(0.0, 0.0, cfg)
         assert j0 == pytest.approx(-1 / TWO_PI)
         assert np.allclose(j, 0.0)
 
-    def test_angular_velocity(self):
-        assert disk_angular_velocity(2.0, 1.0) == pytest.approx(0.5)
-
     def test_charge_velocity(self):
-        # the spinning-disk picture: the disk current is the charge moving at v = (c rho/a) e_phi
-        j0, j = coulomb_disk_sources(0.5, 1.0, c=2.0, phi=0.0)
-        assert np.allclose(j / j0, [0.0, 1.0, 0.0])
+        # the spinning-disk picture: the disk current is the charge moving at v = (rho/a) e_phi,
+        # a rigid rotation at rate 1/a about the source's own axis, here a tilted one
+        tilted = SourceConfig(a=[0.6, -0.8, 1.2], b=2.5)
+        a = tilted.a_mag
+        rho = np.array([0.3, 0.9, 1.5])
+        phi = np.array([0.2, 2.5, 4.4])
+        j0, j = coulomb_disk_sources(rho, phi, tilted)
+        pos = spheroid_point(0.0, np.sqrt(a**2 - rho**2), phi, tilted)
+        e_phi = np.cross(tilted.a_hat, pos) / rho[:, None]
+        assert np.allclose(j / j0[:, None], (rho / a)[:, None] * e_phi, rtol=0, atol=1e-14)
+        # and the thin charged spheroid about that axis carries the same current
+        s = coulomb_spheroid_sources(1e-7, np.sqrt(a**2 - rho**2), phi, tilted)
+        assert np.abs(s.j - j).max() < 1e-6 * np.abs(j).max()
 
     def test_face_limits(self, cfg):
         # above and below the disk the continued Coulomb field is conjugate-mirrored, and the
         # outward normal flips with it, so both faces of a thin spheroid carry the disk sources
         rho = 0.5
         q = np.sqrt(1 - rho**2)
-        j0_disk, j_disk = coulomb_disk_sources(rho, 1.0, phi=0.0)
+        j0_disk, j_disk = coulomb_disk_sources(rho, 0.0, cfg)
         for face in (q, -q):
             s = coulomb_spheroid_sources(1e-7, face, 0.0, cfg)
             assert abs(s.j0 - j0_disk) < 1e-6 * abs(j0_disk)
@@ -353,7 +359,7 @@ class TestCoulomb:
         rho = 0.5
         q = np.sqrt(1 - rho**2)
         s = coulomb_spheroid_sources(1e-5, q, 0.0, cfg)
-        j0_exact, j_exact = coulomb_disk_sources(rho, 1.0, phi=0.0)
+        j0_exact, j_exact = coulomb_disk_sources(rho, 0.0, cfg)
         assert s.j0.real == pytest.approx(j0_exact, rel=1e-3)
         assert np.abs(s.j - j_exact).max() < 1e-3 * np.abs(j_exact).max()
 
@@ -366,18 +372,18 @@ class TestCoulomb:
             mags.append(np.abs(s.j0_magnetic) + np.linalg.norm(s.j_magnetic, axis=-1))
         assert np.all(mags[1] < mags[0]) and np.all(mags[2] < mags[1])
 
-    def test_rim_divergence(self):
+    def test_rim_divergence(self, cfg):
         totals = []
         for k in (2, 3, 4, 5):
             rho_max = 1.0 - 4.0**-k
             rr = np.linspace(0.0, rho_max, 4000)
-            j0, _ = coulomb_disk_sources(rr, 1.0)
+            j0, _ = coulomb_disk_sources(rr, 0.0, cfg)
             totals.append(abs(TWO_PI * np.trapezoid(j0 * rr, rr)))
         assert all(b > 1.5 * a for a, b in zip(totals, totals[1:]))
 
-    def test_rim_singularity_raises(self):
+    def test_rim_singularity_raises(self, cfg):
         with pytest.raises(RimSingularityError):
-            coulomb_disk_sources(1.0, 1.0)
+            coulomb_disk_sources(1.0, 0.0, cfg)
 
 
 class TestEffectiveAperture:
