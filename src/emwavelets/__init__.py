@@ -55,7 +55,6 @@ from .signals import (
 )
 from .scalar_wavelet import ScalarWavelet, interior_psi, psi, psi_of_sigma
 from .em_fields import (
-    EMFieldSample,
     LMNTriplet,
     far_field,
     field,

@@ -16,7 +16,6 @@ live in harness.fd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,6 @@ from .scalar_wavelet import ScalarWavelet
 from .signals import CauchySignal, eval_derivs
 
 __all__ = [
-    "EMFieldSample",
     "LMNTriplet",
     "lmn",
     "assemble",
@@ -48,23 +46,6 @@ def _as_pol(pol):
     if v.shape != (3,):
         raise ValueError("polarization must be a complex 3-vector")
     return v
-
-
-@dataclass(frozen=True)
-class EMFieldSample:
-    """Complex field F with its real decomposition D = Re F, B = Im F."""
-
-    F: np.ndarray
-    position: np.ndarray
-    time: np.ndarray
-
-    @property
-    def D(self):
-        return np.real(self.F)
-
-    @property
-    def B(self):
-        return np.imag(self.F)
 
 
 class LMNTriplet(NamedTuple):
@@ -116,13 +97,11 @@ def assemble(L, M, N, u, pol):
     return L[..., None] * lam[..., None] * u - M[..., None] * pol - 1j * N[..., None] * ucp
 
 
-def field(w: ScalarWavelet, pol, r, t) -> EMFieldSample:
-    """Exact field of the wavelet's branch at (r, t)."""
+def field(w: ScalarWavelet, pol, r, t):
+    """Exact field F = D + iB of the wavelet's branch at (r, t), shaped like r."""
     pol = _as_pol(pol)
-    r = np.asarray(r, dtype=float)
     b = branch(w.cut, r, w.cfg)
-    F = assemble(*lmn(w.sig, b.sigma, w.tau(t)), b.u, pol)
-    return EMFieldSample(F=F, position=r, time=np.asarray(t, dtype=float))
+    return assemble(*lmn(w.sig, b.sigma, w.tau(t)), b.u, pol)
 
 
 def four_potential(w: ScalarWavelet, pol, r, t):
@@ -217,7 +196,7 @@ def helicity_residual(w: ScalarWavelet, pol, r, t):
     """|i e_r x F - F| / |F| on the exact field; tends to 0 like a/r."""
     r = np.asarray(r, dtype=float)
     e_r = r / np.linalg.norm(r, axis=-1)[..., None]
-    F = field(w, pol, r, t).F
+    F = field(w, pol, r, t)
     num = np.linalg.norm(1j * _cross(e_r, F) - F, axis=-1)
     den = np.linalg.norm(F, axis=-1)
     return num / den

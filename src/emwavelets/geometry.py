@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _AXIS_TOL = 0.9
+CUT_TOL = 1e-9  # branch refuses a point whose clearance to the cut is below CUT_TOL * |a|
 
 
 def _sum3(w):
@@ -393,7 +394,7 @@ def _spheroid_clearance(r, cfg, alpha, side, ellipse=_ellipse_bisection):
     the apron a <= rho <= A.  The apron distance is exact; the ellipse distance is
     exact by default (_ellipse_bisection, the spheroids' clearance, which the
     difference oracles use as a stencil margin) or the closed-form lower bound
-    _ellipse_bound, with which near_cut screens branch's refusal rule clearance < tol_cut.
+    _ellipse_bound, with which near_cut screens branch's refusal rule clearance < CUT_TOL * |a|.
     For y < 0 it returns hypot(d(rho, 0), y), a lower bound as
     |P - X|^2 >= |P' - X|^2 + y^2 for every cut point X (P' the projection of P on
     the plane), exact where the nearest cut point is on the apron or the rim.
@@ -536,11 +537,11 @@ def _continued_chunk(cut, r, cfg):
     return np.where(crossings % 2 == 0, 1, -1) * branch[-1].astype(int)
 
 
-def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -> ComplexDistanceSample:
+def branch(cut: BranchCut, r, cfg: SourceConfig) -> ComplexDistanceSample:
     """sigma on the branch that cut selects at r, from one principal sigma per point.
 
     The one resolution of the cut sign that refuses points: raises OnCutError
-    when any point has cut.clearance(r) < tol_cut (default 1e-9 |a|), naming
+    when any point has cut.clearance(r) < CUT_TOL * |a|, naming
     how many and the first of them (cut.near_cut; the flat disk is the
     reference cut and never raises), then refuses points on the branch circle.
     The spheroid cuts screen that rule with a closed-form lower bound and
@@ -549,9 +550,8 @@ def branch(cut: BranchCut, r, cfg: SourceConfig, tol_cut: float | None = None) -
     """
     r = np.asarray(r, dtype=float)
     sigma0, p, q = complex_distance_principal(r, cfg)
-    if tol_cut is None:
-        tol_cut = 1e-9 * cfg.a_mag
-    refuse(OnCutError, "point lies on the branch cut (within tolerance)", cut.near_cut(r, cfg, tol_cut), r)
+    near = cut.near_cut(r, cfg, CUT_TOL * cfg.a_mag)
+    refuse(OnCutError, "point lies on the branch cut (within tolerance)", near, r)
     s = cut._sign(p, q)
     return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)
 

@@ -1,11 +1,11 @@
 """Command line interface.
 
 Subcommands: sample-field, sample-sources, impulse-response, beam-profile,
-validate.  Flags mirror environment variables with the EMWAVELETS_ prefix
-(EMWAVELETS_CONFIG, EMWAVELETS_OUT, EMWAVELETS_THREADS, EMWAVELETS_SEED,
-EMWAVELETS_TOL_SCALE).  Exit codes: 0 success, 1 validation failure or a
-refused run, 2 configuration error.  The writing commands stream their CSV
-and then write its sidecar; a refusal leaves neither behind.
+validate.  The flags --config, --out, --threads and --seed mirror environment
+variables with the EMWAVELETS_ prefix (EMWAVELETS_CONFIG, EMWAVELETS_OUT,
+EMWAVELETS_THREADS, EMWAVELETS_SEED).  Exit codes: 0 success, 1 validation
+failure or a refused run, 2 configuration error.  The writing commands
+stream their CSV and then write its sidecar; a refusal leaves neither behind.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ def _add_common(p):
     # string defaults: argparse converts them with `type`, so a bad variable exits 2 like a bad flag
     p.add_argument("--threads", type=int, default=_env("THREADS", "1"))
     p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    p.add_argument("--tol-scale", type=float, default=_env("TOL_SCALE", "1.0"))
 
 
 def _load(args) -> RunConfig:
     """The run's config, after refusing a flag out of range; the config object is not modified."""
     for flag, convert in FLAGS.items():
-        parse(flag, convert, getattr(args, flag[2:].replace("-", "_")))
+        parse(flag, convert, getattr(args, flag[2:]))
     return load_config(args.config) if args.config else default_config()
 
 
@@ -66,7 +65,7 @@ def cmd_write(args) -> int:
 def cmd_validate(args) -> int:
     rc = _load(args)
     t0 = time.perf_counter()
-    results = run_all(rc, seed=args.seed, tol_scale=args.tol_scale)
+    results = run_all(rc, seed=args.seed)
     for res in results:
         print(res.line())
     total = time.perf_counter() - t0

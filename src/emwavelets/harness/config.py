@@ -30,9 +30,6 @@ axes have none; an axis left out is the single point 0)::
     t = 1.2                     ; finite
     [output]
     quantity = F                ; psi | F
-    [tolerances]
-    tol_cut = 1e-9              ; finite, > 0, in units of |a|
-    q_min = auto                ; auto = effective-aperture band, or finite >= 0
 
 load_config refuses an unknown section or key, a missing required section
 and a value out of range, each as one ConfigError("section.key: reason").
@@ -97,8 +94,6 @@ class RunConfig:
     surface_nphi: int
     surface_t: float
     quantity: str
-    tol_cut: float
-    q_min: str | float
     _drive: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def cut(self):
@@ -125,10 +120,8 @@ class RunConfig:
         return self.pol_re + 1j * self.pol_im
 
     def q_min_value(self):
-        """Rim exclusion band: the configured number, or for auto the effective aperture's
-        q_min of a Cauchy drive that has one, else DEFAULT_Q_MIN_FRAC*|a|."""
-        if self.q_min != "auto":
-            return self.q_min
+        """Rim exclusion band: the effective aperture's q_min of a Cauchy drive that
+        has one, else DEFAULT_Q_MIN_FRAC*|a|."""
         a = self.source.a_mag
         if self.signal_kind == "cauchy":
             try:
@@ -196,10 +189,6 @@ def _axis(text):
     return AxisSpec(*_triple(text, (_REAL, _REAL, _COUNT)))
 
 
-def _q_min(text):
-    return "auto" if text == "auto" else _number(lo=0)(text)
-
-
 # (section, key) -> (RunConfig field, converter, default as INI text).  A dotted
 # field is an entry of that field's mapping; the [grid] axes have no default.
 TABLE = {
@@ -220,12 +209,10 @@ TABLE = {
     ("surface", "nphi"): ("surface_nphi", _COUNT, "16"),
     ("surface", "t"): ("surface_t", _REAL, "1.2"),
     ("output", "quantity"): ("quantity", _choice("psi", "F"), "F"),
-    ("tolerances", "tol_cut"): ("tol_cut", _POSITIVE, "1e-9"),
-    ("tolerances", "q_min"): ("q_min", _q_min, "auto"),
 }
 
 # the CLI flags that take a ranged value, through the converters of the keys
-FLAGS = {"--threads": _COUNT, "--seed": _number(int, 0), "--tol-scale": _POSITIVE}
+FLAGS = {"--threads": _COUNT, "--seed": _number(int, 0)}
 
 
 def parse(name, convert, text):

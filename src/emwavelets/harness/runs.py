@@ -52,7 +52,7 @@ def field_rows(rc: RunConfig, threads: int = 1):
     Points run row-major over (x, y, z); the blocks' reshape(-1, columns),
     in order, gives the records in output order, time fastest.  Each
     chunk's branch is resolved once (geometry.branch), refusing points
-    within the configured tol_cut of the cut, and every time slice is
+    within geometry.CUT_TOL * |a| of the cut, and every time slice is
     evaluated in one broadcast call of the closed forms psi() and field() use.
     A value that is not finite (a high-order drive overflows) refuses the
     run (NonFiniteFieldError), naming how many points of its chunk and the
@@ -62,11 +62,10 @@ def field_rows(rc: RunConfig, threads: int = 1):
     pol = rc.polarization()
     *xyz, ts = grid_axes(rc.grid)
     tau = w.tau(ts)
-    tol_cut = rc.tol_cut * w.cfg.a_mag
 
     def eval_chunk(index):
         chunk = grid_points(xyz, index)
-        b = branch(w.cut, chunk, w.cfg, tol_cut)
+        b = branch(w.cut, chunk, w.cfg)
         with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
             if rc.quantity == "psi":
                 values = psi_of_sigma(w.sig, b.sigma[:, None], tau)[..., None]
@@ -192,7 +191,9 @@ def beam_profile_data(rc: RunConfig):
     """beam-profile's (name, header, blocks, sidecar of the angle count).
 
     The block is the predicted vs measured beam table on N_THETA angles at
-    R_FACTOR*|a|; the sidecar holds the summary diagnostics.
+    R_FACTOR*|a|; the sidecar holds the summary diagnostics.  A table row or
+    summary entry that is not finite (a high-order drive overflows) refuses
+    the run (NonFiniteFieldError), naming the first.
     """
     cfg = rc.source
     a = cfg.a_mag
@@ -202,10 +203,12 @@ def beam_profile_data(rc: RunConfig):
         raise ConfigError(f"source.b: the beam profile follows the beam along +a, which needs b > 0, got {cfg.b!r}")
     n = rc.signal_n
     thetas = np.linspace(0.0, np.pi, N_THETA)
-    rows = np.array(beam_profile_rows(n, cfg, thetas, R_FACTOR * a))
-    th_pred, th_meas = diffraction_angles(n, cfg)
-    prof, (c_meas, w_meas) = spectral_profiles(n, cfg.b)
-    h10, h100 = helicity_residuals(rc.wavelet(), rc.polarization())
+    with np.errstate(all="ignore"):  # an overflow is refused below, by the entry it reached
+        rows = np.array(beam_profile_rows(n, cfg, thetas, R_FACTOR * a))
+        th_pred, th_meas = diffraction_angles(n, cfg)
+        prof, (c_meas, w_meas) = spectral_profiles(n, cfg.b)
+        h10, h100 = helicity_residuals(rc.wavelet(), rc.polarization())
+    refuse(NonFiniteFieldError, "beam profile not finite at theta", ~np.isfinite(rows).all(axis=1), rows[:, :1])
     summary = {
         "n": n,
         "theta_beta_predicted": th_pred,
@@ -217,4 +220,7 @@ def beam_profile_data(rc: RunConfig):
         "helicity_residual_10a": h10,
         "helicity_residual_100a": h100,
     }
+    bad = [key for key, value in summary.items() if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteFieldError(f"beam profile not finite: {bad[0]} = {summary[bad[0]]:g}")
     return "beam_profile", BEAM_HEADER, [rows[:, None]], lambda records: summary

@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from ..errors import QuadratureDivergenceError
+from ..signals import _cauchy_coef
 from ._format import _exact_product
 
 __all__ = [
@@ -237,10 +238,6 @@ def _expint_fraction(n, x):
                                     f"x = {x[open_[0]]:.17g} ({open_.size} of {x.size} arguments)")
 
 
-def _kernel_const(n):
-    return math.factorial(n - 1) / (2.0 * np.pi * 1j**n)
-
-
 def _turns(rate, m):
     """Fractional part of rate * m for integer-valued m, to full precision.
 
@@ -322,7 +319,7 @@ def cauchy_series_transform(coeffs, shift, omegas):
 
     f = np.zeros(ts.size, dtype=complex)
     for n, c in coeffs.items():
-        f += c * _kernel_const(n) * (ts - shift) ** (-n)
+        f += c * _cauchy_coef(n, 0) * (ts - shift) ** (-n)
     out = _chirp_z(f * wts, ts[0], dt, omegas)
 
     # analytic tails
@@ -330,7 +327,7 @@ def cauchy_series_transform(coeffs, shift, omegas):
     z_r, z_l = t_r - shift, shift - t_l
     zero = omegas == 0.0
     for n, c in coeffs.items():
-        cn = c * _kernel_const(n)
+        cn = c * _cauchy_coef(n, 0)
         live = ~zero if n == 1 else slice(None)
         w = omegas[live]
         # both tails in one call: a continued fraction and a series loop per order, not two

@@ -2,8 +2,8 @@
 
 Each suite returns a SuiteResult with the worst measured value against its
 threshold; run_all executes the battery on a desk-scale configuration in
-well under a minute.  Thresholds scale with tol_scale except convergence
-orders, which are absolute.
+well under a minute.  Every threshold is a constant written in its suite:
+a tolerance on an identity, or an order of convergence.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _uniform_batches(rng, n_points, half_width):
 
 
 @_timed
-def suite_appendix_identities(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_000):
+def suite_appendix_identities(rc: RunConfig, rng, n_points=1_000_000):
     """sigma^2 = r.r - a^2 - 2i a.r, and on the same points off the circle u.u = 1,
     |grad p|^2 - |grad q|^2 = 1, grad p.grad q = 0 and the norm closed forms."""
     cfg = rc.source
@@ -146,7 +146,7 @@ def suite_appendix_identities(rc: RunConfig, rng, tol_scale=1.0, n_points=1_000_
         e4 = np.abs(gq2 - (a**2 - fr.q**2) / pq2)
         worst = max(worst, *(float(e.max(initial=0.0)) for e in (uu, e1, e2, e3, e4)))
         kept += len(pts)
-    thr, thr_s2 = 1e-10 * tol_scale, 1e-12 * tol_scale
+    thr, thr_s2 = 1e-10, 1e-12
     return SuiteResult("appendix-identities", worst <= thr and worst_s2 <= thr_s2, worst, thr,
                        detail=f"{kept} points, sigma^2 residual {worst_s2:.1e} (<={thr_s2:.0e})")
 
@@ -215,7 +215,7 @@ def _disk_discontinuities(cut, cfg):
 
 
 @_timed
-def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_straddle=1000):
+def suite_sigma_algebra(rc: RunConfig, rng, n_straddle=1000):
     """The sign flip across every cut kind, the closed-form sign rule and disk continuity.
 
     The sigma^2 identity is checked by suite_appendix_identities, on the
@@ -251,7 +251,7 @@ def suite_sigma_algebra(rc: RunConfig, rng, tol_scale=1.0, n_straddle=1000):
 
 
 @_timed
-def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
+def suite_wave_maxwell(rc: RunConfig, rng, n_points=100):
     """Order >= 1.9 convergence of box(psi), div F and dF/dt + i curl F."""
     cfg = rc.source
     a = cfg.a_mag
@@ -264,7 +264,7 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
     for n in (1, 4):
         w = ScalarWavelet(cut=cut, cfg=cfg, sig=CauchySignal(n))
         pts = _off_cut_points(rng, cfg, cut, n_points, clearance=6 * hs[0])
-        F_of = lambda rr, tt: field(w, pol, rr, tt).F
+        F_of = lambda rr, tt: field(w, pol, rr, tt)
         res_wave, res_div, res_cc = [], [], []
         for h in hs:
             res_wave.append(float(np.sqrt(np.mean(np.abs(wave_residual(w, pts, t, h=h, order=2)) ** 2))))
@@ -281,7 +281,7 @@ def suite_wave_maxwell(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
 
 
 @_timed
-def suite_oracle_equivalence(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
+def suite_oracle_equivalence(rc: RunConfig, rng, n_points=100):
     """field() vs the curl-curl oracle, and Lorenz-residual convergence."""
     cfg = rc.source
     a = cfg.a_mag
@@ -289,21 +289,21 @@ def suite_oracle_equivalence(rc: RunConfig, rng, tol_scale=1.0, n_points=100):
     w = ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1))
     pts = _off_cut_points(rng, cfg, w.cut, n_points, clearance=0.3 * a)
     t = 2.0 * a
-    F = field(w, pol, pts, t).F
+    F = field(w, pol, pts, t)
     Fo = field_curl_oracle(w, pol, pts, t, h=1e-4 * a)
     rel = np.linalg.norm(F - Fo, axis=-1) / np.linalg.norm(F, axis=-1)
     worst = float(rel.max())
     hs = np.array([1e-2, 5e-3, 2.5e-3]) * a
     lr = [float(np.sqrt(np.mean(lorenz_residual(w, pol, pts[:20], t, h=h) ** 2))) for h in hs]
     slope = _slope(hs, lr)
-    thr = 1e-5 * tol_scale
+    thr = 1e-5
     passed = worst <= thr and slope >= 1.9
     return SuiteResult("oracle-equivalence", passed, worst, thr,
                        detail=f"lorenz order {slope:.2f} (>=1.9)")
 
 
 @_timed
-def suite_impulse_response(rc: RunConfig, rng, tol_scale=1.0, n_points=10_000):
+def suite_impulse_response(rc: RunConfig, rng, n_points=10_000):
     """Closed-form impulse coefficients against the generic mixed-signal route."""
     mag_s = rng.uniform(0.3, 3.0, n_points)
     mag_t = rng.uniform(0.3, 3.0, n_points)
@@ -317,13 +317,13 @@ def suite_impulse_response(rc: RunConfig, rng, tol_scale=1.0, n_points=10_000):
     worst = 0.0
     for x, y in zip(generic, closed):
         worst = max(worst, float((np.abs(x - y) / np.abs(y)).max()))
-    thr = 1e-11 * tol_scale
+    thr = 1e-11
     return SuiteResult("impulse-closed-forms", worst <= thr, worst, thr,
                        detail=f"{len(s)} (sigma,tau) samples off the light cone")
 
 
 @_timed
-def suite_coulomb(rc: RunConfig, rng, tol_scale=1.0):
+def suite_coulomb(rc: RunConfig, rng):
     """Disk sources, vanishing magnetic parts, and the rim-divergence control."""
     cfg = rc.source
     a = cfg.a_mag
@@ -346,7 +346,7 @@ def suite_coulomb(rc: RunConfig, rng, tol_scale=1.0):
         jj, _ = coulomb_disk_sources(rr, 0.0, cfg)
         totals.append(abs(2 * np.pi * np.trapezoid(jj * rr, rr)))
     diverges = all(t2 > 1.5 * t1 for t1, t2 in zip(totals, totals[1:]))
-    passed = err_center <= 1e-14 * max(tol_scale, 1.0) and bool(mono) and diverges
+    passed = err_center <= 1e-14 and bool(mono) and diverges
     return SuiteResult(
         "coulomb-disk", passed, float(err_center), 1e-14,
         detail=f"magnetic monotone={bool(mono)}, rim integral {totals[0]:.2f}->{totals[-1]:.2f}",
@@ -354,7 +354,7 @@ def suite_coulomb(rc: RunConfig, rng, tol_scale=1.0):
 
 
 @_timed
-def suite_beam_diagnostics(rc: RunConfig, rng, tol_scale=1.0):
+def suite_beam_diagnostics(rc: RunConfig, rng):
     """Duration, diffraction angle, spectral moments and far-field helicity."""
     cfg0 = rc.source
     a = cfg0.a_mag
@@ -373,21 +373,16 @@ def suite_beam_diagnostics(rc: RunConfig, rng, tol_scale=1.0):
     cfg = SourceConfig(a=cfg0.a, b=1.5 * a)
     h10, h100 = helicity_residuals(ScalarWavelet(cut=FlatDisk(), cfg=cfg, sig=CauchySignal(1)), rc.polarization())
     hel_ok = h100 <= 0.15 * h10
-    passed = (
-        worst_T <= 0.05 * tol_scale
-        and worst_ang <= 0.10 * tol_scale
-        and worst_spec <= 0.02 * tol_scale
-        and hel_ok
-    )
+    passed = worst_T <= 0.05 and worst_ang <= 0.10 and worst_spec <= 0.02 and hel_ok
     return SuiteResult(
-        "beam-diagnostics", passed, worst_T, 0.05 * tol_scale,
+        "beam-diagnostics", passed, worst_T, 0.05,
         detail=f"angle gap {worst_ang:.3f} (<=0.10), spectral gap {worst_spec:.4f} (<=0.02), "
         f"helicity {h100:.2e} vs 0.15*{h10:.2e}",
     )
 
 
 @_timed
-def suite_interior_continuity(rc: RunConfig, rng, tol_scale=1.0, n_pairs=1000):
+def suite_interior_continuity(rc: RunConfig, rng, n_pairs=1000):
     """No jump of the interior wavelet and joint field across the disk."""
     cfg = rc.source
     a = cfg.a_mag
@@ -408,13 +403,13 @@ def suite_interior_continuity(rc: RunConfig, rng, tol_scale=1.0, n_pairs=1000):
     Fd = joint_field(w, pol, dn, t, alpha=alpha)
     rel_F = np.linalg.norm(Fu - Fd, axis=-1) / np.maximum(np.linalg.norm(Fu, axis=-1), 1e-30)
     worst = float(max(rel_psi.max(), rel_F.max()))
-    thr = 1e-8 * tol_scale
+    thr = 1e-8
     return SuiteResult("interior-continuity", worst <= thr, worst, thr,
                        detail=f"{n_pairs} straddle pairs across the disk")
 
 
 @_timed
-def suite_sources_approx(rc: RunConfig, rng, tol_scale=1.0, n_samples=1000):
+def suite_sources_approx(rc: RunConfig, rng, n_samples=1000):
     """Flat-spheroid approximate sources against the exact boundary values.
 
     At the configured polarization and at a_hat, whose sources come from the
@@ -439,14 +434,14 @@ def suite_sources_approx(rc: RunConfig, rng, tol_scale=1.0, n_samples=1000):
             float(np.median(np.abs(ap.j0 - ex.j0) / np.abs(ex.j0))),
             float(np.median(np.linalg.norm(ap.j - ex.j, axis=-1) / np.linalg.norm(ex.j, axis=-1))),
         )
-    thr = 0.10 * tol_scale
+    thr = 0.10
     passed = worst <= thr and med <= thr
     return SuiteResult("sources-approx-vs-exact", passed, worst, thr,
                        detail=f"median pointwise rel {med:.3f}, alpha=0.01a, |q|>=0.2a, pol and a_hat")
 
 
 @_timed
-def suite_spectra(rc: RunConfig, rng, tol_scale=1.0):
+def suite_spectra(rc: RunConfig, rng):
     """Numeric transforms against the closed-form spectrum; one-sidedness."""
     cfg = rc.source
     b = abs(cfg.b)
@@ -471,14 +466,14 @@ def suite_spectra(rc: RunConfig, rng, tol_scale=1.0):
     neg = cauchy_series_transform({1: 1.0}, z_c, om_neg)
     pos = cauchy_series_transform({1: 1.0}, z_c, om_pos)
     ratio = np.trapezoid(np.abs(neg) ** 2, om_neg) / np.trapezoid(np.abs(pos) ** 2, om_pos)
-    thr = 1e-6 * tol_scale
+    thr = 1e-6
     passed = worst <= thr and ratio <= thr
     return SuiteResult("spectra", passed, worst, thr,
                        detail=f"negative-frequency energy ratio {ratio:.1e}")
 
 
 @_timed
-def suite_analyticity(rc: RunConfig, rng, tol_scale=1.0, n_points=200):
+def suite_analyticity(rc: RunConfig, rng, n_points=200):
     """Cauchy-Riemann residuals of g(tau) and of the field coefficients in (sigma, tau)."""
     sig = CauchySignal(2)
     worst = 0.0
@@ -504,7 +499,7 @@ def suite_analyticity(rc: RunConfig, rng, tol_scale=1.0, n_points=200):
         d_im = fd.nth_derivative_param(lambda e: f(x0 + 1j * e), 0.0, 1, h)
         res = np.abs(d_re + 1j * d_im) / np.maximum(np.abs(f(x0)), 1e-30)
         worst = max(worst, float(res.max()))
-    thr = 1e-6 * tol_scale
+    thr = 1e-6
     return SuiteResult("analyticity", worst <= thr, worst, thr)
 
 
@@ -534,7 +529,7 @@ def _surface_divergence(w, pol, alpha, qs, phis, t, h):
 
 
 @_timed
-def suite_surface_continuity(rc: RunConfig, rng, tol_scale=1.0):
+def suite_surface_continuity(rc: RunConfig, rng):
     """Charge conservation on the spheroid: d j0/dt + div_s j -> 0 at O(h^2)."""
     cfg = rc.source
     a = cfg.a_mag
@@ -555,7 +550,7 @@ def suite_surface_continuity(rc: RunConfig, rng, tol_scale=1.0):
 
 
 @_timed
-def suite_determinism(rc: RunConfig, rng, tol_scale=1.0):
+def suite_determinism(rc: RunConfig, rng):
     """Serial and parallel grid sweeps produce byte-identical CSV."""
     rc2 = default_config()
     rc2.grid = {
@@ -594,10 +589,10 @@ ALL_SUITES = [
 ]
 
 
-def run_all(rc: RunConfig, seed: int = 0, tol_scale: float = 1.0):
+def run_all(rc: RunConfig, seed: int = 0):
     """Run the battery; returns the list of SuiteResult."""
     results = []
     for suite in ALL_SUITES:
         rng = np.random.default_rng(seed)
-        results.append(suite(rc, rng, tol_scale=tol_scale))
+        results.append(suite(rc, rng))
     return results

@@ -43,6 +43,11 @@ KERNEL_CHUNK = 1 << 15
 DECAY_TOL = 1e-3  # a sampled drive's end samples may reach this fraction of its peak
 
 
+def _cauchy_coef(n, k):
+    """(-1)^k (n+k-1)!/(2*pi*i^n): the coefficient of tau^-(n+k) in the k-th derivative of C_n."""
+    return (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)
+
+
 class DrivingSignal:
     """Base class: a complexified pulse g(tau) with time derivatives."""
 
@@ -74,7 +79,7 @@ class CauchySignal(DrivingSignal):
         if not tau.all():
             raise PoleOnPathError("Cauchy kernel evaluated at its pole tau = 0")
         n, k = self.n, order
-        coef = (-1) ** k * math.factorial(n + k - 1) / (2.0 * np.pi * 1j**n)
+        coef = _cauchy_coef(n, k)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return coef * tau ** (-(n + k))
@@ -128,7 +133,11 @@ class SampledSignal(DrivingSignal):
         g0 = np.asarray(self.g0, dtype=float)
         if t.ndim != 1 or t.shape != g0.shape or t.size < 8:
             raise ValueError("need matching 1-d sample arrays with at least 8 points")
+        if not np.isfinite(g0).all():
+            raise ValueError("signal samples must be finite")
         dt = np.diff(t)
+        if not dt[0] > 0.0:
+            raise ValueError(f"sample times must increase, got dt = {dt[0]:g}")
         if not np.allclose(dt, dt[0], rtol=1e-8, atol=0.0):
             raise ValueError("sample grid must be uniform")
         object.__setattr__(self, "t", t)

@@ -17,6 +17,7 @@ from emwavelets import (
     branch,
     complex_distance_principal,
     frame,
+    geometry,
     spheroid_point,
     to_oblate,
 )
@@ -334,8 +335,9 @@ class TestCutSign:
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-4])
     @pytest.mark.parametrize("cut, axis", cut_cases(SPHEROIDS))
-    def test_refuses_where_clearance_below_tol(self, cut, axis, tol, rng):
-        """The screened refusal set, count and first point are those of clearance < tol_cut."""
+    def test_refuses_where_clearance_below_tol(self, cut, axis, tol, rng, monkeypatch):
+        """The screened refusal set, count and first point are those of clearance < CUT_TOL * |a|."""
+        monkeypatch.setattr(geometry, "CUT_TOL", tol)
         cfg = SourceConfig(a=np.array(axis), b=1.5)
         a, n = cfg.a_mag, 64
         tol_cut = tol * a
@@ -351,7 +353,7 @@ class TestCutSign:
             r = pts.reshape(shape)
             assert np.array_equal(cut.near_cut(r, cfg, tol_cut), expected.reshape(shape[:-1]))
             with pytest.raises(OnCutError) as err:
-                branch(cut, r, cfg, tol_cut=tol_cut)
+                branch(cut, r, cfg)
             first = ", ".join(f"{v:g}" for v in pts[np.flatnonzero(expected)[0]])
             assert str(err.value).endswith(
                 f"{np.count_nonzero(expected)} of {2 * n} points refused, first at ({first})"
@@ -359,9 +361,9 @@ class TestCutSign:
         for pt, refused in zip(pts[:16], expected[:16]):
             if refused:
                 with pytest.raises(OnCutError, match=r"1 of 1 points refused"):
-                    branch(cut, pt, cfg, tol_cut=tol_cut)
+                    branch(cut, pt, cfg)
             else:
-                assert branch(cut, pt, cfg, tol_cut=tol_cut).sign in (-1, 1)
+                assert branch(cut, pt, cfg).sign in (-1, 1)
 
     def test_branched_distance_examples(self, cfg):
         assert branch(FlatDisk(), np.array([0.0, 0.0, 2.0]), cfg).sigma == pytest.approx(2 - 1j)
@@ -562,7 +564,7 @@ class TestBranch:
             np.array([[0.0, 0.0, 0.05], [0.0, 0.0, -0.05], [0.0, 0.5, 0.0]]),
         ])
         pts = pts[~cut.near_cut(pts, cfg, tol) & (branch_circle_distance(pts, cfg) > 1e-3)]
-        b = branch(cut, pts, cfg, tol)
+        b = branch(cut, pts, cfg)
         sign = cut.sign(pts, cfg)  # the unrefused rule; no point here is refused
         if not isinstance(cut, FlatDisk):
             assert (sign == -1).sum() > 50

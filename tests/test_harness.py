@@ -1,3 +1,4 @@
+import argparse
 import ast
 import configparser
 import dataclasses
@@ -93,10 +94,6 @@ alpha = 0.02
 nq = 8
 nphi = 4
 t = 1.1
-
-[tolerances]
-tol_cut = 1e-9
-q_min = 0.15
 """
 
 
@@ -171,7 +168,7 @@ class TestFiniteDifferences:
         w = emwavelets.ScalarWavelet(cut=emwavelets.FlatDisk(), cfg=cfg, sig=CauchySignal(3))
         pol = np.array([1.0, 0.5j, 0.2])
         f = lambda rr, tt: psi(w, rr, tt)
-        F = lambda rr, tt: field(w, pol, rr, tt).F
+        F = lambda rr, tt: field(w, pol, rr, tt)
         r = np.vstack([np.random.default_rng(2).uniform(-2.0, 2.0, (6, 3)), [[0.0, -0.0, 1.3]]])
         r = r[emwavelets.FlatDisk().clearance(r, cfg) > 0.1]
         t, h = 1.7, 2e-3
@@ -223,7 +220,7 @@ class TestFiniteDifferences:
         n = len(r)
         calls = []
         points = lambda: sum(math.prod(np.shape(rr)[:-1]) for rr in calls)
-        F = lambda rr, tt: calls.append(rr) or field(w, pol, rr, tt).F
+        F = lambda rr, tt: calls.append(rr) or field(w, pol, rr, tt)
         for order, count in ((2, 6), (4, 12)):
             calls.clear()
             fd.curl(F, r, 1.5, 1e-3, order)
@@ -248,13 +245,9 @@ class TestConfig:
         assert rc.signal_n == 2
         assert np.allclose(rc.polarization(), [1, 1j, 0])
         assert rc.grid["x"].n == 5
-        assert rc.q_min_value() == pytest.approx(0.15)
 
-    def test_auto_rim_band_uses_aperture(self, tmp_path):
-        text = CONFIG_TEXT.replace("q_min = 0.15", "q_min = auto")
-        path = tmp_path / "auto.ini"
-        path.write_text(text)
-        rc = load_config(str(path))
+    def test_auto_rim_band_uses_aperture(self, config_file):
+        rc = load_config(config_file)
         # a Cauchy drive with k*a > 1 (k = n/|b|) takes the effective aperture's q_min,
         # exactly: the sidecar's q_min and the in_rim_band column keep their bits
         wide = SourceConfig(a=[0.0, 0.0, 2.0], b=-2.5)
@@ -297,7 +290,7 @@ class TestConfig:
         rc = default_config()
         assert (rc.cut_kind, rc.cut_alpha, rc.cut_eps, rc.signal_kind, rc.signal_n) == ("flat_disk", 0.1, 0.005,
                                                                                            "cauchy", 1)
-        assert (rc.source.b, rc.quantity, rc.tol_cut, rc.q_min, rc.grid) == (1.5, "F", 1e-9, "auto", {})
+        assert (rc.source.b, rc.quantity, rc.grid) == (1.5, "F", {})
 
     def test_huge_surface_alpha_refused_or_finite(self, tmp_path, capsys):
         path = tmp_path / "huge.ini"
@@ -376,7 +369,7 @@ def per_slice_rows(rc):
         if rc.quantity == "psi":
             v = psi(w, pts, tt)[:, None]
         else:
-            v = field(w, rc.polarization(), pts, tt).F
+            v = field(w, rc.polarization(), pts, tt)
         vals = np.stack([v.real, v.imag], axis=-1).reshape(len(pts), -1)
         base = [pts, np.full(len(pts), tt), sigma.real, sigma.imag, sgn.astype(float)]
         blocks.append(np.column_stack(base + [vals]))
@@ -412,11 +405,11 @@ def flat_source_table(rc, impulse=False):
     return np.column_stack([q, phi, s.position, s.j0.real, s.j0.imag, *j, in_rim])
 
 
-def upper_spheroid_config(quantity, grid, tol_cut=1e-9):
+def upper_spheroid_config(quantity, grid):
     return dataclasses.replace(
         default_config(), cut_kind="upper_spheroid", cut_alpha=0.1, signal_n=2,
         pol_re=np.array([1.0, 0.0, 0.0]), pol_im=np.array([0.0, 0.5, 0.0]),
-        quantity=quantity, tol_cut=tol_cut, grid=grid,
+        quantity=quantity, grid=grid,
     )
 
 
@@ -466,14 +459,16 @@ class TestFieldRows:
         assert set(built) == (set() if quantity == "psi" else {"_num"})
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
-    def test_configured_tol_cut_governs(self, quantity):
-        # 5e-10 above the apron of the upper spheroid
-        grid = {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", 5e-10), ("t", 1.0))}
-        rows = field_block(upper_spheroid_config(quantity, grid, tol_cut=1e-10))
+    def test_cut_tolerance_governs(self, quantity):
+        # 5e-10 above the apron of the upper spheroid is refused, 2e-9 above it is not (CUT_TOL = 1e-9, |a| = 1)
+        def at(z):
+            return {ax: AxisSpec(v, v, 1) for ax, v in (("x", 1.002), ("y", 0.0), ("z", z), ("t", 1.0))}
+
+        rows = field_block(upper_spheroid_config(quantity, at(2e-9)))
         assert rows.shape == (1, 1, 9 if quantity == "psi" else 13)
         assert np.isfinite(rows).all()
         with pytest.raises(OnCutError):
-            field_block(upper_spheroid_config(quantity, grid))
+            field_block(upper_spheroid_config(quantity, at(5e-10)))
 
 
 def gaussian_pulse_csv(path, n=801):
@@ -501,7 +496,7 @@ class TestSourceSweep:
     def test_matches_flat_evaluation(self, edit, blocks, impulse, tmp_path):
         # whole rings per block, each bitwise equal to evaluating every point of the grid at once
         rc = dataclasses.replace(default_config(), **{"signal_n": 2, "pol_im": np.array([0.0, 0.5, 0.0]),
-                                                      "surface_alpha": 0.03, "q_min": 0.15, **edit})
+                                                      "surface_alpha": 0.03, **edit})
         if rc.signal_kind == "sampled":
             rc.signal_csv = gaussian_pulse_csv(tmp_path / "pulse.csv")
         name, header, got, _ = source_sweep_rows(rc, impulse=impulse)
@@ -538,7 +533,7 @@ class TestSourceSweep:
         if budget:
             monkeypatch.setattr(runs, "RECORDS_PER_BLOCK", budget)
         rc = dataclasses.replace(default_config(), **{"signal_n": 2, "pol_im": np.array([0.0, 0.5, 0.0]),
-                                                      "surface_alpha": 0.03, "q_min": 0.15, **edit})
+                                                      "surface_alpha": 0.03, **edit})
         if rc.signal_kind == "sampled":
             rc.signal_csv = gaussian_pulse_csv(tmp_path / "pulse.csv")
         seen = []
@@ -943,8 +938,6 @@ class TestLayering:
         # by the callee's name and count if they pass it by keyword or by position, unless
         # they only forward a defaulted parameter of their own that no call passes.
         kept = {
-            **{(suite.__name__, "tol_scale"): "run_all passes it to each suite through ALL_SUITES"
-               for suite in ALL_SUITES},
             **{(suite, size): "a suite's sample size; tests shrink the sizes of its sibling suites"
                for suite, size in [("suite_appendix_identities", "n_points"), ("suite_sigma_algebra", "n_straddle"),
                                    ("suite_impulse_response", "n_points"), ("suite_sources_approx", "n_samples"),
@@ -1838,9 +1831,8 @@ class TestValidationSuites:
         def broken(w, pol, r, t):
             # a sign rule inconsistent at stencil scale, the failure mode of a broken
             # branch assignment near a cut
-            sample = field_of(w, pol, r, t)
             flip = np.where(np.sin(3000.0 * r[..., 0] / rc.source.a_mag) > 0, -1.0, 1.0)
-            return dataclasses.replace(sample, F=flip[..., None] * sample.F)
+            return flip[..., None] * field_of(w, pol, r, t)
 
         monkeypatch.setattr(validate_mod, "field", broken)
         bad = suite_wave_maxwell(rc, np.random.default_rng(3), n_points=20)
@@ -2039,7 +2031,7 @@ class TestCli:
         rows = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
         assert rows.shape == (40, 13)
         rc = load_config(str(path))
-        F = field(rc.wavelet(), rc.polarization(), rows[:, 0:3], rows[:, 3]).F
+        F = field(rc.wavelet(), rc.polarization(), rows[:, 0:3], rows[:, 3])
         assert np.allclose(rows[:, 7::2] + 1j * rows[:, 8::2], F, rtol=1e-12, atol=0.0)
         # one drive label in both sidecars, with the sample grid it came from
         for name in ("field.json", "sources.json"):
@@ -2091,7 +2083,6 @@ class TestCli:
         pytest.param(("re = 1,0,0", "re = 1,x,0"), [], "polarization.re", id="polarization.re"),
         pytest.param(("nq = 8", "nq = many"), [], "surface.nq", id="surface.nq"),
         pytest.param(("alpha = 0.1", "alpha = big"), [], "cut.alpha", id="cut.alpha"),
-        pytest.param(None, ["--tol-scale", "nan"], "--tol-scale", id="tol-scale"),
         pytest.param(None, ["--threads", "0"], "--threads", id="threads"),
         pytest.param(None, ["--seed", "-1"], "--seed", id="seed"),
         # before the config table each of these ran, to NaN or empty output or a
@@ -2107,11 +2098,12 @@ class TestCli:
         pytest.param(("kind = smooth_spheroid\nalpha = 0.1", "kind = upper_spheroid\nalpha = inf"), [], "cut.alpha",
                      id="probe-cut.alpha-inf"),
         pytest.param(("re = 1,0,0", "re = inf,0,0"), [], "polarization.re", id="probe-polarization.re-inf"),
-        pytest.param(("q_min = 0.15", "q_min = nan"), [], "tolerances.q_min", id="probe-tolerances.q_min-nan"),
-        pytest.param(("tol_cut = 1e-9", "tol_cut = inf"), [], "tolerances.tol_cut", id="probe-tolerances.tol_cut-inf"),
         pytest.param(("alpha = 0.1", "alpah = 0.2"), [], "cut.alpah", id="probe-cut.alpah"),
-        pytest.param(("[tolerances]", "[output]\ndir = elsewhere\n\n[tolerances]"), [], "output.dir",
+        pytest.param(("[surface]", "[output]\ndir = elsewhere\n\n[surface]"), [], "output.dir",
                      id="probe-output.dir"),
+        # tolerances are constants: the section that once set them is unknown
+        pytest.param(("[surface]", "[tolerances]\ntol_cut = 1e-9\n\n[surface]"), [], "tolerances: unknown section",
+                     id="tolerances-section"),
         pytest.param(("[surface]", "[surfce]"), [], "surfce", id="probe-section-surfce"),
         pytest.param(("[source]", "[DEFAULT]\nn = 3\n\n[source]"), [], "DEFAULT.n", id="DEFAULT"),
         pytest.param(("[signal]\nkind = cauchy\nn = 2", ""), [], "signal", id="missing-signal"),
@@ -2127,10 +2119,7 @@ class TestCli:
         assert error["error"] == "config" and error["message"].startswith(named)
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "name, flag, kind", [("THREADS", "--threads", "int"), ("SEED", "--seed", "int"),
-                             ("TOL_SCALE", "--tol-scale", "float")],
-    )
+    @pytest.mark.parametrize("name, flag, kind", [("THREADS", "--threads", "int"), ("SEED", "--seed", "int")])
     def test_malformed_environment_exits_2(self, monkeypatch, capsys, name, flag, kind):
         # a bad variable is refused like the bad flag it stands for
         monkeypatch.setenv(f"EMWAVELETS_{name}", "many")
@@ -2147,7 +2136,8 @@ class TestCli:
         assert exc.value.code == 0
         assert "{sample-field,sample-sources,impulse-response,beam-profile,validate}" in capsys.readouterr().out
         for argv, says in [(["sample-feld"], "invalid choice: 'sample-feld'"), ([], "required: command"),
-                           (["validate", "--bogus"], "unrecognized arguments: --bogus")]:
+                           (["validate", "--bogus"], "unrecognized arguments: --bogus"),
+                           (["validate", "--tol-scale", "1"], "unrecognized arguments: --tol-scale 1")]:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
@@ -2294,6 +2284,55 @@ class TestCli:
         assert error["error"] == "config" and error["message"].startswith(f"{named}: ")
         assert not out.exists()
 
+    def test_beam_profile_refuses_an_overflowing_drive(self, tmp_path, capsys):
+        # C_120's far-zone norms overflow, so its helicity residuals were NaN in a sidecar of exit 0
+        path = tmp_path / "n120.ini"
+        path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 120\n")
+        out = tmp_path / "out"
+        assert cli.main(["beam-profile", "--config", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "run", "message": "beam profile not finite: helicity_residual_10a = nan"}
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda t, g0: (t[::-1], g0[::-1]), "sample times must increase"),
+        (lambda t, g0: (t, np.where(t == t[400], np.nan, g0)), "signal samples must be finite"),
+    ], ids=["descending", "nan-sample"])
+    def test_bad_pulse_csv_exits_2(self, tmp_path, capsys, edit, says):
+        # a descending grid wrote every source with the opposite sign; a NaN sample was refused
+        # only when a source came out NaN
+        t = np.linspace(-20.0, 20.0, 801)
+        pulse = tmp_path / "pulse.csv"
+        np.savetxt(pulse, np.column_stack(edit(t, -t * np.exp(-(t**2) / 2))), delimiter=",")
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = cauchy\nn = 2", f"kind = sampled\ncsv = {pulse}"))
+        for command in ("sample-field", "sample-sources"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            error = json.loads(capsys.readouterr().err.strip())
+            assert error["error"] == "config" and error["message"].startswith(f"signal.csv: {says}")
+            assert not out.exists()
+
+    def test_documented_flags_are_the_parser(self, monkeypatch):
+        # README's command block and cli's docstring name every flag _add_common defines, and the
+        # variable each reads, and no other
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_common(parser)
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        variables = {f"EMWAVELETS_{flag[2:].upper()}" for flag in flags}
+        for name in variables:
+            monkeypatch.setenv(name, "7")
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_common(parser)
+        assert {action.default for action in parser._actions} == {"7"}
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```\n", 1)[1].split("```", 1)[0]
+        for text in (block, cli.__doc__):
+            assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags
+        for text in (section, cli.__doc__):
+            assert set(re.findall(r"EMWAVELETS_[A-Z_]+", text)) == variables
+
     def test_env_override(self, config_file, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")
         monkeypatch.setenv("EMWAVELETS_OUT", out)
@@ -2304,12 +2343,13 @@ class TestCli:
     def test_validate_failure_exits_1(self, monkeypatch, capsys):
         from emwavelets.harness.validate import suite_oracle_equivalence
 
-        monkeypatch.setattr(validate_mod, "ALL_SUITES", [
-            lambda rc, rng, tol_scale=1.0: suite_oracle_equivalence(
-                rc, rng, tol_scale=tol_scale, n_points=10
-            )
-        ])
+        small = lambda rc, rng: suite_oracle_equivalence(rc, rng, n_points=10)
+        monkeypatch.setattr(validate_mod, "ALL_SUITES", [small])
         assert cli.main(["validate"]) == 0
-        assert cli.main(["validate", "--tol-scale", "1e-12"]) == 1
+        assert capsys.readouterr().out.startswith("PASS oracle-equivalence")
+        # the same suite on a field 1% too large fails, and so does the command
+        field_of = validate_mod.field
+        monkeypatch.setattr(validate_mod, "field", lambda *args: 1.01 * field_of(*args))
+        assert cli.main(["validate"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        assert out.startswith("FAIL oracle-equivalence") and "0/1 suites passed" in out

@@ -88,6 +88,12 @@ class TestCauchyKernel:
         with pytest.raises(ValueError):
             CauchySignal(0)
 
+    def test_coefficient_keeps_the_bits_of_the_transforms_formula(self):
+        # at k = 0, eval's (-1)^k (n+k-1)!/(2 pi i^n) is the spectral transform's former (n-1)!/(2 pi i^n)
+        bits = lambda z: (z.real.hex(), z.imag.hex())
+        for n in range(1, 170):
+            assert bits(signals._cauchy_coef(n, 0)) == bits(math.factorial(n - 1) / (2.0 * np.pi * 1j**n))
+
 
 class TestSampledSignal:
     def test_poisson_kernel_is_shifted_cauchy(self):
@@ -114,6 +120,19 @@ class TestSampledSignal:
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7])
         with pytest.raises(ValueError):
             SampledSignal(t=t, g0=np.exp(-t**2))
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda t, g0: (t[::-1], g0[::-1]), "sample times must increase"),  # flipped the drive's sign
+        (lambda t, g0: (np.zeros_like(t), g0), "sample times must increase"),
+        (lambda t, g0: (t, np.where(t == t[40], np.nan, g0)), "signal samples must be finite"),
+        (lambda t, g0: (t, np.where(t == t[40], np.inf, g0)), "signal samples must be finite"),
+    ], ids=["descending", "dt-0", "nan-sample", "inf-sample"])
+    def test_rejects_bad_samples(self, edit, says):
+        t = np.linspace(-20, 20, 801)
+        g0 = -t * np.exp(-(t**2) / 2)
+        with pytest.raises(ValueError, match=says):
+            SampledSignal(*edit(t, g0))
+        SampledSignal(t, g0)
 
     def test_rejects_nondecaying(self):
         t = np.linspace(-1, 1, 64)
