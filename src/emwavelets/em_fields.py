@@ -193,13 +193,24 @@ def far_point_series(w: ScalarWavelet, pol, r):
 
 
 def helicity_residual(w: ScalarWavelet, pol, r, t):
-    """|i e_r x F - F| / |F| on the exact field; tends to 0 like a/r."""
+    """|i e_r x F - F| / |F| on the exact field; tends to 0 like a/r.
+
+    The norms square F, which overflows above ~1e154: only where the plain
+    ratio is not finite is it recomputed from F scaled by its largest
+    |entry|, so every finite value keeps its bits.
+    """
     r = np.asarray(r, dtype=float)
     e_r = r / np.linalg.norm(r, axis=-1)[..., None]
     F = field(w, pol, r, t)
-    num = np.linalg.norm(1j * _cross(e_r, F) - F, axis=-1)
-    den = np.linalg.norm(F, axis=-1)
-    return num / den
+
+    def ratio(F):
+        return np.linalg.norm(1j * _cross(e_r, F) - F, axis=-1) / np.linalg.norm(F, axis=-1)
+
+    with np.errstate(all="ignore"):  # a ratio that stays non-finite is the caller's to refuse
+        out = ratio(F)
+        if not np.isfinite(out).all():
+            out = np.where(np.isfinite(out), out, ratio(F / np.abs(F).max(axis=-1, keepdims=True)))[()]
+    return out
 
 
 def poynting_energy_far(F, e_r):

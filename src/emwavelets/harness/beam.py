@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ..em_fields import helicity_residual
-from ..errors import NoSolutionError
+from ..errors import NoSolutionError, NonFiniteFieldError
 from ..geometry import SourceConfig, complex_distance_principal
 from ..signals import CauchySignal, diffraction_angle, peak_strength, pulse_duration, spectral_profile
 from .spectral import cauchy_series_transform, spectral_moments
@@ -116,12 +116,15 @@ def diffraction_angles(n: int, cfg: SourceConfig):
     """(predicted, measured) angle where the C_n beam's peak falls to e^-BETA of its on-axis value.
 
     The measured angle is where the peak measured at R_FACTOR*|a| falls that far;
-    NoSolutionError if it never does.
+    NoSolutionError if it never does, NonFiniteFieldError if the on-axis peak
+    is not finite (a high-order drive overflows).
     """
     a = cfg.a_mag
     predicted = diffraction_angle(BETA, n, a, cfg.b)
     sig, R = CauchySignal(n), R_FACTOR * a
     _, M0 = measure_pulse(sig, cfg, 0.0, R)
+    if not math.isfinite(M0):
+        raise NonFiniteFieldError(f"beam profile not finite: theta_beta_measured at n = {n}, on-axis peak = {M0:g}")
     target = math.exp(-BETA) * M0
 
     def gap(theta):

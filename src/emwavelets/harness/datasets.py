@@ -55,11 +55,12 @@ def _write_chunk(fh, sub, classes, buf):
     """Write an (m, k, C) sub-block, formatting each repeated value once.
 
     classes are the OUTER, INNER and RECORD column masks: each column is
-    formatted once per what it varies with.  Each record's text goes into
-    the next C fields at the start of buf, a bytearray, as NUL-padded
-    fields each followed by its separator; the rest of buf is zeroed, so
-    the text is buf without its NULs.  The same double always gives the
-    same %.17g text, so the bytes are those of formatting every value.
+    formatted once per what it varies with.  buf, a bytearray reused from
+    call to call, is resized to the sub-block's m k C fields, and each
+    record's text goes into its next C fields as NUL-padded fields each
+    followed by its separator, so the text is buf without its NULs.  The
+    same double always gives the same %.17g text, so the bytes are those of
+    formatting every value.
     """
     m, k, n_cols = sub.shape
     per_outer, per_inner, per_record = classes
@@ -69,9 +70,10 @@ def _write_chunk(fh, sub, classes, buf):
         (sub[..., per_record], per_record),
     ]
     text = format17(np.concatenate([values.ravel() for values, _ in parts]))
-    flat = np.frombuffer(buf, dtype=np.uint8)
-    out = flat[: m * k * n_cols * (WIDTH + 1)].reshape(m, k, n_cols, WIDTH + 1)
-    flat[out.size :] = 0
+    size = m * k * n_cols * (WIDTH + 1)
+    del buf[size:]
+    buf.extend(bytes(size - len(buf)))
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(m, k, n_cols, WIDTH + 1)
     out[..., WIDTH] = ord(",")
     out[..., -1, WIDTH] = ord("\n")
     start = 0

@@ -36,8 +36,10 @@ def chunked_parallel_map(func, items, chunk: int, threads: int = 1):
     and a batch is yielded once all of it is computed: at most threads
     results wait to be consumed, and no computation overlaps the consumer,
     whose Python work would otherwise contend with it for the interpreter
-    lock.
+    lock.  Items fewer than threads chunks make threads shorter runs, so
+    every thread has work.
     """
+    chunk = max(1, min(chunk, -(-len(items) // threads)))
     parts = (items[i : i + chunk] for i in range(0, len(items), chunk))
     if threads <= 1:
         yield from map(func, parts)

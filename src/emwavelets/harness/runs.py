@@ -41,6 +41,7 @@ SOURCE_HEADER = {
     **dict.fromkeys(["x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz"], RECORD),
     "in_rim_band": OUTER,
 }
+RECORDS_PER_CHUNK = 8192  # records in a field sweep block (points_per_chunk)
 # records in a surface sweep block: RECORDS_PER_BLOCK // nphi whole rings, or a slice of a ring of more azimuths
 RECORDS_PER_BLOCK = 4096
 BEAM_HEADER = dict.fromkeys(["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"], RECORD)
@@ -85,18 +86,22 @@ def field_rows(rc: RunConfig, threads: int = 1):
         return rows
 
     n_points = math.prod(map(len, xyz))
-    return chunked_parallel_map(eval_chunk, range(n_points), points_per_chunk(len(ts)), threads=threads)
+    return chunked_parallel_map(eval_chunk, range(n_points), points_per_chunk(len(ts), threads), threads=threads)
 
 
-def points_per_chunk(n_times: int) -> int:
-    """Grid points per field_rows block: 4 * max(1, 512 // n_times), about 2,048 records.
+def points_per_chunk(n_times: int, threads: int = 1) -> int:
+    """Grid points per field_rows block: about RECORDS_PER_CHUNK records on one thread, a quarter of that on more.
 
     Records, not points, set the size: the broadcast temporaries (several
     complex values per record) must not grow with the number of time slices.
-    Smaller blocks compute up to 2x slower.  The writer sizes its own work
-    (datasets.VALUE_BUDGET), so the block size is a compute choice only.
+    A block pays ~50 numpy calls: 2,048-record blocks ran the benchmark's F
+    sweep 14% longer (0.093 against 0.081 s, 2-core Xeon).  Blocks computed
+    at once on a pool hold ~1 MiB of temporaries each per 8,192 F records,
+    and their peaks coincide as the threads happen to interleave: 3.8-4.9 MiB
+    traced on two threads, against a steady 1.8 MiB at 2,048 records.  The
+    writer sizes its own work (datasets.VALUE_BUDGET): blocks are a compute choice.
     """
-    return 4 * max(1, 512 // n_times)
+    return max(1, (RECORDS_PER_CHUNK if threads <= 1 else RECORDS_PER_CHUNK // 4) // n_times)
 
 
 def field_dataset(rc: RunConfig, threads: int):

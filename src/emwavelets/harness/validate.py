@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import io
-import math
 import time
 from dataclasses import dataclass
 
@@ -49,8 +48,7 @@ from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_resi
 from .config import AxisSpec, RunConfig, default_config
 from .datasets import write_csv
 from .fd import field_curl_oracle, lorenz_residual, wave_residual
-from .grids import grid_axes
-from .runs import FIELD_HEADER_F, field_rows, points_per_chunk
+from .runs import FIELD_HEADER_F, field_rows
 from .spectral import cauchy_series_transform, de_fourier
 
 __all__ = ["SuiteResult", "run_all", "ALL_SUITES"]
@@ -559,17 +557,15 @@ def suite_determinism(rc: RunConfig, rng):
         "z": AxisSpec(0.5, 2.0, 29),
         "t": AxisSpec(1.0, 2.0, 3),
     }
-    # a single chunk would run serially whatever the thread count
-    *xyz, ts = grid_axes(rc2.grid)
-    n_chunks = -(-math.prod(map(len, xyz)) // points_per_chunk(len(ts)))
     outs = []
     for threads in (1, 4):
+        blocks = list(field_rows(rc2, threads=threads))  # a single block would run serially whatever the threads
         buf = io.BytesIO()
-        write_csv(buf, FIELD_HEADER_F, field_rows(rc2, threads=threads))
+        write_csv(buf, FIELD_HEADER_F, blocks)
         outs.append(buf.getvalue())
     same = outs[0] == outs[1]
-    return SuiteResult("determinism", same and n_chunks >= 2, 0.0 if same else 1.0, 0.0,
-                       detail=f"{len(outs[0].splitlines()) - 1} records in {n_chunks} chunks, threads 1 vs 4")
+    return SuiteResult("determinism", same and len(blocks) >= 2, 0.0 if same else 1.0, 0.0,
+                       detail=f"{len(outs[0].splitlines()) - 1} records in {len(blocks)} chunks, threads 1 vs 4")
 
 
 ALL_SUITES = [

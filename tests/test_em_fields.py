@@ -22,6 +22,7 @@ from emwavelets import (
     poynting_energy_far,
     psi,
 )
+from emwavelets import em_fields
 from emwavelets.em_fields import assemble, far_point_series
 from emwavelets.harness import fd
 from emwavelets.harness.fd import field_curl_oracle, lorenz_residual
@@ -161,6 +162,19 @@ class TestFarField:
         h10 = helicity_residual(wavelet, POL_X, 10.0 * dirv, 10.0)
         h100 = helicity_residual(wavelet, POL_X, 100.0 * dirv, 100.0)
         assert h100 <= 0.15 * h10
+
+    def test_helicity_residual_of_a_field_beyond_the_norms_range(self, wavelet, monkeypatch):
+        # the norms square F: at 1e200 they overflow and at 1e-200 they underflow, so the plain ratio is NaN;
+        # those points are recomputed from F scaled by its largest |entry|, and a finite ratio keeps its bits
+        r = 10.0 * np.array([[np.sin(0.4), 0.0, np.cos(0.4)], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]])
+        plain = helicity_residual(wavelet, POL_X, r, 10.0)
+        exact = em_fields.field
+        monkeypatch.setattr(em_fields, "field", lambda *args: exact(*args) * np.array([[1.0], [1e200], [1e-200]]))
+        scaled = helicity_residual(wavelet, POL_X, r, 10.0)
+        assert scaled[0] == plain[0]
+        assert scaled[1:] == pytest.approx(plain[1:], rel=1e-14)
+        monkeypatch.setattr(em_fields, "field", lambda *args: exact(*args) * 1e200)
+        assert helicity_residual(wavelet, POL_X, r[0], 10.0) == pytest.approx(plain[0], rel=1e-14)
 
     def test_spectral_one_sidedness(self, wavelet, cfg):
         # every field component at a far point is one-sided in frequency

@@ -46,7 +46,7 @@ from emwavelets.harness.datasets import (
 )
 from emwavelets.harness.grids import chunked_parallel_map, grid_axes, grid_points
 from emwavelets.harness.runs import (
-    FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, points_per_chunk, source_sweep_rows,
+    FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, source_sweep_rows,
 )
 from emwavelets.harness.spectral import DE_STEPS, _chirp_z, cauchy_series_transform, de_fourier
 from emwavelets.harness.validate import (
@@ -356,6 +356,16 @@ class TestGrids:
         assert len(ahead) == 14
         assert ahead == [min(14, (i // threads + 1) * threads) - i for i in range(14)]
 
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_parallel_map_gives_every_thread_a_run(self, threads):
+        # ten items are fewer than one chunk of 100: they are split into `threads` runs, in order
+        parts = list(chunked_parallel_map(list, range(10), 100, threads=threads))
+        assert len(parts) == threads
+        assert sum(parts, []) == list(range(10))
+        assert len(list(chunked_parallel_map(list, range(10), 100, threads=1))) == 1
+        assert list(chunked_parallel_map(list, range(2), 100, threads=threads)) == [[0], [1]]
+        assert list(chunked_parallel_map(list, range(0), 100, threads=threads)) == []
+
 
 def per_slice_rows(rc):
     """Reference sweep: the branch resolved per point, psi() or field() called per time slice."""
@@ -418,7 +428,7 @@ class TestFieldRows:
         "x": AxisSpec(-1.45, 1.55, 7),
         "y": AxisSpec(0.03, 0.03, 1),
         "z": AxisSpec(-0.47, 0.61, 10),
-        "t": AxisSpec(0.5, 2.5, 40),  # 48 points per block: the 70 points span two blocks
+        "t": AxisSpec(0.5, 2.5, 170),  # 48 points per block: the 70 points span two blocks
     }
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
@@ -1303,14 +1313,14 @@ class TestCsvParity:
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_sample_field_matches_reference(self, tmp_path, quantity):
-        # the TestFieldRows grid: several writer chunks, records straddling the membrane
+        # the TestFieldRows grid: two blocks, several writer chunks, records straddling the membrane
         path = tmp_path / "field.ini"
         path.write_text(
             "[source]\na = 0,0,1\nb = 1.5\n"
             "[cut]\nkind = upper_spheroid\nalpha = 0.1\n"
             "[signal]\nkind = cauchy\nn = 2\n"
             "[polarization]\nre = 1,0,0\nim = 0,0.5,0\n"
-            "[grid]\nx = -1.45,1.55,7\ny = 0.03,0.03,1\nz = -0.47,0.61,10\nt = 0.5,2.5,40\n"
+            "[grid]\nx = -1.45,1.55,7\ny = 0.03,0.03,1\nz = -0.47,0.61,10\nt = 0.5,2.5,170\n"
             f"[output]\nquantity = {quantity}\n"
         )
         out = tmp_path / "out"
@@ -1318,7 +1328,7 @@ class TestCsvParity:
         rows = field_block(load_config(str(path)))
         header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
         assert_same_lines((out / "field.csv").read_text(), savetxt_csv(header, rows.reshape(-1, rows.shape[-1])))
-        assert json.loads((out / "field.json").read_text())["records"] == 70 * 40
+        assert json.loads((out / "field.json").read_text())["records"] == 70 * 170
 
     def test_sample_sources_matches_reference(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -1349,7 +1359,7 @@ class TestColumnDeclarations:
     GRID = {
         "x": AxisSpec(-1.45, 1.55, 15),
         "y": AxisSpec(0.03, 0.2, 2),
-        "z": AxisSpec(-0.47, 0.61, 70),  # 2,100 points: two blocks at one time slice, ten at nine
+        "z": AxisSpec(-0.47, 0.61, 280),  # 8,400 points: two blocks at one time slice, ten at nine
     }
 
     @pytest.mark.parametrize("n_times", [1, 9])
@@ -2161,7 +2171,8 @@ class TestCli:
         )
         path = tmp_path / "circle.ini"
         path.write_text(text + f"\n[output]\nquantity = {quantity}\n")
-        for threads in ("1", "2"):
+        # serially both points fall in the one 1,681-point block; two threads split it into 841-point runs
+        for threads, count in (("1", "2 of 1681"), ("2", "1 of 841")):
             out = tmp_path / f"out{threads}"
             argv = ["sample-field", "--config", str(path), "--out", str(out), "--threads", threads]
             assert cli.main(argv) == 1
@@ -2169,14 +2180,12 @@ class TestCli:
             assert not [p.name for p in out.glob("*")]
             message = json.loads(capsys.readouterr().err.strip())["message"]
             # one guard and one reason, whichever quantity the sweep evaluates
-            assert re.fullmatch(
-                r"field point on the branch circle \(p = q = 0\): 1 of \d+ points refused, first at \(-1, 0, 0\)",
-                message,
-            )
+            assert message == f"field point on the branch circle (p = q = 0): {count} points refused, first at (-1, 0, 0)"
 
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_non_finite_field_refused(self, tmp_path, capsys, quantity):
-        # C_160 overflows at some of the 50 points: the run stops, naming how many and the first (x, y, z)
+        # C_160 overflows at some of the 50 points: the run stops, naming how many of the first refused
+        # block (all 50 points serially, 25 at two threads) and the first (x, y, z)
         path = tmp_path / "huge.ini"
         path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 160\n"
                         "[grid]\nx = -2,2,5\ny = -1,1,2\nz = 0.5,3,5\nt = 1,3,2\n"
@@ -2186,14 +2195,15 @@ class TestCli:
         bad = ~np.isfinite(rows).all(axis=(1, 2))
         assert 0 < bad.sum() < 50
         x, y, z = rows[np.flatnonzero(bad)[0], 0, :3]
-        for threads in ("1", "2"):
+        for threads, run in ((1, 50), (2, 25)):
+            start = np.flatnonzero(bad)[0] // run * run
             out = tmp_path / f"out{threads}"
-            argv = ["sample-field", "--config", str(path), "--out", str(out), "--threads", threads]
+            argv = ["sample-field", "--config", str(path), "--out", str(out), "--threads", str(threads)]
             assert cli.main(argv) == 1
             assert not list(out.glob("*"))
             assert json.loads(capsys.readouterr().err.strip()) == {
                 "error": "run",
-                "message": f"field not finite at (x, y, z): {bad.sum()} of 50 points refused, "
+                "message": f"field not finite at (x, y, z): {bad[start : start + run].sum()} of {run} points refused, "
                            f"first at ({x:g}, {y:g}, {z:g})",
             }
 
@@ -2238,9 +2248,8 @@ class TestCli:
         config_file.write_text(
             CONFIG_TEXT.replace("x = -1,1,5", "x = -1,1,41").replace("z = 0.5,1.5,4", "z = 0.5,1.5,26")
         )
-        # a single chunk would run serially whatever the thread count
-        *xyz, ts = grid_axes(load_config(str(config_file)).grid)
-        assert math.prod(map(len, xyz)) > points_per_chunk(len(ts))
+        # 1,066 points: one block serially, three runs on three threads
+        assert [len(block) for block in field_rows(load_config(str(config_file)), 3)] == [356, 356, 354]
         outs = []
         for threads in ("1", "3"):
             out = str(tmp_path / f"t{threads}")
@@ -2252,6 +2261,31 @@ class TestCli:
             )
             outs.append((tmp_path / f"t{threads}" / "field.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("quantity", ["psi", "F"])
+    @pytest.mark.parametrize("cut", ["flat_disk", "upper_spheroid"])
+    def test_csv_independent_of_the_block_size(self, tmp_path, monkeypatch, cut, quantity):
+        # every record is computed pointwise: blocks of 1 point, 7 points or the default 70 give the same bytes,
+        # serially and on two threads; the 70 points straddle the upper spheroid's membrane
+        path = tmp_path / "field.ini"
+        path.write_text(
+            "[source]\na = 0,0,1\nb = 1.5\n"
+            f"[cut]\nkind = {cut}\nalpha = 0.1\n"
+            "[signal]\nkind = cauchy\nn = 2\n"
+            "[polarization]\nre = 1,0,0\nim = 0,0.5,0\n"
+            "[grid]\nx = -1.45,1.55,7\ny = 0.03,0.03,1\nz = -0.47,0.61,10\nt = 0.5,2.5,3\n"
+            f"[output]\nquantity = {quantity}\n"
+        )
+        outs = set()
+        for records, n_blocks in ((3, 70), (21, 10), (runs.RECORDS_PER_CHUNK, 1)):
+            monkeypatch.setattr(runs, "RECORDS_PER_CHUNK", records)
+            assert len(list(field_rows(load_config(str(path))))) == n_blocks
+            for threads in ("1", "2"):
+                out = tmp_path / f"{records}-{threads}"
+                assert cli.main(["sample-field", "--config", str(path), "--out", str(out), "--threads", threads]) == 0
+                outs.add(((out / "field.csv").read_bytes(), (out / "field.json").read_bytes()))
+        assert len(outs) == 1
+        assert len(next(iter(outs))[0].splitlines()) == 1 + 70 * 3
 
     def test_coarse_sampled_pulse_is_a_run_error(self, tmp_path, capsys):
         # dt = 0.5 cannot resolve the kernel at Im tau = -b = -1.5 (it needs >= 4 dt): both
@@ -2285,14 +2319,25 @@ class TestCli:
         assert not out.exists()
 
     def test_beam_profile_refuses_an_overflowing_drive(self, tmp_path, capsys):
-        # C_120's far-zone norms overflow, so its helicity residuals were NaN in a sidecar of exit 0
-        path = tmp_path / "n120.ini"
-        path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 120\n")
+        # C_169's on-axis peak overflows: the diffraction angle's root search stopped on a bare "f is NaN at 0.0"
+        path = tmp_path / "n169.ini"
+        path.write_text("[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = 169\n")
         out = tmp_path / "out"
         assert cli.main(["beam-profile", "--config", str(path), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err.strip()) == {
-            "error": "run", "message": "beam profile not finite: helicity_residual_10a = nan"}
+            "error": "run", "message": "beam profile not finite: theta_beta_measured at n = 169, on-axis peak = nan"}
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("n", [90, 100, 145])
+    def test_beam_profile_writes_where_only_the_norms_overflow(self, tmp_path, n):
+        # the far-zone field of these orders passes 1e154, whose square overflows the helicity residual's norms
+        path = tmp_path / "beam.ini"
+        path.write_text(f"[source]\na = 0,0,1\nb = 1.5\n[signal]\nkind = cauchy\nn = {n}\n")
+        out = tmp_path / "out"
+        assert cli.main(["beam-profile", "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "beam_profile.json").read_text())
+        assert meta["n"] == n
+        assert 0.0 < meta["helicity_residual_100a"] < 0.15 * meta["helicity_residual_10a"] < 0.01
 
     @pytest.mark.parametrize("edit, says", [
         (lambda t, g0: (t[::-1], g0[::-1]), "sample times must increase"),
