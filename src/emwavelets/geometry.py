@@ -311,10 +311,11 @@ class BranchCut:
     Deforming the reference disk p = 0 into the membrane flips the branch
     exactly in the region swept between them, 0 <= p < chi(q), so every cut
     shares one sign rule; concrete cuts give chi (odd in q) and their
-    clearance.  A point is refused where clearance(r) < tol (near_cut): the
-    spheroid cuts screen that rule with a closed-form lower bound and run
-    their exact clearance only inside the band, and clearance itself stays
-    what each cut defines.
+    clearance.  A point is refused where clearance(r) < tol (near_cut, which
+    also takes the principal p and q at r, so no cut computes them again):
+    the spheroid cuts screen that rule with a closed-form lower bound and
+    run their exact clearance only inside the band, and clearance itself
+    stays what each cut defines.
     """
 
     def sign(self, r, cfg: SourceConfig):
@@ -325,10 +326,6 @@ class BranchCut:
     def _sign(self, p, q):
         """sign(r, cfg) from the principal p and q at r."""
         return np.where(p < self.cut_function(q), -1, 1)
-
-    def near_cut(self, r, cfg: SourceConfig, tol: float):
-        """Mask of the points that branch refuses: clearance(r) < tol, shaped like r[..., 0]."""
-        return np.asarray(self.clearance(r, cfg) < tol)
 
 
 @dataclass(frozen=True)
@@ -343,7 +340,7 @@ class FlatDisk(BranchCut):
         inside = rho <= cfg.a_mag
         return np.where(inside, np.abs(z), np.hypot(rho - cfg.a_mag, z))
 
-    def near_cut(self, r, cfg, tol):
+    def near_cut(self, r, p, q, cfg, tol):
         """Nothing: on the reference cut the principal branch takes the a.r > 0 face."""
         return np.zeros(np.shape(r)[:-1], dtype=bool)
 
@@ -432,7 +429,7 @@ class HalfSpheroid(BranchCut):
         """Closed-form lower bound on clearance, up to rounding (_ellipse_bound)."""
         return _spheroid_clearance(r, cfg, self.alpha, self.side, _ellipse_bound)
 
-    def near_cut(self, r, cfg, tol):
+    def near_cut(self, r, p, q, cfg, tol):
         """clearance(r) < tol, with the bisection run only where clearance_bound is in the band.
 
         The bound never exceeds the exact distance but by rounding, so a point outside
@@ -483,9 +480,16 @@ class SmoothSpheroid(BranchCut):
         |p - chi|/|grad p| drops the chi'(q)|grad q| term, and off the q >= 0
         sheet a membrane over the disk may be nearer than the branch circle.
         """
-        r = np.asarray(r, dtype=float)
-        d_circle = branch_circle_distance(r, cfg)
         _, p, q = complex_distance_principal(r, cfg)
+        return self._clearance(np.asarray(r, dtype=float), p, q, cfg)
+
+    def near_cut(self, r, p, q, cfg, tol):
+        """clearance(r) < tol, from the principal p and q at r."""
+        return np.asarray(self._clearance(r, p, q, cfg) < tol)
+
+    def _clearance(self, r, p, q, cfg):
+        """clearance(r) from the principal p and q at r."""
+        d_circle = branch_circle_distance(r, cfg)
         chi = self.cut_function(np.abs(q))
         # metric distance ~ coordinate residual / |grad p|
         scale = np.sqrt((p**2 + q**2) / (p**2 + cfg.a_mag**2))
@@ -550,7 +554,7 @@ def branch(cut: BranchCut, r, cfg: SourceConfig) -> ComplexDistanceSample:
     """
     r = np.asarray(r, dtype=float)
     sigma0, p, q = complex_distance_principal(r, cfg)
-    near = cut.near_cut(r, cfg, CUT_TOL * cfg.a_mag)
+    near = cut.near_cut(r, p, q, cfg, CUT_TOL * cfg.a_mag)
     refuse(OnCutError, "point lies on the branch cut (within tolerance)", near, r)
     s = cut._sign(p, q)
     return ComplexDistanceSample(r, cfg, s * sigma0, p, q, sign=s)

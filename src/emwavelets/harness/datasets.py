@@ -3,13 +3,14 @@
 Floats are written with 17 significant digits (round-trip exact), complex
 values as paired Re/Im columns, rows in fixed row-major order, and files
 are written atomically (temp then rename) so interrupted runs leave no
-partial output.  The CSV body is a stream of 3-D blocks (outer, inner,
-columns), each written in reshape(-1, columns) order as it arrives, so a
-sweep is never held whole; a table is the one block rows[:, None].  The
-header declares what each column varies with, as its producer built it:
-the outer item (a field sweep's point, a surface sweep's ring), the inner
-item (its time slice, its azimuth) or the record; a value declared per
-item is formatted once and its text reused.
+partial output.  The CSV body is a stream of blocks, each written as it
+arrives, so a sweep is never held whole.  A block is a list of 2-D
+columns that broadcast to one (outer, inner) shape, and a column's shape
+says what it repeats over: (outer, 1) repeats over the inner items (a
+field sweep's x at every time slice), (1, inner) over the outer ones (its
+t at every point), (outer, inner) varies per record and (1, 1) is one
+value for the block.  A column is formatted at its own shape and its text
+broadcast into the records; a table is one block of (rows, 1) columns.
 Values are formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
 and the bytes, those of np.savetxt(fmt="%.17g", delimiter=","), go to a binary file.
 """
@@ -23,10 +24,9 @@ import numpy as np
 
 from ._format import WIDTH, format17
 
-__all__ = ["OUTER", "INNER", "RECORD", "write_csv", "write_csv_atomic", "write_json_sidecar"]
+__all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
 VALUE_BUDGET = 8192  # values per format17 call: bounds the writer's memory
-OUTER, INNER, RECORD = "outer", "inner", "record"  # what a column's values vary with
 
 
 def _write_atomic(path, write):
@@ -51,74 +51,69 @@ def _write_atomic(path, write):
         raise
 
 
-def _write_chunk(fh, sub, classes, buf):
-    """Write an (m, k, C) sub-block, formatting each repeated value once.
+def _write_chunk(fh, columns, shape, buf):
+    """Write the (m, k) records of 2-D columns that broadcast to shape, formatting each column once.
 
-    classes are the OUTER, INNER and RECORD column masks: each column is
-    formatted once per what it varies with.  buf, a bytearray reused from
-    call to call, is resized to the sub-block's m k C fields, and each
-    record's text goes into its next C fields as NUL-padded fields each
-    followed by its separator, so the text is buf without its NULs.  The
-    same double always gives the same %.17g text, so the bytes are those of
-    formatting every value.
+    buf, a bytearray reused from call to call, is resized to the m k C
+    fields, and each record's text goes into its next C fields as NUL-padded
+    fields each followed by its separator, so the text is buf without its
+    NULs.  A column's text is broadcast into its fields: the same double
+    always gives the same %.17g text, so the bytes are those of formatting
+    every value.
     """
-    m, k, n_cols = sub.shape
-    per_outer, per_inner, per_record = classes
-    parts = [
-        (sub[:, :1][..., per_outer], per_outer),
-        (sub[:1][..., per_inner], per_inner),
-        (sub[..., per_record], per_record),
-    ]
-    text = format17(np.concatenate([values.ravel() for values, _ in parts]))
-    size = m * k * n_cols * (WIDTH + 1)
+    m, k = shape
+    text = format17(np.concatenate([c.ravel() for c in columns]))
+    size = m * k * len(columns) * (WIDTH + 1)
     del buf[size:]
     buf.extend(bytes(size - len(buf)))
-    out = np.frombuffer(buf, dtype=np.uint8).reshape(m, k, n_cols, WIDTH + 1)
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(m, k, len(columns), WIDTH + 1)
     out[..., WIDTH] = ord(",")
     out[..., -1, WIDTH] = ord("\n")
     start = 0
-    for values, cols in parts:
-        out[:, :, cols, :WIDTH] = text[start : start + values.size].reshape(values.shape + (WIDTH,))
-        start += values.size
+    for j, c in enumerate(columns):
+        out[:, :, j, :WIDTH] = text[start : start + c.size].reshape(c.shape + (WIDTH,))
+        start += c.size
     fh.write(buf.translate(None, b"\0"))
 
 
 def write_csv(fh, header, blocks) -> int:
     """Header line, then one line of 17-significant-digit values per record, to binary fh; returns the record count.
 
-    header maps each column's name, in order, to OUTER, INNER or RECORD.
-    blocks is an iterable of 3-D (outer, inner, columns) arrays, each
-    written in reshape(-1, columns) order as it arrives.  An OUTER value is
-    read from an outer item's first record and an INNER one from a block's
-    first outer item, so where the blocks hold what header declares, the
-    bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
-    records.  A block is written in sub-blocks of one format17 call each.
+    header is the list of column names.  blocks is an iterable of lists of
+    2-D column arrays, one per name, that broadcast to one (outer, inner)
+    shape; the block's records are its broadcast columns in row-major
+    order, and the bytes are those of np.savetxt(fmt="%.17g", delimiter=",")
+    on them.  A column of shape (outer, 1), (1, inner) or (1, 1) is
+    formatted at that shape and its text reused; any other block raises
+    ValueError.  A block is written in sub-blocks of one format17 call each.
     """
-    varies = list(header.values())
-    if not set(varies) <= {OUTER, INNER, RECORD}:
-        raise ValueError(f"a column varies with {OUTER}, {INNER} or {RECORD}, got {varies}")
-    classes = [np.array([v == kind for v in varies]) for kind in (OUTER, INNER, RECORD)]
-    # an (m, k) sub-block formats m n_o + k n_i + m k n_r values; a record counting as one at least bounds buf
-    n_o, n_i, n_r = (int(c.sum()) for c in classes)
-    n_r = max(n_r, 1)
     fh.write((",".join(header) + "\n").encode())
     buf = bytearray()
     records = 0
     for block in blocks:
-        block = np.asarray(block, dtype=np.float64)
-        n_outer, n_inner, n_cols = block.shape
-        if n_cols != len(varies):
-            raise ValueError(f"a block of {n_cols} columns under a header of {len(varies)}")
+        if not isinstance(block, (list, tuple)):
+            raise ValueError(f"a block is a list of 2-D columns, got {type(block).__name__}")
+        columns = [np.asarray(c, dtype=np.float64) for c in block]
+        if len(columns) != len(header):
+            raise ValueError(f"a block of {len(columns)} columns under a header of {len(header)}")
+        if any(c.ndim != 2 for c in columns):
+            raise ValueError(f"a column is a 2-D array, got shapes {[c.shape for c in columns]}")
+        n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in columns))
         if n_outer * n_inner == 0:
             continue
-        step = min(n_inner, max(1, (VALUE_BUDGET - n_o) // (n_i + n_r)))  # whole inner rows while one fits
-        per = 1 if step < n_inner else max(1, (VALUE_BUDGET - step * n_i) // (n_o + step * n_r))
-        size = min(per, n_outer) * step * n_cols * (WIDTH + 1)
+        # an (m, k) sub-block formats n_1 + m n_o + k n_i + m k n_r values, by what each column's shape repeats over
+        kinds = [(len(c) > 1, c.shape[1] > 1) for c in columns]
+        n_1, n_o, n_i, n_r = map(kinds.count, [(False, False), (True, False), (False, True), (True, True)])
+        step = min(n_inner, max(1, (VALUE_BUDGET - n_1 - n_o) // max(n_i + n_r, 1)))  # whole inner rows while one fits
+        per = 1 if step < n_inner else max(1, (VALUE_BUDGET - n_1 - step * n_i) // max(n_o + step * n_r, 1))
+        size = min(per, n_outer) * step * len(columns) * (WIDTH + 1)
         if len(buf) < size:
             buf = bytearray(size)
         for o in range(0, n_outer, per):
             for i in range(0, n_inner, step):
-                _write_chunk(fh, block[o : o + per, i : i + step], classes, buf)
+                at = (slice(o, o + per), slice(i, i + step))
+                sub = [c[tuple(s if n > 1 else slice(None) for s, n in zip(at, c.shape))] for c in columns]
+                _write_chunk(fh, sub, (min(per, n_outer - o), min(step, n_inner - i)), buf)
         records += n_outer * n_inner
     return records
 

@@ -1,4 +1,9 @@
-"""Dataset-producing runs shared by the CLI and the validation suites."""
+"""Dataset-producing runs shared by the CLI and the validation suites.
+
+A writing command's producer returns (name, header, blocks, sidecar): the
+header is the list of column names, and each block the list of 2-D
+columns whose shapes say what each repeats over (datasets.write_csv).
+"""
 
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from ..signals import SampledSignal
 from ..surface_sources import ring_jump, ring_sources
 from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
-from .datasets import INNER, OUTER, RECORD
 from .grids import chunked_parallel_map, grid_axes, grid_points
 
 __all__ = [
@@ -28,30 +32,26 @@ __all__ = [
     "beam_profile_data",
 ]
 
-# the headers declare what each column varies with (datasets.write_csv): in a field sweep, the grid point
-# (outer), the time slice (inner) or the record; in a surface sweep, the ring, the azimuth or the record
-# (x, y and z too: z varies with phi about a tilted axis); in a table, one rows[:, None] block, the record
-_SWEEP = {"x": OUTER, "y": OUTER, "z": OUTER, "t": INNER, "re_sigma": OUTER, "im_sigma": OUTER, "cut_sign": OUTER}
-FIELD_HEADER_PSI = {**_SWEEP, **dict.fromkeys(["re_psi", "im_psi"], RECORD)}
-FIELD_HEADER_F = {**_SWEEP, **dict.fromkeys(["re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz"], RECORD)}
+_SWEEP = ["x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign"]
+FIELD_HEADER_PSI = _SWEEP + ["re_psi", "im_psi"]
+FIELD_HEADER_F = _SWEEP + ["re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz"]
 N_THETA = 13  # angles of the beam profile's far-zone arc
-SOURCE_HEADER = {
-    "q": OUTER,
-    "phi": INNER,
-    **dict.fromkeys(["x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz"], RECORD),
-    "in_rim_band": OUTER,
-}
+SOURCE_HEADER = ["q", "phi", "x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
+                 "in_rim_band"]
 RECORDS_PER_CHUNK = 8192  # records in a field sweep block (points_per_chunk)
 # records in a surface sweep block: RECORDS_PER_BLOCK // nphi whole rings, or a slice of a ring of more azimuths
 RECORDS_PER_BLOCK = 4096
-BEAM_HEADER = dict.fromkeys(["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"], RECORD)
+BEAM_HEADER = ["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"]
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
-    """Field sweep as (points, times, columns) blocks of points_per_chunk points, computed as consumed.
+    """Field sweep as blocks of points_per_chunk points, computed as consumed.
 
-    Points run row-major over (x, y, z); the blocks' reshape(-1, columns),
-    in order, gives the records in output order, time fastest.  Each
+    A block is the columns of FIELD_HEADER_PSI or FIELD_HEADER_F
+    (datasets.write_csv): x, y, z, re/im sigma and the cut sign per point,
+    (points, 1); t per time slice, (1, times); and the psi or F parts per
+    record, (points, times).  Points run row-major over (x, y, z), and the
+    records of the blocks, in order, are the output's, time fastest.  Each
     chunk's branch is resolved once (geometry.branch), refusing points
     within geometry.CUT_TOL * |a| of the cut, and every time slice is
     evaluated in one broadcast call of the closed forms psi() and field() use.
@@ -75,15 +75,9 @@ def field_rows(rc: RunConfig, threads: int = 1):
         if not np.isfinite(values).all():
             refuse(NonFiniteFieldError, "field not finite at (x, y, z)", ~np.isfinite(values).all(axis=(1, 2)),
                    chunk)
-        rows = np.empty(values.shape[:2] + (7 + 2 * values.shape[2],))  # (m, T, k)
-        rows[..., 0:3] = chunk[:, None, :]
-        rows[..., 3] = ts
-        rows[..., 4] = b.sigma.real[:, None]
-        rows[..., 5] = b.sigma.imag[:, None]
-        rows[..., 6] = b.sign[:, None]
-        rows[..., 7::2] = values.real
-        rows[..., 8::2] = values.imag
-        return rows
+        x, y, z = (v[:, None] for v in chunk.T)
+        per_record = [part[..., k] for k in range(values.shape[2]) for part in (values.real, values.imag)]
+        return [x, y, z, ts[None, :], b.sigma.real[:, None], b.sigma.imag[:, None], b.sign[:, None], *per_record]
 
     n_points = math.prod(map(len, xyz))
     return chunked_parallel_map(eval_chunk, range(n_points), points_per_chunk(len(ts), threads), threads=threads)
@@ -129,16 +123,19 @@ def _drive_meta(sig) -> dict:
 def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     """sample-sources' or impulse-response's (name, header, blocks, sidecar of the record count).
 
-    The sweep of the equivalent sources on the spheroid p = alpha, as
-    (rings, azimuths, columns) blocks of at most RECORDS_PER_BLOCK records,
-    computed as consumed; q runs slowest and phi fastest.  A block holds
-    whole q rings, or, when one ring has more azimuths than that, a slice
-    of one ring's.  What depends on the ring alone, the drive's signals and
-    the jump coefficients, is computed once per ring (ring_jump) and
-    broadcast against phi (ring_sources).  Rim-band rows are annotated via
-    the last column, never dropped.  A source that is not finite refuses
-    the run (NonFiniteSourceError), naming how many points of its block and
-    the (q, phi) of the first.
+    The sweep of the equivalent sources on the spheroid p = alpha, in
+    blocks of at most RECORDS_PER_BLOCK records, computed as consumed; q
+    runs slowest and phi fastest.  A block is the columns of SOURCE_HEADER
+    (datasets.write_csv): q and in_rim_band per ring, (rings, 1); phi per
+    azimuth, (1, azimuths); and x, y, z and the sources per record,
+    (rings, azimuths), since z varies with phi about a tilted axis.  A
+    block holds whole q rings, or, when one ring has more azimuths than
+    that, a slice of one ring's.  What depends on the ring alone, the
+    drive's signals and the jump coefficients, is computed once per ring
+    (ring_jump) and broadcast against phi (ring_sources).  Rim-band rows
+    are annotated via the last column, never dropped.  A source that is not
+    finite refuses the run (NonFiniteSourceError), naming how many points of
+    its block and the (q, phi) of the first.
     """
     cfg = rc.source
     a = cfg.a_mag
@@ -156,19 +153,12 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     def eval_block(q, phi, jump):
         with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
             s = ring_sources(jump, pol, q, phi, alpha, cfg)
-        rows = np.empty(s.j0.shape + (14,))
-        rows[..., 0] = q
-        rows[..., 1] = phi
-        rows[..., 2:5] = s.position
-        rows[..., 5] = s.j0.real
-        rows[..., 6] = s.j0.imag
-        rows[..., 7:13:2] = s.j.real
-        rows[..., 8:13:2] = s.j.imag
-        rows[..., 13] = np.abs(q) < q_min
-        if not np.isfinite(rows).all():
-            refuse(NonFiniteSourceError, "surface source not finite at (q, phi)", ~np.isfinite(rows).all(axis=-1),
-                   rows[..., :2])
-        return rows
+        bad = ~(np.isfinite(s.position).all(axis=-1) & np.isfinite(s.j0) & np.isfinite(s.j).all(axis=-1))
+        if bad.any():
+            refuse(NonFiniteSourceError, "surface source not finite at (q, phi)", bad,
+                   np.stack(np.broadcast_arrays(q, phi), axis=-1))
+        j = [part[..., k] for k in range(3) for part in (s.j.real, s.j.imag)]
+        return [q, phi[None, :], *np.moveaxis(s.position, -1, 0), s.j0.real, s.j0.imag, *j, np.abs(q) < q_min]
 
     def blocks():
         for i in range(0, qs.size, rings):
@@ -196,9 +186,10 @@ def beam_profile_data(rc: RunConfig):
     """beam-profile's (name, header, blocks, sidecar of the angle count).
 
     The block is the predicted vs measured beam table on N_THETA angles at
-    R_FACTOR*|a|; the sidecar holds the summary diagnostics.  A table row or
-    summary entry that is not finite (a high-order drive overflows) refuses
-    the run (NonFiniteFieldError), naming the first.
+    R_FACTOR*|a|, seven (N_THETA, 1) columns; the sidecar holds the summary
+    diagnostics.  A table row or summary entry that is not finite (a
+    high-order drive overflows) refuses the run (NonFiniteFieldError),
+    naming the first.
     """
     cfg = rc.source
     a = cfg.a_mag
@@ -228,4 +219,4 @@ def beam_profile_data(rc: RunConfig):
     bad = [key for key, value in summary.items() if not np.isfinite(value)]
     if bad:
         raise NonFiniteFieldError(f"beam profile not finite: {bad[0]} = {summary[bad[0]]:g}")
-    return "beam_profile", BEAM_HEADER, [rows[:, None]], lambda records: summary
+    return "beam_profile", BEAM_HEADER, [[column[:, None] for column in rows.T]], lambda records: summary

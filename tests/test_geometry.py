@@ -351,7 +351,8 @@ class TestCutSign:
         assert expected.any() and not expected.all()
         for shape in [(2 * n, 3), (n // 4, 8, 3)]:
             r = pts.reshape(shape)
-            assert np.array_equal(cut.near_cut(r, cfg, tol_cut), expected.reshape(shape[:-1]))
+            _, p, q = complex_distance_principal(r, cfg)
+            assert np.array_equal(cut.near_cut(r, p, q, cfg, tol_cut), expected.reshape(shape[:-1]))
             with pytest.raises(OnCutError) as err:
                 branch(cut, r, cfg)
             first = ", ".join(f"{v:g}" for v in pts[np.flatnonzero(expected)[0]])
@@ -563,7 +564,8 @@ class TestBranch:
             np.linspace(-2.0, 2.0, 41)[:, None] * cfg.a_hat,  # the symmetry axis, r = 0 included
             np.array([[0.0, 0.0, 0.05], [0.0, 0.0, -0.05], [0.0, 0.5, 0.0]]),
         ])
-        pts = pts[~cut.near_cut(pts, cfg, tol) & (branch_circle_distance(pts, cfg) > 1e-3)]
+        pts = pts[~cut.near_cut(pts, *complex_distance_principal(pts, cfg)[1:], cfg, tol)
+                  & (branch_circle_distance(pts, cfg) > 1e-3)]
         b = branch(cut, pts, cfg)
         sign = cut.sign(pts, cfg)  # the unrefused rule; no point here is refused
         if not isinstance(cut, FlatDisk):

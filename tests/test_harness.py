@@ -41,9 +41,7 @@ from emwavelets.harness import config as config_mod
 from emwavelets.harness import validate as validate_mod
 from emwavelets.harness.beam import far_point, measure_pulse, spectral_window
 from emwavelets.harness.config import AxisSpec, RunConfig, default_config, load_config
-from emwavelets.harness.datasets import (
-    INNER, OUTER, RECORD, VALUE_BUDGET, write_csv, write_csv_atomic, write_json_sidecar,
-)
+from emwavelets.harness.datasets import VALUE_BUDGET, write_csv, write_csv_atomic, write_json_sidecar
 from emwavelets.harness.grids import chunked_parallel_map, grid_axes, grid_points
 from emwavelets.harness.runs import (
     FIELD_HEADER_F, FIELD_HEADER_PSI, SOURCE_HEADER, field_rows, source_sweep_rows,
@@ -386,14 +384,19 @@ def per_slice_rows(rc):
     return np.stack(blocks, axis=1)
 
 
+def records(block):
+    """A block's columns broadcast to one (outer, inner, columns) array of its records."""
+    return np.stack(np.broadcast_arrays(*block), axis=-1).astype(np.float64)
+
+
 def field_block(rc, threads=1):
-    """The field_rows blocks of a sweep, concatenated into one (points, times, columns) block."""
-    return np.concatenate(list(field_rows(rc, threads)))
+    """The field_rows blocks of a sweep, concatenated into one (points, times, columns) array."""
+    return np.concatenate([records(block) for block in field_rows(rc, threads)])
 
 
 def source_table(blocks):
     """source_sweep_rows' ring blocks as one (records, columns) table, in output order."""
-    return np.concatenate([block.reshape(-1, block.shape[-1]) for block in blocks])
+    return np.concatenate([records(block).reshape(-1, len(block)) for block in blocks])
 
 
 def flat_source_table(rc, impulse=False):
@@ -434,15 +437,16 @@ class TestFieldRows:
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     def test_matches_per_slice_evaluation(self, quantity):
         rc = upper_spheroid_config(quantity, self.GRID)
-        assert [len(block) for block in field_rows(rc)] == [48, 22]
+        assert [len(block[0]) for block in field_rows(rc)] == [48, 22]
         rows = field_block(rc)
         assert set(np.unique(rows[..., 6])) == {-1.0, 1.0}  # straddles the membrane
         assert np.array_equal(rows, per_slice_rows(rc))
         assert np.array_equal(field_block(rc, threads=2), rows)
 
+    @pytest.mark.parametrize("cut", ["flat_disk", "upper_spheroid", "lower_spheroid", "smooth_spheroid"])
     @pytest.mark.parametrize("quantity", ["psi", "F"])
-    def test_principal_sigma_once_per_point(self, quantity, monkeypatch):
-        # the cut sign reuses the sweep's p and q, and no cut of a config reads the azimuth
+    def test_principal_sigma_once_per_point(self, quantity, cut, monkeypatch):
+        # the cut sign and the refusal test reuse the sweep's p and q, and no cut of a config reads the azimuth
         points, azimuths = [], []
         principal, azimuth = geometry.complex_distance_principal, geometry._azimuth
         monkeypatch.setattr(geometry, "_azimuth", lambda r, cfg: azimuths.append(r) or azimuth(r, cfg))
@@ -451,7 +455,7 @@ class TestFieldRows:
                 mod, "complex_distance_principal",
                 lambda r, cfg: points.append(np.size(r) // 3) or principal(r, cfg), raising=False,
             )
-        field_block(upper_spheroid_config(quantity, self.GRID))
+        field_block(dataclasses.replace(upper_spheroid_config(quantity, self.GRID), cut_kind=cut))
         assert sum(points) == 7 * 10
         assert azimuths == []
 
@@ -511,7 +515,7 @@ class TestSourceSweep:
             rc.signal_csv = gaussian_pulse_csv(tmp_path / "pulse.csv")
         name, header, got, _ = source_sweep_rows(rc, impulse=impulse)
         got = list(got)
-        assert [block.shape for block in got] == [(n, rc.surface_nphi, 14) for n in blocks]
+        assert [records(block).shape for block in got] == [(n, rc.surface_nphi, 14) for n in blocks]
         want = flat_source_table(rc, impulse=impulse)
         if edit["surface_nq"] == 9:
             assert 0.0 in want[:, 0]
@@ -552,8 +556,7 @@ class TestSourceSweep:
                             or derivs(sig, tau, kmax))
         name, header, got, _ = source_sweep_rows(rc, impulse=impulse)
         got = list(got)
-        assert [block.shape for block in got] == [(1, w, 14) for _ in range(rc.surface_nq) for w in widths]
-        assert blocks_hold_their_header(header, got) == len(got)
+        assert [records(block).shape for block in got] == [(1, w, 14) for _ in range(rc.surface_nq) for w in widths]
         assert seen == ([] if impulse or rc.signal_kind != "sampled" else [2] * rc.surface_nq)
         want = flat_source_table(rc, impulse=impulse)
         if edit["surface_nq"] == 9:
@@ -1010,14 +1013,14 @@ class TestDatasets:
     def test_format_round_trip(self, tmp_path):
         vals = [1 / 3, np.pi, 1e-17, -2.5e300]
         path = tmp_path / "vals.csv"
-        write_csv_atomic(path, per_record(["v"]), table([(v,) for v in vals]))
+        write_csv_atomic(path, ["v"], table([(v,) for v in vals]))
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         for v, read in zip(vals, back):
             assert float(read) == v
 
     def test_atomic_csv(self, tmp_path):
         path = tmp_path / "sub" / "data.csv"
-        assert write_csv_atomic(path, per_record(["a", "b"]), table([(1.0, 2.0), (3.0, 4.5)])) == 2
+        assert write_csv_atomic(path, ["a", "b"], table([(1.0, 2.0), (3.0, 4.5)])) == 2
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,2"
@@ -1033,7 +1036,7 @@ class TestDatasets:
     def test_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)
         try:
-            write_csv_atomic(tmp_path / "data.csv", per_record(["a"]), table([(1.0,)]))
+            write_csv_atomic(tmp_path / "data.csv", ["a"], table([(1.0,)]))
             write_json_sidecar(tmp_path / "meta.json", {"n": 1})
         finally:
             os.umask(old)
@@ -1067,52 +1070,44 @@ def assert_same_lines(got, want):
 
 
 def table(rows):
-    """A 2-D table as write_csv's one block rows[:, None]."""
-    return [np.asarray(rows, dtype=np.float64)[:, None]]
-
-
-def per_record(names):
-    """A table's header: every column varies per record."""
-    return dict.fromkeys(names, RECORD)
+    """A 2-D table as write_csv's one block of (rows, 1) columns."""
+    return [[column[:, None] for column in np.asarray(rows, dtype=np.float64).T]]
 
 
 def written_csv(header, blocks):
     buf = io.BytesIO()
-    records = write_csv(buf, header, blocks)
+    count = write_csv(buf, header, blocks)
     text = buf.getvalue().decode("ascii")
-    assert records == text.count("\n") - 1
+    assert count == text.count("\n") - 1
     return text
 
 
 def sweep_like_block(rng, n_outer, n_inner):
-    """(header, block) of columns repeating as a sweep's do, drawn from SPECIAL and random values.
+    """(header, block) of columns shaped as a sweep's are, drawn from SPECIAL and random values.
 
-    per outer item, per inner item, constant everywhere (declared per outer
-    item), per record, per outer item, per outer item except for one record
-    whose 0.0 turns into -0.0 (so per record), and per record.
+    per outer item, per inner item, one value (1, 1), per record, per outer
+    item, per record with one -0.0 among zeros, and per record.
     """
     pool = np.concatenate([SPECIAL, rng.normal(size=6)])
     shape = (n_outer, n_inner)
-    per_outer = rng.choice(pool, (n_outer, 1, 2))
-    per_inner = rng.choice(pool, (1, n_inner, 1))
     flipped = np.zeros(shape)
     if flipped.size:
         flipped[-1, -1] = -0.0
-    cols = [
-        np.broadcast_to(per_outer[..., 0], shape),
-        np.broadcast_to(per_inner[..., 0], shape),
-        np.full(shape, -0.0),
+    block = [
+        rng.choice(pool, (n_outer, 1)),
+        rng.choice(pool, (1, n_inner)),
+        np.full((1, 1), -0.0),
         rng.choice(pool, shape),
-        np.broadcast_to(per_outer[..., 1], shape),
+        rng.choice(pool, (n_outer, 1)),
         flipped,
         rng.choice(pool, shape),
     ]
-    return named([OUTER, INNER, OUTER, RECORD, OUTER, RECORD, RECORD]), np.stack(cols, axis=-1)
+    return named(block), block
 
 
-def named(varies):
-    """A header of columns c0, c1, ... that vary as listed."""
-    return {f"c{i}": v for i, v in enumerate(varies)}
+def named(block):
+    """A header of columns c0, c1, ..., one per column of block."""
+    return [f"c{i}" for i in range(len(block))]
 
 
 def column_mix_block(rng, n_outer, n_inner, n_per_record):
@@ -1120,23 +1115,27 @@ def column_mix_block(rng, n_outer, n_inner, n_per_record):
 
     sweep_like_block has three, its columns 3, 5 and 6: column 3 goes for
     two, and columns drawn from SPECIAL and random values join for more.
-    The others are three per outer item and one per inner item.
+    The others are two per outer item, one per inner item and one (1, 1).
     """
-    header, block = sweep_like_block(rng, n_outer, n_inner)
-    varies = list(header.values())
+    _, block = sweep_like_block(rng, n_outer, n_inner)
     if n_per_record == 2:
-        del varies[3]
-        block = np.delete(block, 3, axis=-1)
+        del block[3]
     else:
         pool = np.concatenate([SPECIAL, rng.normal(size=6)])
-        varies += [RECORD] * (n_per_record - 3)
-        block = np.concatenate([block, rng.choice(pool, (n_outer, n_inner, n_per_record - 3))], axis=-1)
-    return named(varies), block
+        block += [rng.choice(pool, (n_outer, n_inner)) for _ in range(n_per_record - 3)]
+    return named(block), block
+
+
+def split_outer(block, at):
+    """block cut along its outer axis before each index of at, as field_rows' last block is cut short."""
+    n_outer = len(records(block))
+    bounds = [0, *at, n_outer]
+    return [[c[lo:hi] if len(c) == n_outer else c for c in block] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def outer_per_call(n_per_record, n_inner=7):
     """Outer items of n_inner records that one format17 call takes, for a column_mix_block."""
-    return (VALUE_BUDGET - n_inner) // (3 + n_inner * n_per_record)
+    return (VALUE_BUDGET - 1 - n_inner) // (2 + n_inner * n_per_record)
 
 
 def inner_per_call(n_per_record):
@@ -1147,9 +1146,9 @@ def inner_per_call(n_per_record):
 class TestCsvParity:
     def test_special_values(self):
         column = np.array(SPECIAL)[:, None]
-        assert_same_lines(written_csv(per_record(["v"]), table(column)), savetxt_csv(["v"], column))
+        assert_same_lines(written_csv(["v"], table(column)), savetxt_csv(["v"], column))
         square = np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T
-        assert_same_lines(written_csv(per_record(["a", "b"]), table(square)), savetxt_csv(["a", "b"], square))
+        assert_same_lines(written_csv(["a", "b"], table(square)), savetxt_csv(["a", "b"], square))
 
     @pytest.mark.parametrize(
         "shape",
@@ -1164,39 +1163,40 @@ class TestCsvParity:
         # a psi-like and an F-like column mix: 2 and 6 columns per record
         for n_per_record in (2, 6):
             header, block = column_mix_block(np.random.default_rng(sum(shape)), *shape, n_per_record)
-            expected = savetxt_csv(header, block.reshape(-1, block.shape[-1]))
+            rows = records(block).reshape(-1, len(block))
+            expected = savetxt_csv(header, rows)
             assert_same_lines(written_csv(header, [block]), expected)
-            assert_same_lines(written_csv(per_record(header), table(block.reshape(-1, block.shape[-1]))), expected)
+            assert_same_lines(written_csv(header, table(rows)), expected)
             # streamed in uneven pieces along the outer axis, as field_rows' last block is
-            pieces = np.split(block, [1, 3 + len(block) // 2])
-            assert_same_lines(written_csv(header, iter(pieces)), expected)
+            assert_same_lines(written_csv(header, iter(split_outer(block, [1, 3 + shape[0] // 2]))), expected)
 
-    def test_list_of_tuples(self):
-        # a block is anything np.asarray makes a 3-D array of; here one nested list per record
+    def test_nested_list_columns(self):
+        # a column is anything np.asarray makes a 2-D array of, and a block a list or tuple of them
         rows = [(1.0, -0.0, 2), (1.0, 0.0, 3), (np.nan, 1 / 3, -2.5e300)]
-        header = per_record(["a", "b", "c"])
-        assert_same_lines(written_csv(header, ([[row]] for row in rows)), savetxt_csv(header, rows))
+        block = ([[1.0], [1.0], [np.nan]], [[-0.0], [0.0], [1 / 3]], [[2], [3], [-2.5e300]])
+        assert_same_lines(written_csv(["a", "b", "c"], [block]), savetxt_csv(["a", "b", "c"], rows))
+        assert_same_lines(written_csv(["a"], [[[[1, 2, 3]]]]), savetxt_csv(["a"], [[1.0], [2.0], [3.0]]))
 
-    def test_rejects_other_ranks(self):
-        for shape in [(2, 2), (2, 2, 2, 2)]:
+    def test_rejects_other_blocks(self):
+        # a 3-D array, the blocks of an older writer, would write rows of wrong values; it is refused
+        old = np.arange(8.0).reshape(2, 2, 2)
+        for block in [old, [np.zeros(2), np.zeros((2, 1))], [np.zeros((2, 1, 1)), np.zeros((2, 1))],
+                      [np.zeros((2, 1)), np.zeros((3, 1))], [np.zeros((2, 3)), np.zeros((3, 2))]]:
             with pytest.raises(ValueError):
-                write_csv(io.BytesIO(), per_record(["v"]), [np.zeros(shape)])
+                write_csv(io.BytesIO(), ["a", "b"], [block])
 
     def test_rejects_a_header_that_does_not_fit(self):
         with pytest.raises(ValueError, match="a block of 2 columns under a header of 1"):
-            write_csv(io.BytesIO(), per_record(["v"]), [np.zeros((2, 1, 2))])
-        with pytest.raises(ValueError, match="varies with"):
-            write_csv(io.BytesIO(), {"v": "point"}, [np.zeros((2, 1, 1))])
+            write_csv(io.BytesIO(), ["v"], [[np.zeros((2, 1)), np.zeros((2, 1))]])
 
-    def test_declared_columns_are_formatted_once_per_item(self, monkeypatch):
-        # an OUTER column's text comes from each outer item's first record, an INNER one's from the first outer item
-        block = np.arange(24.0).reshape(2, 3, 4)
+    def test_columns_are_formatted_at_their_shape(self, monkeypatch):
+        # a column's text is formatted once at its shape and broadcast into the records
+        block = [np.array([[0.0], [12.0]]), np.array([[1.0, 5.0, 9.0]]),
+                 np.arange(2.0, 24.0, 4).reshape(2, 3), np.arange(3.0, 24.0, 4).reshape(2, 3)]
         calls = []
         monkeypatch.setattr(datasets, "format17", lambda x: calls.append(x.size) or _format.format17(x))
-        header = {"o": OUTER, "i": INNER, "r": RECORD, "s": RECORD}
-        expected = block.copy()
-        expected[..., 0], expected[..., 1] = block[:, :1, 0], block[:1, :, 1]
-        assert_same_lines(written_csv(header, [block]), savetxt_csv(header, expected.reshape(-1, 4)))
+        header = ["o", "i", "r", "s"]
+        assert_same_lines(written_csv(header, [block]), savetxt_csv(header, records(block).reshape(-1, 4)))
         assert calls == [2 + 3 + 12]
 
     def test_writer_memory_bounded(self):
@@ -1215,10 +1215,9 @@ class TestCsvParity:
         def field_like_block(n_points, n_times, n_values):
             # x, y, z, sigma and the cut sign per point, t per time slice, the field per record
             rng = np.random.default_rng(0)
-            per_point = np.broadcast_to(rng.normal(size=(n_points, 1, 6)), (n_points, n_times, 6))
-            t = np.broadcast_to(np.linspace(1.0, 2.0, n_times)[:, None], (n_points, n_times, 1))
-            per_record = rng.normal(size=(n_points, n_times, n_values))
-            return np.concatenate([per_point[..., :3], t, per_point[..., 3:], per_record], axis=-1)
+            per_point = list(rng.normal(size=(6, n_points, 1)))
+            t = np.linspace(1.0, 2.0, n_times)[None, :]
+            return per_point[:3] + [t] + per_point[3:] + list(rng.normal(size=(n_values, n_points, n_times)))
 
         def f_block(n_points, n_times=10):
             return field_like_block(n_points, n_times, 6)
@@ -1229,11 +1228,11 @@ class TestCsvParity:
         def source_block(n_rows, n_phi=32):
             # a sample-sources block: q and a 0/1 flag per ring, phi per azimuth, the rest per record
             rng = np.random.default_rng(0)
-            rows = rng.normal(size=(n_rows // n_phi, n_phi, 14))
-            rows[..., 0] = rng.normal(size=(n_rows // n_phi, 1))
-            rows[..., 1] = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-            rows[..., -1] = rng.integers(0, 2, (n_rows // n_phi, 1))
-            return rows
+            n_rings = n_rows // n_phi
+            q = rng.normal(size=(n_rings, 1))
+            phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)[None, :]
+            flag = rng.integers(0, 2, (n_rings, 1)).astype(float)
+            return [q, phi, *rng.normal(size=(11, n_rings, n_phi)), flag]
 
         for header, make, sizes in [
             (FIELD_HEADER_F, f_block, (1_000, 10_000)),
@@ -1255,11 +1254,11 @@ class TestCsvParity:
             "t": AxisSpec(0.5, 2.5, 8),
         }
         blocks = list(field_rows(upper_spheroid_config(quantity, grid)))
-        assert [block.shape[:2] for block in blocks] == [(256, 8)]
+        assert [records(block).shape[:2] for block in blocks] == [(256, 8)]
         calls = []
         monkeypatch.setattr(datasets, "format17", lambda x: calls.append(x.size) or _format.format17(x))
         header = FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F
-        assert_same_lines(written_csv(header, blocks), savetxt_csv(header, blocks[0].reshape(-1, len(header))))
+        assert_same_lines(written_csv(header, blocks), savetxt_csv(header, records(blocks[0]).reshape(-1, len(header))))
         assert 1 <= len(calls) <= most
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1338,24 +1337,25 @@ class TestCsvParity:
         assert_same_lines((out / "sources.csv").read_text(), savetxt_csv(SOURCE_HEADER, source_table(blocks)))
 
 
-def blocks_hold_their_header(header, blocks):
-    """The number of blocks, after checking each against what header declares its columns vary with.
+def column_shapes(header, blocks, outer, inner):
+    """The (outer, inner) size of each block, after checking each column's shape against what it repeats over.
 
-    An OUTER column must be bitwise constant along a block's inner axis and
-    an INNER one along its outer axis; bits keep -0.0 and NaN payloads apart.
+    A column in outer must be (n_outer, 1), one in inner (1, n_inner) and
+    every other one (n_outer, n_inner): a per-point value broadcast into
+    every record would write the same bytes but format each record's copy.
     """
-    varies = np.array(list(header.values()))
-    n_blocks = 0
+    sizes = []
     for block in blocks:
-        bits = np.asarray(block, dtype=np.float64).view(np.int64)
-        assert bits.shape[-1] == varies.size
-        outer, inner = bits[..., varies == OUTER], bits[..., varies == INNER]
-        assert (outer == outer[:, :1]).all() and (inner == inner[:1]).all()
-        n_blocks += 1
-    return n_blocks
+        assert len(block) == len(header)
+        n_outer, n_inner = np.broadcast_shapes(*(np.shape(c) for c in block))
+        for name, column in zip(header, block):
+            want = (n_outer, 1) if name in outer else (1, n_inner) if name in inner else (n_outer, n_inner)
+            assert np.shape(column) == want, name
+        sizes.append((n_outer, n_inner))
+    return sizes
 
 
-class TestColumnDeclarations:
+class TestColumnShapes:
     GRID = {
         "x": AxisSpec(-1.45, 1.55, 15),
         "y": AxisSpec(0.03, 0.2, 2),
@@ -1365,37 +1365,32 @@ class TestColumnDeclarations:
     @pytest.mark.parametrize("n_times", [1, 9])
     @pytest.mark.parametrize("quantity", ["psi", "F"])
     @pytest.mark.parametrize("cut", ["flat_disk", "upper_spheroid", "lower_spheroid", "smooth_spheroid"])
-    def test_field_sweep_blocks_hold_the_declaration(self, cut, quantity, n_times):
+    def test_field_sweep_columns_repeat_per_point_and_per_time(self, cut, quantity, n_times):
         t = AxisSpec(1.0, 1.0, 1) if n_times == 1 else AxisSpec(0.5, 2.5, n_times)
         rc = dataclasses.replace(upper_spheroid_config(quantity, {**self.GRID, "t": t}), cut_kind=cut)
         name, header, blocks, sidecar = cli.DATASETS["sample-field"][0](rc, 1)
         assert header is (FIELD_HEADER_PSI if quantity == "psi" else FIELD_HEADER_F)
-        assert list(header) == sidecar(0)["columns"]
-        assert [k for k, v in header.items() if v != RECORD] == [
-            "x", "y", "z", "t", "re_sigma", "im_sigma", "cut_sign"]
-        assert header["t"] == INNER
-        assert blocks_hold_their_header(header, blocks) == (2 if n_times == 1 else 10)
+        assert header == sidecar(0)["columns"]
+        sizes = column_shapes(header, blocks, {"x", "y", "z", "re_sigma", "im_sigma", "cut_sign"}, {"t"})
+        assert len(sizes) == (2 if n_times == 1 else 10)
+        assert sum(n for n, _ in sizes) == 8_400 and {k for _, k in sizes} == {n_times}
 
     @pytest.mark.parametrize("command", ["sample-sources", "impulse-response"])
-    def test_source_blocks_hold_the_declaration(self, command, config_file):
+    def test_source_columns_repeat_per_ring_and_per_azimuth(self, command, config_file):
         # 315 rings of 13 azimuths a block: 601 rings make two blocks
         rc = dataclasses.replace(load_config(config_file), surface_nq=601, surface_nphi=13)
         name, header, blocks, sidecar = cli.DATASETS[command][0](rc, 1)
-        assert header is SOURCE_HEADER and list(header) == sidecar(0)["columns"]
-        assert {k: v for k, v in header.items() if v != RECORD} == {"q": OUTER, "phi": INNER, "in_rim_band": OUTER}
+        assert header is SOURCE_HEADER and header == sidecar(0)["columns"]
         blocks = list(blocks)
-        assert [np.shape(block)[:2] for block in blocks] == [(315, 13), (286, 13)]
-        assert set(np.unique(blocks[0][..., -1])) == {0.0, 1.0}  # the first block reaches the rim band
-        assert blocks_hold_their_header(header, blocks) == 2
+        assert column_shapes(header, blocks, {"q", "in_rim_band"}, {"phi"}) == [(315, 13), (286, 13)]
+        assert set(np.unique(blocks[0][-1])) == {0.0, 1.0}  # the first block reaches the rim band
 
     @pytest.mark.parametrize("command", ["beam-profile"])
-    def test_tables_declare_every_column_per_record(self, command, config_file):
-        name, header, blocks, _ = cli.DATASETS[command][0](load_config(config_file), 1)
-        assert set(header.values()) == {RECORD}
-        assert blocks_hold_their_header(header, blocks) == 1
-        assert [np.shape(block)[1] for block in blocks] == [1]
+    def test_tables_are_columns_of_one_record_each(self, command, config_file):
+        name, header, blocks, sidecar = cli.DATASETS[command][0](load_config(config_file), 1)
+        assert column_shapes(header, blocks, set(header), set()) == [(13, 1)]
 
-    def test_determinism_suite_writes_the_field_declaration(self, monkeypatch):
+    def test_determinism_suite_writes_the_field_header(self, monkeypatch):
         headers = []
         write = validate_mod.write_csv
         monkeypatch.setattr(validate_mod, "write_csv", lambda fh, header, blocks: headers.append(header)
@@ -1465,8 +1460,8 @@ class TestFormat17:
 
         monkeypatch.setattr(_format, "_fallback", counted)
         header, block = sweep_like_block(np.random.default_rng(3), 40, 13)
-        assert written_csv(header, [block]) == savetxt_csv(header, block.reshape(-1, block.shape[-1]))
-        flat = block.ravel()
+        assert written_csv(header, [block]) == savetxt_csv(header, records(block).reshape(-1, len(block)))
+        flat = np.concatenate([c.ravel() for c in block])
         special = ~((flat == 0.0) | ((np.abs(flat) >= 1e-280) & (np.abs(flat) <= 1e280)))
         bits = lambda values: set(np.asarray(values, dtype=np.float64).view(np.int64).tolist())
         assert seen and bits(seen) == bits(flat[special])
@@ -2030,6 +2025,7 @@ class TestCli:
         meta = json.loads((tmp_path / "out" / "field.json").read_text())
         assert meta["records"] == 40
         assert meta["n"] == 2 and "samples" not in meta
+        assert meta["columns"] == lines[0].split(",") == FIELD_HEADER_F
 
     def test_sampled_drive_sidecars(self, tmp_path):
         pulse = gaussian_pulse_csv(tmp_path / "pulse.csv")
@@ -2044,11 +2040,12 @@ class TestCli:
         F = field(rc.wavelet(), rc.polarization(), rows[:, 0:3], rows[:, 3])
         assert np.allclose(rows[:, 7::2] + 1j * rows[:, 8::2], F, rtol=1e-12, atol=0.0)
         # one drive label in both sidecars, with the sample grid it came from
-        for name in ("field.json", "sources.json"):
-            meta = json.loads((out / name).read_text())
+        for name in ("field", "sources"):
+            meta = json.loads((out / f"{name}.json").read_text())
             assert meta["n"] == "sampled"
             assert meta["samples"] == 801
             assert meta["dt"] == pytest.approx(0.05)
+            assert meta["columns"] == (out / f"{name}.csv").read_text().split("\n", 1)[0].split(",")
 
     def test_sampled_drive_built_once_per_run(self, tmp_path, monkeypatch):
         pulse = gaussian_pulse_csv(tmp_path / "pulse.csv")
@@ -2249,7 +2246,7 @@ class TestCli:
             CONFIG_TEXT.replace("x = -1,1,5", "x = -1,1,41").replace("z = 0.5,1.5,4", "z = 0.5,1.5,26")
         )
         # 1,066 points: one block serially, three runs on three threads
-        assert [len(block) for block in field_rows(load_config(str(config_file)), 3)] == [356, 356, 354]
+        assert [len(block[0]) for block in field_rows(load_config(str(config_file)), 3)] == [356, 356, 354]
         outs = []
         for threads in ("1", "3"):
             out = str(tmp_path / f"t{threads}")
