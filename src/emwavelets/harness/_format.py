@@ -13,10 +13,13 @@ converted without per-value Python:
   y > 2^53.  D = round(y) is then exact unless the fraction of y lies
   within _TIE of 1/2; if D = 10^17, D = 10^16 and E grows by one.
 * A row is three little-endian 8-byte words.  D's 17 digits fill them from
-  a table of base-10^4 limbs; trailing zeros are masked off, and the
-  decimal point goes in by moving the digits after it up one byte.  The
-  sign with a "0.000" prefix, and the exponent, come from tables, and
-  every piece is shifted to where the one before it ends.
+  a table of base-10^4 limbs.  The layout of the text follows from the
+  value's class alone: its notation (E, or d.ddde+XX), its significant
+  digits and its sign, 748 classes.  One table row per class, built at
+  import, gives the prefix's width and, per word, the masks of the digit
+  bytes that stay and of those that move up one byte past the decimal
+  point, the constant bytes (the sign, a "0.000" prefix and the point),
+  and the two shifts that place the exponent word from a table.
 
 NaN, infinities, magnitudes outside [_LOW, _HIGH] (subnormals among them)
 and near-ties are formatted one at a time by _fallback; zeros take the fast
@@ -57,22 +60,6 @@ for _k in range(4):
     _SIG4[_limb_rows[:, _k] != _ZERO] = _k + 1
 del _digit, _limb_rows, _k
 
-# Per word k of a row: the first n bytes (_FIRST[k][n], n = 0 ... WIDTH); and for a
-# decimal point after digit i - 1 (index i; 0 for none), the bytes that stay, the
-# bytes taken from the digits moved up one byte, and the point.
-_FIRST = _words((np.arange(WIDTH) < np.arange(WIDTH + 1)[:, None]) * np.uint8(255)).T.copy()
-_STAY = np.concatenate([_FIRST[:, -1:], _FIRST[:, 1:17]], axis=1)
-_MOVED = np.concatenate([_FIRST[:, :1], ~_FIRST[:, 2:18]], axis=1)
-_point_rows = (np.arange(WIDTH) == np.arange(17)[:, None]) & (np.arange(17) > 0)[:, None]
-_POINT = _words(_point_rows * np.uint8(ord("."))).T.copy()
-
-# The sign, then "0." and 0-3 zeros below 1: index 5 sign + (0, or -E for E < 0).
-_prefixes = [s + p for s in ("", "-") for p in ("", "0.", "0.0", "0.00", "0.000")]
-_prefix_rows = b"".join(p.encode().ljust(8, b"\0") for p in _prefixes)
-_PREFIX = _words(np.frombuffer(_prefix_rows, dtype=np.uint8).reshape(-1, 8))[:, 0]
-_PREFIX_LEN = np.array([len(p) for p in _prefixes])
-del _point_rows, _prefixes, _prefix_rows
-
 # "e", the sign and two or three digits of E in [-_SPAN, _SPAN]; empty where
 # -4 <= E < 17, the fixed notation.
 _m = np.abs(np.arange(-_SPAN, _SPAN + 1))
@@ -87,12 +74,34 @@ _exp_rows[_SPAN - 4 : _SPAN + 17] = 0
 _EXP = _words(_exp_rows)[:, 0]
 del _m, _big, _exp_rows
 
-# The shifts that put a word at byte n = 0 ... WIDTH of a row, per word k: left if
-# it starts in word k, right if it starts in word k - 1; shifting by 64 gives 0.
-_at = 8 * np.arange(WIDTH + 1)[:, None] - 64 * np.arange(3)
-_SHL = np.where(_at >= 0, np.minimum(_at, 64), 64).astype(np.uint64).T.copy()
-_SHR = np.where(_at < 0, np.minimum(-_at, 64), 64).astype(np.uint64).T.copy()
-del _at
+# The layout classes.  A value's text is set by its notation c (c = E + 4 in the
+# fixed notation, -4 <= E <= 16, else 21), its significant digits n = 1 ... 17 and
+# its sign: row (17 c + n - 1) 2 + sign, that is _NOTATION[E + _SPAN] + 2 n + sign.
+# The text is the prefix, s/8 bytes; the digits up to the decimal point, which
+# stay; the point; the digits after it, moved up one byte; and the exponent.
+_row = np.arange(22 * 17 * 2)
+_e, _n, _neg = _row // 34 - 4, _row // 2 % 17 + 1, _row % 2  # E = 17: exponent notation
+_whole = np.where(_e < 17, np.maximum(_e + 1, 0), 1)  # digits before the point; a fixed integer part keeps its zeros
+_point = (_n > _whole) & (_whole > 0)
+_prefix = _neg + np.where(_e < 0, 1 - _e, 0)  # the sign, then "0." and 0-3 zeros below 1
+_dot = np.where(_point, _prefix + _whole, WIDTH)  # the point's byte, past the row for none
+_end = _prefix + np.maximum(_n, _whole) + _point  # the exponent's byte
+_S = (8 * _prefix).astype(np.uint64)
+# _first[k, n]: word k of the mask of a row's first n bytes, n = 0 ... WIDTH + 1
+_first = _words((np.arange(WIDTH) < np.arange(WIDTH + 2)[:, None]) * np.uint8(255)).T.copy()
+_STAY = _first.take(np.minimum(_dot, _end), axis=1) & ~_first.take(_prefix, axis=1)
+_MOVED = _first.take(_end, axis=1) & ~_first.take(_dot + 1, axis=1)
+_CONST = _first.take(_dot + 1, axis=1) & ~_first.take(_dot, axis=1) & np.uint64(int.from_bytes(b"." * 8, "little"))
+_lead = [np.uint64(int.from_bytes(p, "little")) for p in (b"-0.000", b"0.000")]
+_CONST[0] |= np.where(_neg, *_lead) & _first[0].take(_prefix)  # the prefix is the first bytes of one of these
+# The shifts that put the exponent at byte `end`, per word k: left if it starts in
+# word k, right if it starts in word k - 1; shifting by 64 or more gives 0.
+_at = 8 * _end - 64 * np.arange(3)[:, None]
+_SHL = np.where(_at < 0, 64, _at).astype(np.uint64)
+_SHR = np.where(_at < 0, -_at, 64).astype(np.uint64)
+_NOTATION = np.full(2 * _SPAN + 1, 34 * 21 - 2)
+_NOTATION[_SPAN - 4 : _SPAN + 17] = 34 * np.arange(21) - 2
+del _row, _e, _n, _neg, _whole, _point, _prefix, _dot, _end, _first, _lead, _at
 
 
 def _exact_product(a, b):
@@ -139,15 +148,30 @@ def _fallback(v: float) -> str:
 def _decimal(a):
     """(D, E, near-tie mask) of magnitudes a in [_LOW, _HIGH]: a rounds to D 10^(E-16)."""
     hi, lo, ceil = _powers()
-    e = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18  # floor(eb log10 2), |eb| < 1100
-    e += a >= ceil[e + _SPAN + 1]
-    i = _SPAN + 16 - e
-    p, tail = _exact_product(a, hi[i])
-    tail += a * lo[i]  # y - p
-    whole = np.rint(tail)
-    tie = np.abs(np.abs(tail - whole) - 0.5) < _TIE
+    e = a.view(np.int64) >> 52
+    e -= 1023
+    e *= 78913
+    e >>= 18  # floor(eb log10 2), |eb| < 1100
+    i = e + (_SPAN + 1)
+    e += a >= ceil.take(i)
+    np.subtract(_SPAN + 16, e, out=i)
+    p, tail = _exact_product(a, hi.take(i))
+    scaled = lo.take(i)
+    del i
+    scaled *= a
+    tail += scaled  # y - p
+    whole = np.rint(tail, out=scaled)
+    del scaled
+    tail -= whole
+    np.abs(tail, out=tail)
+    tail -= 0.5
+    np.abs(tail, out=tail)
+    tie = tail < _TIE
+    del tail
     d = p.astype(np.int64)
+    del p
     d += whole.astype(np.int64)
+    del whole
     roll = d == 10**17
     d[roll] = 10**16
     e += roll
@@ -167,50 +191,57 @@ def format17(x):
     d[zero] = 0
     e[zero] = 0
 
-    # limbs from floor quotients, as np.divmod has no fast path for a scalar divisor
-    quotients = [d // 10**k for k in (16, 12, 8, 4)] + [d]
-    lead, limbs = quotients[0], [q - p * 10**4 for p, q in zip(quotients, quotients[1:])]
-    del d, quotients
-    # significant digits: up to the last nonzero one, at least one
+    # The 17 digits as three words: the lead in byte 0, limb j in bytes 4 j + 1 ... 4 j + 4.
+    # Limb j is the next floor quotient less 10^4 times this one, as np.divmod has no fast
+    # path for a scalar divisor.  sig counts the digits up to the last nonzero one, at least one.
+    quotient = d // 10**16
+    words = [(quotient + _ZERO).astype(np.uint64), None, None]
     sig = np.ones(x.size, dtype=np.int8)
-    for j, limb in enumerate(limbs):
-        np.maximum(sig, _SIG4[limb] + np.int8(1 + 4 * j), out=sig)
-    limbs = [_LIMB[limb] for limb in limbs]
-    # the 17 digits as three words: lead in byte 0, limb j in bytes 4 j + 1 ... 4 j + 4
-    u8, u24, u40 = np.uint64(8), np.uint64(24), np.uint64(40)
-    words = [
-        (lead + _ZERO).astype(np.uint64) | limbs[0] << u8 | limbs[1] << u40,
-        limbs[1] >> u24 | limbs[2] << u8 | limbs[3] << u40,
-        limbs[3] >> u24,
-    ]
-    del lead, limbs
+    for j, k in enumerate((12, 8, 4, 0)):
+        following = d // 10**k if k else d
+        quotient *= 10**4
+        np.subtract(following, quotient, out=quotient)  # limb j
+        np.maximum(sig, _SIG4.take(quotient) + np.int8(1 + 4 * j), out=sig)
+        limb = _LIMB.take(quotient)
+        if j % 2:
+            words[j // 2 + 1] = limb >> np.uint64(24)
+            limb <<= np.uint64(40)
+        else:
+            limb <<= np.uint64(8)
+        words[j // 2] |= limb
+        quotient = following
+    del d, quotient, following, limb
 
-    # %g: fixed notation for -4 <= E < 17, else d.ddde+XX; a fixed integer part keeps its zeros
-    fixed = (e >= -4) & (e < 17)
-    keep = np.maximum(sig, (e + 1) * fixed)
-    point = e * fixed  # the decimal point follows digit `point` if a digit follows it
-    point = np.where((point >= 0) & (sig > point + 1), point + 1, 0)
-    words = [w & _FIRST[k][keep] for k, w in enumerate(words)]
-    carry = 0
-    for k, w in enumerate(words):
-        moved = w << u8 | carry
-        carry = w >> np.uint64(56)
-        words[k] = w & _STAY[k][point] | moved & _MOVED[k][point] | _POINT[k][point]
-    del sig, w, moved, carry  # each array goes after its last use: a chunk's peak memory is at the end
-
-    # the prefix, the digits after it, and the exponent after them
-    prefix = 5 * np.signbit(x) - e * (fixed & (e < 0))
-    expo = _EXP[e + _SPAN]
-    end = _PREFIX_LEN[prefix] + keep + (point > 0)
-    del e, fixed, keep, point
-    left = (8 * _PREFIX_LEN[prefix]).astype(np.uint64)
-    carry = _PREFIX[prefix]  # word 0 takes the prefix below `left`
-    del prefix
+    # The class row, and the text by it.  Each digit word shifted past the prefix,
+    # u_k = w_k << s | w_(k-1) >> 64 - s, keeps its STAY bytes and takes its MOVED ones
+    # from u_k << 8 | u_(k-1) >> 56; the prefix, the point and the exponent go in.
+    e += _SPAN
+    row = _NOTATION.take(e)
+    row += 2 * sig
+    row += np.signbit(x)
+    expo = _EXP.take(e)
+    del e, sig
+    s = _S.take(row)
+    r = np.uint64(64) - s
+    carry = top = np.uint64(0)  # w_(k-1) >> 64 - s and u_(k-1) >> 56: none below word 0
     out = np.empty((x.size, 3), dtype="<u8")
     for k in range(3):
-        w, words[k] = words[k], None
-        out[:, k] = w << left | carry | expo << _SHL[k][end] | expo >> _SHR[k][end]
-        carry = w >> np.uint64(64) - left
+        u, words[k] = words[k], None
+        below = u >> r
+        u <<= s
+        u |= carry
+        moved = u << np.uint64(8)
+        moved |= top
+        carry, top = below, u >> np.uint64(56)
+        moved &= _MOVED[k].take(row)
+        u &= _STAY[k].take(row)
+        u |= moved
+        u |= _CONST[k].take(row)
+        np.left_shift(expo, _SHL[k].take(row), out=moved)
+        u |= moved
+        np.right_shift(expo, _SHR[k].take(row), out=moved)
+        np.bitwise_or(u, moved, out=out[:, k])
+    del u, below, moved, carry, top, row, s, r, expo
     text = out.view(np.uint8)
 
     for k in slow.tolist():

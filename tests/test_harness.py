@@ -2,6 +2,7 @@ import argparse
 import ast
 import configparser
 import dataclasses
+import fractions
 import importlib
 import inspect
 import io
@@ -1466,6 +1467,58 @@ class TestFormat17:
         bits = lambda values: set(np.asarray(values, dtype=np.float64).view(np.int64).tolist())
         assert seen and bits(seen) == bits(flat[special])
         assert bits(seen).isdisjoint(bits(flat[~special]))
+
+    def test_every_layout_class(self, monkeypatch):
+        # a text's layout is set by its notation (E for -4 <= E <= 16, else d.ddde+XX), its
+        # significant digits and its sign: 22 x 17 x 2 classes, each pinned by one value here
+        def layout_class(v):
+            digits, exponent = ("%.16e" % abs(v)).split("e")
+            e = int(exponent)
+            return (e if -4 <= e <= 16 else "exp", len(digits.replace(".", "").rstrip("0")) or 1, v < 0)
+
+        def near_tie(v):  # its 17-digit rounding goes to the per-value fallback
+            y = fractions.Fraction(abs(v)) * fractions.Fraction(10) ** (16 - int(("%.16e" % v).split("e")[1]))
+            return abs(y - math.floor(y) - fractions.Fraction(1, 2)) < 1e-6
+
+        rng = np.random.default_rng(7)
+        found = {}
+        for notation in [*range(-4, 17), "exp"]:
+            for n in range(1, 18):
+                for negative in (False, True):
+                    target = (notation, n, negative)
+                    for _ in range(3000):
+                        mantissa = int(rng.integers(10 ** (n - 1), 10**n)) // 10 * 10 + int(rng.integers(1, 10))
+                        e = notation if notation != "exp" else int(rng.choice([-1, 1]) * rng.integers(17, 280))
+                        v = float(f"{'-' if negative else ''}{mantissa}e{e - n + 1}")
+                        if layout_class(v) == target and not near_tie(v):
+                            found[target] = v
+                            break
+        assert len(found) == 22 * 17 * 2
+        values = list(found.values())
+        monkeypatch.setattr(_format, "_fallback", lambda v: pytest.fail(f"{v!r} left the fast path"))
+        assert format17_text(values) == percent_text(values)
+
+    def test_exact_product_is_exact(self):
+        # p + e = a b with no rounding, on format17's scalings and on _chirp_z's phases
+        rng = np.random.default_rng(8)
+        a = rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(-280, 280, 2000)
+        hi = _format._powers()[0]
+        b = hi[_format._SPAN + 16 - np.floor(np.log10(a)).astype(int)]
+        rate = rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-7.0, 0.0, 2000)
+        m = rng.integers(0, 2000, 2000).astype(float) ** 2
+        for x, y in [(a, b), (rate, m), (rate * 1e6, rng.uniform(-1.0, 1.0, 2000))]:
+            p, e = _format._exact_product(x, y)
+            assert np.all(np.abs(e) <= np.spacing(np.abs(p)))
+            for xi, yi, pi, ei in zip(x.tolist(), y.tolist(), p.tolist(), e.tolist()):
+                assert fractions.Fraction(pi) + fractions.Fraction(ei) == fractions.Fraction(xi) * fractions.Fraction(yi)
+
+    def test_uint64_shift_by_64_is_zero(self):
+        # _format's tables drop a word from a row by shifting it 64 bits or more, which numpy defines as 0
+        words = np.array([1, 0xFF, 2**63, 2**64 - 1], dtype=np.uint64)
+        for n in (64, 65, 120, 184):
+            for count in (np.uint64(n), np.full(words.size, n, dtype=np.uint64)):
+                assert not np.any(words << count) and not np.any(words >> count)
+        assert not np.any(np.uint64(2**64 - 1) >> np.full(3, 64, dtype=np.uint64))
 
 
 def qawf_fourier(f, omegas):
