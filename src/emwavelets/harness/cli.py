@@ -54,6 +54,11 @@ def _load(args) -> RunConfig:
 def cmd_write(args) -> int:
     """Compute a writing command's dataset, streaming its CSV, then write its JSON sidecar."""
     produce, noun = DATASETS[args.command]
+    found = os.path.abspath(args.out)  # --out's nearest existing path, checked before anything is computed
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"--out: {found} is not a directory")
     name, header, blocks, sidecar = produce(_load(args), args.threads)
     csv_path = os.path.join(args.out, f"{name}.csv")
     count = write_csv_atomic(csv_path, header, blocks)

@@ -11,7 +11,7 @@ field sweep's x at every time slice), (1, inner) over the outer ones (its
 t at every point), (outer, inner) varies per record and (1, 1) is one
 value for the block.  A column is formatted at its own shape and its text
 broadcast into the records; a table is one block of (rows, 1) columns.
-Values are formatted VALUE_BUDGET at a time by whole-array numpy kernels (harness._format),
+Values are formatted in grids.tiles of VALUE_BUDGET values by whole-array numpy kernels (harness._format),
 and the bytes, those of np.savetxt(fmt="%.17g", delimiter=","), go to a binary file.
 """
 
@@ -23,6 +23,7 @@ import os
 import numpy as np
 
 from ._format import WIDTH, format17
+from .grids import tiles
 
 __all__ = ["write_csv", "write_csv_atomic", "write_json_sidecar"]
 
@@ -85,7 +86,7 @@ def write_csv(fh, header, blocks) -> int:
     order, and the bytes are those of np.savetxt(fmt="%.17g", delimiter=",")
     on them.  A column of shape (outer, 1), (1, inner) or (1, 1) is
     formatted at that shape and its text reused; any other block raises
-    ValueError.  A block is written in sub-blocks of one format17 call each.
+    ValueError.  A block is written in grids.tiles of one format17 call each.
     """
     fh.write((",".join(header) + "\n").encode())
     buf = bytearray()
@@ -99,21 +100,15 @@ def write_csv(fh, header, blocks) -> int:
         if any(c.ndim != 2 for c in columns):
             raise ValueError(f"a column is a 2-D array, got shapes {[c.shape for c in columns]}")
         n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in columns))
-        if n_outer * n_inner == 0:
-            continue
-        # an (m, k) sub-block formats n_1 + m n_o + k n_i + m k n_r values, by what each column's shape repeats over
+        # an (m, k) tile formats n_1 + m n_o + k n_i + m k n_r values, by what each column's shape repeats over
         kinds = [(len(c) > 1, c.shape[1] > 1) for c in columns]
-        n_1, n_o, n_i, n_r = map(kinds.count, [(False, False), (True, False), (False, True), (True, True)])
-        step = min(n_inner, max(1, (VALUE_BUDGET - n_1 - n_o) // max(n_i + n_r, 1)))  # whole inner rows while one fits
-        per = 1 if step < n_inner else max(1, (VALUE_BUDGET - n_1 - step * n_i) // max(n_o + step * n_r, 1))
-        size = min(per, n_outer) * step * len(columns) * (WIDTH + 1)
-        if len(buf) < size:
-            buf = bytearray(size)
-        for o in range(0, n_outer, per):
-            for i in range(0, n_inner, step):
-                at = (slice(o, o + per), slice(i, i + step))
-                sub = [c[tuple(s if n > 1 else slice(None) for s, n in zip(at, c.shape))] for c in columns]
-                _write_chunk(fh, sub, (min(per, n_outer - o), min(step, n_inner - i)), buf)
+        cost = tuple(map(kinds.count, [(False, False), (True, False), (False, True), (True, True)]))
+        for n, at in enumerate(tiles(n_outer, n_inner, VALUE_BUDGET, cost)):
+            shape = tuple(s.stop - s.start for s in at)
+            if n == 0 and len(buf) < (size := shape[0] * shape[1] * len(columns) * (WIDTH + 1)):
+                buf = bytearray(size)  # the first tile is the largest
+            sub = [c[tuple(s if m > 1 else slice(None) for s, m in zip(at, c.shape))] for c in columns]
+            _write_chunk(fh, sub, shape, buf)
         records += n_outer * n_inner
     return records
 

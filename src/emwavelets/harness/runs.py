@@ -8,6 +8,7 @@ columns whose shapes say what each repeats over (datasets.write_csv).
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -19,12 +20,11 @@ from ..signals import SampledSignal
 from ..surface_sources import ring_jump, ring_sources
 from .beam import R_FACTOR, beam_profile_rows, diffraction_angles, helicity_residuals, spectral_profiles
 from .config import RunConfig
-from .grids import chunked_parallel_map, grid_axes, grid_points
+from .grids import chunked_parallel_map, grid_axes, grid_points, tiles
 
 __all__ = [
     "field_rows",
     "field_dataset",
-    "points_per_chunk",
     "FIELD_HEADER_PSI",
     "FIELD_HEADER_F",
     "source_sweep_rows",
@@ -38,34 +38,38 @@ FIELD_HEADER_F = _SWEEP + ["re_Fx", "im_Fx", "re_Fy", "im_Fy", "re_Fz", "im_Fz"]
 N_THETA = 13  # angles of the beam profile's far-zone arc
 SOURCE_HEADER = ["q", "phi", "x", "y", "z", "re_j0", "im_j0", "re_jx", "im_jx", "re_jy", "im_jy", "re_jz", "im_jz",
                  "in_rim_band"]
-RECORDS_PER_CHUNK = 8192  # records in a field sweep block (points_per_chunk)
-# records in a surface sweep block: RECORDS_PER_BLOCK // nphi whole rings, or a slice of a ring of more azimuths
-RECORDS_PER_BLOCK = 4096
+# Records in a field sweep block, a quarter of that on more threads (field_rows): at ~50 numpy calls a block, 2,048
+# records ran the benchmark's F sweep 14% longer (0.093 against 0.081 s, 2-core Xeon), and two threads' 8,192-record
+# blocks, ~1 MiB of temporaries each, peaked at 3.8-4.9 MiB traced as they coincided, against a steady 1.8 at 2,048.
+RECORDS_PER_CHUNK = 8192
+RECORDS_PER_BLOCK = 4096  # records in a surface sweep block: 2.17 MiB traced, where 8,192 peaked at 3.90 MiB
 BEAM_HEADER = ["theta", "T_pred", "T_meas", "gap_T", "M_pred", "M_meas", "gap_M"]
 
 
 def field_rows(rc: RunConfig, threads: int = 1):
-    """Field sweep as blocks of points_per_chunk points, computed as consumed.
+    """Field sweep as blocks of grids.tiles of the (points, times) grid, computed as consumed.
 
     A block is the columns of FIELD_HEADER_PSI or FIELD_HEADER_F
     (datasets.write_csv): x, y, z, re/im sigma and the cut sign per point,
     (points, 1); t per time slice, (1, times); and the psi or F parts per
     record, (points, times).  Points run row-major over (x, y, z), and the
-    records of the blocks, in order, are the output's, time fastest.  Each
-    chunk's branch is resolved once (geometry.branch), refusing points
-    within geometry.CUT_TOL * |a| of the cut, and every time slice is
-    evaluated in one broadcast call of the closed forms psi() and field() use.
-    A value that is not finite (a high-order drive overflows) refuses the
-    run (NonFiniteFieldError), naming how many points of its chunk and the
-    (x, y, z) of the first.
+    records of the blocks, in order, are the output's, time fastest.  A block
+    holds at most RECORDS_PER_CHUNK records, a quarter of that on more threads,
+    and fewer where that gives every thread a block.  Each block's branch is
+    resolved once (geometry.branch), refusing points within geometry.CUT_TOL
+    * |a| of the cut, and its time slices are evaluated in one broadcast call
+    of the closed forms psi() and field() use.  A value that is not finite (a
+    high-order drive overflows) refuses the run (NonFiniteFieldError), naming
+    how many points of its block and the (x, y, z) of the first.
     """
     w = rc.wavelet()
     pol = rc.polarization()
     *xyz, ts = grid_axes(rc.grid)
-    tau = w.tau(ts)
 
-    def eval_chunk(index):
-        chunk = grid_points(xyz, index)
+    def eval_tile(tile):
+        rows, cols = tile
+        chunk = grid_points(xyz, rows)
+        tau = w.tau(ts[cols])
         b = branch(w.cut, chunk, w.cfg)
         with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
             if rc.quantity == "psi":
@@ -77,25 +81,11 @@ def field_rows(rc: RunConfig, threads: int = 1):
                    chunk)
         x, y, z = (v[:, None] for v in chunk.T)
         per_record = [part[..., k] for k in range(values.shape[2]) for part in (values.real, values.imag)]
-        return [x, y, z, ts[None, :], b.sigma.real[:, None], b.sigma.imag[:, None], b.sign[:, None], *per_record]
+        return [x, y, z, ts[None, cols], b.sigma.real[:, None], b.sigma.imag[:, None], b.sign[:, None], *per_record]
 
     n_points = math.prod(map(len, xyz))
-    return chunked_parallel_map(eval_chunk, range(n_points), points_per_chunk(len(ts), threads), threads=threads)
-
-
-def points_per_chunk(n_times: int, threads: int = 1) -> int:
-    """Grid points per field_rows block: about RECORDS_PER_CHUNK records on one thread, a quarter of that on more.
-
-    Records, not points, set the size: the broadcast temporaries (several
-    complex values per record) must not grow with the number of time slices.
-    A block pays ~50 numpy calls: 2,048-record blocks ran the benchmark's F
-    sweep 14% longer (0.093 against 0.081 s, 2-core Xeon).  Blocks computed
-    at once on a pool hold ~1 MiB of temporaries each per 8,192 F records,
-    and their peaks coincide as the threads happen to interleave: 3.8-4.9 MiB
-    traced on two threads, against a steady 1.8 MiB at 2,048 records.  The
-    writer sizes its own work (datasets.VALUE_BUDGET): blocks are a compute choice.
-    """
-    return max(1, (RECORDS_PER_CHUNK if threads <= 1 else RECORDS_PER_CHUNK // 4) // n_times)
+    budget = RECORDS_PER_CHUNK if threads <= 1 else min(RECORDS_PER_CHUNK // 4, -(-n_points // threads) * ts.size)
+    return chunked_parallel_map(eval_tile, tiles(n_points, ts.size, budget), threads=threads)
 
 
 def field_dataset(rc: RunConfig, threads: int):
@@ -124,8 +114,8 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     """sample-sources' or impulse-response's (name, header, blocks, sidecar of the record count).
 
     The sweep of the equivalent sources on the spheroid p = alpha, in
-    blocks of at most RECORDS_PER_BLOCK records, computed as consumed; q
-    runs slowest and phi fastest.  A block is the columns of SOURCE_HEADER
+    grids.tiles of at most RECORDS_PER_BLOCK records, computed as consumed;
+    q runs slowest and phi fastest.  A block is the columns of SOURCE_HEADER
     (datasets.write_csv): q and in_rim_band per ring, (rings, 1); phi per
     azimuth, (1, azimuths); and x, y, z and the sources per record,
     (rings, azimuths), since z varies with phi about a tilted axis.  A
@@ -147,8 +137,6 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
     t = rc.surface_t
     w = None if impulse else rc.wavelet()
     drive = {"n": "impulse"} if impulse else _drive_meta(w.sig)
-    rings = max(1, RECORDS_PER_BLOCK // phis.size)
-    width = min(phis.size, RECORDS_PER_BLOCK)
 
     def eval_block(q, phi, jump):
         with np.errstate(all="ignore"):  # an overflow is refused below, by the point it reached
@@ -161,12 +149,12 @@ def source_sweep_rows(rc: RunConfig, impulse: bool = False):
         return [q, phi[None, :], *np.moveaxis(s.position, -1, 0), s.j0.real, s.j0.imag, *j, np.abs(q) < q_min]
 
     def blocks():
-        for i in range(0, qs.size, rings):
-            q = qs[i:i + rings, None]
+        for rows, row_tiles in groupby(tiles(qs.size, phis.size, RECORDS_PER_BLOCK), key=lambda tile: tile[0]):
+            q = qs[rows, None]
             with np.errstate(all="ignore"):
                 jump = ring_jump(w, q, alpha, t, cfg)
-            for j in range(0, phis.size, width):
-                yield eval_block(q, phis[j:j + width], jump)
+            for _, cols in row_tiles:  # the slices of a split ring share its jump
+                yield eval_block(q, phis[cols], jump)
 
     meta = {
         "a": cfg.a,
